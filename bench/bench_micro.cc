@@ -6,7 +6,9 @@
 
 #include <unordered_map>
 
+#include "src/core/anomaly.h"
 #include "src/core/engine.h"
+#include "src/core/exec_session.h"
 #include "src/core/tuple_set.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
@@ -384,6 +386,69 @@ void BM_PreparedVsOneShot(benchmark::State& state) {
   benchmark::DoNotOptimize(rows);
 }
 BENCHMARK(BM_PreparedVsOneShot)->Arg(0)->Arg(1);
+
+// Sliding-window anomaly execution over (windows, groups): `groups`
+// processes each write once per 10 s step, and a 1-minute window slides by
+// 10 s. Arg 2 picks the having clause: 0 = s5-style history states
+// (amt[1], amt[2]), 1 = s6-style EWMA. The per_window_group counter is the
+// time per (window x group); it stays flat as the window count grows when
+// the per-group state is incremental (re-folding each group's history series
+// per window would grow it linearly for EWMA).
+void BM_SlidingWindowAnomaly(benchmark::State& state) {
+  const int64_t windows = state.range(0);
+  const int64_t groups = state.range(1);
+  const bool ewma = state.range(2) == 1;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  const DurationMs step = 10 * kSecondMs;
+  Database db;
+  uint32_t dst = db.catalog().InternNetwork(1, "10.0.0.1", "9.9.9.9", 1, 443);
+  std::vector<uint32_t> procs;
+  for (int64_t g = 0; g < groups; ++g) {
+    procs.push_back(db.catalog().InternProcess(1, 100 + g, "/bin/p" + std::to_string(g)));
+  }
+  Rng rng(5);
+  for (int64_t w = 0; w < windows; ++w) {
+    for (uint32_t p : procs) {
+      db.RecordEvent(1, p, Operation::kWrite, EntityType::kNetwork, dst,
+                     t0 + w * step + static_cast<TimestampMs>(rng.Below(step)),
+                     rng.Range(1000, 100000));
+    }
+  }
+  db.Finalize();
+  const std::string having =
+      ewma ? "(amt - EWMA(amt, 0.9)) / (EWMA(amt, 0.9) + 1) > 0.5 && amt > 40000"
+           : "amt > 2 * (amt + amt[1] + amt[2]) / 3 && amt > 400000";
+  auto ctx = CompileQuery("(from \"" + FormatTimestamp(t0) + "\" to \"" +
+                          FormatTimestamp(t0 + windows * step) +
+                          "\")\nagentid = 1\nwindow = 1 min, step = 10 sec\n"
+                          "proc p write ip i as evt\nreturn p, sum(evt.amount) as amt\n"
+                          "group by p\nhaving " + having);
+  if (!ctx.ok()) {
+    state.SkipWithError(ctx.error().c_str());
+    return;
+  }
+  size_t rows = 0;
+  for (auto _ : state) {
+    ExecutionSession session;
+    auto r = ExecuteAnomaly(db, ctx.value(), ExecOptions{}, nullptr, &session);
+    if (!r.ok()) {
+      state.SkipWithError(r.error().c_str());
+      return;
+    }
+    rows += r.value().num_rows();
+  }
+  state.counters["per_window_group"] = benchmark::Counter(
+      static_cast<double>(windows * groups),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(ewma ? "ewma" : "history");
+  benchmark::DoNotOptimize(rows);
+}
+BENCHMARK(BM_SlidingWindowAnomaly)
+    ->Args({600, 16, 0})
+    ->Args({6000, 16, 0})
+    ->Args({600, 16, 1})
+    ->Args({6000, 16, 1})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace aiql

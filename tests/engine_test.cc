@@ -360,6 +360,22 @@ TEST_F(AnomalyTest, TumblingWindowDefaultStep) {
   EXPECT_EQ(r.value().num_rows(), 4u);
 }
 
+TEST_F(AnomalyTest, WindowLoopHonorsTimeBudget) {
+  // The fetch is tiny; ~2.7M one-second windows are not. The budget must stop
+  // the window loop itself instead of letting it run to completion.
+  AiqlEngine engine(&db_, EngineOptions{.time_budget_ms = 1});
+  auto r = engine.Execute(R"(
+      (from "01/01/2017" to "02/01/2017")
+      agentid = 1
+      window = 1 sec, step = 1 sec
+      proc p write ip i as evt
+      return p, sum(evt.amount) as amt
+      group by p
+      having amt > 2 * (amt + amt[1] + amt[2]) / 3)");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "execution budget exceeded: time limit reached");
+}
+
 // --- moving-average math ---
 
 TEST(MovingAverageTest, Sma) {
