@@ -43,7 +43,7 @@ int main() {
   std::printf("events: %zu  morsel_rows: %u\n\n", world.optimized->num_events(),
               tuned.morsel_rows);
 
-  // Alternative storage layouts over the identical event stream. Every
+  // Alternative storage configurations over the identical event stream. Every
   // config inherits `tuned` (the AIQL_MORSEL_ROWS override) and ablates one
   // knob, so the rows differ in exactly one dimension.
   DatabaseOptions no_part_opts = tuned;
@@ -61,14 +61,6 @@ int main() {
     Workload w(world.config, &no_indexes);
     w.Build();
     no_indexes.Finalize();
-  }
-  DatabaseOptions row_store_opts = tuned;
-  row_store_opts.layout = StorageLayout::kRowStore;
-  Database row_store{row_store_opts};
-  {
-    Workload w(world.config, &row_store);
-    w.Build();
-    row_store.Finalize();
   }
   DatabaseOptions whole_opts = tuned;
   whole_opts.morsel_rows = 0;
@@ -122,8 +114,6 @@ int main() {
        {.pushdown = false, .ordering = false, .time_budget_ms = budget}},
       {"no storage partitioning", &no_partitions, {.time_budget_ms = budget}},
       {"no secondary indexes", &no_indexes, {.time_budget_ms = budget}},
-      {"row-store scan path (no columnar vectorization)", &row_store,
-       {.time_budget_ms = budget}},
       {"whole-partition work units (no row morsels)", &whole_partition_morsels,
        {.time_budget_ms = budget}},
       {"no entity zone pruning / bitmap kernels", &no_entity_scan,

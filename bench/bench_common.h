@@ -89,7 +89,8 @@ struct World {
   std::unique_ptr<Workload> workload;   // bound to `optimized`
 };
 
-// Builds the workload into both storage layouts (identical event streams).
+// Builds the workload into the optimized store and, with `with_baseline`, the
+// monolithic baseline store (identical event streams).
 inline World BuildWorld(double scale, bool with_baseline,
                         DatabaseOptions optimized_options = {}) {
   World w;

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): ingest rate, LIKE matching, entity
-// index lookup, partition time-slice scans, full-scan throughput per storage
-// layout (columnar vectorized vs row-store), hash vs nested-loop joins.
+// index lookup, partition time-slice scans, full-scan throughput per scan
+// parallelism, hash vs nested-loop joins.
 // These quantify the primitive costs behind the macro benches.
 #include <benchmark/benchmark.h>
 
@@ -44,8 +44,8 @@ void BM_LikeMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_LikeMatch);
 
-Database* BuildSharedDb(StorageLayout layout) {
-  auto* d = new Database(DatabaseOptions{.layout = layout});
+Database* BuildSharedDb() {
+  auto* d = new Database();
   Rng rng(11);
   // Entities spread over 8 hosts so the 3-day stream lands in ~9
   // (day, agent-group) partitions — enough morsels for the parallel-scan
@@ -69,12 +69,7 @@ Database* BuildSharedDb(StorageLayout layout) {
 }
 
 Database* SharedDb() {
-  static Database* db = BuildSharedDb(StorageLayout::kColumnar);
-  return db;
-}
-
-Database* SharedRowStoreDb() {
-  static Database* db = BuildSharedDb(StorageLayout::kRowStore);
+  static Database* db = BuildSharedDb();
   return db;
 }
 
@@ -108,16 +103,14 @@ void BM_TimeSliceScan(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeSliceScan)->Arg(10)->Arg(60)->Arg(600);
 
-// Full-scan event throughput: storage layout (arg 0: columnar vectorized
-// scan, 1: row-store baseline) x scan parallelism (arg 1: 1 = serial
-// ExecuteQuery, >1 = morsel-driven ExecuteQueryParallel) over the identical
-// 200k-event stream, with a half-selective amount filter as the only event
-// predicate. Both layouts and every parallelism level must report the same
-// `matched` count.
+// Full-scan event throughput per scan parallelism (arg: 1 = serial
+// ExecuteQuery, >1 = morsel-driven ExecuteQueryParallel) over a 200k-event
+// stream, with a half-selective amount filter as the only event predicate.
+// Every parallelism level must report the same `matched` count.
 void BM_FullScan(benchmark::State& state) {
-  Database* db = state.range(0) == 0 ? SharedDb() : SharedRowStoreDb();
-  size_t parallelism = static_cast<size_t>(state.range(1));
-  // One pool per parallelism level, shared across iterations and layouts.
+  Database* db = SharedDb();
+  size_t parallelism = static_cast<size_t>(state.range(0));
+  // One pool per parallelism level, shared across iterations.
   static std::unordered_map<size_t, ThreadPool*> pools;
   ThreadPool* pool = nullptr;
   if (parallelism > 1) {
@@ -147,18 +140,17 @@ void BM_FullScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(stats.events_scanned + stats.events_skipped));
   state.counters["matched"] = static_cast<double>(stats.events_matched);
-  state.SetLabel(std::string(StorageLayoutName(db->options().layout)) + "/p" +
-                 std::to_string(parallelism));
+  state.SetLabel("p" + std::to_string(parallelism));
 }
-BENCHMARK(BM_FullScan)->Args({0, 1})->Args({0, 2})->Args({0, 4})->Args({1, 1})->Args({1, 4});
+BENCHMARK(BM_FullScan)->Arg(1)->Arg(2)->Arg(4);
 
 // A selective pushed-down entity candidate set over a large entity pool: the
 // dominant query shape of iterative attack investigation (Algorithm 1 hands
 // each pattern the candidate sets of already-executed patterns). The set is
 // far above the posting-candidate limit, so the scan takes the vectorized
 // membership-probe path over every row in the time slice.
-Database* BuildCandidateProbeDb(StorageLayout layout) {
-  auto* d = new Database(DatabaseOptions{.layout = layout});
+Database* BuildCandidateProbeDb() {
+  auto* d = new Database();
   Rng rng(23);
   std::vector<uint32_t> procs, files;
   for (int i = 0; i < 64; ++i) {
@@ -183,9 +175,7 @@ Database* BuildCandidateProbeDb(StorageLayout layout) {
 }
 
 void BM_EntityCandidateScan(benchmark::State& state) {
-  static Database* columnar = BuildCandidateProbeDb(StorageLayout::kColumnar);
-  static Database* rowstore = BuildCandidateProbeDb(StorageLayout::kRowStore);
-  Database* db = state.range(0) == 0 ? columnar : rowstore;
+  static Database* db = BuildCandidateProbeDb();
   // Every 4th file is a candidate: 5000 candidates, ~25% row selectivity —
   // too many for posting-list union, so every scanned row probes the set.
   DataQuery q;
@@ -205,9 +195,8 @@ void BM_EntityCandidateScan(benchmark::State& state) {
                           static_cast<int64_t>(stats.events_scanned + stats.events_skipped));
   state.counters["matched"] = static_cast<double>(stats.events_matched);
   state.counters["bitmap_probes"] = static_cast<double>(stats.bitmap_probes);
-  state.SetLabel(std::string(StorageLayoutName(db->options().layout)) + "/p1");
 }
-BENCHMARK(BM_EntityCandidateScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_EntityCandidateScan);
 
 // Skewed partition sizes under the parallel scan: one (day, agent-group)
 // partition holds ~85% of the events, so whole-partition work units (arg 1 ==

@@ -6,6 +6,7 @@
 //   aiqlsh trace.log            # ingest an audit log (src/ingest format)
 //
 // Enter a query terminated by an empty line; ".help" lists commands.
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>

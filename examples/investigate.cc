@@ -134,8 +134,7 @@ int main(int argc, char** argv) {
   Workload workload(config, &db);
   workload.Build();
   db.Finalize();
-  std::printf("dataset: %zu events, %zu partitions (%s layout)\n\n", db.num_events(),
-              db.num_partitions(), StorageLayoutName(db.options().layout));
+  std::printf("dataset: %zu events, %zu partitions\n\n", db.num_events(), db.num_partitions());
 
   const AiqlEngine engine(&db, EngineOptions{.time_budget_ms = 60000});
 

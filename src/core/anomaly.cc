@@ -931,11 +931,8 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   scan_ctx.pins = &session->pins;
   std::vector<EventView> events =
       FetchDataQuery(db, ctx.patterns[0].query, options, pool, session, &scan_ctx);
-  if (session->IsCancelled()) {
-    return Result<ResultTable>::Error("execution cancelled");
-  }
-  if (scan_ctx.DeadlineExpired()) {
-    return Result<ResultTable>::Error("execution budget exceeded: time limit reached");
+  if (Status s = scan_ctx.StopStatus(); !s.ok()) {
+    return Result<ResultTable>(s);
   }
   st->pattern_matches[0] = events.size();
   // Intra-pattern attribute relationships filter single events.
@@ -981,11 +978,8 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   size_t first = 0, last = 0;
   uint32_t w = 0;
   for (TimestampMs ws = range.begin; ws < range.end; ws += step, ++w) {
-    if (session->IsCancelled()) {
-      return Result<ResultTable>::Error("execution cancelled");
-    }
-    if (scan_ctx.DeadlineExpired()) {
-      return Result<ResultTable>::Error("execution budget exceeded: time limit reached");
+    if (Status s = scan_ctx.StopStatus(); !s.ok()) {
+      return Result<ResultTable>(s);
     }
     const TimestampMs we = std::min<TimestampMs>(ws + window, range.end);
     while (first < times.size() && times[first] < ws) {

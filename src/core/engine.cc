@@ -131,18 +131,7 @@ Result<ResultTable> AiqlEngine::ExecuteContext(const QueryContext& ctx,
   if (out.ok()) {
     out.value().set_exec_stats(session->stats);
   }
-  {
-    // Deprecated last_stats() shim: guarded so concurrent executions do not
-    // race; the value is last-writer-wins.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_stats_ = session->stats;
-  }
   return out;
-}
-
-ExecStats AiqlEngine::last_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return last_stats_;
 }
 
 }  // namespace aiql

@@ -28,7 +28,6 @@
 #define AIQL_SRC_CORE_ENGINE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "src/core/anomaly.h"
@@ -89,22 +88,12 @@ class AiqlEngine {
   // private session. The resulting table carries the session's final stats.
   Result<ResultTable> ExecuteContext(const QueryContext& ctx, ExecutionSession* session) const;
 
-  // DEPRECATED single-threaded shim: statistics of the most recent execution
-  // on this engine. Access is thread-safe (no data race under concurrent
-  // Execute), but with concurrent executions the value is whichever run
-  // finished last — meaningful only for single-threaded callers. Prefer
-  // ResultTable::exec_stats() or a caller-owned ExecutionSession.
-  ExecStats last_stats() const;
-
   const EngineOptions& options() const { return options_; }
 
  private:
   const EventStore* db_;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // created when parallelism > 1
-  // last_stats() shim state; mutable because executions are const.
-  mutable std::mutex stats_mu_;
-  mutable ExecStats last_stats_;
 };
 
 }  // namespace aiql

@@ -148,17 +148,17 @@ class MultieventExecutor {
         pool_(pool),
         session_(session),
         stats_(&session->stats),
-        // AiqlEngine::ExecuteContext already folded the session's budget
-        // override into options.time_budget_ms.
-        budget_(options.time_budget_ms, options.max_join_work, &session->cancelled),
+        budget_(options.max_join_work, &scan_ctx_),
         joiner_(db.catalog(), &budget_,
                 JoinStrategy{
                     .hash_equality = options.scheduler != SchedulerKind::kBigJoin,
                     .temporal_index = options.scheduler != SchedulerKind::kBigJoin}) {
     stats_->pattern_matches.assign(ctx.patterns.size(), 0);
-    // The per-run scan context: storage-layer morsel loops check the
-    // cancellation flag and this run's deadline between morsels, and decoded
-    // archive columns pin into the session for the run's lifetime.
+    // The per-run scan context, the run's one stop check: storage-layer
+    // morsel loops check it between morsels, the join budget at its charge
+    // cadence, and CheckStop between steps. Decoded archive columns pin into
+    // the session for the run's lifetime. AiqlEngine::ExecuteContext already
+    // folded the session's budget override into options.time_budget_ms.
     scan_ctx_.cancel = &session->cancelled;
     scan_ctx_.ArmDeadline(options.time_budget_ms);
     scan_ctx_.pins = &session->pins;
@@ -188,15 +188,7 @@ class MultieventExecutor {
   // Cancellation / scan-deadline check between execution steps. A stopped
   // storage scan returns a partial result, so the run must fail rather than
   // pass truncated matches off as the answer.
-  Status CheckStop() const {
-    if (session_->IsCancelled()) {
-      return Status::Error("execution cancelled");
-    }
-    if (scan_ctx_.DeadlineExpired()) {
-      return Status::Error("execution budget exceeded: time limit reached");
-    }
-    return Status::Ok();
-  }
+  Status CheckStop() const { return scan_ctx_.StopStatus(); }
 
   // Executes the data query of `pattern`, optionally constrained by the
   // already-known bindings of the relationship's other endpoint.

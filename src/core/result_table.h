@@ -37,7 +37,7 @@ class ResultTable {
 
   // Statistics of the execution that produced this table. Each result owns
   // its stats, so concurrent executions against one engine never share
-  // mutable state (prefer this over AiqlEngine::last_stats()).
+  // mutable state.
   const ExecStats& exec_stats() const { return exec_stats_; }
   void set_exec_stats(ExecStats stats) { exec_stats_ = std::move(stats); }
 

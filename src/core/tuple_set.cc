@@ -15,11 +15,8 @@ Status BudgetGuard::Charge(size_t produced) {
   since_time_check_ += produced;
   if (since_time_check_ >= 4096) {
     since_time_check_ = 0;
-    if (cancelled_ != nullptr && cancelled_->load(std::memory_order_relaxed)) {
-      return Status::Error("execution cancelled");
-    }
-    if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
-      return Status::Error("execution budget exceeded: time limit reached");
+    if (stop_ != nullptr) {
+      return stop_->StopStatus();
     }
   }
   return Status::Ok();

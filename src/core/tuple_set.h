@@ -7,32 +7,25 @@
 #ifndef AIQL_SRC_CORE_TUPLE_SET_H_
 #define AIQL_SRC_CORE_TUPLE_SET_H_
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/eval.h"
+#include "src/storage/data_query.h"
 #include "src/util/result.h"
 
 namespace aiql {
 
-// Wall-clock, cardinality, and cancellation guard for query execution. The
-// paper's baseline measurements cap queries at one hour; benches use much
-// smaller budgets. `cancelled` (optional, not owned) is the execution
-// session's cooperative-cancel flag: joins abort at the next Charge after it
-// is set.
+// Cardinality guard for query execution, plus the run's stop check at a
+// coarse row cadence. The paper's baseline measurements cap queries at one
+// hour; benches use much smaller budgets. `stop` (optional, not owned) is the
+// run's ScanContext: joins abort at the next time check after it is cancelled
+// or its deadline passes.
 class BudgetGuard {
  public:
   BudgetGuard() = default;
-  BudgetGuard(int64_t budget_ms, size_t max_rows, const std::atomic<bool>* cancelled = nullptr)
-      : max_rows_(max_rows), cancelled_(cancelled) {
-    if (budget_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-      has_deadline_ = true;
-    }
-  }
+  BudgetGuard(size_t max_rows, const ScanContext* stop) : max_rows_(max_rows), stop_(stop) {}
 
   // Registers `produced` new intermediate rows; fails when over budget or
   // after cancellation.
@@ -41,12 +34,10 @@ class BudgetGuard {
   size_t rows_produced() const { return rows_; }
 
  private:
-  std::chrono::steady_clock::time_point deadline_{};
-  bool has_deadline_ = false;
   size_t max_rows_ = 0;  // 0 = unlimited
   size_t rows_ = 0;
   size_t since_time_check_ = 0;
-  const std::atomic<bool>* cancelled_ = nullptr;
+  const ScanContext* stop_ = nullptr;
 };
 
 class TupleSet {

@@ -1,6 +1,5 @@
 #include "src/graph/graph_engine.h"
 
-#include <chrono>
 #include <unordered_map>
 
 #include "src/core/eval.h"
@@ -27,10 +26,7 @@ class Matcher {
   Matcher(const PropertyGraph& graph, const QueryContext& ctx, int64_t budget_ms,
           size_t max_work, GraphExecStats* stats)
       : graph_(graph), ctx_(ctx), max_work_(max_work), stats_(stats) {
-    if (budget_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-      has_deadline_ = true;
-    }
+    stop_.ArmDeadline(budget_ms);
     chosen_.assign(ctx.patterns.size(), nullptr);
   }
 
@@ -40,9 +36,8 @@ class Matcher {
     if (max_work_ != 0 && stats_->rels_visited > max_work_) {
       return Status::Error("execution budget exceeded: graph expansion work limit");
     }
-    if (has_deadline_ && (stats_->rels_visited & 0xFFF) == 0 &&
-        std::chrono::steady_clock::now() > deadline_) {
-      return Status::Error("execution budget exceeded: time limit reached");
+    if ((stats_->rels_visited & 0xFFF) == 0) {
+      return stop_.StopStatus();
     }
     return Status::Ok();
   }
@@ -229,8 +224,7 @@ class Matcher {
   const QueryContext& ctx_;
   size_t max_work_;
   GraphExecStats* stats_;
-  std::chrono::steady_clock::time_point deadline_{};
-  bool has_deadline_ = false;
+  ScanContext stop_;  // the run's deadline (no cancellation flag)
 
   std::unordered_map<std::string, uint32_t> bindings_;
   std::vector<const Event*> chosen_;

@@ -20,6 +20,7 @@
 
 #include "src/storage/event.h"
 #include "src/storage/predicate.h"
+#include "src/util/result.h"
 #include "src/util/time_utils.h"
 
 namespace aiql {
@@ -140,8 +141,10 @@ class ColumnPins {
 };
 
 // Per-run context threaded from the execution session into the storage scan
-// loops: the cooperative cancellation flag and run deadline (checked between
-// morsels, never per row) and the decoded-column pin sink. All members are
+// loops, the join budget, and the graph matcher: the cooperative cancellation
+// flag and run deadline (checked between morsels, never per row) and the
+// decoded-column pin sink. It is the run's one stop check: every layer asks
+// StopStatus() (or ShouldStop()) of the same context. All members are
 // optional; a null/defaulted context scans to completion and leaves decoded
 // columns pinned only by decode-cache residency.
 struct ScanContext {
@@ -165,6 +168,18 @@ struct ScanContext {
   }
   // True when the scan should stop claiming work and return what it has.
   bool ShouldStop() const { return Cancelled() || DeadlineExpired(); }
+
+  // The run's stop diagnostic: Ok, or the cancellation / time-budget error
+  // every layer surfaces.
+  Status StopStatus() const {
+    if (Cancelled()) {
+      return Status::Error("execution cancelled");
+    }
+    if (DeadlineExpired()) {
+      return Status::Error("execution budget exceeded: time limit reached");
+    }
+    return Status::Ok();
+  }
 };
 
 // Scan-scoped pin fallback, used by every scan entry point that merges

@@ -78,7 +78,7 @@ void Database::Finalize() {
     return;
   }
   for (auto& [key, p] : partitions_) {
-    p->Finalize(options_.build_indexes, options_.layout);
+    p->Finalize(options_.build_indexes);
   }
   BuildEntityIndexes();
   ApplyArchivePolicy();
@@ -88,8 +88,7 @@ void Database::Finalize() {
 void Database::ApplyArchivePolicy() {
   const bool by_age = options_.archive_after_days >= 0;
   const bool by_count = options_.archive_max_hot_partitions > 0;
-  if ((!by_age && !by_count) || options_.layout != StorageLayout::kColumnar ||
-      partitions_.empty()) {
+  if ((!by_age && !by_count) || partitions_.empty()) {
     return;
   }
   // A partition re-finalized after post-archive ingest starts hot again; the

@@ -121,9 +121,6 @@ struct DatabaseOptions {
   PartitionScheme scheme = PartitionScheme::kTimeSpace;
   uint32_t agent_group_size = 4;  // agents per spatial partition group
   bool build_indexes = true;      // entity hash indexes + posting lists
-  // Partition storage layout: columnar (zone maps + vectorized scans, the
-  // AIQL configuration) or the row-store baseline for ablations.
-  StorageLayout layout = StorageLayout::kColumnar;
   // Parallel-scan work unit: partitions whose time slice exceeds this many
   // rows split into fixed-size row-range morsels (0 = whole partitions, the
   // pre-morsel behavior kept for ablations).
@@ -134,9 +131,9 @@ struct DatabaseOptions {
   // changes performance counters only, never results.
   bool entity_pruning = true;
   bool entity_bitmaps = true;
-  // Archive tier (see partition.h). At Finalize, columnar partitions whose
-  // day is at least archive_after_days older than the newest ingested day
-  // re-encode their columns and decode on demand at scan time; 0 archives
+  // Archive tier (see partition.h). At Finalize, partitions whose day is at
+  // least archive_after_days older than the newest ingested day re-encode
+  // their columns and decode on demand at scan time; 0 archives
   // every partition, < 0 disables archiving. Results are identical either
   // way — archiving trades cold-scan decode time for resident memory.
   int64_t archive_after_days = -1;
@@ -155,7 +152,7 @@ struct DatabaseOptions {
 struct StorageFootprint {
   size_t partitions = 0;
   size_t archived_partitions = 0;
-  size_t hot_column_bytes = 0;  // decoded column (or row-store) bytes resident
+  size_t hot_column_bytes = 0;  // decoded column bytes resident
   size_t archived_bytes = 0;    // encoded bytes held by archived partitions
 };
 

@@ -1,5 +1,4 @@
-// Columnar event storage (structure-of-arrays) and the layout-agnostic
-// EventView handle.
+// Columnar event storage (structure-of-arrays) and the EventView handle.
 //
 // The AIQL hot path touches only 2-3 event attributes per query (op, time,
 // one entity side); a row-oriented std::vector<Event> pays the full 64-byte
@@ -9,9 +8,8 @@
 //
 // EventView is the engine-wide currency for a matched event: a cheap handle
 // that reads either a columnar row (partition storage after Finalize) or a
-// plain Event (row-store partitions, the property-graph baseline, tests).
-// Joins, tuple sets, and projection consume EventViews without ever
-// materializing Event copies.
+// plain Event (the property-graph baseline, tests). Joins, tuple sets, and
+// projection consume EventViews without ever materializing Event copies.
 #ifndef AIQL_SRC_STORAGE_EVENT_VIEW_H_
 #define AIQL_SRC_STORAGE_EVENT_VIEW_H_
 
@@ -100,9 +98,9 @@ struct EventColumns {
   }
 };
 
-// Cheap handle to one event in either layout. Identity (equality/hash) is the
-// storage slot, matching the pointer identity the engine relied on when it
-// passed `const Event*` around.
+// Cheap handle to one event, a columnar row or a plain Event. Identity
+// (equality/hash) is the storage slot, matching the pointer identity the
+// engine relied on when it passed `const Event*` around.
 class EventView {
  public:
   EventView() = default;
@@ -156,7 +154,7 @@ struct EventViewHash {
   size_t operator()(const EventView& v) const { return v.SlotHash(); }
 };
 
-// Event attribute access by name over either layout; the Event overload in
+// Event attribute access by name over either form; the Event overload in
 // event.h delegates here, so this is the single attribute-name dispatch.
 std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catalog,
                                   std::string_view attr);

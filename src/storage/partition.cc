@@ -8,34 +8,6 @@ namespace {
 // Threshold under which posting-list access beats a range scan.
 constexpr size_t kPostingCandidateLimit = 4096;
 
-bool EventMatches(const Event& e, const DataQuery& q, const EntityCatalog& catalog,
-                  const std::unordered_set<uint32_t>* subject_set,
-                  const std::unordered_set<uint32_t>* object_set,
-                  const std::unordered_set<AgentId>* agent_set) {
-  if ((OpBit(e.op) & q.op_mask) == 0) {
-    return false;
-  }
-  if (e.object_type != q.object_type) {
-    return false;
-  }
-  if (agent_set != nullptr && agent_set->count(e.agent_id) == 0) {
-    return false;
-  }
-  if (subject_set != nullptr && subject_set->count(e.subject_idx) == 0) {
-    return false;
-  }
-  if (object_set != nullptr && object_set->count(e.object_idx) == 0) {
-    return false;
-  }
-  if (!q.event_pred.is_true()) {
-    auto source = [&](std::string_view attr) { return GetEventAttr(e, catalog, attr); };
-    if (!q.event_pred.Eval(source)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Applies one compiled column filter with the kernel matching its operator:
 // branch-free compare loops for the ordered ops, the flat small-set probe or
 // the hash fallback for IN / NOT IN.
@@ -223,18 +195,8 @@ std::shared_ptr<DecodedPartition> DecodeCache::Acquire(const Partition* p, ScanS
   return canonical;
 }
 
-const char* StorageLayoutName(StorageLayout layout) {
-  switch (layout) {
-    case StorageLayout::kColumnar:
-      return "columnar";
-    case StorageLayout::kRowStore:
-      return "rowstore";
-  }
-  return "?";
-}
-
 void Partition::Append(const Event& e) {
-  if (finalized_columnar()) {
+  if (finalized_) {
     Rehydrate();
   }
   finalized_ = false;
@@ -255,7 +217,7 @@ void Partition::Rehydrate() {
 }
 
 void Partition::Archive() {
-  if (archived_ != nullptr || !finalized_columnar() || cols_.size() == 0) {
+  if (archived_ != nullptr || !finalized_ || cols_.size() == 0) {
     return;
   }
   archived_ = std::make_unique<ArchivedColumns>(EncodeEventColumns(cols_));
@@ -263,24 +225,17 @@ void Partition::Archive() {
 }
 
 size_t Partition::ColumnBytes() const {
-  if (archived_ != nullptr) {
-    return 0;
+  size_t total = 0;
+  for (int i = 0; i < kNumEventColumns; ++i) {
+    total += DecodedColumnBytes(static_cast<EventColumnId>(i), cols_.size());
   }
-  if (finalized_columnar()) {
-    size_t total = 0;
-    for (int i = 0; i < kNumEventColumns; ++i) {
-      total += DecodedColumnBytes(static_cast<EventColumnId>(i), cols_.size());
-    }
-    return total;
-  }
-  return events_.size() * sizeof(Event);
+  return total;
 }
 
-void Partition::Finalize(bool build_indexes, StorageLayout layout) {
-  if (finalized_columnar()) {
-    Rehydrate();  // re-finalization over new layout/options
+void Partition::Finalize(bool build_indexes) {
+  if (finalized_) {
+    Rehydrate();  // re-finalization over new options
   }
-  layout_ = layout;
   // (start_time, id) — not just start_time: scan emission order IS the
   // engine-wide result order (MergeSortedRuns merges per-partition runs
   // without re-sorting), and AppendRaw replay can ingest equal-timestamp
@@ -306,15 +261,13 @@ void Partition::Finalize(bool build_indexes, StorageLayout layout) {
   }
   has_indexes_ = build_indexes;
 
-  if (layout_ == StorageLayout::kColumnar) {
-    cols_.Clear();
-    cols_.Reserve(events_.size());
-    for (const Event& e : events_) {
-      cols_.Append(e);
-    }
-    events_.clear();
-    events_.shrink_to_fit();
+  cols_.Clear();
+  cols_.Reserve(events_.size());
+  for (const Event& e : events_) {
+    cols_.Append(e);
   }
+  events_.clear();
+  events_.shrink_to_fit();
   finalized_ = true;
 }
 
@@ -330,7 +283,7 @@ void Partition::ForEachEvent(const std::function<void(const Event&)>& fn) const 
     }
     return;
   }
-  if (finalized_columnar()) {
+  if (finalized_) {
     for (uint32_t i = 0; i < cols_.size(); ++i) {
       Event e = cols_.Materialize(i);
       fn(e);
@@ -343,18 +296,11 @@ void Partition::ForEachEvent(const std::function<void(const Event&)>& fn) const 
 }
 
 std::pair<size_t, size_t> Partition::TimeSlice(const EventColumns* cols,
-                                               const TimeRange& range) const {
-  if (finalized_columnar()) {
-    const auto& ts = cols->start_time;
-    auto lo = std::lower_bound(ts.begin(), ts.end(), range.begin);
-    auto hi = std::lower_bound(ts.begin(), ts.end(), range.end);
-    return {static_cast<size_t>(lo - ts.begin()), static_cast<size_t>(hi - ts.begin())};
-  }
-  auto lo = std::lower_bound(events_.begin(), events_.end(), range.begin,
-                             [](const Event& e, TimestampMs t) { return e.start_time < t; });
-  auto hi = std::lower_bound(events_.begin(), events_.end(), range.end,
-                             [](const Event& e, TimestampMs t) { return e.start_time < t; });
-  return {static_cast<size_t>(lo - events_.begin()), static_cast<size_t>(hi - events_.begin())};
+                                               const TimeRange& range) {
+  const auto& ts = cols->start_time;
+  auto lo = std::lower_bound(ts.begin(), ts.end(), range.begin);
+  auto hi = std::lower_bound(ts.begin(), ts.end(), range.end);
+  return {static_cast<size_t>(lo - ts.begin()), static_cast<size_t>(hi - ts.begin())};
 }
 
 bool Partition::CanMatch(const TimeRange& range, const DataQuery& q,
@@ -411,9 +357,6 @@ std::unique_ptr<EntityBitmaps> Partition::TranslateCandidateBitmaps(
     const std::unordered_set<uint32_t>* subject_set,
     const std::unordered_set<uint32_t>* object_set,
     const std::unordered_set<AgentId>* agent_set) const {
-  if (!finalized_columnar()) {
-    return nullptr;  // bitmaps serve the vectorized scan only
-  }
   EntityBitmaps b;
   bool any = false;
   if (subject_set != nullptr) {
@@ -482,20 +425,6 @@ bool Partition::PostingCandidates(const DataQuery& q,
     }
   }
   return true;
-}
-
-void Partition::ScanOffsetsRows(const std::vector<uint32_t>& offsets,
-                                const PartitionScanArgs& args, std::vector<EventView>* out,
-                                ScanStats* stats) const {
-  for (uint32_t off : offsets) {
-    ++stats->events_scanned;
-    const Event& e = events_[off];
-    if (EventMatches(e, *args.query, *args.catalog, args.subject_set, args.object_set,
-                     args.agent_set)) {
-      ++stats->events_matched;
-      out->push_back(EventView(&e));
-    }
-  }
 }
 
 bool Partition::AgentFilterActive(const std::unordered_set<AgentId>* agent_set) const {
@@ -727,39 +656,23 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
   bool from_postings =
       PostingCandidates(q, args.subject_set, args.object_set, lo, hi, &sel, stats);
 
-  if (finalized_columnar()) {
-    // Fast path: the zone map proves every row in the slice matches — emit
-    // the whole range without materializing a selection vector.
-    if (!from_postings && !NeedsFiltering(args)) {
-      stats->events_scanned += hi - lo;
-      if (dec != nullptr) {
-        cols = dec->EnsureAll(stats);
-      }
-      EmitRange(cols, lo, hi, out, stats);
-      return;
+  // Fast path: the zone map proves every row in the slice matches — emit the
+  // whole range without materializing a selection vector.
+  if (!from_postings && !NeedsFiltering(args)) {
+    stats->events_scanned += hi - lo;
+    if (dec != nullptr) {
+      cols = dec->EnsureAll(stats);
     }
-    if (!from_postings) {
-      sel.resize(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        sel[i - lo] = static_cast<uint32_t>(i);
-      }
-    }
-    VectorScan(&sel, args, cols, dec, out, stats);
+    EmitRange(cols, lo, hi, out, stats);
     return;
   }
-
-  if (from_postings) {
-    ScanOffsetsRows(sel, args, out, stats);
-    return;
-  }
-  for (size_t i = lo; i < hi; ++i) {
-    ++stats->events_scanned;
-    const Event& e = events_[i];
-    if (EventMatches(e, q, *args.catalog, args.subject_set, args.object_set, args.agent_set)) {
-      ++stats->events_matched;
-      out->push_back(EventView(&e));
+  if (!from_postings) {
+    sel.resize(hi - lo);
+    for (size_t i = lo; i < hi; ++i) {
+      sel[i - lo] = static_cast<uint32_t>(i);
     }
   }
+  VectorScan(&sel, args, cols, dec, out, stats);
 }
 
 }  // namespace aiql

@@ -1,18 +1,15 @@
 // A storage partition: one (day, agent-group) shard of the event table
 // (paper §3.2 "Time and Space Partitioning").
 //
-// Events are ingested into a row buffer and reorganized at Finalize():
-//   - kColumnar (default): a structure-of-arrays layout (EventColumns) plus a
-//     zone map; queries run a vectorized scan that evaluates one column at a
-//     time over a shrinking selection vector and emits EventViews without
-//     materializing Event copies.
-//   - kRowStore: the seed's row-oriented layout, kept reachable for baseline
-//     ablations; predicates evaluate event-at-a-time.
-// Both layouts sort by start_time (time-range scans are binary searches) and
-// build per-entity posting lists, the analogue of the paper's per-attribute
-// B-tree indexes. The zone map (min/max per numeric column, op mask, agent
-// set) is built for both layouts so Database::ExecuteQuery can skip whole
-// partitions before touching any column.
+// Events are ingested into a row buffer and, at Finalize(), sorted by
+// start_time (time-range scans are binary searches) and transposed into a
+// structure-of-arrays layout (EventColumns). Queries run a vectorized scan
+// that evaluates one column at a time over a shrinking selection vector and
+// emits EventViews without materializing Event copies. Finalize also builds
+// per-entity posting lists, the analogue of the paper's per-attribute B-tree
+// indexes, and a zone map (min/max per numeric column, op mask, agent set)
+// so Database::ExecuteQuery can skip whole partitions before touching any
+// column.
 #ifndef AIQL_SRC_STORAGE_PARTITION_H_
 #define AIQL_SRC_STORAGE_PARTITION_H_
 
@@ -172,13 +169,6 @@ struct PartitionScanArgs {
   uint32_t end_row = UINT32_MAX;
 };
 
-enum class StorageLayout : uint8_t {
-  kColumnar = 0,  // structure-of-arrays + vectorized scan (AIQL storage)
-  kRowStore = 1,  // row-oriented std::vector<Event> (baseline ablations)
-};
-
-const char* StorageLayoutName(StorageLayout layout);
-
 struct PartitionKey {
   int64_t day_index = 0;
   uint32_t agent_group = 0;
@@ -202,26 +192,24 @@ class Partition {
 
   const PartitionKey& key() const { return key_; }
   size_t size() const {
-    return archived_ != nullptr ? archived_->count
-                                : finalized_columnar() ? cols_.size() : events_.size();
+    return archived_ != nullptr ? archived_->count : finalized_ ? cols_.size() : events_.size();
   }
-  StorageLayout layout() const { return layout_; }
 
-  // Pre-finalize row buffer; in columnar mode it is released at Finalize().
+  // Pre-finalize row buffer; it is released at Finalize().
   const std::vector<Event>& events() const { return events_; }
 
-  // Appending to a finalized columnar partition rehydrates the row buffer;
+  // Appending to a finalized partition rehydrates the row buffer;
   // re-finalization rebuilds columns and indexes.
   void Append(const Event& e);
 
-  // Sorts by start_time, builds the zone map and posting lists, and (in
-  // columnar mode) transposes rows into EventColumns. Must be called before
-  // Execute; ingest after Finalize requires re-finalization.
-  void Finalize(bool build_indexes, StorageLayout layout);
+  // Sorts by start_time, builds the zone map and posting lists, and
+  // transposes rows into EventColumns. Must be called before Execute; ingest
+  // after Finalize requires re-finalization.
+  void Finalize(bool build_indexes);
   bool finalized() const { return finalized_; }
 
   // Archive tier: re-encodes the decoded columns (delta/FOR, adaptive per
-  // column; see encoding.h) and releases them. Requires a finalized columnar
+  // column; see encoding.h) and releases them. Requires a finalized
   // partition; no-op otherwise. Zone map and posting lists stay resident, so
   // pruning and morsel planning never decode. Ingesting into an archived
   // partition decodes it back (Append/Finalize handle this transparently).
@@ -286,21 +274,17 @@ class Partition {
 
   // Hot partitions only: views into an archived partition must come from a
   // scan (which routes through the decode cache).
-  EventView ViewAt(uint32_t row) const {
-    return finalized_columnar() ? EventView(&cols_, row) : EventView(&events_[row]);
-  }
+  EventView ViewAt(uint32_t row) const { return EventView(&cols_, row); }
 
   const ZoneMap& zone_map() const { return zone_; }
   TimestampMs min_time() const { return zone_.MinOf(NumericColumn::kStartTime); }
   TimestampMs max_time() const { return zone_.MaxOf(NumericColumn::kStartTime); }
 
  private:
-  bool finalized_columnar() const { return finalized_ && layout_ == StorageLayout::kColumnar; }
-
   // Offsets of events within [range) via binary search on start_time. `cols`
   // is the partition's decoded columns (cols_ for hot partitions, the decode
-  // cache entry's for archived ones); ignored in the row-store layout.
-  std::pair<size_t, size_t> TimeSlice(const EventColumns* cols, const TimeRange& range) const;
+  // cache entry's for archived ones).
+  static std::pair<size_t, size_t> TimeSlice(const EventColumns* cols, const TimeRange& range);
 
   // Columns the filter stages of `args` will touch (always includes
   // start_time for the slice; everything when a residual predicate needs
@@ -328,10 +312,6 @@ class Partition {
   // means every row in a time slice matches and can be emitted directly.
   bool NeedsFiltering(const PartitionScanArgs& args) const;
 
-  // Row-oriented scan of explicit offsets (posting candidates).
-  void ScanOffsetsRows(const std::vector<uint32_t>& offsets, const PartitionScanArgs& args,
-                       std::vector<EventView>* out, ScanStats* stats) const;
-
   // Columnar scan: narrows `sel` one kernel at a time over `cols`, then emits
   // views. `dec` is non-null for archived partitions: surviving rows widen
   // the decode to every column before emission.
@@ -354,11 +334,10 @@ class Partition {
                          std::vector<uint32_t>* offsets, ScanStats* stats) const;
 
   PartitionKey key_;
-  std::vector<Event> events_;  // ingest buffer / row storage
-  EventColumns cols_;          // columnar storage (finalized kColumnar, hot)
+  std::vector<Event> events_;  // pre-Finalize ingest buffer
+  EventColumns cols_;          // columnar storage (finalized, hot)
   std::unique_ptr<ArchivedColumns> archived_;  // encoded columns (archived)
   ZoneMap zone_;
-  StorageLayout layout_ = StorageLayout::kColumnar;
   bool finalized_ = false;
   bool has_indexes_ = false;
 

@@ -1,6 +1,6 @@
 // Concurrency tests for the re-entrant engine facade: many threads executing
-// against a single const AiqlEngine (shared thread pool, shared plan cache,
-// deprecated last_stats() shim) must race-free produce identical results.
+// against a single const AiqlEngine (shared thread pool, shared plan cache)
+// must race-free produce identical results, each with its own stats.
 // CI runs this binary under ThreadSanitizer (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
@@ -64,13 +64,9 @@ TEST_F(ConcurrencyTest, ConcurrentExecuteOnOneConstEngine) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kRunsPerThread; ++i) {
         auto r = engine.Execute(kChainQuery);
-        if (!r.ok() || !r.value().SameRowsAs(reference.value())) {
-          ++failures[t];
-        }
-        // The deprecated shim stays data-race-free under concurrency (the
-        // value is last-writer-wins and only meaningful single-threaded).
-        ExecStats stats = engine.last_stats();
-        if (stats.data_queries == 0) {
+        // Each result carries the stats of the run that produced it.
+        if (!r.ok() || !r.value().SameRowsAs(reference.value()) ||
+            r.value().exec_stats().data_queries == 0) {
           ++failures[t];
         }
       }

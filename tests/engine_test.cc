@@ -2,7 +2,11 @@
 // execution, budgets — on a small hand-crafted database.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+
 #include "src/core/engine.h"
+#include "src/core/tuple_set.h"
 #include "src/storage/database.h"
 
 namespace aiql {
@@ -218,6 +222,33 @@ TEST_F(EngineTest, BudgetAborts) {
   EXPECT_NE(r.error().find("budget"), std::string::npos);
 }
 
+// The join budget stops on the run's ScanContext at its 4096-row check
+// cadence, with the same diagnostics as every other layer.
+TEST(BudgetGuardTest, ChargeStopsOnACancelledOrExpiredContext) {
+  std::atomic<bool> cancel{true};
+  const ScanContext cancelled{.cancel = &cancel};
+  const ScanContext expired{
+      .deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
+      .has_deadline = true};
+  const ScanContext live;
+  struct Case {
+    const ScanContext* ctx;
+    const char* error;  // null = the charge succeeds
+  };
+  for (const Case& c : {Case{&cancelled, "execution cancelled"},
+                        Case{&expired, "execution budget exceeded: time limit reached"},
+                        Case{&live, nullptr}, Case{nullptr, nullptr}}) {
+    BudgetGuard guard(/*max_rows=*/0, c.ctx);
+    EXPECT_TRUE(guard.Charge(1).ok());  // below the check cadence
+    Status s = guard.Charge(4096);
+    if (c.error == nullptr) {
+      EXPECT_TRUE(s.ok()) << s.message();
+    } else {
+      EXPECT_EQ(s.message(), c.error);
+    }
+  }
+}
+
 TEST_F(EngineTest, ParseErrorSurfaces) {
   auto r = Run("proc p1 banana file f1 return p1", SchedulerKind::kRelationship);
   ASSERT_FALSE(r.ok());
@@ -228,7 +259,7 @@ TEST_F(EngineTest, StatsPopulated) {
   AiqlEngine engine(&db_, EngineOptions{});
   auto r = engine.Execute(kChainQuery);
   ASSERT_TRUE(r.ok()) << r.error();
-  const ExecStats& stats = engine.last_stats();
+  const ExecStats& stats = r.value().exec_stats();
   EXPECT_EQ(stats.pattern_matches.size(), 4u);
   EXPECT_GT(stats.data_queries, 0u);
   EXPECT_GT(stats.pushdown_applications, 0u);
@@ -240,7 +271,7 @@ TEST_F(EngineTest, PushdownDisabledStillCorrect) {
   auto r = engine.Execute(kChainQuery);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().num_rows(), 1u);
-  EXPECT_EQ(engine.last_stats().pushdown_applications, 0u);
+  EXPECT_EQ(r.value().exec_stats().pushdown_applications, 0u);
 }
 
 // --- anomaly execution ---

@@ -12,12 +12,14 @@
 // the same answers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 
 #include "src/core/engine.h"
 #include "src/graph/graph_engine.h"
 #include "src/mpp/mpp_cluster.h"
 #include "src/workload/workload.h"
+#include "tests/reference_scan.h"
 
 namespace aiql {
 namespace {
@@ -195,36 +197,71 @@ TEST(CorpusTest, ParallelismDoesNotChangeResults) {
   }
 }
 
-TEST(CorpusTest, ColumnarMatchesRowStoreAcrossSchedulers) {
-  // The columnar vectorized scan must return byte-identical result sets to
-  // the row-store baseline under every scheduling strategy.
-  ScenarioConfig config;
-  config.trace.num_hosts = 6;
-  config.trace.events_per_host_per_day = 300;
-  config.trace.num_days = 2;
-  Database columnar{DatabaseOptions{.layout = StorageLayout::kColumnar}};
-  Workload w1(config, &columnar);
-  w1.Build();
-  columnar.Finalize();
-  Database rowstore{DatabaseOptions{.layout = StorageLayout::kRowStore}};
-  Workload w2(config, &rowstore);
-  w2.Build();
-  rowstore.Finalize();
-  for (const auto& spec : w1.CaseStudyQueries()) {
+// An EventStore decorator that forwards every fetch to a Database and checks
+// the returned rows against the brute-force reference scan of the same data
+// query, so the whole engine (schedulers, pushdown, plan cache) drives the
+// storage layer through query shapes only the corpus produces.
+class ReferenceCheckingStore : public EventStore {
+ public:
+  explicit ReferenceCheckingStore(const Database* db) : db_(db) {}
+
+  const EntityCatalog& catalog() const override { return db_->catalog(); }
+  TimeRange data_time_range() const override { return db_->data_time_range(); }
+  bool SupportsDaySplit() const override { return db_->SupportsDaySplit(); }
+  bool SupportsParallelScan() const override { return db_->SupportsParallelScan(); }
+  size_t PlanCacheCapacity() const override { return db_->PlanCacheCapacity(); }
+
+  std::vector<EventView> ExecuteQuery(const DataQuery& q, ScanStats* stats,
+                                      const ScanContext* ctx) const override {
+    return Check(q, db_->ExecuteQuery(q, stats, ctx));
+  }
+  std::vector<EventView> ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,
+                                              ThreadPool* pool,
+                                              const ScanContext* ctx) const override {
+    return Check(q, db_->ExecuteQueryParallel(q, stats, pool, ctx));
+  }
+  std::vector<EventView> ExecuteQueryCached(const DataQuery& q, ScanStats* stats,
+                                            ThreadPool* pool, ScanPlanCache* cache,
+                                            uint64_t* cache_hits,
+                                            const ScanContext* ctx) const override {
+    return Check(q, db_->ExecuteQueryCached(q, stats, pool, cache, cache_hits, ctx));
+  }
+
+  size_t fetches() const { return fetches_; }
+
+ private:
+  std::vector<EventView> Check(const DataQuery& q, std::vector<EventView> rows) const {
+    EXPECT_EQ(RowsOf(rows), RowsOf(ReferenceScan(*db_, q))) << "fetch " << fetches_;
+    ++fetches_;
+    return rows;
+  }
+
+  const Database* db_;
+  mutable std::atomic<size_t> fetches_{0};
+};
+
+TEST(CorpusTest, EveryFetchMatchesReferenceAcrossSchedulers) {
+  // Every data query the engine issues for the case-study corpus, under
+  // every scheduling strategy with and without pushdown, returns exactly the
+  // reference scan's rows.
+  const SharedWorld& world = World();
+  ReferenceCheckingStore store(world.db.get());
+  for (const auto& spec : world.workload->CaseStudyQueries()) {
     for (SchedulerKind scheduler : {SchedulerKind::kRelationship, SchedulerKind::kFetchFilter,
                                     SchedulerKind::kBigJoin}) {
-      AiqlEngine a(&columnar, EngineOptions{.scheduler = scheduler, .time_budget_ms = 120000});
-      AiqlEngine b(&rowstore, EngineOptions{.scheduler = scheduler, .time_budget_ms = 120000});
-      auto ra = a.Execute(spec.text);
-      auto rb = b.Execute(spec.text);
-      ASSERT_TRUE(ra.ok()) << spec.id << ": " << ra.error();
-      ASSERT_TRUE(rb.ok()) << spec.id << ": " << rb.error();
-      EXPECT_TRUE(ra.value().SameRowsAs(rb.value()))
-          << spec.id << " under " << SchedulerKindName(scheduler) << "\ncolumnar:\n"
-          << ra.value().ToString() << "\nrowstore:\n"
-          << rb.value().ToString();
+      for (bool pushdown : {true, false}) {
+        AiqlEngine engine(&store, EngineOptions{.scheduler = scheduler,
+                                                .pushdown = pushdown,
+                                                .time_budget_ms = 120000});
+        auto r = engine.Execute(spec.text);
+        ASSERT_TRUE(r.ok()) << spec.id << ": " << r.error();
+        EXPECT_GT(r.value().num_rows(), 0u)
+            << spec.id << " under " << SchedulerKindName(scheduler) << " pushdown " << pushdown;
+      }
     }
   }
+  // Every run fetched through the checking store.
+  EXPECT_GE(store.fetches(), world.workload->CaseStudyQueries().size() * 6);
 }
 
 TEST(CorpusTest, StorageSchemesAgree) {

@@ -1,9 +1,10 @@
 // Parallel-scan equivalence: the morsel-driven parallel partition scan
 // (Database::ExecuteQueryParallel, MppCluster::ExecuteQueryParallel) must be
 // indistinguishable from the serial path — byte-identical result sequences
-// and identical aggregate ScanStats — at every parallelism level, on both
-// storage layouts, and through the engine's day-split fallback. These tests
-// are the ones the ThreadSanitizer CI job runs.
+// and identical aggregate ScanStats — at every parallelism level and through
+// the engine's day-split fallback — and the serial path must match the
+// brute-force reference scan. These tests are the ones the ThreadSanitizer CI
+// job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_scan.h"
 
 namespace aiql {
 namespace {
@@ -132,10 +134,8 @@ std::vector<uint64_t> InvariantStats(const ScanStats& s) {
           s.partitions_pruned_entity, s.bitmap_probes};
 }
 
-class ParallelScanPropertyTest : public ::testing::TestWithParam<StorageLayout> {};
-
-TEST_P(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
-  Database db{DatabaseOptions{.agent_group_size = 2, .layout = GetParam()}};
+TEST(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
+  Database db{DatabaseOptions{.agent_group_size = 2}};
   FillDatabase(&db);
   ASSERT_GT(db.num_partitions(), 2u);
 
@@ -148,7 +148,9 @@ TEST_P(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
   for (int trial = 0; trial < 120; ++trial) {
     DataQuery q = RandomQuery(&rng);
     ScanStats serial_stats;
-    std::vector<int64_t> serial_ids = IdsOf(db.ExecuteQuery(q, &serial_stats));
+    std::vector<EventView> serial = db.ExecuteQuery(q, &serial_stats);
+    EXPECT_EQ(RowsOf(serial), RowsOf(ReferenceScan(db, q))) << "trial " << trial;
+    std::vector<int64_t> serial_ids = IdsOf(serial);
     for (ThreadPool* pool : pools) {
       ScanStats par_stats;
       std::vector<int64_t> par_ids = IdsOf(db.ExecuteQueryParallel(q, &par_stats, pool));
@@ -164,14 +166,6 @@ TEST_P(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Layouts, ParallelScanPropertyTest,
-                         ::testing::Values(StorageLayout::kColumnar, StorageLayout::kRowStore),
-                         [](const auto& info) {
-                           return std::string(StorageLayoutName(info.param)) == "columnar"
-                                      ? "Columnar"
-                                      : "RowStore";
-                         });
 
 TEST(MppParallelScanTest, PooledMorselsMatchSegmentScatter) {
   Database source;
@@ -221,18 +215,19 @@ return distinct p1, f2)";
   ASSERT_TRUE(rd.ok()) << rd.error();
   EXPECT_TRUE(rs.value().SameRowsAs(rm.value()));
   EXPECT_TRUE(rs.value().SameRowsAs(rd.value()));
+  const ExecStats& serial_stats = rs.value().exec_stats();
+  const ExecStats& morsel_stats = rm.value().exec_stats();
+  const ExecStats& day_split_stats = rd.value().exec_stats();
   // The morsel engine went through the storage fan-out; day-split did not.
-  EXPECT_GT(morsel.last_stats().scan.parallel_morsels, 0u);
-  EXPECT_EQ(day_split.last_stats().scan.parallel_morsels, 0u);
-  EXPECT_GT(day_split.last_stats().parallel_slices, 0u);
+  EXPECT_GT(morsel_stats.scan.parallel_morsels, 0u);
+  EXPECT_EQ(day_split_stats.scan.parallel_morsels, 0u);
+  EXPECT_GT(day_split_stats.parallel_slices, 0u);
   // The morsel scan aggregates the exact serial stats. Day-split re-plans
   // per day (pruning the other days' partitions in every sub-query, re-
   // resolving entities), so only the touched/matched totals are invariant.
-  EXPECT_EQ(InvariantStats(morsel.last_stats().scan), InvariantStats(serial.last_stats().scan));
-  EXPECT_EQ(day_split.last_stats().scan.events_scanned,
-            serial.last_stats().scan.events_scanned);
-  EXPECT_EQ(day_split.last_stats().scan.events_matched,
-            serial.last_stats().scan.events_matched);
+  EXPECT_EQ(InvariantStats(morsel_stats.scan), InvariantStats(serial_stats.scan));
+  EXPECT_EQ(day_split_stats.scan.events_scanned, serial_stats.scan.events_scanned);
+  EXPECT_EQ(day_split_stats.scan.events_matched, serial_stats.scan.events_matched);
 }
 
 // --- cooperative cancellation in the storage morsel loop ---------------------

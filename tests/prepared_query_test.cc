@@ -1,8 +1,8 @@
 // Prepare/bind/execute lifecycle tests: PreparedQuery/BoundQuery semantics,
 // $parameter binding, plan-cache reuse across Runs, per-session cancellation,
 // and a randomized property test asserting Prepare-once/Bind-many results are
-// identical to fresh one-shot Execute with literals substituted — across both
-// storage layouts and parallelism 1/8.
+// identical to fresh one-shot Execute with literals substituted — at
+// parallelism 1/8.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -275,16 +275,11 @@ TEST_F(PreparedQueryTest, PlanCacheStaysBoundedUnderDistinctWindowRebinds) {
 
 // --- randomized property: Prepare-once/Bind-many == fresh Execute ----------
 
-struct PreparedPropertyCase {
-  StorageLayout layout;
-  size_t parallelism;
-};
-
-class PreparedPropertyTest : public ::testing::TestWithParam<PreparedPropertyCase> {};
+class PreparedPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
-  PreparedPropertyCase param = GetParam();
-  Database db{DatabaseOptions{.layout = param.layout}};
+  const size_t parallelism = GetParam();
+  Database db;
   Rng rng(271828);
   TimestampMs base = MakeTimestamp(2017, 1, 1);
   std::vector<uint32_t> procs, files;
@@ -308,7 +303,7 @@ TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
   }
   db.Finalize();
 
-  const AiqlEngine engine(&db, EngineOptions{.parallelism = param.parallelism});
+  const AiqlEngine engine(&db, EngineOptions{.parallelism = parallelism});
   auto prepared = engine.Prepare(R"(
       agentid = $agent (from $t0 to $t1)
       proc p1[$pat] read || write file f1 as evt1[amount > $thr]
@@ -348,7 +343,7 @@ TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
                           "return p1, p2, f1, evt1.amount\n"
                           "sort by evt1.amount desc\n"
                           "top 50";
-    const AiqlEngine fresh(&db, EngineOptions{.parallelism = param.parallelism});
+    const AiqlEngine fresh(&db, EngineOptions{.parallelism = parallelism});
     auto one_shot = fresh.Execute(literal);
     ASSERT_TRUE(one_shot.ok()) << one_shot.error() << "\n" << literal;
     // top 50 bounds the table, so the rendering covers every row: the
@@ -358,16 +353,8 @@ TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LayoutsAndParallelism, PreparedPropertyTest,
-    ::testing::Values(PreparedPropertyCase{StorageLayout::kColumnar, 1},
-                      PreparedPropertyCase{StorageLayout::kColumnar, 8},
-                      PreparedPropertyCase{StorageLayout::kRowStore, 1},
-                      PreparedPropertyCase{StorageLayout::kRowStore, 8}),
-    [](const auto& info) {
-      return std::string(info.param.layout == StorageLayout::kColumnar ? "Col" : "Row") + "P" +
-             std::to_string(info.param.parallelism);
-    });
+INSTANTIATE_TEST_SUITE_P(Parallelism, PreparedPropertyTest, ::testing::Values(1, 8),
+                         [](const auto& info) { return "P" + std::to_string(info.param); });
 
 }  // namespace
 }  // namespace aiql

@@ -5,9 +5,10 @@
 //   - bloom/range-pruned plans ≡ unpruned plans (same events, events_scanned
 //     never higher, pruning observable via partitions_pruned_entity),
 //   - morsel-split parallel scans ≡ whole-partition and serial scans,
-// across both storage layouts and parallelism 1/8, plus unit coverage for
-// the blocked bloom (false-positive-only), the dense bitmap translation, and
-// the sorted-run merge.
+// at parallelism 1/8, with the baseline checked against the brute-force
+// reference scan, plus unit coverage for the blocked bloom
+// (false-positive-only), the dense bitmap translation, and the sorted-run
+// merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "src/storage/scan_kernels.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/reference_scan.h"
 
 namespace aiql {
 namespace {
@@ -182,26 +184,23 @@ TEST(DenseBitmapTest, TranslateCandidatesHeuristics) {
 TEST(MergeSortedRunsTest, TiedTimestampsComeBackInIdOrder) {
   // AppendRaw replay with descending ids at one timestamp: the partition
   // must emit (start_time, id) order without relying on a final global sort.
-  for (StorageLayout layout : {StorageLayout::kColumnar, StorageLayout::kRowStore}) {
-    Database db{DatabaseOptions{.layout = layout}};
-    db.catalog().InternProcess(1, 1, "/bin/tie");
-    db.catalog().InternFile(1, "/tie/f");
-    for (int64_t id : {7, 3, 9, 1}) {
-      Event e;
-      e.id = id;
-      e.agent_id = 1;
-      e.op = Operation::kRead;
-      e.object_type = EntityType::kFile;
-      e.start_time = 1000;
-      e.end_time = 1000;
-      db.AppendRaw(e);
-    }
-    db.Finalize();
-    DataQuery q;
-    q.object_type = EntityType::kFile;
-    EXPECT_EQ(IdsOf(db.ExecuteQuery(q)), (std::vector<int64_t>{1, 3, 7, 9}))
-        << StorageLayoutName(layout);
+  Database db;
+  db.catalog().InternProcess(1, 1, "/bin/tie");
+  db.catalog().InternFile(1, "/tie/f");
+  for (int64_t id : {7, 3, 9, 1}) {
+    Event e;
+    e.id = id;
+    e.agent_id = 1;
+    e.op = Operation::kRead;
+    e.object_type = EntityType::kFile;
+    e.start_time = 1000;
+    e.end_time = 1000;
+    db.AppendRaw(e);
   }
+  db.Finalize();
+  DataQuery q;
+  q.object_type = EntityType::kFile;
+  EXPECT_EQ(IdsOf(db.ExecuteQuery(q)), (std::vector<int64_t>{1, 3, 7, 9}));
 }
 
 TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
@@ -271,26 +270,24 @@ struct NamedDb {
 };
 
 TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
-  // The reference configuration: columnar, no indexes (so candidate sets are
-  // probed row-by-row, not unioned from postings), bitmaps and pruning off.
-  NamedDb reference{"columnar/plain",
+  // The baseline configuration, itself checked against the brute-force
+  // reference scan: no indexes (so candidate sets are probed row-by-row, not
+  // unioned from postings), bitmaps and pruning off.
+  NamedDb reference{"plain",
                     Database{DatabaseOptions{.agent_group_size = 2,
                                              .build_indexes = false,
                                              .entity_pruning = false,
                                              .entity_bitmaps = false}}};
   std::vector<NamedDb> variants;
   variants.emplace_back(NamedDb{
-      "columnar/bitmaps",
+      "bitmaps",
       Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false,
                                .entity_pruning = false, .entity_bitmaps = true}}});
   variants.emplace_back(NamedDb{
-      "columnar/bitmaps+pruning",
+      "bitmaps+pruning",
       Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}}});
   variants.emplace_back(
-      NamedDb{"columnar/indexed+all", Database{DatabaseOptions{.agent_group_size = 2}}});
-  variants.emplace_back(NamedDb{
-      "rowstore", Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false,
-                                           .layout = StorageLayout::kRowStore}}});
+      NamedDb{"indexed+all", Database{DatabaseOptions{.agent_group_size = 2}}});
   FillDatabase(&reference.db);
   for (NamedDb& v : variants) {
     FillDatabase(&v.db);
@@ -302,7 +299,9 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
   for (int trial = 0; trial < 100; ++trial) {
     DataQuery q = RandomQuery(&rng);
     ScanStats ref_stats;
-    std::vector<int64_t> ref_ids = IdsOf(reference.db.ExecuteQuery(q, &ref_stats));
+    std::vector<EventView> ref_rows = reference.db.ExecuteQuery(q, &ref_stats);
+    EXPECT_EQ(RowsOf(ref_rows), RowsOf(ReferenceScan(reference.db, q))) << "trial " << trial;
+    std::vector<int64_t> ref_ids = IdsOf(ref_rows);
     for (NamedDb& v : variants) {
       ScanStats serial_stats;
       EXPECT_EQ(IdsOf(v.db.ExecuteQuery(q, &serial_stats)), ref_ids)
@@ -333,14 +332,12 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchHashScan) {
   EXPECT_GT(pruned_entity, 0u);
 }
 
-class MorselEquivalenceTest : public ::testing::TestWithParam<StorageLayout> {};
-
-TEST_P(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
+TEST(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
   // morsel_rows = 7 splits every partition into dozens of chunks, so matches
   // straddle morsel edges constantly; results and strategy-invariant stats
   // must equal the whole-partition (morsel_rows = 0) and serial scans.
-  Database split{DatabaseOptions{.agent_group_size = 2, .layout = GetParam(), .morsel_rows = 7}};
-  Database whole{DatabaseOptions{.agent_group_size = 2, .layout = GetParam(), .morsel_rows = 0}};
+  Database split{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 7}};
+  Database whole{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 0}};
   FillDatabase(&split);
   FillDatabase(&whole);
   ThreadPool pool8(7);
@@ -367,14 +364,6 @@ TEST_P(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
   // Splitting produced strictly more work-queue entries over the sweep.
   EXPECT_GT(split_morsels, whole_morsels);
 }
-
-INSTANTIATE_TEST_SUITE_P(Layouts, MorselEquivalenceTest,
-                         ::testing::Values(StorageLayout::kColumnar, StorageLayout::kRowStore),
-                         [](const auto& info) {
-                           return std::string(StorageLayoutName(info.param)) == "columnar"
-                                      ? "Columnar"
-                                      : "RowStore";
-                         });
 
 // --- archive tier ------------------------------------------------------------
 

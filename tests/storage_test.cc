@@ -252,21 +252,6 @@ TEST_F(StorageTest, OptypePredicateCompilesToOpMask) {
   EXPECT_EQ(none.partitions_scanned, 0u);
 }
 
-TEST_F(StorageTest, RowStoreLayoutAgrees) {
-  Database rows{DatabaseOptions{.layout = StorageLayout::kRowStore}};
-  uint32_t p = rows.catalog().InternProcess(1, 100, "/usr/bin/bash", "root");
-  uint32_t f = rows.catalog().InternFile(1, "/etc/passwd");
-  rows.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f, t0_);
-  rows.RecordEvent(1, p, Operation::kWrite, EntityType::kFile, f, t0_ + kMinuteMs, 512);
-  rows.Finalize();
-  DataQuery q;
-  q.object_type = EntityType::kFile;
-  q.op_mask = OpBit(Operation::kWrite);
-  auto events = rows.ExecuteQuery(q);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].amount(), 512);
-}
-
 TEST_F(StorageTest, ColumnarIngestAfterFinalizeRehydrates) {
   // Appending to a finalized columnar database must rebuild the row buffer,
   // and re-finalization must restore query results over the full data.
