@@ -70,15 +70,6 @@ int main() {
     w.Build();
     whole_partition_morsels.Finalize();
   }
-  DatabaseOptions no_entity_opts = tuned;
-  no_entity_opts.entity_pruning = false;
-  no_entity_opts.entity_bitmaps = false;
-  Database no_entity_scan{no_entity_opts};
-  {
-    Workload w(world.config, &no_entity_scan);
-    w.Build();
-    no_entity_scan.Finalize();
-  }
   // Archive tier: partitions older than AIQL_ARCHIVE_AFTER_DAYS (default 1:
   // only the newest day stays hot) hold delta/FOR-encoded columns and decode
   // on demand through the LRU decode cache.
@@ -115,8 +106,6 @@ int main() {
       {"no storage partitioning", &no_partitions, {.time_budget_ms = budget}},
       {"no secondary indexes", &no_indexes, {.time_budget_ms = budget}},
       {"whole-partition work units (no row morsels)", &whole_partition_morsels,
-       {.time_budget_ms = budget}},
-      {"no entity zone pruning / bitmap kernels", &no_entity_scan,
        {.time_budget_ms = budget}},
       {"archive tier (cold partitions delta/FOR-encoded)", &archive_tier,
        {.time_budget_ms = budget}},

@@ -55,9 +55,6 @@ struct ExecOptions {
   // (hash/temporal joins) or comparisons (nested loops).
   int64_t time_budget_ms = 0;
   size_t max_join_work = 0;
-
-  // Pushdown is skipped when the candidate value set exceeds this size.
-  size_t pushdown_value_limit = 262144;
 };
 
 // Executes the multievent part of a query context, producing the final tuple
@@ -68,9 +65,9 @@ Result<TupleSet> ExecuteMultievent(const EventStore& db, const QueryContext& ctx
                                    const ExecOptions& options, ThreadPool* pool,
                                    ExecutionSession* session);
 
-// Fetches the events matching one data query. With a pool and parallelism
-// > 1, prefers the store's internal morsel-driven partition scan
-// (ExecuteQueryParallel); stores without one get the day-split fallback:
+// Fetches the events matching one data query through the store's
+// ExecuteQueryCached. With a pool and parallelism > 1, stores that scan in
+// parallel internally get the pool; stores without get the day-split fallback:
 // multi-day time windows split into per-day sub-queries run on the pool.
 // Consults the session's plan cache (stores that support it skip replanning
 // repeated constraint sets). `ctx` (optional) is threaded into the storage

@@ -25,8 +25,8 @@ MppCluster::MppCluster(size_t num_segments, DistributionPolicy policy,
   for (size_t i = 0; i < num_segments; ++i) {
     segments_.push_back(std::make_unique<Database>(segment_options, catalog_));
   }
-  // The gathering thread participates in ParallelFor, so num_segments - 1
-  // workers give one scan thread per segment.
+  // The calling thread participates in RunBulk, so num_segments - 1 workers
+  // give one scan thread per segment.
   pool_ = std::make_unique<ThreadPool>(std::max<size_t>(1, num_segments - 1));
 }
 
@@ -78,100 +78,32 @@ size_t MppCluster::num_events() const {
   return total;
 }
 
+std::vector<EventView> MppCluster::ExecuteQuery(const DataQuery& query, ScanStats* stats,
+                                                const ScanContext* ctx) const {
+  return ExecuteQueryParallel(query, stats, pool_.get(), ctx);
+}
+
 std::vector<EventView> MppCluster::ExecuteQueryParallel(const DataQuery& query, ScanStats* stats,
                                                         ThreadPool* pool,
                                                         const ScanContext* ctx) const {
-  if (pool == nullptr) {
-    return ExecuteQuery(query, stats, ctx);
-  }
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
-
-  // Pin decoded archive columns across this call's merge when the caller
-  // provided no sink.
-  ScanPinScope pin_scope(ctx);
-  ctx = pin_scope.ctx();
-
   // Plan every segment serially (cheap: zone-map arithmetic; the shared
-  // catalog makes entity resolution identical per segment), then flatten all
-  // surviving partitions — large ones decomposed into row-range morsels by
-  // each segment's morsel_rows option — into one pooled work queue.
-  struct Morsel {
-    const ScanPlan* plan;
-    const Database* segment;
-    ScanMorsel m;
-  };
+  // catalog makes entity resolution identical per segment), then queue every
+  // surviving (segment, partition) morsel into the one scan loop.
   std::vector<std::optional<ScanPlan>> plans(segments_.size());
-  std::vector<Morsel> morsels;
+  std::vector<PlannedMorsel> morsels;
   for (size_t s = 0; s < segments_.size(); ++s) {
     plans[s] = segments_[s]->PlanQuery(query, st);
     if (!plans[s].has_value()) {
       continue;
     }
-    for (const ScanMorsel& m :
-         BuildScanMorsels(*plans[s], segments_[s]->options().morsel_rows)) {
-      morsels.push_back(Morsel{&*plans[s], segments_[s].get(), m});
+    const uint32_t morsel_rows = pool != nullptr ? segments_[s]->options().morsel_rows : 0;
+    for (const ScanMorsel& m : BuildScanMorsels(*plans[s], morsel_rows)) {
+      morsels.push_back(PlannedMorsel{segments_[s].get(), &*plans[s], m});
     }
   }
-
-  // Mirror Database::ExecuteQueryParallel: fewer than two morsels run inline
-  // on the calling thread and report no parallel fan-out.
-  if (morsels.size() < 2) {
-    std::vector<EventView> out;
-    for (const Morsel& m : morsels) {
-      if (ctx != nullptr && ctx->ShouldStop()) {
-        break;
-      }
-      m.segment->ScanPlannedMorsel(*m.plan, m.m, &out, st, ctx);
-    }
-    SortByTimeThenId(&out);
-    return out;
-  }
-
-  std::vector<std::vector<EventView>> slots(morsels.size());
-  std::vector<ScanStats> worker_stats(pool->max_participants());
-  pool->RunBulk(morsels.size(), [&](size_t worker, size_t m) {
-    if (ctx != nullptr && ctx->ShouldStop()) {
-      return;  // claimed but skipped: the queue drains without scanning
-    }
-    morsels[m].segment->ScanPlannedMorsel(*morsels[m].plan, morsels[m].m, &slots[m],
-                                          &worker_stats[worker], ctx);
-  });
-  st->parallel_morsels += morsels.size();
-  return MergeMorselResults(&slots, worker_stats, st);
-}
-
-std::vector<EventView> MppCluster::ExecuteQuery(const DataQuery& query, ScanStats* stats,
-                                                const ScanContext* ctx) const {
-  // Segment scans pin their own decodes only for the segment-local merge;
-  // the gather below still reads the views, so pin across it too.
-  ScanPinScope pin_scope(ctx);
-  ctx = pin_scope.ctx();
-  std::vector<std::vector<EventView>> partials(segments_.size());
-  std::vector<ScanStats> partial_stats(segments_.size());
-  pool_->ParallelFor(segments_.size(), [&](size_t i) {
-    if (ctx != nullptr && ctx->ShouldStop()) {
-      return;
-    }
-    partials[i] = segments_[i]->ExecuteQuery(query, &partial_stats[i], ctx);
-  });
-  size_t total = 0;
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    total += partials[i].size();
-    if (stats != nullptr) {
-      *stats += partial_stats[i];
-    }
-  }
-  std::vector<EventView> out;
-  out.reserve(total);
-  std::vector<size_t> run_starts;
-  run_starts.reserve(partials.size());
-  for (const auto& p : partials) {
-    run_starts.push_back(out.size());
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  MergeSortedRuns(&out, &run_starts);
-  return out;
+  return ScanMorsels(morsels, pool, st, ctx);
 }
 
 }  // namespace aiql

@@ -86,28 +86,16 @@ void Database::Finalize() {
 }
 
 void Database::ApplyArchivePolicy() {
-  const bool by_age = options_.archive_after_days >= 0;
-  const bool by_count = options_.archive_max_hot_partitions > 0;
-  if ((!by_age && !by_count) || partitions_.empty()) {
+  if (options_.archive_after_days < 0 || partitions_.empty()) {
     return;
   }
   // A partition re-finalized after post-archive ingest starts hot again; the
   // stale decode entries of re-archived partitions must not survive either.
   decode_cache_->Clear();
   const int64_t newest_day = partitions_.rbegin()->first.first;
-  // Count-watermark: partitions_ is ordered by (day, group), so walking from
-  // the newest end keeps the `archive_max_hot_partitions` most recent ones.
-  size_t kept_hot = 0;
   for (auto it = partitions_.rbegin(); it != partitions_.rend(); ++it) {
-    const int64_t age_days = newest_day - it->first.first;
-    bool archive = by_age && age_days >= options_.archive_after_days;
-    if (by_count && kept_hot >= options_.archive_max_hot_partitions) {
-      archive = true;
-    }
-    if (archive) {
+    if (newest_day - it->first.first >= options_.archive_after_days) {
       it->second->Archive();
-    } else {
-      ++kept_hot;
     }
   }
 }
@@ -307,13 +295,11 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
   // (not per partition): index range plus bloom-probe eligibility.
   std::optional<CandidateSummary> subjects;
   std::optional<CandidateSummary> objects;
-  if (options_.entity_pruning) {
-    if (subject_set.has_value()) {
-      subjects = CandidateSummary::For(*subject_set);
-    }
-    if (object_set.has_value()) {
-      objects = CandidateSummary::For(*object_set);
-    }
+  if (subject_set.has_value()) {
+    subjects = CandidateSummary::For(*subject_set);
+  }
+  if (object_set.has_value()) {
+    objects = CandidateSummary::For(*object_set);
   }
 
   TimeRange range = q.EffectiveTime();
@@ -344,9 +330,8 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
   // Translate candidate sets into per-partition dense bitmaps for the
   // survivors the vectorized scan will probe row-by-row (the posting-list
   // access path unions tiny offset lists instead and skips the translation).
-  if (options_.entity_bitmaps &&
-      (plan.subject_set.has_value() || plan.object_set.has_value() ||
-       plan.agent_set.has_value())) {
+  if (plan.subject_set.has_value() || plan.object_set.has_value() ||
+      plan.agent_set.has_value()) {
     plan.bitmaps.resize(plan.survivors.size());
     const auto* subj = plan.subject_set.has_value() ? &*plan.subject_set : nullptr;
     const auto* obj = plan.object_set.has_value() ? &*plan.object_set : nullptr;
@@ -359,15 +344,6 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     }
   }
   return plan;
-}
-
-void Database::ScanPlannedPartition(const ScanPlan& plan, size_t i, std::vector<EventView>* out,
-                                    ScanStats* stats, const ScanContext* ctx) const {
-  ++stats->partitions_scanned;
-  PartitionScanArgs args = plan.ArgsFor(i, *catalog_);
-  args.decode_cache = decode_cache_.get();
-  args.pins = ctx != nullptr ? ctx->pins : nullptr;
-  plan.survivors[i]->Execute(args, out, stats);
 }
 
 void Database::ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m,
@@ -449,24 +425,49 @@ void MergeSortedRuns(std::vector<EventView>* events, std::vector<size_t>* run_st
   }
 }
 
-std::vector<EventView> MergeMorselResults(std::vector<std::vector<EventView>>* slots,
-                                          const std::vector<ScanStats>& worker_stats,
-                                          ScanStats* stats) {
-  size_t total = 0;
-  for (const auto& s : *slots) {
-    total += s.size();
-  }
+std::vector<EventView> ScanMorsels(const std::vector<PlannedMorsel>& morsels, ThreadPool* pool,
+                                   ScanStats* stats, const ScanContext* ctx) {
+  ScanPinScope pin_scope(ctx);
+  ctx = pin_scope.ctx();
+  // Cooperative stop (cancellation / run deadline): checked between morsels,
+  // never per row. A stopped scan returns whatever it has — the executor
+  // turns the session state into the user-visible error.
+  auto scan = [&](const PlannedMorsel& m, std::vector<EventView>* out, ScanStats* st) {
+    if (ctx->ShouldStop()) {
+      return;  // claimed but skipped: the queue drains without scanning
+    }
+    m.db->ScanPlannedMorsel(*m.plan, m.morsel, out, st, ctx);
+  };
   std::vector<EventView> out;
-  out.reserve(total);
   std::vector<size_t> run_starts;
-  run_starts.reserve(slots->size());
-  for (const auto& s : *slots) {
-    run_starts.push_back(out.size());
-    out.insert(out.end(), s.begin(), s.end());
-  }
-  slots->clear();
-  for (const ScanStats& ws : worker_stats) {
-    *stats += ws;
+  run_starts.reserve(morsels.size());
+  if (pool == nullptr || morsels.size() < 2) {
+    for (const PlannedMorsel& m : morsels) {
+      run_starts.push_back(out.size());
+      scan(m, &out, stats);
+    }
+  } else {
+    // Workers claim the next unclaimed morsel and write into that morsel's
+    // slot and their own ScanStats, so no scan state is shared; the slots
+    // concatenate in list order regardless of which worker filled them.
+    std::vector<std::vector<EventView>> slots(morsels.size());
+    std::vector<ScanStats> worker_stats(pool->max_participants());
+    pool->RunBulk(morsels.size(), [&](size_t worker, size_t i) {
+      scan(morsels[i], &slots[i], &worker_stats[worker]);
+    });
+    for (const ScanStats& ws : worker_stats) {
+      *stats += ws;
+    }
+    stats->parallel_morsels += morsels.size();
+    size_t total = 0;
+    for (const auto& slot : slots) {
+      total += slot.size();
+    }
+    out.reserve(total);
+    for (const auto& slot : slots) {
+      run_starts.push_back(out.size());
+      out.insert(out.end(), slot.begin(), slot.end());
+    }
   }
   MergeSortedRuns(&out, &run_starts);
   return out;
@@ -480,53 +481,16 @@ std::vector<EventView> Database::ExecuteQuery(const DataQuery& q, ScanStats* sta
 std::vector<EventView> Database::ScanWithPlan(const ScanPlan& plan, ScanStats* stats,
                                               ThreadPool* pool, const ScanContext* ctx) const {
   ScanStats local;
-  ScanStats* st = stats != nullptr ? stats : &local;
-  ScanPinScope pin_scope(ctx);
-  ctx = pin_scope.ctx();
-  const size_t n = plan.survivors.size();
-  // Cooperative stop (cancellation / run deadline): checked between morsels,
-  // never per row. A stopped scan returns whatever it has — the executor
-  // turns the session state into the user-visible error.
-  auto scan_serial = [&] {
-    std::vector<EventView> out;
-    std::vector<size_t> run_starts;
-    run_starts.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (ctx != nullptr && ctx->ShouldStop()) {
-        break;
-      }
-      run_starts.push_back(out.size());
-      ScanPlannedPartition(plan, i, &out, st, ctx);
-    }
-    MergeSortedRuns(&out, &run_starts);
-    return out;
-  };
-  if (pool == nullptr || n == 0) {
-    return scan_serial();
+  // Large partitions split into morsel_rows chunks only when a pool can
+  // spread them, so one skewed partition cannot serialize the scan.
+  std::vector<ScanMorsel> built =
+      BuildScanMorsels(plan, pool != nullptr ? options_.morsel_rows : 0);
+  std::vector<PlannedMorsel> morsels;
+  morsels.reserve(built.size());
+  for (const ScanMorsel& m : built) {
+    morsels.push_back(PlannedMorsel{this, &plan, m});
   }
-
-  // Morsel loop: each work-queue entry is a row range of one surviving
-  // partition — small partitions whole, large ones split into morsel_rows
-  // chunks so one skewed partition cannot serialize the scan (a single huge
-  // survivor still fans out). Workers pull the next unclaimed morsel and
-  // write into that morsel's result slot and their own ScanStats, so no scan
-  // state is shared; the merge walks the slots in (partition, row-range)
-  // order regardless of which worker filled them, keeping the output
-  // deterministic.
-  std::vector<ScanMorsel> morsels = BuildScanMorsels(plan, options_.morsel_rows);
-  if (morsels.size() < 2) {
-    return scan_serial();
-  }
-  std::vector<std::vector<EventView>> slots(morsels.size());
-  std::vector<ScanStats> worker_stats(pool->max_participants());
-  pool->RunBulk(morsels.size(), [&](size_t worker, size_t m) {
-    if (ctx != nullptr && ctx->ShouldStop()) {
-      return;  // claimed but skipped: the queue drains without scanning
-    }
-    ScanPlannedMorsel(plan, morsels[m], &slots[m], &worker_stats[worker], ctx);
-  });
-  st->parallel_morsels += morsels.size();
-  return MergeMorselResults(&slots, worker_stats, st);
+  return ScanMorsels(morsels, pool, stats != nullptr ? stats : &local, ctx);
 }
 
 std::vector<EventView> Database::ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,

@@ -14,9 +14,9 @@
 // query entry points are const and thread-safe. Queries run in two phases:
 // a serial planning phase (predicate compilation, candidate-entity
 // resolution, partition pruning via scheme keys and zone maps) and a scan
-// phase over the surviving partitions — executed either on the calling
-// thread (ExecuteQuery) or morsel-driven across a ThreadPool's workers
-// (ExecuteQueryParallel), with identical results and aggregate ScanStats.
+// phase over the surviving partitions. Every scan phase — serial or pooled,
+// one database or every MPP segment — runs through ScanMorsels, with
+// identical results and aggregate ScanStats.
 #ifndef AIQL_SRC_STORAGE_DATABASE_H_
 #define AIQL_SRC_STORAGE_DATABASE_H_
 
@@ -45,7 +45,7 @@ enum class PartitionScheme : uint8_t {
 
 // Phase 1 of a data-query execution: everything that is computed once per
 // query and then shared read-only by every partition scan. Produced by
-// Database::PlanQuery, consumed by Database::ScanPlannedPartition — either
+// Database::PlanQuery, consumed by Database::ScanPlannedMorsel — either
 // serially or from multiple morsel workers at once. Holds a pointer to the
 // caller's DataQuery; the plan must not outlive it.
 struct ScanPlan {
@@ -109,13 +109,28 @@ std::vector<ScanMorsel> BuildScanMorsels(const ScanPlan& plan, uint32_t morsel_r
 // of the O(n log n) full sort. Consumes `run_starts`.
 void MergeSortedRuns(std::vector<EventView>* events, std::vector<size_t>* run_starts);
 
-// The shared epilogue of a morsel-driven scan (Database and MppCluster):
-// concatenates per-morsel result slots in slot order (never completion
-// order), folds the per-worker stats into `stats`, and restores the
-// (start_time, id) order by merging the slots' sorted runs. Consumes `slots`.
-std::vector<EventView> MergeMorselResults(std::vector<std::vector<EventView>>* slots,
-                                          const std::vector<ScanStats>& worker_stats,
-                                          ScanStats* stats);
+class Database;
+
+// One entry of a scan's work queue: a morsel of one plan of one database
+// (MppCluster queues the morsels of every segment together).
+struct PlannedMorsel {
+  const Database* db = nullptr;
+  const ScanPlan* plan = nullptr;
+  ScanMorsel morsel;
+};
+
+// The one scan loop of both stores. Scans `morsels`, accumulating into
+// `*stats` (required), and returns their matches in (start_time, id) order.
+// With a null `pool` or fewer than two morsels the calling thread scans them
+// in list order; otherwise `pool`'s workers claim morsels into per-morsel
+// slots and per-worker stats (counting parallel_morsels), and the slots
+// concatenate in list order, never completion order. Either way the runs
+// merge with MergeSortedRuns, so results and strategy-invariant stats do not
+// depend on the pool. `ctx`'s stop state is checked once per morsel; decoded
+// archive columns stay pinned through the merge (into ctx's sink, or a
+// call-local one).
+std::vector<EventView> ScanMorsels(const std::vector<PlannedMorsel>& morsels, ThreadPool* pool,
+                                   ScanStats* stats, const ScanContext* ctx);
 
 struct DatabaseOptions {
   PartitionScheme scheme = PartitionScheme::kTimeSpace;
@@ -125,21 +140,12 @@ struct DatabaseOptions {
   // rows split into fixed-size row-range morsels (0 = whole partitions, the
   // pre-morsel behavior kept for ablations).
   uint32_t morsel_rows = 16384;
-  // Ablation knobs for the entity-aware scan path. entity_pruning gates the
-  // zone-map entity range/bloom partition pruning; entity_bitmaps gates the
-  // plan-time dense-bitmap translation of candidate sets. Turning either off
-  // changes performance counters only, never results.
-  bool entity_pruning = true;
-  bool entity_bitmaps = true;
   // Archive tier (see partition.h). At Finalize, partitions whose day is at
   // least archive_after_days older than the newest ingested day re-encode
   // their columns and decode on demand at scan time; 0 archives
   // every partition, < 0 disables archiving. Results are identical either
   // way — archiving trades cold-scan decode time for resident memory.
   int64_t archive_after_days = -1;
-  // Partition-count watermark: > 0 additionally archives all but the N
-  // newest-day partitions, independent of age. 0 = no watermark.
-  size_t archive_max_hot_partitions = 0;
   // Capacity (in partitions) of the archived-partition decode cache.
   size_t decode_cache_partitions = 8;
   // Capacity (in entries) of the scan-plan caches the prepare/bind/execute
@@ -180,7 +186,7 @@ class Database : public EventStore {
   void AppendRaw(const Event& e);
 
   // Sorts partitions, builds all indexes, and applies the archive policy
-  // (archive_after_days / archive_max_hot_partitions). Idempotent.
+  // (archive_after_days). Idempotent.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -218,15 +224,13 @@ class Database : public EventStore {
                                       const ScanContext* ctx = nullptr) const override;
 
   // Morsel-driven parallel execution: plans once, then scans the surviving
-  // partitions on `pool`'s workers (calling thread included), each morsel
-  // writing into its own result slot and per-worker ScanStats. Slots merge in
-  // partition order, so results are identical to ExecuteQuery — same events,
-  // same (start_time, id) order, same aggregate stats (plus parallel_morsels).
-  // Falls back to the serial scan loop when `pool` is null or fewer than two
-  // partitions survive pruning.
+  // partitions on `pool`'s workers (calling thread included) through
+  // ScanMorsels. Results are identical to ExecuteQuery — same events, same
+  // (start_time, id) order, same aggregate stats (plus parallel_morsels).
+  // A null `pool` is ExecuteQuery.
   std::vector<EventView> ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,
                                               ThreadPool* pool,
-                                              const ScanContext* ctx = nullptr) const override;
+                                              const ScanContext* ctx = nullptr) const;
   bool SupportsParallelScan() const override { return true; }
 
   // Plan-cached execution: looks `q` up in `cache` by constraint fingerprint
@@ -247,8 +251,8 @@ class Database : public EventStore {
     return options_.plan_cache_capacity == 0 ? 1 : options_.plan_cache_capacity;
   }
 
-  // The scan phase of an already-computed plan: serial when `pool` is null or
-  // fewer than two partitions survived, morsel-parallel otherwise. Shared by
+  // The scan phase of an already-computed plan: BuildScanMorsels (whole
+  // partitions when `pool` is null) + ScanMorsels. Shared by
   // ExecuteQueryParallel and the plan-cache hit path.
   std::vector<EventView> ScanWithPlan(const ScanPlan& plan, ScanStats* stats, ThreadPool* pool,
                                       const ScanContext* ctx = nullptr) const;
@@ -257,15 +261,11 @@ class Database : public EventStore {
   // segment into one work queue. PlanQuery returns nullopt when the query
   // provably matches nothing before any partition is considered (op-mask
   // contradiction, empty candidate entity set) — in that case no pruning
-  // counters move, matching the historical serial behavior. Partitions
-  // pruned during planning do count into `stats`. ScanPlannedPartition scans
-  // plan.survivors[i], appending matches in time order to `out` (not
-  // globally sorted — callers merge and sort). ScanPlannedMorsel scans one
-  // row-range morsel (see BuildScanMorsels) and accounts partitions_scanned
-  // on the morsel marked `first`.
+  // counters move. Partitions pruned during planning do count into `stats`.
+  // ScanPlannedMorsel scans one row-range morsel (see BuildScanMorsels),
+  // appending matches in time order to `out` (not globally sorted — callers
+  // merge), and accounts partitions_scanned on the morsel marked `first`.
   std::optional<ScanPlan> PlanQuery(const DataQuery& q, ScanStats* stats) const;
-  void ScanPlannedPartition(const ScanPlan& plan, size_t i, std::vector<EventView>* out,
-                            ScanStats* stats, const ScanContext* ctx = nullptr) const;
   void ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m, std::vector<EventView>* out,
                          ScanStats* stats, const ScanContext* ctx = nullptr) const;
 
@@ -280,8 +280,7 @@ class Database : public EventStore {
   // Builds the per-(type, default-attribute) exact hash indexes.
   void BuildEntityIndexes();
 
-  // Applies archive_after_days / archive_max_hot_partitions after all
-  // partitions are finalized.
+  // Applies archive_after_days after all partitions are finalized.
   void ApplyArchivePolicy();
 
   DatabaseOptions options_;

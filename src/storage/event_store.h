@@ -7,9 +7,10 @@
 //
 // Scan contract: both entry points return the same matches in the same
 // (start_time, id) order and aggregate the same ScanStats (modulo the
-// parallel_morsels counter). ExecuteQuery is the serial path; stores that
-// report SupportsParallelScan() fan a query out across their partitions /
-// segments on a caller-provided pool via ExecuteQueryParallel.
+// parallel_morsels counter). ExecuteQuery is the plain fetch;
+// ExecuteQueryCached is the engine's fetch, handing the store the engine's
+// pool and plan cache. Database and MppCluster implement both on the one scan
+// loop, ScanMorsels (database.h).
 #ifndef AIQL_SRC_STORAGE_EVENT_STORE_H_
 #define AIQL_SRC_STORAGE_EVENT_STORE_H_
 
@@ -32,51 +33,33 @@ class EventStore {
 
   virtual const EntityCatalog& catalog() const = 0;
 
-  // Executes a data query serially on the calling thread; results sorted by
-  // (start_time, id). Views stay valid for the lifetime of the store (until
-  // re-finalization); views from *archived* partitions additionally require
-  // decode-cache residency or a ScanContext pin (see ColumnPins in
-  // data_query.h). Must be const and thread-safe: parallel executions
-  // (morsel workers, day-split sub-queries, MPP segment scans) call it
-  // concurrently. `ctx` (optional) threads the run's cancellation flag /
-  // deadline into the scan loops — a stopped scan returns the partial result
-  // it has; the engine surfaces the cancellation — and the decoded-column
-  // pin sink.
+  // Executes a data query; results sorted by (start_time, id). Views stay
+  // valid for the lifetime of the store (until re-finalization); views from
+  // *archived* partitions additionally require decode-cache residency or a
+  // ScanContext pin (see ColumnPins in data_query.h). Must be const and
+  // thread-safe: parallel executions (day-split sub-queries, concurrent
+  // engine runs) call it concurrently. `ctx` (optional) threads the run's
+  // cancellation flag / deadline into the scan loop — a stopped scan returns
+  // the partial result it has; the engine surfaces the cancellation — and
+  // the decoded-column pin sink.
   virtual std::vector<EventView> ExecuteQuery(const DataQuery& query, ScanStats* stats,
                                               const ScanContext* ctx = nullptr) const = 0;
 
-  // Executes a data query using `pool` for intra-store parallelism when the
-  // store supports it: pruning-surviving partitions are enumerated into a
-  // morsel work queue and scanned by pool workers. Results and aggregate
-  // stats are identical to ExecuteQuery (parallel_morsels aside). The default
-  // falls back to the serial path; so does any store when `pool` is null.
-  virtual std::vector<EventView> ExecuteQueryParallel(const DataQuery& query, ScanStats* stats,
-                                                      ThreadPool* pool,
-                                                      const ScanContext* ctx = nullptr) const {
-    (void)pool;
-    return ExecuteQuery(query, stats, ctx);
-  }
-
-  // True when ExecuteQueryParallel actually fans out internally. The engine
-  // then hands its pool straight to the store instead of splitting queries
-  // itself.
+  // True when the store fans a query out internally on the pool passed to
+  // ExecuteQueryCached. The engine then hands its pool straight to the store
+  // instead of splitting queries itself.
   virtual bool SupportsParallelScan() const { return false; }
 
-  // Executes a data query, consulting `cache` for a previously compiled scan
-  // plan when the store supports plan reuse. Results and aggregate ScanStats
-  // are identical to ExecuteQuery/ExecuteQueryParallel; on a cache hit
-  // `*cache_hits` is incremented and the planning phase is skipped. Stores
-  // without plan support (the default) ignore the cache and fall through to
-  // the plain scan entry points.
+  // The engine's fetch: executes a data query using `pool` (may be null) for
+  // intra-store parallelism, consulting `cache` for a previously compiled
+  // scan plan when the store supports plan reuse. Results and aggregate
+  // ScanStats are identical to ExecuteQuery (parallel_morsels aside); on a
+  // cache hit `*cache_hits` is incremented and the planning phase is
+  // skipped. Stores without plan support ignore the cache.
   virtual std::vector<EventView> ExecuteQueryCached(const DataQuery& query, ScanStats* stats,
                                                     ThreadPool* pool, ScanPlanCache* cache,
                                                     uint64_t* cache_hits,
-                                                    const ScanContext* ctx = nullptr) const {
-    (void)cache;
-    (void)cache_hits;
-    return pool != nullptr ? ExecuteQueryParallel(query, stats, pool, ctx)
-                           : ExecuteQuery(query, stats, ctx);
-  }
+                                                    const ScanContext* ctx = nullptr) const = 0;
 
   // Capacity for the scan-plan caches the prepare/bind/execute API creates
   // against this store (entries; see ScanPlanCache). Stores expose their own

@@ -160,16 +160,10 @@ std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catal
                                   std::string_view attr);
 
 // The engine-wide result ordering contract: every EventStore returns matches
-// sorted by (start_time, id). Stores emit partition/segment results in time
-// order, so the common case is detected as already sorted in one pass.
+// sorted by (start_time, id). Stores emit partition/morsel results in time
+// order and merge the runs (MergeSortedRuns in database.h).
 inline bool EventViewTimeIdLess(const EventView& a, const EventView& b) {
   return a.start_time() != b.start_time() ? a.start_time() < b.start_time() : a.id() < b.id();
-}
-
-inline void SortByTimeThenId(std::vector<EventView>* events) {
-  if (!std::is_sorted(events->begin(), events->end(), EventViewTimeIdLess)) {
-    std::sort(events->begin(), events->end(), EventViewTimeIdLess);
-  }
 }
 
 }  // namespace aiql

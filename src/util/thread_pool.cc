@@ -1,6 +1,7 @@
 #include "src/util/thread_pool.h"
 
 #include <atomic>
+#include <exception>
 
 namespace aiql {
 

@@ -1,13 +1,11 @@
 // Fixed-size worker pool used for parallel query execution: morsel-driven
-// partition scans in the storage layer (Database/MppCluster), the executor's
-// day-split fallback (paper §5.2 "Time Window Partition"), and MPP segment
-// scatter/gather.
+// partition scans in the storage layer (Database/MppCluster) and the
+// executor's day-split fallback (paper §5.2 "Time Window Partition").
 #ifndef AIQL_SRC_UTIL_THREAD_POOL_H_
 #define AIQL_SRC_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -29,20 +27,6 @@ class ThreadPool {
   // ParallelFor call can have: every pool worker plus the calling thread.
   // Callers size per-worker scratch (stats, buffers) by this.
   size_t max_participants() const { return workers_.size() + 1; }
-
-  // Enqueues a task; the returned future reports completion and exceptions.
-  template <typename F>
-  auto Submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.push([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
 
   // Bulk submit-and-wait, the morsel-driven execution primitive: participants
   // (up to size() pool workers plus the calling thread) repeatedly claim the

@@ -215,11 +215,6 @@ class ReferenceCheckingStore : public EventStore {
                                       const ScanContext* ctx) const override {
     return Check(q, db_->ExecuteQuery(q, stats, ctx));
   }
-  std::vector<EventView> ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,
-                                              ThreadPool* pool,
-                                              const ScanContext* ctx) const override {
-    return Check(q, db_->ExecuteQueryParallel(q, stats, pool, ctx));
-  }
   std::vector<EventView> ExecuteQueryCached(const DataQuery& q, ScanStats* stats,
                                             ThreadPool* pool, ScanPlanCache* cache,
                                             uint64_t* cache_hits,

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -205,18 +206,6 @@ TEST(ThreadPoolTest, ParallelForRunsAll) {
   std::atomic<int> sum{0};
   pool.ParallelFor(100, [&](size_t i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagates) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, RunBulkRunsEveryIndexExactlyOnce) {
