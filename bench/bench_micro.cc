@@ -9,6 +9,8 @@
 #include "src/core/anomaly.h"
 #include "src/core/engine.h"
 #include "src/core/exec_session.h"
+#include "src/core/executor.h"
+#include "src/core/projector.h"
 #include "src/core/tuple_set.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
@@ -438,6 +440,74 @@ BENCHMARK(BM_SlidingWindowAnomaly)
     ->Args({600, 16, 1})
     ->Args({6000, 16, 1})
     ->Unit(benchmark::kMillisecond);
+
+// Multievent projection (ProjectResults alone) over an a1-shaped tuple set:
+// 32 bash children of 8 apache parents each connect 1600 times to 16 IPs,
+// so `proc p1 start proc p2, proc p2 connect ip i1` joins to 51,200 tuples.
+// Arg 0 is a1's row-wise `return distinct p1, p2, i1` (16 output rows); arg 1
+// groups the same tuples by p2.pid with s3's `count(distinct i1)` (32
+// groups). per_tuple is the projection time per joined tuple.
+void BM_Projection(benchmark::State& state) {
+  const bool grouped = state.range(0) == 1;
+  static Database* db = [] {
+    auto* d = new Database();
+    const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+    std::vector<uint32_t> ips;
+    for (int i = 0; i < 16; ++i) {
+      ips.push_back(d->catalog().InternNetwork(1, "10.0.0.1", "172.16.0." + std::to_string(i),
+                                               40000 + i, 443));
+    }
+    Rng rng(3);
+    for (int parent = 0; parent < 8; ++parent) {
+      uint32_t apache = d->catalog().InternProcess(1, 100 + parent, "/usr/sbin/apache2");
+      for (int child = 0; child < 4; ++child) {
+        uint32_t bash = d->catalog().InternProcess(1, 1000 + parent * 4 + child, "/bin/bash");
+        d->RecordEvent(1, apache, Operation::kStart, EntityType::kProcess, bash, t0);
+        for (int c = 0; c < 1600; ++c) {
+          d->RecordEvent(1, bash, Operation::kConnect, EntityType::kNetwork,
+                         ips[rng.Below(ips.size())],
+                         t0 + 1 + static_cast<TimestampMs>(rng.Below(kHourMs)));
+        }
+      }
+    }
+    d->Finalize();
+    return d;
+  }();
+  auto ctx = CompileQuery(std::string(R"(
+      (at "01/01/2017") agentid = 1
+      proc p1["%apache%"] start proc p2["%bash%"] as evt1
+      proc p2 connect ip i1 as evt2
+      with evt1 before evt2
+      )") + (grouped ? "return p2.pid, count(distinct i1) as n group by p2.pid"
+                     : "return distinct p1, p2, i1"));
+  if (!ctx.ok()) {
+    state.SkipWithError(ctx.error().c_str());
+    return;
+  }
+  ExecutionSession session;
+  auto tuples = ExecuteMultievent(*db, ctx.value(), ExecOptions{}, nullptr, &session);
+  if (!tuples.ok()) {
+    state.SkipWithError(tuples.error().c_str());
+    return;
+  }
+  size_t rows = 0;
+  for (auto _ : state) {
+    auto r = ProjectResults(ctx.value(), tuples.value(), db->catalog(), &session);
+    if (!r.ok()) {
+      state.SkipWithError(r.error().c_str());
+      return;
+    }
+    rows = r.value().num_rows();
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["tuples"] = static_cast<double>(tuples.value().num_rows());
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["per_tuple"] = benchmark::Counter(
+      static_cast<double>(tuples.value().num_rows()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(grouped ? "group count(distinct)" : "distinct rows");
+}
+BENCHMARK(BM_Projection)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace aiql

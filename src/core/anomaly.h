@@ -7,14 +7,15 @@
 // historical values (`freq[1]` = one window back), and the moving-average
 // builtins SMA/CMA/WMA/EWMA over the state series.
 //
-// The executor is compiled and incremental (ARCHITECTURE.md, "Anomaly
-// execution"): every fetched event gets its dense group id and its aggregate
-// inputs once, each window sums its events into per-group accumulators, the
-// return items and having clause run as slot-resolved programs, and history
-// lives in per-group rings sized to the deepest lookback. EWMA/CMA keep a
-// running fold per group instead of re-folding the whole series per window.
-// The folds below perform the same floating-point operations in the same
-// order as the full-series functions, so the results are bit-identical.
+// The windows run on the compiled projector (src/core/compiled_projector.h,
+// ARCHITECTURE.md "Projection"), the evaluator multievent projection uses
+// too: every fetched event gets its dense group id and its aggregate inputs
+// once, each window sums its events into per-group accumulators, the return
+// items and having clause run as slot-resolved programs, and history lives
+// in per-group rings sized to the deepest lookback. EWMA/CMA keep a running
+// fold per group instead of re-folding the whole series per window. The
+// folds below perform the same floating-point operations in the same order
+// as the full-series functions, so the results are bit-identical.
 #ifndef AIQL_SRC_CORE_ANOMALY_H_
 #define AIQL_SRC_CORE_ANOMALY_H_
 
@@ -104,11 +105,13 @@ class SeriesRing {
 
 // Executes an anomaly query context. The result table carries a leading
 // "window" column (window start, formatted) followed by the return items;
-// one row per (window, group) passing the having filter, in window order and
-// then group-key order. `session` carries the execution's stats, plan cache,
-// and cancellation flag; cancellation and the time budget
-// (`options.time_budget_ms`) are checked during the fetch and once per
-// window.
+// one row per (window, group) passing the having filter. The rows finish
+// with the multievent result tail (FinishResults: distinct, return count,
+// sort by, top); without a sort clause they sort lexicographically, so
+// windows stay chronological and rows inside a window sort by value.
+// `session` carries the execution's stats, plan cache, and cancellation
+// flag; cancellation and the time budget (`options.time_budget_ms`) are
+// checked during the fetch and once per window.
 Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx,
                                    const ExecOptions& options, ThreadPool* pool,
                                    ExecutionSession* session);

@@ -1,7 +1,6 @@
 #include "src/core/eval.h"
 
-#include <algorithm>
-#include <cmath>
+#include <optional>
 
 namespace aiql {
 
@@ -108,147 +107,6 @@ std::vector<Relationship> InterPatternRelationships(const QueryContext& ctx) {
     out.push_back(std::move(rel));
   }
   return out;
-}
-
-RowAccessor::RowAccessor(const std::vector<EventView>& row,
-                         const std::vector<size_t>& pattern_order, const EntityCatalog& catalog)
-    : row_(row), catalog_(catalog) {
-  size_t max_pattern = 0;
-  for (size_t p : pattern_order) {
-    max_pattern = std::max(max_pattern, p);
-  }
-  pattern_to_col_.assign(max_pattern + 1, -1);
-  for (size_t i = 0; i < pattern_order.size(); ++i) {
-    pattern_to_col_[pattern_order[i]] = static_cast<int>(i);
-  }
-}
-
-std::optional<Value> RowAccessor::Get(const ResolvedRef& ref) const {
-  if (ref.side == RefSide::kAlias) {
-    return std::nullopt;
-  }
-  if (ref.pattern >= pattern_to_col_.size()) {
-    return std::nullopt;
-  }
-  int col = pattern_to_col_[ref.pattern];
-  if (col < 0 || static_cast<size_t>(col) >= row_.size() || !row_[col].valid()) {
-    return std::nullopt;
-  }
-  return EndpointValue(row_[col], ref.side, ref.attr, catalog_);
-}
-
-bool ValueTruthy(const Value& v) {
-  if (v.is_string()) {
-    return !v.as_string().empty();
-  }
-  return v.as_double() != 0.0;
-}
-
-std::optional<Value> EvalScalarExpr(const Expr& e, const RowAccessor* row, const AliasEnv* env) {
-  switch (e.kind) {
-    case Expr::Kind::kNumber: {
-      if (e.number == std::floor(e.number) && std::abs(e.number) < 1e15) {
-        return Value(static_cast<int64_t>(e.number));
-      }
-      return Value(e.number);
-    }
-    case Expr::Kind::kString:
-      return Value(e.str);
-    case Expr::Kind::kParam:
-      // Unbound parameter: inference rejects these before execution, so this
-      // is unreachable in practice; evaluate to null defensively.
-      return std::nullopt;
-    case Expr::Kind::kVarRef: {
-      if (e.resolved.has_value() && e.resolved->side == RefSide::kAlias) {
-        if (env != nullptr && env->lookup) {
-          return env->lookup(e.resolved->attr);
-        }
-        return std::nullopt;
-      }
-      if (e.resolved.has_value() && row != nullptr) {
-        return row->Get(*e.resolved);
-      }
-      // Fall back to alias lookup by surface name (projector output columns).
-      if (env != nullptr && env->lookup) {
-        return env->lookup(e.name);
-      }
-      return std::nullopt;
-    }
-    case Expr::Kind::kHistRef: {
-      if (env != nullptr && env->history) {
-        return env->history(e.name, e.hist_offset);
-      }
-      return std::nullopt;
-    }
-    case Expr::Kind::kCall: {
-      // Aggregates/moving averages are computed by the projector; here they
-      // resolve through the alias environment keyed by their rendered name.
-      if (env != nullptr && env->lookup) {
-        return env->lookup(e.ToString());
-      }
-      return std::nullopt;
-    }
-    case Expr::Kind::kUnary: {
-      std::optional<Value> v = EvalScalarExpr(e.children[0], row, env);
-      if (!v.has_value()) {
-        return std::nullopt;
-      }
-      if (e.uop == '!') {
-        return Value(static_cast<int64_t>(!ValueTruthy(*v)));
-      }
-      if (v->is_int()) {
-        return Value(-v->as_int());
-      }
-      return Value(-v->as_double());
-    }
-    case Expr::Kind::kBinary: {
-      std::optional<Value> lv = EvalScalarExpr(e.children[0], row, env);
-      std::optional<Value> rv = EvalScalarExpr(e.children[1], row, env);
-      if (!lv.has_value() || !rv.has_value()) {
-        return std::nullopt;
-      }
-      auto arith = [&](auto f) -> Value {
-        if (lv->is_int() && rv->is_int()) {
-          return Value(static_cast<int64_t>(f(static_cast<double>(lv->as_int()),
-                                              static_cast<double>(rv->as_int()))));
-        }
-        return Value(f(lv->as_double(), rv->as_double()));
-      };
-      switch (e.bop) {
-        case BinOp::kAdd:
-          return arith([](double a, double b) { return a + b; });
-        case BinOp::kSub:
-          return arith([](double a, double b) { return a - b; });
-        case BinOp::kMul:
-          return arith([](double a, double b) { return a * b; });
-        case BinOp::kDiv: {
-          double d = rv->as_double();
-          if (d == 0) {
-            return Value(0.0);
-          }
-          return Value(lv->as_double() / d);
-        }
-        case BinOp::kEq:
-          return Value(static_cast<int64_t>(*lv == *rv));
-        case BinOp::kNe:
-          return Value(static_cast<int64_t>(*lv != *rv));
-        case BinOp::kLt:
-          return Value(static_cast<int64_t>(*lv < *rv));
-        case BinOp::kLe:
-          return Value(static_cast<int64_t>(*lv <= *rv));
-        case BinOp::kGt:
-          return Value(static_cast<int64_t>(*lv > *rv));
-        case BinOp::kGe:
-          return Value(static_cast<int64_t>(*lv >= *rv));
-        case BinOp::kAnd:
-          return Value(static_cast<int64_t>(ValueTruthy(*lv) && ValueTruthy(*rv)));
-        case BinOp::kOr:
-          return Value(static_cast<int64_t>(ValueTruthy(*lv) || ValueTruthy(*rv)));
-      }
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace aiql

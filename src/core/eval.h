@@ -1,9 +1,9 @@
-// Relationship checks and expression evaluation over matched events.
+// Endpoint values and relationship checks over matched events. Return items,
+// group keys, aggregates and having clauses are evaluated by the compiled
+// projector (src/core/compiled_projector.h), not here.
 #ifndef AIQL_SRC_CORE_EVAL_H_
 #define AIQL_SRC_CORE_EVAL_H_
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,36 +40,6 @@ struct Relationship {
 // Collects all inter-pattern relationships of a query context (intra-pattern
 // attribute relationships are applied as per-pattern filters instead).
 std::vector<Relationship> InterPatternRelationships(const QueryContext& ctx);
-
-// Alias environment for having/sort expressions: alias name -> value, plus
-// history lookups alias[k] for anomaly queries.
-struct AliasEnv {
-  std::function<std::optional<Value>(const std::string&)> lookup;
-  std::function<std::optional<Value>(const std::string&, int)> history;  // alias, k back
-};
-
-// Row accessor: evaluates resolved refs against a joined tuple row.
-class RowAccessor {
- public:
-  // `row[i]` is the matched event of pattern `pattern_order[i]`.
-  RowAccessor(const std::vector<EventView>& row, const std::vector<size_t>& pattern_order,
-              const EntityCatalog& catalog);
-
-  std::optional<Value> Get(const ResolvedRef& ref) const;
-
- private:
-  const std::vector<EventView>& row_;
-  std::vector<int> pattern_to_col_;  // pattern index -> column in row_
-  const EntityCatalog& catalog_;
-};
-
-// Evaluates a (resolved) expression. Aggregate/moving-average calls are NOT
-// handled here — the projector computes those and exposes them via `env` as
-// aliases. Returns nullopt on unresolved references.
-std::optional<Value> EvalScalarExpr(const Expr& e, const RowAccessor* row, const AliasEnv* env);
-
-// Boolean coercion: numbers != 0, non-empty strings are true.
-bool ValueTruthy(const Value& v);
 
 }  // namespace aiql
 

@@ -1,11 +1,9 @@
-// Result projection: evaluates the return clause, grouping, aggregation,
-// having filters, sorting, distinct, and top-k over joined tuple rows.
+// Result projection: the return clause, grouping, aggregation, having,
+// distinct, count, sorting and top-k over joined tuple rows. The items, keys,
+// aggregates and having clause run on the compiled projector
+// (src/core/compiled_projector.h), the evaluator anomaly queries use too.
 #ifndef AIQL_SRC_CORE_PROJECTOR_H_
 #define AIQL_SRC_CORE_PROJECTOR_H_
-
-#include <map>
-#include <string>
-#include <vector>
 
 #include "src/core/result_table.h"
 #include "src/core/tuple_set.h"
@@ -16,25 +14,14 @@ namespace aiql {
 struct ExecutionSession;
 
 // Projects the final tuple set of a multievent query into a result table.
-// When a session is supplied, its cancellation flag is honored between rows.
+// Without aggregates or group-by, every row yields one output row; otherwise
+// rows group by the group-by key (groups visited in key-string order, each
+// reading plain references from its first row) and a query with aggregates
+// but no group-by forms one global group, even over no rows. When a session
+// is supplied, its cancellation flag is checked before each row or group.
 Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tuples,
                                    const EntityCatalog& catalog,
                                    const ExecutionSession* session = nullptr);
-
-// --- helpers shared with the anomaly executor ------------------------------
-
-// Collects the distinct aggregate calls appearing in the query's return
-// items and having clause, keyed by their rendered names.
-std::vector<const Expr*> CollectAggregateCalls(const QueryContext& ctx);
-
-// Computes one aggregate over a set of rows. `pattern_order` maps row columns
-// to pattern ids.
-Value ComputeAggregate(const Expr& call, const std::vector<std::vector<EventView>>& rows,
-                       const std::vector<size_t>& pattern_order, const EntityCatalog& catalog);
-
-// Applies sort-by keys (by output column), falling back to lexicographic row
-// order when the query has no sort clause; then applies top-k.
-Status SortAndLimit(const QueryContext& ctx, ResultTable* table);
 
 }  // namespace aiql
 

@@ -2,27 +2,34 @@
 //
 // ReferenceAnomaly below is the straightforward per-window evaluator: every
 // window re-derives each event's group key, buckets rows per group, computes
-// aggregates with ComputeAggregate, evaluates items and having through
-// EvalScalarExpr with name-keyed alias maps, and re-folds each group's whole
-// history series for every moving-average call. ExecuteAnomaly compiles the
-// same semantics into dense per-group state; the differential tests require
-// the two to agree row for row, with doubles bit-equal.
+// aggregates with the reference ComputeAggregate, evaluates items and having
+// through the reference interpreter (tests/reference_projection.h) with
+// name-keyed alias maps, re-folds each group's whole history series for every
+// moving-average call, and finishes with the reference result tail
+// (distinct, return count, sort by, top). ExecuteAnomaly runs the same
+// semantics on the compiled projector with dense per-group state; the
+// differential tests require the two to agree row for row, with doubles
+// bit-equal.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <map>
 #include <unordered_map>
 
 #include "src/core/anomaly.h"
-#include "src/core/eval.h"
 #include "src/core/exec_session.h"
-#include "src/core/projector.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/workload/workload.h"
+#include "tests/reference_projection.h"
 
 namespace aiql {
 namespace {
+
+using reference::AliasEnv;
+using reference::ComputeAggregate;
+using reference::EvalScalarExpr;
+using reference::RowAccessor;
+using reference::ValueTruthy;
 
 // --- reference evaluator ------------------------------------------------------
 
@@ -60,7 +67,7 @@ Result<ResultTable> ReferenceAnomaly(const EventStore& db, const QueryContext& c
 
   TimeRange range = ctx.global_time;
   std::vector<size_t> pattern_order{0};
-  std::vector<const Expr*> agg_calls = CollectAggregateCalls(ctx);
+  std::vector<const Expr*> agg_calls = reference::CollectAggregateCalls(ctx);
   std::vector<std::string> columns{"window"};
   for (const OutputItem& item : ctx.items) {
     columns.push_back(item.name);
@@ -208,29 +215,10 @@ Result<ResultTable> ReferenceAnomaly(const EventStore& db, const QueryContext& c
     }
   }
 
-  if (ctx.top.has_value() && table.num_rows() > static_cast<size_t>(*ctx.top)) {
-    table.mutable_rows()->resize(static_cast<size_t>(*ctx.top));
-  }
-  return table;
+  return reference::FinishResults(ctx, std::move(table));
 }
 
 // --- comparison ---------------------------------------------------------------
-
-// Same type and same value; doubles compared bit for bit.
-bool SameValue(const Value& a, const Value& b) {
-  if (a.is_int() != b.is_int() || a.is_double() != b.is_double() ||
-      a.is_string() != b.is_string()) {
-    return false;
-  }
-  if (a.is_double()) {
-    return std::bit_cast<uint64_t>(a.as_double()) == std::bit_cast<uint64_t>(b.as_double());
-  }
-  return a.is_int() ? a.as_int() == b.as_int() : a.as_string() == b.as_string();
-}
-
-std::string Describe(const Value& v) {
-  return std::string(v.is_int() ? "int:" : v.is_double() ? "double:" : "string:") + v.ToString();
-}
 
 // Runs both evaluators on `text`; returns false if the query does not compile.
 bool ExpectSameAnswer(const EventStore& db, const std::string& text, size_t* rows = nullptr) {
@@ -246,25 +234,9 @@ bool ExpectSameAnswer(const EventStore& db, const std::string& text, size_t* row
   if (!want.ok() || !got.ok()) {
     return true;
   }
-  const ResultTable& w = want.value();
-  const ResultTable& g = got.value();
-  EXPECT_EQ(w.columns(), g.columns()) << text;
-  EXPECT_EQ(w.num_rows(), g.num_rows()) << text;
-  for (size_t r = 0; r < std::min(w.num_rows(), g.num_rows()); ++r) {
-    const auto& wr = w.rows()[r];
-    const auto& gr = g.rows()[r];
-    EXPECT_EQ(wr.size(), gr.size()) << text;
-    for (size_t c = 0; c < std::min(wr.size(), gr.size()); ++c) {
-      if (!SameValue(wr[c], gr[c])) {
-        ADD_FAILURE() << "row " << r << " column " << c << ": reference " << Describe(wr[c])
-                      << ", executor " << Describe(gr[c]) << "\n"
-                      << text;
-        return true;
-      }
-    }
-  }
+  EXPECT_EQ(reference::TableDiff(want.value(), got.value()), "") << text;
   if (rows != nullptr) {
-    *rows = g.num_rows();
+    *rows = got.value().num_rows();
   }
   return true;
 }
@@ -367,6 +339,7 @@ std::string HavingAtom(Rng& rng, const std::string& a) {
 
 TEST_P(RandomAnomalyTest, ExecutorMatchesReference) {
   Rng rng(GetParam() * 7919 + 1);
+  Rng tail_rng(GetParam() * 104729 + 3);  // tail variants: distinct, count, sort by
   // (window, step) in seconds: step < window, step == window, step not
   // dividing the window, step > window.
   const std::vector<std::pair<int, int>> windows{{60, 10}, {60, 60}, {50, 15},
@@ -375,7 +348,8 @@ TEST_P(RandomAnomalyTest, ExecutorMatchesReference) {
       "sum(evt.amount)", "avg(evt.amount)",   "min(evt.amount)",      "max(evt.amount)",
       "count(o)",        "count(distinct o)", "count(distinct p.user)", "count()",
       "sum(evt.amount) / 1000", "max(evt.amount) - min(evt.amount)", "count(evt) * 2"};
-  size_t compiled = 0, total = 0, nonempty = 0;
+  // `nonempty` counts answers of the queries without the tail variants only.
+  size_t compiled = 0, total = 0, nonempty = 0, tail_compiled = 0, tail_total = 0;
   for (int q = 0; q < 50; ++q) {
     auto [w, s] = windows[rng.Below(windows.size())];
     bool file = rng.Below(2) == 0;
@@ -421,43 +395,69 @@ TEST_P(RandomAnomalyTest, ExecutorMatchesReference) {
     if (rng.Below(4) == 0) {
       items.push_back("p.pid");  // read from the group's first event in the window
     }
-    text += "return ";
+    std::string returns;
     for (size_t i = 0; i < items.size(); ++i) {
-      text += (i > 0 ? ", " : "") + items[i];
+      returns += (i > 0 ? ", " : "") + items[i];
     }
-    text += "\n";
+    std::string rest;
     if (!keys.empty()) {
-      text += "group by ";
+      rest += "group by ";
       for (size_t i = 0; i < keys.size(); ++i) {
-        text += (i > 0 ? ", " : "") + keys[i];
+        rest += (i > 0 ? ", " : "") + keys[i];
       }
-      text += "\n";
+      rest += "\n";
     }
     if (rng.Below(5) != 0) {
       size_t atoms = 1 + rng.Below(3);
-      text += "having ";
+      rest += "having ";
       for (size_t i = 0; i < atoms; ++i) {
         if (i > 0) {
-          text += rng.Below(2) == 0 ? " && " : " || ";
+          rest += rng.Below(2) == 0 ? " && " : " || ";
         }
-        text += HavingAtom(rng, aliases[rng.Below(aliases.size())]);
+        rest += HavingAtom(rng, aliases[rng.Below(aliases.size())]);
       }
       if (!keys.empty() && keys[0] == "p" && rng.Below(3) == 0) {
-        text += " && p != \"sh\"";
+        rest += " && p != \"sh\"";
       }
-      text += "\n";
+      rest += "\n";
     }
+    std::string top;
     if (rng.Below(5) == 0) {
-      text += "top " + std::to_string(rng.Range(1, 30)) + "\n";
+      top = "top " + std::to_string(rng.Range(1, 30)) + "\n";
     }
     ++total;
     size_t rows = 0;
-    if (ExpectSameAnswer(db_, text, &rows)) {
+    if (ExpectSameAnswer(db_, text + "return " + returns + "\n" + rest + top, &rows)) {
       ++compiled;
       nonempty += rows > 0 ? 1 : 0;
     }
+    // The same query again with a result-tail prefix and/or a sort by clause.
+    std::string prefix, sort;
+    switch (tail_rng.Below(3)) {
+      case 0:
+        prefix = "distinct ";
+        break;
+      case 1:
+        prefix = "count ";
+        break;
+      default:
+        break;
+    }
+    if (tail_rng.Below(2) == 0) {
+      sort = "sort by " + aliases[tail_rng.Below(aliases.size())] +
+             (tail_rng.Below(2) == 0 ? " desc" : "") + "\n";
+    }
+    if (!prefix.empty() || !sort.empty()) {
+      ++tail_total;
+      tail_compiled += ExpectSameAnswer(db_, text + "return " + prefix + returns + "\n" + rest +
+                                                 sort + top)
+                           ? 1
+                           : 0;
+    }
   }
   EXPECT_EQ(compiled, total);
+  EXPECT_EQ(tail_compiled, tail_total);
+  EXPECT_GT(tail_total, 0u);
   EXPECT_GT(nonempty, total / 2);
 }
 
@@ -482,6 +482,71 @@ TEST_P(RandomAnomalyTest, EdgeCasesMatchReference) {
   };
   for (const std::string& body : bodies) {
     EXPECT_TRUE(ExpectSameAnswer(db_, head + body)) << body;
+  }
+}
+
+// --- the result tail ------------------------------------------------------------
+
+// Anomaly results finish with the same tail as multievent results: `sort by`
+// and `top` order and cut the rows, `return count` yields a one-row count
+// table, and `return distinct` drops duplicate (window, values) rows.
+class AnomalyTailTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+    uint32_t a = db_.catalog().InternProcess(1, 10, "/bin/a");
+    uint32_t b = db_.catalog().InternProcess(1, 11, "/bin/b");
+    uint32_t dst = db_.catalog().InternNetwork(1, "10.0.0.1", "9.9.9.9", 1, 443);
+    const int64_t amounts[12] = {100, 5000, 200, 50, 7000, 300, 10, 20, 30, 40, 60, 70};
+    for (int m = 0; m < 12; ++m) {
+      const TimestampMs t = t0 + m * kMinuteMs + kSecondMs;
+      db_.RecordEvent(1, a, Operation::kWrite, EntityType::kNetwork, dst, t, amounts[m]);
+      db_.RecordEvent(1, b, Operation::kWrite, EntityType::kNetwork, dst, t, 1000);
+    }
+    db_.Finalize();
+  }
+
+  ResultTable Run(const std::string& tail) {
+    const std::string text =
+        "(from \"2017-01-01 00:00\" to \"2017-01-01 00:12\")\nagentid = 1\n"
+        "window = 1 min, step = 1 min\nproc p write ip i as evt\n" + tail;
+    EXPECT_TRUE(ExpectSameAnswer(db_, text)) << text;
+    Result<QueryContext> ctx = CompileQuery(text);
+    EXPECT_TRUE(ctx.ok()) << ctx.error();
+    ExecutionSession session;
+    Result<ResultTable> r = ExecuteAnomaly(db_, ctx.value(), ExecOptions{}, nullptr, &session);
+    EXPECT_TRUE(r.ok()) << r.error();
+    return r.ok() ? r.take() : ResultTable();
+  }
+
+  Database db_;
+};
+
+TEST_F(AnomalyTailTest, SortByAndTop) {
+  ResultTable t = Run("return p, sum(evt.amount) as amt group by p sort by amt desc top 3");
+  ASSERT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.rows()[0][2].as_double(), 7000);
+  EXPECT_EQ(t.rows()[1][2].as_double(), 5000);
+  EXPECT_EQ(t.rows()[2][2].as_double(), 1000);
+}
+
+TEST_F(AnomalyTailTest, ReturnCount) {
+  ResultTable t = Run("return count p, sum(evt.amount) as amt group by p");
+  EXPECT_EQ(t.columns(), std::vector<std::string>{"count"});
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.rows()[0][0].as_int(), 24);  // 12 windows x 2 processes
+}
+
+TEST_F(AnomalyTailTest, ReturnDistinct) {
+  // Both processes write once per window: each window's two (window, 1)
+  // rows collapse into one, and windows stay in chronological order.
+  ResultTable t = Run("return distinct count(evt) as n group by p");
+  ASSERT_EQ(t.num_rows(), 12u);
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    EXPECT_EQ(t.rows()[r][1].as_int(), 1);
+    if (r > 0) {
+      EXPECT_LT(t.rows()[r - 1][0].as_string(), t.rows()[r][0].as_string());
+    }
   }
 }
 
