@@ -12,15 +12,22 @@
 // and no moving averages; a multievent query without aggregates runs the
 // item and having programs once per row.
 //
+// Values are rendered once, not once per row: an entity reference reads each
+// distinct entity's attribute once, every string lives in one per-projector
+// value table (one id and one stable address per distinct string), and
+// `distinct` rows and group keys are deduplicated on packed scalars (tag plus
+// int, double bits or string id) before any Value is built.
+//
 // Internal to src/core: projector.cc implements it, anomaly.cc drives it.
 #ifndef AIQL_SRC_CORE_COMPILED_PROJECTOR_H_
 #define AIQL_SRC_CORE_COMPILED_PROJECTOR_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +35,7 @@
 #include "src/core/result_table.h"
 #include "src/core/tuple_set.h"
 #include "src/lang/query_context.h"
+#include "src/util/flat_index.h"
 
 namespace aiql {
 
@@ -55,14 +63,15 @@ class RowSource {
   const TupleSet* tuples_ = nullptr;
 };
 
-// A Value that owns nothing: strings point into the query context, a stored
-// group key, or a cached row value, all of which outlive the evaluation.
-// Typing follows Value (int/double/string); kNull is an unresolved reference,
-// which a returned item turns into Value() and a having clause into false.
+// A Value that owns nothing: a string is an id in the projector's value
+// table (`i`) and its address there (`s`), valid for the projector's
+// lifetime. Typing follows Value (int/double/string); kNull is an unresolved
+// reference, which a returned item turns into Value() and a having clause
+// into false.
 struct Scalar {
   enum class Tag : uint8_t { kNull, kInt, kDouble, kString };
   Tag tag = Tag::kNull;
-  int64_t i = 0;
+  int64_t i = 0;  // kInt: the value; kString: the value-table id
   double d = 0;
   const std::string* s = nullptr;
 
@@ -78,20 +87,20 @@ struct Scalar {
     out.d = v;
     return out;
   }
-  static Scalar Of(const Value& v) {
-    if (v.is_string()) {
-      Scalar out;
-      out.tag = Tag::kString;
-      out.s = &v.as_string();
-      return out;
-    }
-    return v.is_int() ? Int(v.as_int()) : Double(v.as_double());
-  }
 
   bool null() const { return tag == Tag::kNull; }
   bool is_int() const { return tag == Tag::kInt; }
   bool is_string() const { return tag == Tag::kString; }
   bool numeric() const { return tag == Tag::kInt || tag == Tag::kDouble; }
+  bool nan() const { return tag == Tag::kDouble && d != d; }
+
+  // Two words equal exactly when the scalars are the same value of the same
+  // type (doubles bit for bit): the tag, then the int, the double's bits or
+  // the string id.
+  void Pack(uint64_t* out) const {
+    out[0] = static_cast<uint64_t>(tag);
+    out[1] = tag == Tag::kDouble ? std::bit_cast<uint64_t>(d) : static_cast<uint64_t>(i);
+  }
 
   double AsDouble() const {
     switch (tag) {
@@ -165,7 +174,8 @@ class CompiledProjector {
                     Mode mode, size_t num_windows = 1);
 
   // kRows: appends one row per input row passing `having`, checking `stop`
-  // before each row.
+  // before each row. Under `distinct`, a row whose packed items equal an
+  // earlier row's is not appended (see EmitRows).
   Status ProjectRows(const ScanContext& stop, ResultTable* table);
 
   // kGroups / kWindows: runs window `w` over rows [first, last) and appends
@@ -190,7 +200,7 @@ class CompiledProjector {
     Program arg;                       // the argument, compiled (empty: none)
     std::vector<double> x;             // per row: numeric argument (kSum..kMax)
     std::vector<uint8_t> has;          // per row: argument is non-null
-    std::vector<int32_t> pair;         // kDistinct, per row: (group, rendered) id
+    std::vector<int32_t> pair;         // kDistinct, per row: (rendered value, group) id
     std::vector<uint32_t> pair_stamp;  // kDistinct: window that last counted a pair
   };
   struct Acc {
@@ -208,21 +218,21 @@ class CompiledProjector {
     uint32_t fold = 0;   // index into the group's folds (EWMA/CMA)
   };
 
-  // A resolved reference read from the rows. A memoized column (a group's
-  // first row across windows) keeps every value it has read; otherwise only
-  // the last row's value is kept.
+  // A resolved reference read from the rows. A subject or object column
+  // reads each distinct entity once: its value is kept per (entity type,
+  // idx), in tables that grow with the entities seen.
   struct RowColumn {
     uint32_t col = 0;
     RefSide side = RefSide::kSubject;
     std::string attr;
-    size_t last = SIZE_MAX;
-    Value value;                 // the value of row `last`
-    std::vector<uint32_t> memo;  // per row: 1 + index into `values`, 0 = not yet
-    std::deque<Value> values;    // stable addresses for Scalar string pointers
+    EventView last;                     // the event read last (joined rows repeat events)
+    Scalar value;                       // its value
+    FlatKeyTable entities{1};           // (entity type << 32 | idx) -> id
+    std::vector<Scalar> entity_values;  // per entity id
   };
 
   struct GroupState {
-    std::vector<Value> key;
+    std::vector<Scalar> key;
     std::vector<SeriesRing> series;  // per series name (SeriesFor)
     std::vector<EwmaFold> ewma;      // per EWMA spec, in MaSpec::fold order
     std::vector<CmaFold> cma;        // per CMA spec
@@ -230,6 +240,11 @@ class CompiledProjector {
 
   void CompilePrograms(const std::vector<const Expr*>& agg_calls, size_t num_windows);
   void IndexRows();
+  // The value-table form of a value (strings interned; numbers as they are).
+  Scalar Intern(const Value& v);
+  Scalar InternString(std::string_view s);
+  // The value-table id of `v`'s rendering (Value::ToString).
+  uint32_t RenderedId(const Scalar& v);
   uint32_t AddConst(Scalar v) {
     slots_.push_back(v);
     return static_cast<uint32_t>(slots_.size() - 1);
@@ -238,7 +253,7 @@ class CompiledProjector {
   void EmitLookup(const std::string& name, const Scope& scope, Program* out);
   void Compile(const Expr& e, const Scope& scope, Program* out);
   Program CompileRoot(const Expr& e, const Scope& scope);
-  uint32_t RowColumnFor(uint32_t col, const ResolvedRef& ref, bool memo);
+  uint32_t RowColumnFor(uint32_t col, const ResolvedRef& ref);
   uint32_t SeriesFor(const std::string& name);
 
   void ActivateGroup(uint32_t g, size_t row);
@@ -250,11 +265,17 @@ class CompiledProjector {
   inline Scalar MovingAverage(const Op& op, const GroupState& state) const;
   inline bool EvalRow(bool absent, const GroupState* state, size_t row);
   void EmitRow(std::vector<Value> out_row, ResultTable* table) const;
+  // ProjectRows' loop; with `dedupe`, stops at the first row with a NaN item
+  // and sets *nan.
+  Status EmitRows(const ScanContext& stop, bool dedupe, ResultTable* table, bool* nan);
 
   const QueryContext& ctx_;
   const EntityCatalog& catalog_;
   const RowSource rows_;
   const Mode mode_;
+
+  // Every string a Scalar points at: constants, row values, renderings.
+  StringTable values_;
 
   // Slots: [0] null, then aggregates, items, group-key components, constants.
   std::vector<Scalar> slots_;

@@ -50,7 +50,7 @@ bool Truthy(const Scalar& v) { return v.is_string() ? !v.s->empty() : v.AsDouble
 
 bool Equal(const Scalar& a, const Scalar& b) {
   if (a.is_string() && b.is_string()) {
-    return *a.s == *b.s;
+    return a.i == b.i;  // one value table: equal strings share an id
   }
   if (a.numeric() && b.numeric()) {
     return a.is_int() && b.is_int() ? a.i == b.i : a.AsDouble() == b.AsDouble();
@@ -119,7 +119,8 @@ void AppendRendered(const Scalar& v, std::string* out) {
   }
 }
 
-Status SortAndLimit(const QueryContext& ctx, ResultTable* table) {
+// `sorted`: the rows are already in lexicographic order (after `distinct`).
+Status SortAndLimit(const QueryContext& ctx, bool sorted, ResultTable* table) {
   if (!ctx.sort_by.empty()) {
     struct Key {
       int col;
@@ -153,7 +154,7 @@ Status SortAndLimit(const QueryContext& ctx, ResultTable* table) {
                        }
                        return false;
                      });
-  } else {
+  } else if (!sorted) {
     table->SortRowsLexicographically();
   }
   if (ctx.top.has_value() && *ctx.top >= 0 &&
@@ -188,7 +189,7 @@ Result<ResultTable> FinishResults(const QueryContext& ctx, ResultTable table) {
     count_table.AddRow({Value(static_cast<int64_t>(table.num_rows()))});
     return count_table;
   }
-  Status s = SortAndLimit(ctx, &table);
+  Status s = SortAndLimit(ctx, /*sorted=*/ctx.distinct, &table);
   if (!s.ok()) {
     return Result<ResultTable>(s);
   }
@@ -263,22 +264,37 @@ uint32_t CompiledProjector::SeriesFor(const std::string& name) {
   return it->second;
 }
 
-uint32_t CompiledProjector::RowColumnFor(uint32_t col, const ResolvedRef& ref, bool memo) {
+uint32_t CompiledProjector::RowColumnFor(uint32_t col, const ResolvedRef& ref) {
   for (size_t i = 0; i < row_columns_.size(); ++i) {
     const RowColumn& c = row_columns_[i];
-    if (c.col == col && c.side == ref.side && c.attr == ref.attr && c.memo.empty() != memo) {
+    if (c.col == col && c.side == ref.side && c.attr == ref.attr) {
       return static_cast<uint32_t>(i);
     }
   }
-  RowColumn c;
+  RowColumn& c = row_columns_.emplace_back();
   c.col = col;
   c.side = ref.side;
   c.attr = ref.attr;
-  if (memo) {
-    c.memo.assign(rows_.size(), 0);
-  }
-  row_columns_.push_back(std::move(c));
   return static_cast<uint32_t>(row_columns_.size() - 1);
+}
+
+Scalar CompiledProjector::InternString(std::string_view s) {
+  Scalar out;
+  out.tag = Scalar::Tag::kString;
+  out.i = values_.Intern(s);
+  out.s = &values_.At(static_cast<uint32_t>(out.i));
+  return out;
+}
+
+Scalar CompiledProjector::Intern(const Value& v) {
+  if (v.is_string()) {
+    return InternString(v.as_string());
+  }
+  return v.is_int() ? Scalar::Int(v.as_int()) : Scalar::Double(v.as_double());
+}
+
+uint32_t CompiledProjector::RenderedId(const Scalar& v) {
+  return static_cast<uint32_t>(v.is_string() ? v.i : values_.Intern(v.ToValue().ToString()));
 }
 
 void CompiledProjector::Compile(const Expr& e, const Scope& scope, Program* out) {
@@ -290,14 +306,10 @@ void CompiledProjector::Compile(const Expr& e, const Scope& scope, Program* out)
                           : Scalar::Double(e.number));
       out->push_back(op);
       return;
-    case Expr::Kind::kString: {
-      Scalar s;
-      s.tag = Scalar::Tag::kString;
-      s.s = &e.str;
-      op.a = AddConst(s);
+    case Expr::Kind::kString:
+      op.a = AddConst(InternString(e.str));
       out->push_back(op);
       return;
-    }
     case Expr::Kind::kParam:
       // Unbound parameter: inference rejects these before execution.
       out->push_back(op);  // null
@@ -310,8 +322,7 @@ void CompiledProjector::Compile(const Expr& e, const Scope& scope, Program* out)
         const int col = rows_.ColumnOf(e.resolved->pattern);
         if (col >= 0) {
           op.code = Op::Code::kRowRef;
-          op.a = RowColumnFor(static_cast<uint32_t>(col), *e.resolved,
-                              mode_ == Mode::kWindows && scope.lookups);
+          op.a = RowColumnFor(static_cast<uint32_t>(col), *e.resolved);
         }
         out->push_back(op);
       } else {
@@ -466,13 +477,23 @@ void CompiledProjector::CompilePrograms(const std::vector<const Expr*>& agg_call
   }
 }
 
-// The pre-pass: every row's group id and aggregate inputs, once.
+// The pre-pass: every row's group id and aggregate inputs, once. Rows are
+// keyed by their packed key scalars; each distinct packed tuple renders its
+// key string once, and tuples whose key strings are equal form one group
+// (int 1 and string "1" group together, as they did when rows were keyed by
+// their key strings). A count(distinct x) input is likewise rendered once per
+// distinct packed x.
 void CompiledProjector::IndexRows() {
   const size_t n = rows_.size();
-  std::unordered_map<std::string, uint32_t> first_seen;  // key string -> temp id
-  std::vector<std::string> key_strings;
-  std::vector<uint32_t> temp_group(n);
-  std::vector<std::unordered_map<std::string, int32_t>> pairs(aggs_.size());
+  const size_t num_keys = keys_.size();
+  FlatKeyTable tuples(2 * num_keys);
+  std::vector<Scalar> tuple_values;  // num_keys per packed tuple
+  std::vector<uint32_t> tuple_of(n);
+  std::vector<uint64_t> packed(2 * std::max<size_t>(num_keys, 1));
+  std::vector<Scalar> key(num_keys);
+  // Per count(distinct) aggregate: packed x -> id, and each id's rendered id.
+  std::vector<FlatKeyTable> xs(aggs_.size(), FlatKeyTable(2));
+  std::vector<std::vector<uint32_t>> x_rendered(aggs_.size());
   for (AggSpec& spec : aggs_) {
     if (spec.kind != AggKind::kRows) {
       spec.has.assign(n, 0);
@@ -484,19 +505,16 @@ void CompiledProjector::IndexRows() {
       spec.pair.assign(n, -1);
     }
   }
-  std::string key_string, pair_key;
+  bool fresh = false;
   for (size_t r = 0; r < n; ++r) {
-    key_string.clear();
-    for (const Program& key : keys_) {
-      AppendRendered(Run(key, nullptr, r), &key_string);
-      key_string.push_back('\x1f');
+    for (size_t k = 0; k < num_keys; ++k) {
+      key[k] = Run(keys_[k], nullptr, r);
+      key[k].Pack(packed.data() + 2 * k);
     }
-    auto [it, fresh] =
-        first_seen.try_emplace(key_string, static_cast<uint32_t>(key_strings.size()));
+    tuple_of[r] = tuples.Insert(packed.data(), &fresh);
     if (fresh) {
-      key_strings.push_back(key_string);
+      tuple_values.insert(tuple_values.end(), key.begin(), key.end());
     }
-    temp_group[r] = it->second;
     for (size_t a = 0; a < aggs_.size(); ++a) {
       AggSpec& spec = aggs_[a];
       if (spec.arg.empty()) {
@@ -510,30 +528,62 @@ void CompiledProjector::IndexRows() {
       if (spec.kind >= AggKind::kSum) {
         spec.x[r] = v.AsDouble();
       } else if (spec.kind == AggKind::kDistinct) {
-        pair_key.clear();
-        AppendRendered(v, &pair_key);
-        pair_key.append(reinterpret_cast<const char*>(&temp_group[r]), sizeof(uint32_t));
-        const int32_t next = static_cast<int32_t>(pairs[a].size());
-        spec.pair[r] = pairs[a].try_emplace(pair_key, next).first->second;
+        v.Pack(packed.data());
+        const uint32_t x = xs[a].Insert(packed.data(), &fresh);
+        if (fresh) {
+          x_rendered[a].push_back(RenderedId(v));
+        }
+        spec.pair[r] = static_cast<int32_t>(x_rendered[a][x]);  // paired below
       }
     }
   }
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    aggs_[a].pair_stamp.assign(pairs[a].size(), 0);
+
+  // One key string per packed tuple; equal strings merge.
+  std::unordered_map<std::string, uint32_t> by_string;
+  std::vector<const std::string*> key_strings;
+  std::vector<uint32_t> merged(tuples.size());
+  std::string key_string;
+  for (uint32_t t = 0; t < tuples.size(); ++t) {
+    key_string.clear();
+    for (size_t k = 0; k < num_keys; ++k) {
+      AppendRendered(tuple_values[t * num_keys + k], &key_string);
+      key_string.push_back('\x1f');
+    }
+    auto [it, added] =
+        by_string.try_emplace(key_string, static_cast<uint32_t>(key_strings.size()));
+    if (added) {
+      key_strings.push_back(&it->first);
+    }
+    merged[t] = it->second;
   }
 
   // Dense ids in key-string order: groups are visited in this order.
   std::vector<uint32_t> order(key_strings.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](uint32_t a, uint32_t b) { return key_strings[a] < key_strings[b]; });
+            [&](uint32_t a, uint32_t b) { return *key_strings[a] < *key_strings[b]; });
   std::vector<uint32_t> rank(order.size());
   for (uint32_t r = 0; r < order.size(); ++r) {
     rank[order[r]] = r;
   }
   group_of_.resize(n);
   for (size_t r = 0; r < n; ++r) {
-    group_of_[r] = rank[temp_group[r]];
+    group_of_[r] = rank[merged[tuple_of[r]]];
+  }
+
+  // count(distinct x) counts (rendered x, group) pairs.
+  for (AggSpec& spec : aggs_) {
+    if (spec.kind != AggKind::kDistinct) {
+      continue;
+    }
+    FlatKeyTable pairs(1);
+    for (size_t r = 0; r < n; ++r) {
+      if (spec.has[r]) {
+        const uint64_t pair = static_cast<uint64_t>(spec.pair[r]) << 32 | group_of_[r];
+        spec.pair[r] = static_cast<int32_t>(pairs.Insert(&pair, &fresh));
+      }
+    }
+    spec.pair_stamp.assign(pairs.size(), 0);
   }
 
   // A global aggregate over no rows still forms its one group (SQL
@@ -555,7 +605,7 @@ void CompiledProjector::ActivateGroup(uint32_t g, size_t row) {
   known_[g] = 1;
   GroupState& state = groups_[g];
   for (const Program& key : keys_) {
-    state.key.push_back(Run(key, nullptr, row).ToValue());
+    state.key.push_back(Run(key, nullptr, row));
   }
   for (size_t capacity : ring_capacity_) {
     state.series.emplace_back(capacity);
@@ -571,28 +621,30 @@ void CompiledProjector::ActivateGroup(uint32_t g, size_t row) {
 
 inline Scalar CompiledProjector::RowValue(uint32_t col, size_t row) {
   RowColumn& c = row_columns_[col];
-  // Only a value not read yet touches the row's event.
-  if (c.memo.empty()) {
-    if (c.last != row) {
-      const EventView& e = rows_.At(row, c.col);
-      if (!e.valid()) {
-        return Scalar();
-      }
-      c.value = EndpointValue(e, c.side, c.attr, catalog_);
-      c.last = row;
-    }
-    return Scalar::Of(c.value);
+  const EventView& e = rows_.At(row, c.col);
+  if (e == c.last) {
+    return c.value;
   }
-  uint32_t& memo = c.memo[row];
-  if (memo == 0) {
-    const EventView& e = rows_.At(row, c.col);
-    if (!e.valid()) {
-      return Scalar();
-    }
-    c.values.push_back(EndpointValue(e, c.side, c.attr, catalog_));
-    memo = static_cast<uint32_t>(c.values.size());
+  if (!e.valid()) {
+    return Scalar();
   }
-  return Scalar::Of(c.values[memo - 1]);
+  if (c.side == RefSide::kEvent) {
+    c.value = Intern(EndpointValue(e, c.side, c.attr, catalog_));
+  } else {
+    // Only an entity not read yet touches the catalog.
+    const uint64_t entity =
+        c.side == RefSide::kSubject
+            ? e.subject_idx()
+            : static_cast<uint64_t>(e.object_type()) << 32 | e.object_idx();
+    bool fresh = false;
+    const uint32_t id = c.entities.Insert(&entity, &fresh);
+    if (fresh) {
+      c.entity_values.push_back(Intern(EndpointValue(e, c.side, c.attr, catalog_)));
+    }
+    c.value = c.entity_values[id];
+  }
+  c.last = e;
+  return c.value;
 }
 
 inline Scalar CompiledProjector::History(const Op& op, const GroupState& state) const {
@@ -697,19 +749,56 @@ void CompiledProjector::EmitRow(std::vector<Value> out_row, ResultTable* table) 
   table->AddRow(std::move(out_row));
 }
 
+// Under `distinct`, a row whose packed items equal an appended row's is
+// dropped before it is rendered. Equal packed items are equal Values, and
+// FinishResults' stable sort keeps the first of equal rows, so its
+// value-level distinct would drop the row too and returns the same rows.
+// NaN equals nothing and breaks the sort's order, so that argument needs
+// every row NaN-free: a projection with a NaN item starts over without the
+// pre-pass.
 Status CompiledProjector::ProjectRows(const ScanContext& stop, ResultTable* table) {
+  bool nan = false;
+  Status s = EmitRows(stop, ctx_.distinct, table, &nan);
+  if (s.ok() && nan) {
+    table->mutable_rows()->clear();
+    s = EmitRows(stop, /*dedupe=*/false, table, &nan);
+  }
+  return s;
+}
+
+Status CompiledProjector::EmitRows(const ScanContext& stop, bool dedupe, ResultTable* table,
+                                   bool* nan) {
+  const size_t num_items = ctx_.items.size();
+  FlatKeyTable seen(2 * num_items);
+  std::vector<uint64_t> packed(2 * num_items);
   for (size_t r = 0; r < rows_.size(); ++r) {
     if (Status s = stop.StopStatus(); !s.ok()) {
       return s;
     }
-    // The row vector is allocated before the row's values are read, so it
-    // sits next to them on the heap; the tail's sort over many rows is
-    // ~25% slower when it does not.
-    std::vector<Value> out_row;
-    out_row.reserve(ctx_.items.size());
-    if (EvalRow(/*absent=*/false, nullptr, r)) {
-      EmitRow(std::move(out_row), table);
+    if (!EvalRow(/*absent=*/false, nullptr, r)) {
+      continue;
     }
+    if (dedupe) {
+      for (size_t i = 0; i < num_items; ++i) {
+        const Scalar& v = slots_[item_base_ + i];
+        if (v.nan()) {
+          *nan = true;
+          return Status::Ok();
+        }
+        v.Pack(packed.data() + 2 * i);
+      }
+      bool fresh = false;
+      seen.Insert(packed.data(), &fresh);
+      if (!fresh) {
+        continue;
+      }
+    }
+    // Allocated before EmitRow renders the row's strings, so the row sits
+    // next to them on the heap; the tail's sort over many rows is ~25%
+    // slower when it does not.
+    std::vector<Value> out_row;
+    out_row.reserve(num_items);
+    EmitRow(std::move(out_row), table);
   }
   return Status::Ok();
 }
@@ -806,9 +895,7 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
       }
     }
     if (!present) {
-      for (size_t k = 0; k < state.key.size(); ++k) {
-        slots_[key_base_ + k] = Scalar::Of(state.key[k]);
-      }
+      std::copy(state.key.begin(), state.key.end(), slots_.begin() + key_base_);
     }
 
     // Without a having clause a group without rows emits only as the global

@@ -30,7 +30,7 @@ int ResultTable::ColumnIndex(const std::string& name) const {
 }
 
 void ResultTable::SortRowsLexicographically() {
-  std::sort(rows_.begin(), rows_.end(), RowLess);
+  std::stable_sort(rows_.begin(), rows_.end(), RowLess);
 }
 
 std::string ResultTable::ToString(size_t max_rows) const {

@@ -27,7 +27,9 @@ class ResultTable {
   int ColumnIndex(const std::string& name) const;
 
   // Sorts rows lexicographically (used for deterministic comparisons when the
-  // query has no sort clause).
+  // query has no sort clause). Stable: of rows that compare equal, such as
+  // 1 and 1.0, the earlier stays first, so `distinct` keeps the first row of
+  // each equal run in input order.
   void SortRowsLexicographically();
 
   // Renders an aligned ASCII table (examples and the interactive shell).

@@ -1,6 +1,7 @@
 #include "src/storage/database.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #include "src/storage/plan_cache.h"
@@ -77,6 +78,8 @@ void Database::Finalize() {
   if (finalized_) {
     return;
   }
+  static std::atomic<uint64_t> last_generation{0};
+  generation_ = last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   for (auto& [key, p] : partitions_) {
     p->Finalize(options_.build_indexes);
   }
@@ -89,13 +92,14 @@ void Database::ApplyArchivePolicy() {
   if (options_.archive_after_days < 0 || partitions_.empty()) {
     return;
   }
-  // A partition re-finalized after post-archive ingest starts hot again; the
-  // stale decode entries of re-archived partitions must not survive either.
+  // Decode entries of the previous generation are unreachable (the key
+  // carries the archiving generation); drop them now rather than let them
+  // hold cache capacity until evicted.
   decode_cache_->Clear();
   const int64_t newest_day = partitions_.rbegin()->first.first;
   for (auto it = partitions_.rbegin(); it != partitions_.rend(); ++it) {
     if (newest_day - it->first.first >= options_.archive_after_days) {
-      it->second->Archive();
+      it->second->Archive(generation_);
     }
   }
 }
@@ -516,6 +520,8 @@ std::vector<EventView> Database::ExecuteQueryCached(const DataQuery& q, ScanStat
   if (key.empty()) {
     return ExecuteQueryParallel(q, stats, pool, ctx);  // too large to cache
   }
+  key.push_back('#');
+  key.append(std::to_string(generation_));
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
 

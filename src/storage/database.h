@@ -189,6 +189,10 @@ class Database : public EventStore {
   // (archive_after_days). Idempotent.
   void Finalize();
   bool finalized() const { return finalized_; }
+  // Stamp of the last Finalize that changed the database, unique across the
+  // process. Plan-cache keys and decode-cache keys carry it, so a plan or
+  // decoded partition of an earlier finalization is never reused.
+  uint64_t generation() const { return generation_; }
 
   size_t num_events() const { return num_events_; }
   size_t num_partitions() const { return partitions_.size(); }
@@ -238,8 +242,8 @@ class Database : public EventStore {
   // publishes the compiled plan, then scans. Results and aggregate ScanStats
   // are identical to ExecuteQueryParallel — the planning-phase counters are
   // recorded in the cache entry and replayed on hits. Cached plans pin
-  // partitions of the current finalization; re-finalizing the database
-  // invalidates the cache (same lifetime rule as returned EventViews).
+  // partitions of the current finalization: the key carries generation(), so
+  // after a re-finalize the lookup misses and the query is replanned.
   std::vector<EventView> ExecuteQueryCached(const DataQuery& q, ScanStats* stats,
                                             ThreadPool* pool, ScanPlanCache* cache,
                                             uint64_t* cache_hits,
@@ -298,6 +302,7 @@ class Database : public EventStore {
   size_t num_events_ = 0;
   TimeRange data_range_{INT64_MAX, INT64_MIN};
   bool finalized_ = false;
+  uint64_t generation_ = 0;
 
   // Exact-value entity indexes: lowercase(default attr value) -> indices.
   std::unordered_map<std::string, std::vector<uint32_t>> file_name_index_;

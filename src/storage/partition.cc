@@ -183,11 +183,12 @@ const EventColumns* DecodedPartition::Ensure(EventColumnMask mask, ScanStats* st
 }
 
 std::shared_ptr<DecodedPartition> DecodeCache::Acquire(const Partition* p, ScanStats* stats) {
-  if (std::shared_ptr<DecodedPartition> hit = cache_.Find(p)) {
+  const Key key{p, p->archive_generation()};
+  if (std::shared_ptr<DecodedPartition> hit = cache_.Find(key)) {
     return hit;
   }
   auto fresh = std::make_shared<DecodedPartition>(p->archived_columns());
-  std::shared_ptr<DecodedPartition> canonical = cache_.Insert(p, fresh);
+  std::shared_ptr<DecodedPartition> canonical = cache_.Insert(key, fresh);
   // Count the decode only on the thread whose entry won the publish race.
   if (canonical == fresh && stats != nullptr) {
     ++stats->partitions_decoded;
@@ -216,10 +217,11 @@ void Partition::Rehydrate() {
   finalized_ = false;
 }
 
-void Partition::Archive() {
+void Partition::Archive(uint64_t generation) {
   if (archived_ != nullptr || !finalized_ || cols_.size() == 0) {
     return;
   }
+  archive_generation_ = generation;
   archived_ = std::make_unique<ArchivedColumns>(EncodeEventColumns(cols_));
   cols_ = EventColumns();  // release the decoded buffers, not just clear them
 }

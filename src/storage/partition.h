@@ -19,6 +19,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/storage/data_query.h"
@@ -129,7 +130,15 @@ class DecodeCache {
   uint64_t evictions() const { return cache_.evictions(); }
 
  private:
-  LruCache<const Partition*, std::shared_ptr<DecodedPartition>> cache_;
+  // Keyed by (partition, archive generation): a partition re-archived by a
+  // later finalization never hits the decode of its earlier contents.
+  using Key = std::pair<const Partition*, uint64_t>;
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return std::hash<const void*>{}(k.first) ^ (k.second * 0x9e3779b97f4a7c15ull);
+    }
+  };
+  LruCache<Key, std::shared_ptr<DecodedPartition>, KeyHash> cache_;
 };
 
 // Plan-time per-partition entity filters: pushed-down candidate sets
@@ -213,9 +222,12 @@ class Partition {
   // partition; no-op otherwise. Zone map and posting lists stay resident, so
   // pruning and morsel planning never decode. Ingesting into an archived
   // partition decodes it back (Append/Finalize handle this transparently).
-  void Archive();
+  // `generation` is the archiving database's finalization stamp
+  // (Database::generation), part of the partition's decode-cache key.
+  void Archive(uint64_t generation);
   bool archived() const { return archived_ != nullptr; }
   const ArchivedColumns* archived_columns() const { return archived_.get(); }
+  uint64_t archive_generation() const { return archive_generation_; }
 
   // Resident decoded column bytes (zero when archived) and encoded archive
   // bytes (zero when hot), for the storage footprint report.
@@ -337,6 +349,7 @@ class Partition {
   std::vector<Event> events_;  // pre-Finalize ingest buffer
   EventColumns cols_;          // columnar storage (finalized, hot)
   std::unique_ptr<ArchivedColumns> archived_;  // encoded columns (archived)
+  uint64_t archive_generation_ = 0;
   ZoneMap zone_;
   bool finalized_ = false;
   bool has_indexes_ = false;

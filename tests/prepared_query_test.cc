@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "src/core/engine.h"
+#include "src/mpp/mpp_cluster.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 
@@ -113,6 +114,60 @@ TEST_F(PreparedQueryTest, SecondRunHitsPlanCache) {
   auto third = rebound.value().Run();
   ASSERT_TRUE(third.ok()) << third.error();
   EXPECT_GT(third.value().exec_stats().plan_cache_hits, 0u);
+}
+
+// A prepared query run again after the database was re-finalized sees the
+// events recorded since: plans cached under the earlier finalization are not
+// reused. Covers an event appended into an existing partition and into a new
+// one, hot and archived partitions, and an engine over MPP segments rebuilt
+// from the re-finalized database.
+TEST(PreparedRefinalizeTest, RerunAfterRefinalizeSeesNewEvents) {
+  constexpr const char* kTwoDays = R"(
+      agentid = 1 (from "2017-01-01 00:00" to "2017-01-03 00:00")
+      proc p1["%cmd.exe"] read file f1 as evt1
+      return f1, evt1.amount)";
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1, 12, 0, 0);
+  for (const bool new_partition : {false, true}) {
+    for (const int archive_after_days : {-1, 0}) {
+      for (const bool mpp : {false, true}) {
+        SCOPED_TRACE(std::string(new_partition ? "new" : "existing") + " partition, archive " +
+                     std::to_string(archive_after_days) + (mpp ? ", mpp" : ""));
+        DatabaseOptions options;
+        options.archive_after_days = archive_after_days;
+        Database db(options);
+        const uint32_t cmd = db.catalog().InternProcess(1, 10, "C:\\Windows\\cmd.exe");
+        const uint32_t doc = db.catalog().InternFile(1, "C:\\doc.txt");
+        db.RecordEvent(1, cmd, Operation::kRead, EntityType::kFile, doc, t0, 100);
+        db.Finalize();
+        MppCluster cluster(2, DistributionPolicy::kSemanticsAware, options);
+        if (mpp) {
+          cluster.BuildFrom(db);
+        }
+        const AiqlEngine engine(mpp ? static_cast<const EventStore*>(&cluster) : &db);
+        auto prepared = engine.Prepare(kTwoDays);
+        ASSERT_TRUE(prepared.ok()) << prepared.error();
+        auto bound = prepared.value().Bind(ParamSet());
+        ASSERT_TRUE(bound.ok()) << bound.error();
+        auto before = bound.value().Run();
+        ASSERT_TRUE(before.ok()) << before.error();
+        EXPECT_EQ(before.value().num_rows(), 1u);
+
+        const TimestampMs t = new_partition ? t0 + kDayMs : t0 + kMinuteMs;
+        db.RecordEvent(1, cmd, Operation::kRead, EntityType::kFile, doc, t, 200);
+        db.Finalize();
+        if (mpp) {
+          cluster.BuildFrom(db);
+        }
+        auto after = bound.value().Run();
+        ASSERT_TRUE(after.ok()) << after.error();
+        auto fresh = engine.Execute(kTwoDays);
+        ASSERT_TRUE(fresh.ok()) << fresh.error();
+        EXPECT_EQ(fresh.value().num_rows(), 2u);
+        EXPECT_TRUE(after.value().SameRowsAs(fresh.value()))
+            << "rerun:\n" << after.value().ToString() << "fresh:\n" << fresh.value().ToString();
+      }
+    }
+  }
 }
 
 TEST_F(PreparedQueryTest, RebindTimeWindowWithoutRepreparing) {

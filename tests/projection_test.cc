@@ -299,6 +299,99 @@ TEST_P(ProjectionTest, CompiledMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProjectionTest, ::testing::Values(1, 2, 3, 4, 5));
 
+// Collisions: values that are equal, or render alike, without being the same
+// packed scalar, under `distinct`, group keys and count(distinct). The rows
+// are hand-built events of one pattern (`proc p1 read file f1`), so a column
+// can mix types: f1.name reads int 0 (Value()) where the event's object is a
+// network and a string for a file, so `f1` mixes 0 with "0" and
+// `f1.name + 1` mixes int 1 with double 1.0. `evt1.amount * (p1.pid -
+// 1000.5)` is -0.0 or 0.0 for amount 0, and `evt1.amount * 1e308 * 10 -
+// evt1.amount * 1e308 * 10` (1e308 spelled out: the lexer reads no
+// exponents) is NaN for a non-zero amount. 32 bash processes and the files
+// named "/tmp/same" share one rendered default attribute.
+TEST(ProjectionCollisionTest, MatchesReference) {
+  EntityCatalog catalog;
+  std::vector<uint32_t> procs;
+  for (int i = 0; i < 32; ++i) {
+    procs.push_back(catalog.InternProcess(1, 1000 + i, "/bin/bash"));
+  }
+  procs.push_back(catalog.InternProcess(1, 999, "/bin/sh"));
+  struct Object {
+    EntityType type;
+    uint32_t idx;
+  };
+  std::vector<Object> objects;
+  for (const char* name : {"0", "1", "/tmp/a"}) {
+    objects.push_back({EntityType::kFile, catalog.InternFile(1, name)});
+  }
+  for (int i = 0; i < 2; ++i) {
+    objects.push_back({EntityType::kFile, catalog.InternFile(2, "/tmp/same")});
+  }
+  objects.push_back({EntityType::kNetwork, catalog.InternNetwork(1, "10.0.0.1", "10.0.0.2", 1, 2)});
+
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  Rng rng(11);
+  std::vector<Event> events(600);
+  for (size_t i = 0; i < events.size(); ++i) {
+    Event& e = events[i];
+    e.id = static_cast<int64_t>(i + 1);
+    e.agent_id = 1;
+    e.subject_idx = procs[rng.Below(procs.size())];
+    const Object& o = objects[rng.Below(objects.size())];
+    e.object_type = o.type;
+    e.object_idx = o.idx;
+    e.start_time = t0 + static_cast<TimestampMs>(i);
+    e.amount = rng.Below(2) == 0 ? 0 : rng.Range(1, 3);
+  }
+  std::vector<EventView> views;
+  for (const Event& e : events) {
+    views.emplace_back(&e);
+  }
+  const TupleSet tuples = TupleSet::FromMatches(0, views);
+
+  const std::string big = "1" + std::string(308, '0');
+  const std::string inf = big + " * 10";
+  const std::string nan = "evt1.amount * " + inf + " - evt1.amount * " + inf;
+  const std::string zero = "evt1.amount * (p1.pid - 1000.5)";
+  const std::vector<std::string> clauses{
+      "return distinct p1, f1",
+      "return distinct p1.pid, f1",
+      "return distinct f1",
+      "return distinct f1.name + 1 as y",
+      "return distinct " + zero + " as z",
+      "return distinct f1, f1.name + 1 as y, " + zero + " as z",
+      "return distinct p1, " + inf + " - " + inf + " as n",
+      "return distinct p1, " + nan + " as n",
+      "return distinct f1.name + 1 as y, " + nan + " as n",
+      "return count distinct f1.name + 1 as y",
+      "return distinct f1, p1 sort by f1 desc top 3",
+      "return f1, count() as n group by f1",
+      "return p1, count(distinct f1) as n group by p1",
+      "return count() as n, count(distinct p1.pid) as d group by f1.name + 1",
+      "return count() as n group by " + zero,
+      "return count() as n group by " + nan,
+      "return count() as n, sum(evt1.amount) as s group by f1.name + 1, " + zero,
+      "return distinct count() as n group by p1.pid",
+      "return count(distinct f1.name + 1) as a, count(distinct f1) as b, count(distinct " +
+          zero + ") as c, count(distinct " + nan + ") as d",
+      "return p1.pid, count(distinct f1.name + 1) as a group by p1.pid",
+  };
+  for (const std::string& clause : clauses) {
+    SCOPED_TRACE(clause);
+    const std::string text =
+        "(from \"2017-01-01 00:00\" to \"2017-01-01 02:00\")\n"
+        "proc p1 read file f1 as evt1\n" +
+        clause;
+    Result<QueryContext> ctx = CompileQuery(text);
+    ASSERT_TRUE(ctx.ok()) << ctx.error();
+    Result<ResultTable> want = reference::ProjectResults(ctx.value(), tuples, catalog);
+    Result<ResultTable> got = ProjectResults(ctx.value(), tuples, catalog);
+    ASSERT_TRUE(want.ok()) << want.error();
+    ASSERT_TRUE(got.ok()) << got.error();
+    EXPECT_EQ(reference::TableDiff(want.value(), got.value()), "");
+  }
+}
+
 // A session cancelled before projection stops it on the first row or group.
 TEST_P(ProjectionTest, PreCancelledSessionStops) {
   const Shape shape = Shapes()[0];

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/util/flat_index.h"
 #include "src/util/rng.h"
 #include "src/util/string_utils.h"
 #include "src/util/thread_pool.h"
@@ -51,6 +52,37 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value(int64_t{7}).ToString(), "7");
   EXPECT_EQ(Value("x y").ToString(), "x y");
   EXPECT_EQ(Value(2.0).ToString(), "2");  // integral double rendered as int
+}
+
+// Ids are dense in first-insertion order and survive the table's growth;
+// keys differing in any word, including a tag word alone, stay apart.
+TEST(FlatIndexTest, KeyTableAssignsDenseIdsAcrossGrowth) {
+  FlatKeyTable table(2);
+  bool fresh = false;
+  for (uint64_t k = 0; k < 5000; ++k) {
+    const uint64_t key[2] = {k % 3, k / 3};
+    ASSERT_EQ(table.Insert(key, &fresh), k);
+    ASSERT_TRUE(fresh);
+  }
+  for (uint64_t k = 0; k < 5000; ++k) {
+    const uint64_t key[2] = {k % 3, k / 3};
+    ASSERT_EQ(table.Insert(key, &fresh), k);
+    ASSERT_FALSE(fresh);
+  }
+  EXPECT_EQ(table.size(), 5000u);
+}
+
+TEST(FlatIndexTest, StringTableKeepsOneStableCopyPerString) {
+  StringTable strings;
+  const uint32_t a = strings.Intern("/bin/bash");
+  const std::string* first = &strings.At(a);
+  for (int i = 0; i < 3000; ++i) {
+    EXPECT_EQ(strings.Intern("s" + std::to_string(i)), static_cast<uint32_t>(i + 1));
+  }
+  EXPECT_EQ(strings.Intern(std::string("/bin/") + "bash"), a);
+  EXPECT_EQ(&strings.At(a), first);
+  EXPECT_EQ(strings.At(a), "/bin/bash");
+  EXPECT_EQ(strings.At(2001), "s2000");
 }
 
 TEST(TimeTest, MakeTimestampEpoch) {
