@@ -13,6 +13,7 @@
 #include "src/core/projector.h"
 #include "src/core/tuple_set.h"
 #include "src/storage/database.h"
+#include "src/storage/encoding.h"
 #include "src/util/rng.h"
 #include "src/util/string_utils.h"
 #include "src/util/thread_pool.h"
@@ -515,6 +516,83 @@ void BM_Projection(benchmark::State& state) {
   state.SetLabel(kLabels[state.range(0)]);
 }
 BENCHMARK(BM_Projection)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// Archive codec alone (src/storage/encoding.h), outside any scan: 64 blocks
+// of 1024 values shaped so the forced codec packs every block at exactly
+// `width` bits (arg 0: width; arg 1: 0 = FOR, 1 = delta-FOR). FOR values and
+// delta-FOR deltas both span [INT64_MIN, INT64_MIN + 2^width - 1], with each
+// block's extremes pinned, so width 64 is reachable for both codecs.
+// per_value is the time per value.
+std::vector<int64_t> CodecInput(unsigned width, IntCodec codec) {
+  const size_t n = 64 * kEncodingBlock;
+  const uint64_t mask = width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  const uint64_t kMinU = uint64_t{1} << 63;  // INT64_MIN
+  Rng rng(width * 2 + static_cast<unsigned>(codec));
+  std::vector<uint64_t> x(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = kMinU + (rng.Next() & mask);
+  }
+  for (size_t lo = 0; lo < n; lo += kEncodingBlock) {
+    x[lo + 1] = kMinU;
+    x[lo + 2] = kMinU + mask;
+  }
+  std::vector<int64_t> v(n);
+  uint64_t prev = 0;
+  for (size_t i = 0; i < n; ++i) {
+    prev = codec == IntCodec::kFor ? x[i] : prev + x[i];  // delta: x is the step
+    v[i] = static_cast<int64_t>(prev);
+  }
+  return v;
+}
+
+void BM_DecodeColumn(benchmark::State& state) {
+  const auto width = static_cast<unsigned>(state.range(0));
+  const auto codec = static_cast<IntCodec>(state.range(1));
+  const std::vector<int64_t> v = CodecInput(width, codec);
+  const EncodedInts e = EncodeInts(v.data(), v.size(), codec);
+  std::vector<int64_t> out(v.size());
+  for (auto _ : state) {
+    DecodeIntsInto(e, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  if (out != v) {
+    state.SkipWithError("decode mismatch");
+    return;
+  }
+  state.counters["width"] = e.blocks[0].width;
+  state.counters["per_value"] = benchmark::Counter(
+      static_cast<double>(v.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(IntCodecName(codec));
+}
+
+void BM_EncodeColumn(benchmark::State& state) {
+  const auto width = static_cast<unsigned>(state.range(0));
+  const auto codec = static_cast<IntCodec>(state.range(1));
+  const std::vector<int64_t> v = CodecInput(width, codec);
+  size_t words = 0;
+  for (auto _ : state) {
+    EncodedInts e = EncodeInts(v.data(), v.size(), codec);
+    words = e.words.size();
+    benchmark::DoNotOptimize(e);
+  }
+  state.counters["words"] = static_cast<double>(words);
+  state.counters["per_value"] = benchmark::Counter(
+      static_cast<double>(v.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(IntCodecName(codec));
+}
+
+void CodecArgs(benchmark::internal::Benchmark* b) {
+  for (int codec : {0, 1}) {
+    for (int width : {0, 2, 8, 15, 20, 64}) {
+      b->Args({width, codec});
+    }
+  }
+}
+BENCHMARK(BM_DecodeColumn)->Apply(CodecArgs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EncodeColumn)->Apply(CodecArgs)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace aiql

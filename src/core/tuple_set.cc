@@ -12,14 +12,7 @@ Status BudgetGuard::Charge(size_t produced) {
     return Status::Error("execution budget exceeded: intermediate results over " +
                          std::to_string(max_rows_) + " rows");
   }
-  since_time_check_ += produced;
-  if (since_time_check_ >= 4096) {
-    since_time_check_ = 0;
-    if (stop_ != nullptr) {
-      return stop_->StopStatus();
-    }
-  }
-  return Status::Ok();
+  return Visit(produced);
 }
 
 TupleSet TupleSet::FromMatches(size_t pattern, std::vector<EventView> matches) {
@@ -156,6 +149,9 @@ Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& rig
   std::unordered_map<size_t, std::vector<size_t>> buckets;
   buckets.reserve(right.rows().size() * 2);
   for (size_t j = 0; j < right.rows().size(); ++j) {
+    if (Status s = budget_->Visit(); !s.ok()) {
+      return Result<TupleSet>(s);
+    }
     Value v = EndpointValue(right.rows()[j][rcol], rside, rattr, catalog_);
     buckets[v.Hash()].push_back(j);
   }
@@ -164,12 +160,18 @@ Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& rig
   out.patterns_ = left.patterns();
   out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
   for (const auto& lrow : left.rows()) {
+    if (Status s = budget_->Visit(); !s.ok()) {
+      return Result<TupleSet>(s);
+    }
     Value lv = EndpointValue(lrow[lcol], lside, lattr, catalog_);
     auto it = buckets.find(lv.Hash());
     if (it == buckets.end()) {
       continue;
     }
     for (size_t j : it->second) {
+      if (Status s = budget_->Visit(); !s.ok()) {
+        return Result<TupleSet>(s);
+      }
       const auto& rrow = right.rows()[j];
       Value rv = EndpointValue(rrow[rcol], rside, rattr, catalog_);
       if (!(lv == rv)) {
@@ -200,6 +202,9 @@ Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet&
   // search the admissible window.
   std::vector<size_t> order(right.rows().size());
   for (size_t i = 0; i < order.size(); ++i) {
+    if (Status s = budget_->Visit(); !s.ok()) {
+      return Result<TupleSet>(s);  // before paying for the sort
+    }
     order[i] = i;
   }
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -241,11 +246,17 @@ Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet&
   out.patterns_ = left.patterns();
   out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
   for (const auto& lrow : left.rows()) {
+    if (Status s = budget_->Visit(); !s.ok()) {
+      return Result<TupleSet>(s);
+    }
     TimestampMs lt = lrow[lcol].start_time();
     auto [tmin, tmax] = bounds(lt);
     auto first = std::lower_bound(times.begin(), times.end(), tmin);
     auto last = std::lower_bound(times.begin(), times.end(), tmax);
     for (auto it = first; it != last; ++it) {
+      if (Status s = budget_->Visit(); !s.ok()) {
+        return Result<TupleSet>(s);
+      }
       size_t j = order[static_cast<size_t>(it - times.begin())];
       const auto& rrow = right.rows()[j];
       // Re-check the driving relationship exactly (lo=0 'within' etc.).

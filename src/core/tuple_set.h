@@ -18,12 +18,15 @@
 namespace aiql {
 
 // Cardinality guard for query execution, plus the run's stop check at a
-// coarse row cadence. The paper's baseline measurements cap queries at one
+// fixed row cadence. The paper's baseline measurements cap queries at one
 // hour; benches use much smaller budgets. `stop` (optional, not owned) is the
-// run's ScanContext: joins abort at the next time check after it is cancelled
-// or its deadline passes.
+// run's ScanContext: joins abort at the next check after it is cancelled or
+// its deadline passes.
 class BudgetGuard {
  public:
+  // The stop context is checked once per this many produced or visited rows.
+  static constexpr size_t kStopCheckRows = 1024;
+
   BudgetGuard() = default;
   BudgetGuard(size_t max_rows, const ScanContext* stop) : max_rows_(max_rows), stop_(stop) {}
 
@@ -31,12 +34,24 @@ class BudgetGuard {
   // after cancellation.
   Status Charge(size_t produced);
 
+  // Registers `rows` a join built, probed or tried without necessarily
+  // producing anything, so a join whose probes mostly fail still stops
+  // promptly. Visits never count toward the budget or rows_produced().
+  Status Visit(size_t rows = 1) {
+    since_stop_check_ += rows;
+    if (since_stop_check_ < kStopCheckRows || stop_ == nullptr) {
+      return Status::Ok();
+    }
+    since_stop_check_ = 0;
+    return stop_->StopStatus();
+  }
+
   size_t rows_produced() const { return rows_; }
 
  private:
   size_t max_rows_ = 0;  // 0 = unlimited
   size_t rows_ = 0;
-  size_t since_time_check_ = 0;
+  size_t since_stop_check_ = 0;
   const ScanContext* stop_ = nullptr;
 };
 

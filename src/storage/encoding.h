@@ -18,10 +18,29 @@
 //              widen the frame slightly instead of blowing it up — no
 //              zigzag transform is involved.
 //
-// EncodeIntsAdaptive encodes with both and keeps the smaller — per column,
-// per partition, no tuning knob. Blocks are kEncodingBlock values, so decode
-// is a tight unpack loop and a whole column decodes in one pass
-// (the archive tier decodes per column, on demand; see partition.h).
+// Layout. A column is a directory of kEncodingBlock-value blocks over one
+// word array. Each block packs its values LSB-first at one width, starting
+// word-aligned at its word_offset, so blocks are independently addressable.
+// A block that packs at least one bit ends one word past the word holding
+// its last value's first bit (a spare, all-zero word when the last value
+// does not straddle); only the column's final block is trimmed to the words
+// its bits touch. That spare-word rule is part of the format: the word array
+// is byte-identical to the original per-value writer's
+// (tests/reference_codec.h pins it).
+//
+// Kernels. 64 values of W bits fill exactly W words, so packing and
+// unpacking run a table of 65 width-specialized kernels (W = 0..64), each
+// moving 64 values per step with compile-time shifts only and never touching
+// a word outside its W. A block's tail shorter than 64 values goes through
+// the scalar straddling read/write. DecodeIntsInto unpacks a block into a
+// 1024-entry stack buffer, then adds the FOR base (or runs the delta prefix
+// sum) into the typed column.
+//
+// Codec choice. EncodeIntsAdaptive plans both codecs' per-block base and
+// width in one pass each, keeps the one with fewer packed words (delta only
+// when strictly smaller), and packs once — per column, per partition, no
+// tuning knob. The archive tier decodes whole columns on demand (see
+// partition.h).
 //
 // EncodedStrings is the matching dictionary + length encoding for string
 // columns: distinct strings stored once in a contiguous heap, per-row values
@@ -69,57 +88,44 @@ struct EncodedInts {
 };
 
 EncodedInts EncodeInts(const int64_t* v, size_t n, IntCodec codec);
-// Encodes with both codecs and returns whichever packs smaller.
+// Plans both codecs and packs whichever needs fewer words (FOR on a tie).
 EncodedInts EncodeIntsAdaptive(const int64_t* v, size_t n);
 
-namespace encoding_detail {
-
-inline uint64_t Mask(uint8_t width) {
-  return width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-}
-
-// Fixed-width read at absolute bit offset; values may straddle word pairs.
-inline uint64_t ReadBits(const uint64_t* words, uint64_t bit, uint8_t width) {
-  if (width == 0) {
-    return 0;
-  }
-  const size_t word = static_cast<size_t>(bit >> 6);
-  const unsigned off = static_cast<unsigned>(bit & 63);
-  uint64_t v = words[word] >> off;
-  if (off + width > 64) {
-    v |= words[word + 1] << (64 - off);
-  }
-  return v & Mask(width);
-}
-
-}  // namespace encoding_detail
+// Unpacks n consecutive `width`-bit values (width 0..64) that start at bit 0
+// of `words` into out[0, n). Dispatches to the width's kernel.
+void UnpackBits(const uint64_t* words, unsigned width, size_t n, uint64_t* out);
 
 // Decodes the full column directly into `out` (room for e.count values of any
 // integer/enum type) — the archive tier's per-column decode path, templated
 // so narrow columns skip a widened int64 detour.
 template <typename T>
 void DecodeIntsInto(const EncodedInts& e, T* out) {
-  using encoding_detail::ReadBits;
+  // Left uninitialised on purpose: every block's UnpackBits writes exactly the
+  // entries read after it, and zeroing 8 KB per column measurably slows the
+  // archive decode.
+  uint64_t packed[kEncodingBlock];
   for (size_t blk = 0; blk < e.blocks.size(); ++blk) {
     const EncodedInts::Block& b = e.blocks[blk];
     const size_t lo = blk * kEncodingBlock;
     const size_t m = std::min(kEncodingBlock, static_cast<size_t>(e.count) - lo);
-    const uint64_t* words = e.words.data();
-    uint64_t bit = b.word_offset * 64;
-    if (e.codec == IntCodec::kFor) {
-      const uint64_t base = static_cast<uint64_t>(b.base);
+    const uint64_t* words = e.words.data() + b.word_offset;
+    const uint64_t base = static_cast<uint64_t>(b.base);
+    T* dst = out + lo;
+    if (b.width == 0 && e.codec == IntCodec::kFor) {
+      std::fill_n(dst, m, static_cast<T>(base));  // a constant block
+    } else if (e.codec == IntCodec::kFor) {
+      UnpackBits(words, b.width, m, packed);
       for (size_t i = 0; i < m; ++i) {
-        out[lo + i] = static_cast<T>(base + ReadBits(words, bit, b.width));
-        bit += b.width;
+        dst[i] = static_cast<T>(base + packed[i]);
       }
     } else {
-      const uint64_t base = static_cast<uint64_t>(b.base);
+      // The first value anchors in the directory; m - 1 deltas are packed.
+      UnpackBits(words, b.width, m - 1, packed);
       uint64_t prev = static_cast<uint64_t>(b.first);
-      out[lo] = static_cast<T>(prev);
+      dst[0] = static_cast<T>(prev);
       for (size_t i = 1; i < m; ++i) {
-        prev += base + ReadBits(words, bit, b.width);
-        bit += b.width;
-        out[lo + i] = static_cast<T>(prev);
+        prev += base + packed[i - 1];
+        dst[i] = static_cast<T>(prev);
       }
     }
   }
@@ -129,8 +135,8 @@ void DecodeInts(const EncodedInts& e, int64_t* out);
 
 // Typed column convenience wrappers: values round-trip through int64 (every
 // event column type is a narrower integer or enum).
-template <typename T>
-EncodedInts EncodeColumn(const std::vector<T>& v) {
+template <typename T, typename Alloc>
+EncodedInts EncodeColumn(const std::vector<T, Alloc>& v) {
   std::vector<int64_t> widened(v.size());
   for (size_t i = 0; i < v.size(); ++i) {
     widened[i] = static_cast<int64_t>(v[i]);
@@ -138,8 +144,10 @@ EncodedInts EncodeColumn(const std::vector<T>& v) {
   return EncodeIntsAdaptive(widened.data(), widened.size());
 }
 
-template <typename T>
-void DecodeColumn(const EncodedInts& e, std::vector<T>* out) {
+// With a default-init allocator (EventColumns), the resize leaves the column
+// uninitialised: the decode writes every value.
+template <typename T, typename Alloc>
+void DecodeColumn(const EncodedInts& e, std::vector<T, Alloc>* out) {
   out->resize(e.count);
   DecodeIntsInto(e, out->data());
 }

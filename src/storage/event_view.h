@@ -16,25 +16,57 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/storage/event.h"
 
 namespace aiql {
 
+// std::allocator whose value-less construct default-initialises: resize(n)
+// on a vector of scalars leaves the new elements uninitialised instead of
+// zero-filling them. The archive decode (DecodeColumn) resizes a column and
+// then writes every value, so the zero-fill would be a wasted pass.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+template <typename T>
+using EventColumn = std::vector<T, DefaultInitAllocator<T>>;
+
 // Parallel per-attribute columns; row i across all vectors is one event.
 struct EventColumns {
-  std::vector<int64_t> id;
-  std::vector<int64_t> seq;
-  std::vector<AgentId> agent_id;
-  std::vector<Operation> op;
-  std::vector<EntityType> object_type;
-  std::vector<uint32_t> subject_idx;
-  std::vector<uint32_t> object_idx;
-  std::vector<TimestampMs> start_time;
-  std::vector<TimestampMs> end_time;
-  std::vector<int64_t> amount;
-  std::vector<int32_t> failure_code;
+  EventColumn<int64_t> id;
+  EventColumn<int64_t> seq;
+  EventColumn<AgentId> agent_id;
+  EventColumn<Operation> op;
+  EventColumn<EntityType> object_type;
+  EventColumn<uint32_t> subject_idx;
+  EventColumn<uint32_t> object_idx;
+  EventColumn<TimestampMs> start_time;
+  EventColumn<TimestampMs> end_time;
+  EventColumn<int64_t> amount;
+  EventColumn<int32_t> failure_code;
 
   size_t size() const { return start_time.size(); }
   bool empty() const { return start_time.empty(); }

@@ -1,7 +1,8 @@
 // Archive-tier unit coverage: every codec round-trips exactly on random and
 // adversarial inputs (empty, single row, all-equal, descending ids at equal
 // timestamps, full-range int64), the adaptive pick never loses to either
-// codec, realistic event columns compress well past the 3x target, and the
+// codec, the width-specialized encoder matches the reference codec
+// (tests/reference_codec.h) byte for byte at every width and tail length, realistic event columns compress well past the 3x target, and the
 // two LRU caches (decoded archived partitions, compiled scan plans) hold at
 // most their capacity while counting evictions.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "src/storage/partition.h"
 #include "src/storage/plan_cache.h"
 #include "src/util/rng.h"
+#include "tests/reference_codec.h"
 
 namespace aiql {
 namespace {
@@ -104,6 +106,126 @@ TEST(IntCodecTest, AdaptivePicksTheSmallerCodec) {
     EXPECT_LE(adaptive.EncodedBytes(), delta.EncodedBytes());
   }
   EXPECT_EQ(EncodeIntsAdaptive(sorted.data(), sorted.size()).codec, IntCodec::kDeltaFor);
+}
+
+// --- format oracle -------------------------------------------------------------
+
+enum class Shape { kRandomInWidth, kMinBase, kNearMonotonic };
+
+const char* ShapeName(Shape s) {
+  switch (s) {
+    case Shape::kRandomInWidth:
+      return "random-in-width";
+    case Shape::kMinBase:
+      return "int64-min-base";
+    case Shape::kNearMonotonic:
+      return "near-monotonic";
+  }
+  return "?";
+}
+
+// n values whose FOR (or, for kNearMonotonic, delta) frame is `width` bits.
+std::vector<int64_t> ShapedValues(unsigned width, size_t n, Shape shape, Rng& rng) {
+  const uint64_t mask = width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  const uint64_t kMinU = static_cast<uint64_t>(std::numeric_limits<int64_t>::min());
+  std::vector<int64_t> v(n);
+  uint64_t prev = 1483228800000;  // a ms timestamp
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng.Next() & mask;
+    switch (shape) {
+      case Shape::kRandomInWidth:
+        v[i] = static_cast<int64_t>(r);
+        break;
+      case Shape::kMinBase:
+        v[i] = static_cast<int64_t>(kMinU + r);
+        break;
+      case Shape::kNearMonotonic:
+        prev += r - (mask >> 3);  // mostly rising, some steps back
+        v[i] = static_cast<int64_t>(prev);
+        break;
+    }
+  }
+  if (shape != Shape::kNearMonotonic && n >= 2) {
+    // Pin the frame so the first block packs at exactly `width` bits.
+    const uint64_t lo = shape == Shape::kMinBase ? kMinU : 0;
+    v[0] = static_cast<int64_t>(lo);
+    v[n - 1 < kEncodingBlock ? n - 1 : kEncodingBlock - 1] = static_cast<int64_t>(lo + mask);
+  }
+  return v;
+}
+
+// The width-specialized encoder must produce the reference codec's exact
+// EncodedInts (codec, directory, words — so the spare-word layout and the
+// adaptive tie rule are pinned), and both decoders must recover every input
+// from either encoding. Covers every width 0..64, the 64-value group tails
+// and block boundaries, and all three entry points.
+TEST(IntCodecTest, MatchesTheReferenceCodecByteForByte) {
+  Rng rng(1209);
+  const size_t kLengths[] = {0, 1, 2, 63, 64, 65, 127, 1023, 1024, 1025, 2047, 2049};
+  enum class Entry { kFor, kDeltaFor, kAdaptive };
+  size_t cases = 0;
+  for (unsigned width = 0; width <= 64; ++width) {
+    for (size_t n : kLengths) {
+      for (Shape shape : {Shape::kRandomInWidth, Shape::kMinBase, Shape::kNearMonotonic}) {
+        const std::vector<int64_t> v = ShapedValues(width, n, shape, rng);
+        for (Entry entry : {Entry::kFor, Entry::kDeltaFor, Entry::kAdaptive}) {
+          SCOPED_TRACE(testing::Message() << "width " << width << " n " << n << " "
+                                          << ShapeName(shape) << " entry "
+                                          << static_cast<int>(entry));
+          EncodedInts got, want;
+          if (entry == Entry::kAdaptive) {
+            got = EncodeIntsAdaptive(v.data(), n);
+            want = reference::EncodeIntsAdaptive(v.data(), n);
+          } else {
+            const IntCodec codec = entry == Entry::kFor ? IntCodec::kFor : IntCodec::kDeltaFor;
+            got = EncodeInts(v.data(), n, codec);
+            want = reference::EncodeInts(v.data(), n, codec);
+          }
+          ASSERT_EQ(got.codec, want.codec);
+          ASSERT_EQ(got.count, want.count);
+          ASSERT_EQ(got.blocks.size(), want.blocks.size());
+          for (size_t b = 0; b < want.blocks.size(); ++b) {
+            ASSERT_EQ(got.blocks[b].base, want.blocks[b].base) << "block " << b;
+            ASSERT_EQ(got.blocks[b].first, want.blocks[b].first) << "block " << b;
+            ASSERT_EQ(got.blocks[b].word_offset, want.blocks[b].word_offset) << "block " << b;
+            ASSERT_EQ(got.blocks[b].width, want.blocks[b].width) << "block " << b;
+          }
+          ASSERT_EQ(got.words, want.words);
+          // The first block runs the kernel under test (at width 64 only the
+          // INT64_MIN-based frame spans the full signed range).
+          if (entry == Entry::kFor && n >= 2 &&
+              (shape == Shape::kMinBase || (shape == Shape::kRandomInWidth && width < 64))) {
+            ASSERT_EQ(got.blocks[0].width, width);
+          }
+
+          std::vector<int64_t> out(n, 0x5a5a5a5a);
+          DecodeInts(got, out.data());
+          ASSERT_EQ(out, v) << "kernel decoder";
+          std::vector<int64_t> ref_out(n, 0x5a5a5a5a);
+          reference::DecodeInts(got, ref_out.data());
+          ASSERT_EQ(ref_out, v) << "reference decoder";
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 65u * 12 * 3 * 3);
+}
+
+// Narrow typed columns decode through the same kernels without an int64
+// detour, into uninitialised EventColumns storage.
+TEST(IntCodecTest, TypedColumnDecodeMatchesTheReference) {
+  Rng rng(7);
+  for (unsigned width : {0u, 1u, 7u, 8u, 13u, 31u, 32u}) {
+    std::vector<uint32_t> v(2049);
+    for (uint32_t& x : v) {
+      x = static_cast<uint32_t>(rng.Next() & ((uint64_t{1} << width) - 1));
+    }
+    EncodedInts e = EncodeColumn(v);
+    EventColumn<uint32_t> out;
+    DecodeColumn(e, &out);
+    ASSERT_EQ(std::vector<uint32_t>(out.begin(), out.end()), v) << "width " << width;
+  }
 }
 
 TEST(StringCodecTest, DictionaryRoundTrips) {

@@ -222,8 +222,9 @@ TEST_F(EngineTest, BudgetAborts) {
   EXPECT_NE(r.error().find("budget"), std::string::npos);
 }
 
-// The join budget stops on the run's ScanContext at its 4096-row check
-// cadence, with the same diagnostics as every other layer.
+// The join budget stops on the run's ScanContext at its row check cadence
+// (BudgetGuard::kStopCheckRows), with the same diagnostics as every other
+// layer.
 TEST(BudgetGuardTest, ChargeStopsOnACancelledOrExpiredContext) {
   std::atomic<bool> cancel{true};
   const ScanContext cancelled{.cancel = &cancel};
@@ -246,6 +247,80 @@ TEST(BudgetGuardTest, ChargeStopsOnACancelledOrExpiredContext) {
     } else {
       EXPECT_EQ(s.message(), c.error);
     }
+  }
+}
+
+// A join that examines many rows but emits none (every probe misses its
+// bucket, fails a residual relationship or falls outside the temporal window,
+// or the build side alone is large) still sees a cancelled run: the stop
+// check runs over visited rows, not only over produced ones, and visits
+// charge nothing to the budget.
+TEST(TupleJoinerTest, JoinsThatEmitNothingStopOnCancellation) {
+  constexpr size_t kRows = 100000;
+  const EntityCatalog catalog;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  // The big side: kRows events with amount 7, all after the small side's
+  // single event (at t0, with amount `small_amount`).
+  std::vector<Event> big(kRows);
+  for (Event& e : big) {
+    e.start_time = t0 + 1000;
+    e.amount = 7;
+  }
+  std::vector<Event> small(1);
+  small[0].start_time = t0;
+  auto matches = [](size_t pattern, const std::vector<Event>& events) {
+    std::vector<EventView> views;
+    for (const Event& e : events) {
+      views.emplace_back(&e);
+    }
+    return TupleSet::FromMatches(pattern, std::move(views));
+  };
+  auto same_amount = [] {
+    Relationship r;
+    r.attr = AttrRelation{.left_pattern = 0, .left_side = RefSide::kEvent,
+                          .left_attr = "amount", .right_pattern = 1,
+                          .right_side = RefSide::kEvent, .right_attr = "amount"};
+    return r;
+  };
+  auto big_before_small = [](size_t big_pattern) {  // never true here
+    Relationship r;
+    r.kind = Relationship::Kind::kTemp;
+    r.temp = TempRelation{.left_pattern = big_pattern, .right_pattern = 1 - big_pattern};
+    return r;
+  };
+
+  struct Case {
+    const char* name;
+    bool big_left;  // the big side probes (left) or is built (right)
+    int64_t small_amount;
+    std::vector<Relationship> rels;
+  };
+  const Case cases[] = {
+      {"hash probes miss every bucket", true, 8, {same_amount()}},
+      {"hash probes fail the residual", true, 7, {same_amount(), big_before_small(0)}},
+      {"hash build side is big", false, 8, {same_amount()}},
+      {"temporal probes find no window", true, 7, {big_before_small(0)}},
+      {"temporal build side is big", false, 7, {big_before_small(1)}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    small[0].amount = c.small_amount;
+    const TupleSet left = c.big_left ? matches(0, big) : matches(0, small);
+    const TupleSet right = c.big_left ? matches(1, small) : matches(1, big);
+    std::atomic<bool> cancel{false};
+    const ScanContext ctx{.cancel = &cancel};
+    {
+      BudgetGuard live(/*max_rows=*/0, &ctx);
+      auto r = TupleJoiner(catalog, &live, JoinStrategy{}).Join(left, right, c.rels);
+      ASSERT_TRUE(r.ok()) << r.error();
+      EXPECT_EQ(r.value().num_rows(), 0u);
+    }
+    cancel = true;
+    BudgetGuard guard(/*max_rows=*/0, &ctx);
+    auto r = TupleJoiner(catalog, &guard, JoinStrategy{}).Join(left, right, c.rels);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), "execution cancelled");
+    EXPECT_EQ(guard.rows_produced(), 0u);
   }
 }
 
