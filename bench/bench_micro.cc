@@ -307,8 +307,8 @@ void BM_Join(benchmark::State& state) {
   Relationship rel;
   if (state.range(0) == 0) {  // equality hash join on subject id
     rel.kind = Relationship::Kind::kAttr;
-    rel.attr = AttrRelation{0, RefSide::kSubject, "id", CmpOp::kEq, 1, RefSide::kSubject, "id",
-                            false};
+    const AttrDef* id = FindAttr(AttrOwner::kProcess, "id");
+    rel.attr = AttrRelation{0, RefSide::kSubject, id, CmpOp::kEq, 1, RefSide::kSubject, id, false};
   } else {  // temporal join
     rel.kind = Relationship::Kind::kTemp;
     rel.temp = TempRelation{0, 1, ast::TempOrder::kBefore, std::nullopt, DurationMs{kMinuteMs}};

@@ -224,7 +224,7 @@ class CompiledProjector {
   struct RowColumn {
     uint32_t col = 0;
     RefSide side = RefSide::kSubject;
-    std::string attr;
+    const AttrDef* attr = nullptr;
     EventView last;                     // the event read last (joined rows repeat events)
     Scalar value;                       // its value
     FlatKeyTable entities{1};           // (entity type << 32 | idx) -> id

@@ -1,26 +1,20 @@
 #include "src/core/eval.h"
 
-#include <optional>
-
 namespace aiql {
 
-Value EndpointValue(const EventView& e, RefSide side, const std::string& attr,
+Value EndpointValue(const EventView& e, RefSide side, const AttrDef* attr,
                     const EntityCatalog& catalog) {
-  std::optional<Value> v;
   switch (side) {
     case RefSide::kSubject:
-      v = catalog.AttrOf(EntityType::kProcess, e.subject_idx(), attr);
-      break;
+      return ReadAttr(attr, catalog, EntityType::kProcess, e.subject_idx());
     case RefSide::kObject:
-      v = catalog.AttrOf(e.object_type(), e.object_idx(), attr);
-      break;
+      return ReadAttr(attr, catalog, e.object_type(), e.object_idx());
     case RefSide::kEvent:
-      v = GetEventAttr(e, catalog, attr);
-      break;
+      return ReadAttr(attr, e, catalog);
     case RefSide::kAlias:
       break;
   }
-  return v.value_or(Value());
+  return Value();
 }
 
 bool CheckAttrRel(const AttrRelation& rel, const EventView& le, const EventView& re,

@@ -13,8 +13,9 @@
 namespace aiql {
 
 // Value of a pattern endpoint (subject/object entity attribute or event
-// attribute) for a concrete matched event.
-Value EndpointValue(const EventView& e, RefSide side, const std::string& attr,
+// attribute, resolved to its schema row by inference) for a concrete matched
+// event.
+Value EndpointValue(const EventView& e, RefSide side, const AttrDef* attr,
                     const EntityCatalog& catalog);
 
 // True if the two concrete events satisfy the relationship. `le` matches the

@@ -222,9 +222,9 @@ class MultieventExecutor {
     if (rel.kind == Relationship::Kind::kAttr && rel.attr.IsEquiJoin()) {
       bool target_is_left = rel.attr.left_pattern == target;
       RefSide target_side = target_is_left ? rel.attr.left_side : rel.attr.right_side;
-      const std::string& target_attr = target_is_left ? rel.attr.left_attr : rel.attr.right_attr;
+      const AttrDef* target_attr = target_is_left ? rel.attr.left_attr : rel.attr.right_attr;
       RefSide source_side = target_is_left ? rel.attr.right_side : rel.attr.left_side;
-      const std::string& source_attr = target_is_left ? rel.attr.right_attr : rel.attr.left_attr;
+      const AttrDef* source_attr = target_is_left ? rel.attr.right_attr : rel.attr.left_attr;
 
       std::unordered_set<Value, ValueHash> distinct;
       for (const auto& row : known.rows()) {
@@ -234,7 +234,8 @@ class MultieventExecutor {
         }
       }
       std::vector<Value> values(distinct.begin(), distinct.end());
-      PredExpr in_pred = PredExpr::Leaf(AttrPredicate::In(target_attr, std::move(values)));
+      PredExpr in_pred =
+          PredExpr::Leaf(AttrPredicate::In(std::string(target_attr->name), std::move(values)));
       switch (target_side) {
         case RefSide::kSubject:
           q->subject_pred = PredExpr::And(std::move(q->subject_pred), std::move(in_pred));

@@ -316,7 +316,7 @@ void CompiledProjector::Compile(const Expr& e, const Scope& scope, Program* out)
       return;
     case Expr::Kind::kVarRef:
       if (e.resolved.has_value() && e.resolved->side == RefSide::kAlias) {
-        EmitLookup(e.resolved->attr, scope, out);
+        EmitLookup(e.resolved->alias, scope, out);
       } else if (e.resolved.has_value() && scope.present) {
         // A pattern the rows do not bind reads null.
         const int col = rows_.ColumnOf(e.resolved->pattern);

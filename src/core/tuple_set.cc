@@ -140,8 +140,8 @@ Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& rig
   size_t rpat = left_has_lhs ? rel.right_pattern : rel.left_pattern;
   RefSide lside = left_has_lhs ? rel.left_side : rel.right_side;
   RefSide rside = left_has_lhs ? rel.right_side : rel.left_side;
-  const std::string& lattr = left_has_lhs ? rel.left_attr : rel.right_attr;
-  const std::string& rattr = left_has_lhs ? rel.right_attr : rel.left_attr;
+  const AttrDef* lattr = left_has_lhs ? rel.left_attr : rel.right_attr;
+  const AttrDef* rattr = left_has_lhs ? rel.right_attr : rel.left_attr;
   int lcol = left.ColumnOf(lpat);
   int rcol = right.ColumnOf(rpat);
 

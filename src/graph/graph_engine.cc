@@ -53,13 +53,13 @@ class Matcher {
       return false;
     }
     // Spatial/temporal constraints via edge properties (graph-store cost).
-    auto ts = rel.props.find("start_time");
+    auto ts = rel.props.find(start_time_key_);
     TimestampMs t = ts != rel.props.end() ? ts->second.as_int() : 0;
     if (!q.EffectiveTime().Contains(t)) {
       return false;
     }
     if (q.agent_ids.has_value()) {
-      auto ag = rel.props.find("agentid");
+      auto ag = rel.props.find(agentid_key_);
       AgentId a = ag != rel.props.end() ? static_cast<AgentId>(ag->second.as_int()) : 0;
       bool found = false;
       for (AgentId want : *q.agent_ids) {
@@ -136,10 +136,10 @@ class Matcher {
       return graph_.node(obj->second).in_rels;
     }
     // Anchor via label+property index when an equality value exists.
-    std::vector<Value> anchor = q.object_pred.EqualityValuesFor(DefaultAttribute(q.object_type));
+    std::vector<Value> anchor = q.object_pred.EqualityValuesFor(DefaultAttr(q.object_type).name);
     bool anchor_is_object = !anchor.empty();
     if (anchor.empty()) {
-      anchor = q.subject_pred.EqualityValuesFor(DefaultAttribute(EntityType::kProcess));
+      anchor = q.subject_pred.EqualityValuesFor(DefaultAttr(EntityType::kProcess).name);
     }
     if (!anchor.empty()) {
       std::vector<uint32_t> rels;
@@ -225,6 +225,9 @@ class Matcher {
   size_t max_work_;
   GraphExecStats* stats_;
   ScanContext stop_;  // the run's deadline (no cancellation flag)
+  // Edge property keys read directly: the schema's canonical names.
+  const std::string start_time_key_{ColumnAttr(EventColumnId::kStartTime)->name};
+  const std::string agentid_key_{ColumnAttr(EventColumnId::kAgentId)->name};
 
   std::unordered_map<std::string, uint32_t> bindings_;
   std::vector<const Event*> chosen_;

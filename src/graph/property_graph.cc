@@ -9,36 +9,13 @@ uint64_t EntityKey(EntityType t, uint32_t idx) {
   return (static_cast<uint64_t>(t) << 32) | idx;
 }
 
+// One property per schema attribute of the owner, keyed by canonical name.
 std::unordered_map<std::string, Value> EntityProps(const EntityCatalog& catalog, EntityType t,
                                                    uint32_t idx) {
-  static const char* kFileAttrs[] = {"name", "id", "agentid", "owner", "group"};
-  static const char* kProcAttrs[] = {"exe_name", "id", "agentid", "pid", "user", "cmd",
-                                     "signature"};
-  static const char* kNetAttrs[] = {"dst_ip", "id", "agentid", "src_ip", "src_port", "dst_port",
-                                    "protocol"};
   std::unordered_map<std::string, Value> props;
-  const char** attrs;
-  size_t n;
-  switch (t) {
-    case EntityType::kFile:
-      attrs = kFileAttrs;
-      n = std::size(kFileAttrs);
-      break;
-    case EntityType::kProcess:
-      attrs = kProcAttrs;
-      n = std::size(kProcAttrs);
-      break;
-    case EntityType::kNetwork:
-      attrs = kNetAttrs;
-      n = std::size(kNetAttrs);
-      break;
-    default:
-      return props;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    auto v = catalog.AttrOf(t, idx, attrs[i]);
-    if (v.has_value()) {
-      props.emplace(attrs[i], std::move(*v));
+  for (const AttrDef& a : AttrTable()) {
+    if (a.owner == OwnerOf(t)) {
+      props.emplace(a.name, a.entity(catalog, idx));
     }
   }
   return props;
@@ -59,7 +36,7 @@ void PropertyGraph::BuildFrom(const Database& db) {
       node.props = EntityProps(catalog, t, i);
       uint32_t id = static_cast<uint32_t>(nodes_.size());
       node_of_entity_[EntityKey(t, i)] = id;
-      auto dv = node.props.find(DefaultAttribute(t));
+      auto dv = node.props.find(std::string(DefaultAttr(t).name));
       if (dv != node.props.end()) {
         property_index_[static_cast<int>(t)][ToLower(dv->second.ToString())].push_back(id);
       }
@@ -76,13 +53,11 @@ void PropertyGraph::BuildFrom(const Database& db) {
     rel.src = node_of_entity_.at(EntityKey(EntityType::kProcess, e.subject_idx));
     rel.dst = node_of_entity_.at(EntityKey(e.object_type, e.object_idx));
     rel.origin = e;
-    rel.props.emplace("id", Value(e.id));
-    rel.props.emplace("agentid", Value(static_cast<int64_t>(e.agent_id)));
-    rel.props.emplace("start_time", Value(e.start_time));
-    rel.props.emplace("end_time", Value(e.end_time));
-    rel.props.emplace("amount", Value(e.amount));
-    rel.props.emplace("optype", Value(OperationName(e.op)));
-    rel.props.emplace("failure_code", Value(static_cast<int64_t>(e.failure_code)));
+    for (const AttrDef& a : AttrTable()) {
+      if (a.owner == AttrOwner::kEvent) {
+        rel.props.emplace(a.name, a.event(EventView(&e), catalog));
+      }
+    }
     uint32_t rid = static_cast<uint32_t>(rels_.size());
     nodes_[rel.src].out_rels.push_back(rid);
     nodes_[rel.dst].in_rels.push_back(rid);

@@ -15,13 +15,16 @@
 
 namespace aiql {
 
+struct AttrDef;  // src/storage/schema.h
+
 // Where a resolved variable reference points.
 enum class RefSide : uint8_t { kSubject, kObject, kEvent, kAlias };
 
 struct ResolvedRef {
   size_t pattern = 0;   // event-pattern index (unused for kAlias)
   RefSide side = RefSide::kSubject;
-  std::string attr;     // resolved attribute (or alias name for kAlias)
+  const AttrDef* attr = nullptr;  // the attribute read (kSubject/kObject/kEvent)
+  std::string alias;              // the return alias (kAlias)
 };
 
 enum class BinOp : uint8_t {

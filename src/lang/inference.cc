@@ -22,45 +22,33 @@ Status LineError(int line, const std::string& message) {
   return Status::Error("line " + std::to_string(line) + ": " + message);
 }
 
-// Fills empty attribute names with the entity type's default attribute and
-// validates the rest (paper: "default attribute names will be inferred if
-// users specify only attribute values in an event pattern").
-Status ResolveEntityPred(PredExpr* pred, EntityType type, int line) {
+// Rewrites every attribute name of `pred` to its canonical spelling, filling
+// empty names of entity constraints with the type's default attribute
+// (paper: "default attribute names will be inferred if users specify only
+// attribute values in an event pattern").
+Status CanonicalizePred(PredExpr* pred, AttrOwner owner, int line) {
   if (pred->kind() == PredExpr::Kind::kLeaf) {
     AttrPredicate* leaf = pred->mutable_leaf();
+    const bool event = owner == AttrOwner::kEvent;
     if (leaf->attr.empty()) {
-      leaf->attr = DefaultAttribute(type);
+      if (event) {
+        return LineError(line, "event constraints need explicit attribute names");
+      }
+      leaf->attr = DefaultAttr(static_cast<EntityType>(owner)).name;
     }
-    leaf->attr = CanonicalAttrName(leaf->attr);
-    if (!IsEntityAttr(type, leaf->attr)) {
-      return LineError(line, "'" + leaf->attr + "' is not an attribute of " +
-                                 EntityTypeName(type) + " entities");
-    }
-    return Status::Ok();
-  }
-  for (PredExpr& child : *pred->mutable_children()) {
-    Status s = ResolveEntityPred(&child, type, line);
-    if (!s.ok()) {
-      return s;
-    }
-  }
-  return Status::Ok();
-}
-
-Status ResolveEventPred(PredExpr* pred, int line) {
-  if (pred->kind() == PredExpr::Kind::kLeaf) {
-    AttrPredicate* leaf = pred->mutable_leaf();
-    if (leaf->attr.empty()) {
-      return LineError(line, "event constraints need explicit attribute names");
-    }
-    leaf->attr = CanonicalAttrName(leaf->attr);
-    if (!IsEventAttr(leaf->attr)) {
+    const AttrDef* attr = FindAttr(owner, leaf->attr);
+    if (attr == nullptr && event) {
       return LineError(line, "'" + leaf->attr + "' is not an event attribute");
     }
+    if (attr == nullptr) {
+      return LineError(line, "'" + leaf->attr + "' is not an attribute of " +
+                                 EntityTypeName(static_cast<EntityType>(owner)) + " entities");
+    }
+    leaf->attr = attr->name;
     return Status::Ok();
   }
   for (PredExpr& child : *pred->mutable_children()) {
-    Status s = ResolveEventPred(&child, line);
+    Status s = CanonicalizePred(&child, owner, line);
     if (!s.ok()) {
       return s;
     }
@@ -69,11 +57,9 @@ Status ResolveEventPred(PredExpr* pred, int line) {
 }
 
 // Extracts agent ids pinned by equality/IN on agentid for partition pruning.
+// `pred` is canonicalized, so "agentid" is the only spelling left.
 std::optional<std::vector<AgentId>> AgentIdsFromPred(const PredExpr& pred) {
   std::vector<Value> values = pred.EqualityValuesFor("agentid");
-  if (values.empty()) {
-    values = pred.EqualityValuesFor("agent_id");
-  }
   if (values.empty()) {
     return std::nullopt;
   }
@@ -174,34 +160,39 @@ class Resolver {
     ctx_.global_time = time;
     ctx_.window = global.window;
     ctx_.step = global.step;
-    ctx_.global_agents = AgentIdsFromPred(global.constraint);
 
     // Non-agent global constraints apply to every pattern's event predicate.
-    if (!global.constraint.is_true()) {
-      Status s = CollectGlobalEventPreds(global.constraint);
+    PredExpr constraint = global.constraint;
+    if (!constraint.is_true()) {
+      Status s = CollectGlobalEventPreds(&constraint);
       if (!s.ok()) {
         return s;
       }
     }
+    ctx_.global_agents = AgentIdsFromPred(constraint);
     return Status::Ok();
   }
 
-  Status CollectGlobalEventPreds(const PredExpr& pred) {
-    if (pred.kind() == PredExpr::Kind::kLeaf) {
-      const AttrPredicate& leaf = pred.leaf();
-      if (leaf.attr == "agentid" || leaf.attr == "agent_id") {
-        return Status::Ok();  // handled via global_agents
-      }
-      if (!IsEventAttr(leaf.attr)) {
-        return Status::Error("global constraint on '" + leaf.attr +
+  // Canonicalizes the global constraint in place and collects its non-agent
+  // leaves into global_event_pred_.
+  Status CollectGlobalEventPreds(PredExpr* pred) {
+    if (pred->kind() == PredExpr::Kind::kLeaf) {
+      AttrPredicate* leaf = pred->mutable_leaf();
+      const AttrDef* attr = FindAttr(AttrOwner::kEvent, leaf->attr);
+      if (attr == nullptr) {
+        return Status::Error("global constraint on '" + leaf->attr +
                              "' is not an event attribute");
       }
-      global_event_pred_ = PredExpr::And(std::move(global_event_pred_), PredExpr::Leaf(leaf));
+      leaf->attr = attr->name;
+      if (attr->column == EventColumnId::kAgentId) {
+        return Status::Ok();  // handled via global_agents
+      }
+      global_event_pred_ = PredExpr::And(std::move(global_event_pred_), *pred);
       return Status::Ok();
     }
-    if (pred.kind() == PredExpr::Kind::kAnd) {
-      for (const PredExpr& child : pred.children()) {
-        Status s = CollectGlobalEventPreds(child);
+    if (pred->kind() == PredExpr::Kind::kAnd) {
+      for (PredExpr& child : *pred->mutable_children()) {
+        Status s = CollectGlobalEventPreds(&child);
         if (!s.ok()) {
           return s;
         }
@@ -228,14 +219,15 @@ class Resolver {
     if (prev_pattern == pattern && prev_side == side) {
       return Status::Ok();
     }
+    const AttrDef* id = FindAttr(OwnerOf(type), "id");
     AttrRelation rel;
     rel.left_pattern = prev_pattern;
     rel.left_side = prev_side;
-    rel.left_attr = "id";
+    rel.left_attr = id;
     rel.op = CmpOp::kEq;
     rel.right_pattern = pattern;
     rel.right_side = side;
-    rel.right_attr = "id";
+    rel.right_attr = id;
     rel.implicit = true;
     ctx_.attr_rels.push_back(rel);
     last_occurrence_[var] = {pattern, side};
@@ -273,17 +265,17 @@ class Resolver {
       q.op_mask = p.ops;
       q.object_type = p.object.type;
       q.subject_pred = p.subject.constraint;
-      s = ResolveEntityPred(&q.subject_pred, EntityType::kProcess, p.line);
+      s = CanonicalizePred(&q.subject_pred, AttrOwner::kProcess, p.line);
       if (!s.ok()) {
         return s;
       }
       q.object_pred = p.object.constraint;
-      s = ResolveEntityPred(&q.object_pred, p.object.type, p.line);
+      s = CanonicalizePred(&q.object_pred, OwnerOf(p.object.type), p.line);
       if (!s.ok()) {
         return s;
       }
       q.event_pred = p.evt_constraint;
-      s = ResolveEventPred(&q.event_pred, p.line);
+      s = CanonicalizePred(&q.event_pred, AttrOwner::kEvent, p.line);
       if (!s.ok()) {
         return s;
       }
@@ -313,21 +305,17 @@ class Resolver {
   }
 
   Status ResolveEndpoint(const std::string& id, const std::string& attr, int line,
-                         size_t* pattern, RefSide* side, std::string* out_attr) {
+                         size_t* pattern, RefSide* side, const AttrDef** out_attr) {
     auto b = bindings_.find(id);
     if (b != bindings_.end()) {
       *pattern = b->second.pattern;
       *side = b->second.side;
-      if (attr.empty()) {
-        *out_attr = "id";  // paper: "id will be used as the default attribute"
-      } else {
-        EntityType t = b->second.type;
-        std::string canonical = CanonicalAttrName(attr);
-        if (!IsEntityAttr(t, canonical)) {
-          return LineError(line, "'" + attr + "' is not an attribute of " + EntityTypeName(t) +
-                                     " entity '" + id + "'");
-        }
-        *out_attr = canonical;
+      EntityType t = b->second.type;
+      // paper: "id will be used as the default attribute"
+      *out_attr = FindAttr(OwnerOf(t), attr.empty() ? "id" : attr);
+      if (*out_attr == nullptr) {
+        return LineError(line, "'" + attr + "' is not an attribute of " + EntityTypeName(t) +
+                                   " entity '" + id + "'");
       }
       return Status::Ok();
     }
@@ -339,11 +327,10 @@ class Resolver {
         return LineError(line, "event reference '" + id + "' needs an attribute, e.g. '" + id +
                                    ".amount'");
       }
-      std::string canonical = CanonicalAttrName(attr);
-      if (!IsEventAttr(canonical)) {
+      *out_attr = FindAttr(AttrOwner::kEvent, attr);
+      if (*out_attr == nullptr) {
         return LineError(line, "'" + attr + "' is not an event attribute");
       }
-      *out_attr = canonical;
       return Status::Ok();
     }
     return LineError(line, "unknown identifier '" + id + "' in relationship");
@@ -396,28 +383,29 @@ class Resolver {
         return LineError(e->line, "unbound parameter $" + e->name);
       case Expr::Kind::kVarRef: {
         if (aliases_visible && e->attr.empty() && aliases_.count(e->name) > 0) {
-          e->resolved = ResolvedRef{0, RefSide::kAlias, e->name};
+          e->resolved = ResolvedRef{.side = RefSide::kAlias, .alias = e->name};
           return Status::Ok();
         }
         auto b = bindings_.find(e->name);
         if (b != bindings_.end()) {
-          std::string attr = CanonicalAttrName(e->attr);
-          if (attr.empty()) {
-            attr = DefaultAttribute(b->second.type);  // return p2 -> p2.exe_name
-          } else if (!IsEntityAttr(b->second.type, attr)) {
-            return Status::Error("'" + attr + "' is not an attribute of entity '" + e->name +
+          const EntityType t = b->second.type;
+          // return p2 -> p2.exe_name
+          const AttrDef* attr =
+              e->attr.empty() ? &DefaultAttr(t) : FindAttr(OwnerOf(t), e->attr);
+          if (attr == nullptr) {
+            return Status::Error("'" + e->attr + "' is not an attribute of entity '" + e->name +
                                  "'");
           }
-          e->resolved = ResolvedRef{b->second.pattern, b->second.side, attr};
+          e->resolved = ResolvedRef{b->second.pattern, b->second.side, attr, {}};
           return Status::Ok();
         }
         auto ev = evt_ids_.find(e->name);
         if (ev != evt_ids_.end()) {
-          std::string attr = e->attr.empty() ? "id" : CanonicalAttrName(e->attr);
-          if (!IsEventAttr(attr)) {
-            return Status::Error("'" + attr + "' is not an event attribute");
+          const AttrDef* attr = FindAttr(AttrOwner::kEvent, e->attr.empty() ? "id" : e->attr);
+          if (attr == nullptr) {
+            return Status::Error("'" + e->attr + "' is not an event attribute");
           }
-          e->resolved = ResolvedRef{ev->second, RefSide::kEvent, attr};
+          e->resolved = ResolvedRef{ev->second, RefSide::kEvent, attr, {}};
           return Status::Ok();
         }
         if (aliases_visible) {
@@ -433,7 +421,7 @@ class Resolver {
         if (!ctx_.window.has_value()) {
           return Status::Error("history references need a sliding window (window = ...)");
         }
-        e->resolved = ResolvedRef{0, RefSide::kAlias, e->name};
+        e->resolved = ResolvedRef{.side = RefSide::kAlias, .alias = e->name};
         return Status::Ok();
       }
       case Expr::Kind::kCall: {
@@ -449,7 +437,8 @@ class Resolver {
             return Status::Error("the first argument of " + e->func +
                                  "() must be a return alias");
           }
-          e->children[0].resolved = ResolvedRef{0, RefSide::kAlias, e->children[0].name};
+          e->children[0].resolved =
+              ResolvedRef{.side = RefSide::kAlias, .alias = e->children[0].name};
           return Status::Ok();
         }
         for (Expr& arg : e->children) {

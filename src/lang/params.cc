@@ -21,51 +21,114 @@ namespace {
 
 std::string LinePrefix(int line) { return "line " + std::to_string(line) + ": "; }
 
-// Shared traversal order for the collector and the binder: global constraint,
-// global time windows, then the query body's predicates, pattern windows, and
-// return/filter expressions. Visiting both bodies is harmless — the inactive
-// one is default-constructed and contains no parameters.
-class Collector {
+const AttrPredicate& LeafOf(const PredExpr& p) { return p.leaf(); }
+AttrPredicate& LeafOf(PredExpr& p) { return *p.mutable_leaf(); }
+const std::vector<PredExpr>& ChildrenOf(const PredExpr& p) { return p.children(); }
+std::vector<PredExpr>& ChildrenOf(PredExpr& p) { return *p.mutable_children(); }
+
+// The one traversal of a query's parameter sites, shared by the collector
+// and the binder so both see parameters in the same first-occurrence order:
+// global constraint, global time windows, then the query body's predicates,
+// pattern windows, and return/filter expressions. Visiting both bodies is
+// harmless: the inactive one is default-constructed and holds no
+// parameters. `Query` is ast::Query or const ast::Query, and the visitor's
+// Leaf(AttrPredicate&), Window(TimeWindowSpec&) and Param(Expr&) hooks get
+// the same constness; the first hook to return an error ends the walk.
+template <typename Visitor>
+class ParamWalk {
  public:
-  std::vector<ParamInfo> Run(const ast::Query& q) {
+  explicit ParamWalk(Visitor* visitor) : visitor_(visitor) {}
+
+  template <typename Query>
+  Status Run(Query& q) {
     Pred(q.global.constraint);
-    for (const ast::TimeWindowSpec& w : q.global.time_windows) {
+    for (auto& w : q.global.time_windows) {
       Window(w);
     }
-    Multievent(q.multievent);
-    Dependency(q.dependency);
-    return std::move(out_);
+    for (auto& p : q.multievent.patterns) {
+      Pred(p.subject.constraint);
+      Pred(p.object.constraint);
+      Pred(p.evt_constraint);
+      if (p.time_window.has_value()) {
+        Window(*p.time_window);
+      }
+    }
+    ReturnAndFilters(q.multievent.ret, q.multievent.filters);
+    for (auto& node : q.dependency.nodes) {
+      Pred(node.constraint);
+    }
+    ReturnAndFilters(q.dependency.ret, q.dependency.filters);
+    return status_;
   }
 
  private:
-  void Add(const std::string& name, ParamType type, int line) {
-    auto it = index_.find(name);
-    if (it == index_.end()) {
-      index_[name] = out_.size();
-      out_.push_back(ParamInfo{name, type, line});
+  template <typename P>
+  void Pred(P& p) {
+    if (!status_.ok()) {
       return;
     }
-    // A name used both ways keeps the stricter timestamp typing.
-    if (type == ParamType::kTimestamp) {
-      out_[it->second].type = ParamType::kTimestamp;
-    }
-  }
-
-  void Pred(const PredExpr& p) {
     if (p.kind() == PredExpr::Kind::kLeaf) {
-      for (const Value& v : p.leaf().values) {
-        if (v.is_param()) {
-          Add(v.param().name, ParamType::kValue, v.param().line);
-        }
-      }
+      status_ = visitor_->Leaf(LeafOf(p));
       return;
     }
-    for (const PredExpr& child : p.children()) {
+    for (auto& child : ChildrenOf(p)) {
       Pred(child);
     }
   }
 
-  void Window(const ast::TimeWindowSpec& w) {
+  template <typename W>
+  void Window(W& w) {
+    if (status_.ok()) {
+      status_ = visitor_->Window(w);
+    }
+  }
+
+  template <typename E>
+  void ExprWalk(E& e) {
+    if (!status_.ok()) {
+      return;
+    }
+    if (e.kind == Expr::Kind::kParam) {
+      status_ = visitor_->Param(e);
+      return;
+    }
+    for (auto& c : e.children) {
+      ExprWalk(c);
+    }
+  }
+
+  template <typename Ret, typename Filters>
+  void ReturnAndFilters(Ret& ret, Filters& filters) {
+    for (auto& item : ret.items) {
+      ExprWalk(item.expr);
+    }
+    for (auto& item : filters.group_by) {
+      ExprWalk(item.expr);
+    }
+    if (filters.having.has_value()) {
+      ExprWalk(*filters.having);
+    }
+    for (auto& key : filters.sort_by) {
+      ExprWalk(key.expr);
+    }
+  }
+
+  Visitor* visitor_;
+  Status status_;
+};
+
+class Collector {
+ public:
+  Status Leaf(const AttrPredicate& leaf) {
+    for (const Value& v : leaf.values) {
+      if (v.is_param()) {
+        Add(v.param().name, ParamType::kValue, v.param().line);
+      }
+    }
+    return Status::Ok();
+  }
+
+  Status Window(const ast::TimeWindowSpec& w) {
     if (!w.at_param.empty()) {
       Add(w.at_param, ParamType::kTimestamp, w.line);
     }
@@ -75,52 +138,30 @@ class Collector {
     if (!w.to_param.empty()) {
       Add(w.to_param, ParamType::kTimestamp, w.line);
     }
+    return Status::Ok();
   }
 
-  void ExprWalk(const Expr& e) {
-    if (e.kind == Expr::Kind::kParam) {
-      Add(e.name, ParamType::kValue, e.line);
+  Status Param(const Expr& e) {
+    Add(e.name, ParamType::kValue, e.line);
+    return Status::Ok();
+  }
+
+  std::vector<ParamInfo> out;
+
+ private:
+  void Add(const std::string& name, ParamType type, int line) {
+    auto it = index_.find(name);
+    if (it == index_.end()) {
+      index_[name] = out.size();
+      out.push_back(ParamInfo{name, type, line});
+      return;
     }
-    for (const Expr& c : e.children) {
-      ExprWalk(c);
+    // A name used both ways keeps the stricter timestamp typing.
+    if (type == ParamType::kTimestamp) {
+      out[it->second].type = ParamType::kTimestamp;
     }
   }
 
-  void ReturnAndFilters(const ast::ReturnClause& ret, const ast::Filters& filters) {
-    for (const ast::ReturnItem& item : ret.items) {
-      ExprWalk(item.expr);
-    }
-    for (const ast::ReturnItem& item : filters.group_by) {
-      ExprWalk(item.expr);
-    }
-    if (filters.having.has_value()) {
-      ExprWalk(*filters.having);
-    }
-    for (const ast::SortKey& key : filters.sort_by) {
-      ExprWalk(key.expr);
-    }
-  }
-
-  void Multievent(const ast::MultieventQuery& mq) {
-    for (const ast::EventPattern& p : mq.patterns) {
-      Pred(p.subject.constraint);
-      Pred(p.object.constraint);
-      Pred(p.evt_constraint);
-      if (p.time_window.has_value()) {
-        Window(*p.time_window);
-      }
-    }
-    ReturnAndFilters(mq.ret, mq.filters);
-  }
-
-  void Dependency(const ast::DependencyQuery& dq) {
-    for (const ast::EntityRef& node : dq.nodes) {
-      Pred(node.constraint);
-    }
-    ReturnAndFilters(dq.ret, dq.filters);
-  }
-
-  std::vector<ParamInfo> out_;
   std::unordered_map<std::string, size_t> index_;
 };
 
@@ -128,22 +169,62 @@ class Binder {
  public:
   explicit Binder(const ParamSet& params) : params_(params) {}
 
-  Status Run(ast::Query* q) {
-    Status s = Pred(&q->global.constraint);
-    if (!s.ok()) {
-      return s;
-    }
-    for (ast::TimeWindowSpec& w : q->global.time_windows) {
-      s = Window(&w);
+  Status Leaf(AttrPredicate& leaf) {
+    bool substituted = false;
+    for (Value& v : leaf.values) {
+      if (!v.is_param()) {
+        continue;
+      }
+      const Value* bound = nullptr;
+      Status s = Lookup(v.param().name, v.param().line, &bound);
       if (!s.ok()) {
         return s;
       }
+      v = *bound;
+      substituted = true;
     }
-    s = Multievent(&q->multievent);
+    // Deferred wildcard promotion: '=' against a bound string containing
+    // LIKE wildcards means LIKE, matching the parser's handling of literal
+    // values (p1["%osql%"]).
+    if (substituted && (leaf.op == CmpOp::kEq || leaf.op == CmpOp::kNe) &&
+        leaf.values.size() == 1 && leaf.values[0].is_string() &&
+        HasLikeWildcards(leaf.values[0].as_string())) {
+      leaf.op = leaf.op == CmpOp::kEq ? CmpOp::kLike : CmpOp::kNotLike;
+    }
+    return Status::Ok();
+  }
+
+  Status Window(ast::TimeWindowSpec& w) {
+    Status s = Endpoint(&w.at_param, w.line, /*range=*/true, nullptr, &w.fixed);
     if (!s.ok()) {
       return s;
     }
-    return Dependency(&q->dependency);
+    s = Endpoint(&w.from_param, w.line, /*range=*/false, &w.from_fixed, nullptr);
+    if (!s.ok()) {
+      return s;
+    }
+    s = Endpoint(&w.to_param, w.line, /*range=*/false, &w.to_fixed, nullptr);
+    if (!s.ok()) {
+      return s;
+    }
+    if (!w.fixed.has_value() && w.from_fixed.has_value() && w.to_fixed.has_value()) {
+      w.fixed = TimeRange{*w.from_fixed, *w.to_fixed};
+    }
+    return Status::Ok();
+  }
+
+  Status Param(Expr& e) {
+    const Value* bound = nullptr;
+    Status s = Lookup(e.name, e.line, &bound);
+    if (!s.ok()) {
+      return s;
+    }
+    if (bound->is_string()) {
+      e = Expr::String(bound->as_string());
+    } else {
+      e = Expr::Number(bound->as_double());
+    }
+    return Status::Ok();
   }
 
  private:
@@ -154,41 +235,6 @@ class Binder {
                            " — supply it via PreparedQuery::Bind");
     }
     *out = bound;
-    return Status::Ok();
-  }
-
-  Status Pred(PredExpr* p) {
-    if (p->kind() == PredExpr::Kind::kLeaf) {
-      AttrPredicate* leaf = p->mutable_leaf();
-      bool substituted = false;
-      for (Value& v : leaf->values) {
-        if (!v.is_param()) {
-          continue;
-        }
-        const Value* bound = nullptr;
-        Status s = Lookup(v.param().name, v.param().line, &bound);
-        if (!s.ok()) {
-          return s;
-        }
-        v = *bound;
-        substituted = true;
-      }
-      // Deferred wildcard promotion: '=' against a bound string containing
-      // LIKE wildcards means LIKE, matching the parser's handling of literal
-      // values (p1["%osql%"]).
-      if (substituted && (leaf->op == CmpOp::kEq || leaf->op == CmpOp::kNe) &&
-          leaf->values.size() == 1 && leaf->values[0].is_string() &&
-          HasLikeWildcards(leaf->values[0].as_string())) {
-        leaf->op = leaf->op == CmpOp::kEq ? CmpOp::kLike : CmpOp::kNotLike;
-      }
-      return Status::Ok();
-    }
-    for (PredExpr& child : *p->mutable_children()) {
-      Status s = Pred(&child);
-      if (!s.ok()) {
-        return s;
-      }
-    }
     return Status::Ok();
   }
 
@@ -226,117 +272,15 @@ class Binder {
     return Status::Ok();
   }
 
-  Status Window(ast::TimeWindowSpec* w) {
-    Status s = Endpoint(&w->at_param, w->line, /*range=*/true, nullptr, &w->fixed);
-    if (!s.ok()) {
-      return s;
-    }
-    s = Endpoint(&w->from_param, w->line, /*range=*/false, &w->from_fixed, nullptr);
-    if (!s.ok()) {
-      return s;
-    }
-    s = Endpoint(&w->to_param, w->line, /*range=*/false, &w->to_fixed, nullptr);
-    if (!s.ok()) {
-      return s;
-    }
-    if (!w->fixed.has_value() && w->from_fixed.has_value() && w->to_fixed.has_value()) {
-      w->fixed = TimeRange{*w->from_fixed, *w->to_fixed};
-    }
-    return Status::Ok();
-  }
-
-  Status ExprWalk(Expr* e) {
-    if (e->kind == Expr::Kind::kParam) {
-      const Value* bound = nullptr;
-      Status s = Lookup(e->name, e->line, &bound);
-      if (!s.ok()) {
-        return s;
-      }
-      if (bound->is_string()) {
-        *e = Expr::String(bound->as_string());
-      } else {
-        *e = Expr::Number(bound->as_double());
-      }
-      return Status::Ok();
-    }
-    for (Expr& c : e->children) {
-      Status s = ExprWalk(&c);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status ReturnAndFilters(ast::ReturnClause* ret, ast::Filters* filters) {
-    for (ast::ReturnItem& item : ret->items) {
-      Status s = ExprWalk(&item.expr);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    for (ast::ReturnItem& item : filters->group_by) {
-      Status s = ExprWalk(&item.expr);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    if (filters->having.has_value()) {
-      Status s = ExprWalk(&*filters->having);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    for (ast::SortKey& key : filters->sort_by) {
-      Status s = ExprWalk(&key.expr);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status Multievent(ast::MultieventQuery* mq) {
-    for (ast::EventPattern& p : mq->patterns) {
-      Status s = Pred(&p.subject.constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      s = Pred(&p.object.constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      s = Pred(&p.evt_constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      if (p.time_window.has_value()) {
-        s = Window(&*p.time_window);
-        if (!s.ok()) {
-          return s;
-        }
-      }
-    }
-    return ReturnAndFilters(&mq->ret, &mq->filters);
-  }
-
-  Status Dependency(ast::DependencyQuery* dq) {
-    for (ast::EntityRef& node : dq->nodes) {
-      Status s = Pred(&node.constraint);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return ReturnAndFilters(&dq->ret, &dq->filters);
-  }
-
   const ParamSet& params_;
 };
 
 }  // namespace
 
 std::vector<ParamInfo> CollectParams(const ast::Query& query) {
-  return Collector().Run(query);
+  Collector collector;
+  ParamWalk<Collector>(&collector).Run(query);
+  return std::move(collector.out);
 }
 
 Status BindParams(ast::Query* query, const ParamSet& params) {
@@ -355,7 +299,8 @@ Status BindParams(ast::Query* query, const ParamSet& params) {
                            (known.empty() ? "no parameters" : known));
     }
   }
-  return Binder(params).Run(query);
+  Binder binder(params);
+  return ParamWalk<Binder>(&binder).Run(*query);
 }
 
 Result<TimeRange> ResolveTimeWindow(const ast::TimeWindowSpec& spec) {

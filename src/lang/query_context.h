@@ -15,6 +15,7 @@
 
 #include "src/lang/ast.h"
 #include "src/storage/data_query.h"
+#include "src/storage/schema.h"
 
 namespace aiql {
 
@@ -32,15 +33,16 @@ struct PatternContext {
   size_t PruningScore() const { return query.CountConstraints(); }
 };
 
-// A resolved attribute relationship between two pattern endpoints.
+// A resolved attribute relationship between two pattern endpoints; each
+// endpoint's attribute is its schema row.
 struct AttrRelation {
   size_t left_pattern = 0;
   RefSide left_side = RefSide::kSubject;
-  std::string left_attr;
+  const AttrDef* left_attr = nullptr;
   CmpOp op = CmpOp::kEq;
   size_t right_pattern = 0;
   RefSide right_side = RefSide::kSubject;
-  std::string right_attr;
+  const AttrDef* right_attr = nullptr;
   bool implicit = false;  // lowered from entity-ID reuse
 
   bool IsIntraPattern() const { return left_pattern == right_pattern; }

@@ -154,12 +154,16 @@ std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
     agent_set.insert(agents->begin(), agents->end());
   }
   auto agent_ok = [&](AgentId a) { return !agents.has_value() || agent_set.count(a) > 0; };
+  const ResolvedPred resolved(pred, OwnerOf(t));
+  auto matches = [&](uint32_t idx) {
+    return resolved.Eval([&](const AttrDef& attr) { return attr.entity(*catalog_, idx); });
+  };
 
   std::vector<uint32_t> out;
 
   // Index fast path: exact values on the default attribute.
   if (options_.build_indexes) {
-    std::vector<Value> values = pred.EqualityValuesFor(DefaultAttribute(t));
+    std::vector<Value> values = pred.EqualityValuesFor(DefaultAttr(t).name);
     if (!values.empty()) {
       const std::unordered_map<std::string, std::vector<uint32_t>>* index = nullptr;
       switch (t) {
@@ -192,8 +196,7 @@ std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
           if (!agent_ok(catalog_->AgentOf(t, idx))) {
             continue;
           }
-          auto source = [&](std::string_view attr) { return catalog_->AttrOf(t, idx, attr); };
-          if (pred.Eval(source)) {
+          if (matches(idx)) {
             out.push_back(idx);
           }
         }
@@ -210,8 +213,7 @@ std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
     if (!agent_ok(catalog_->AgentOf(t, idx))) {
       continue;
     }
-    auto source = [&](std::string_view attr) { return catalog_->AttrOf(t, idx, attr); };
-    if (pred.Eval(source)) {
+    if (matches(idx)) {
       out.push_back(idx);
     }
   }

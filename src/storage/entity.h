@@ -9,13 +9,9 @@
 #define AIQL_SRC_STORAGE_ENTITY_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
-
-#include "src/util/value.h"
 
 namespace aiql {
 
@@ -37,21 +33,6 @@ constexpr const char* EntityTypeName(EntityType t) {
       return "ip";
   }
   return "?";
-}
-
-// The default attribute used when a query gives only a literal value, e.g.
-// file[".viminfo"] -> name, proc["%osql%"] -> exe_name, ip["x.x.x.x"] -> dst_ip
-// (paper §4.1 "Context-Aware Syntax Shortcuts").
-constexpr const char* DefaultAttribute(EntityType t) {
-  switch (t) {
-    case EntityType::kFile:
-      return "name";
-    case EntityType::kProcess:
-      return "exe_name";
-    case EntityType::kNetwork:
-      return "dst_ip";
-  }
-  return "id";
 }
 
 struct FileEntity {
@@ -84,21 +65,6 @@ struct NetworkEntity {
   std::string protocol;  // "tcp" / "udp"
 };
 
-// Attribute access by name. Returns nullopt for unknown attributes.
-std::optional<Value> GetAttr(const FileEntity& e, std::string_view attr);
-std::optional<Value> GetAttr(const ProcessEntity& e, std::string_view attr);
-std::optional<Value> GetAttr(const NetworkEntity& e, std::string_view attr);
-
-// Canonical spelling of an entity/event attribute alias (dstip -> dst_ip,
-// exename -> exe_name, access -> failure_code, ...). Unknown names pass
-// through unchanged. The inference pass canonicalizes all resolved attribute
-// names so every engine (including the property-graph store, which keys its
-// property maps by canonical names) sees one spelling.
-std::string CanonicalAttrName(std::string_view attr);
-
-// True if `attr` names a valid attribute of entity type `t`.
-bool IsEntityAttr(EntityType t, std::string_view attr);
-
 // Interning catalog. Indices returned by the Intern* calls are dense per-type
 // and stable for the lifetime of the catalog.
 class EntityCatalog {
@@ -120,10 +86,6 @@ class EntityCatalog {
   size_t CountOf(EntityType t) const;
   int64_t IdOf(EntityType t, uint32_t idx) const;
   AgentId AgentOf(EntityType t, uint32_t idx) const;
-  std::optional<Value> AttrOf(EntityType t, uint32_t idx, std::string_view attr) const;
-
-  // Human-readable label (default attribute value) used in result tables.
-  std::string LabelOf(EntityType t, uint32_t idx) const;
 
   size_t total_entities() const { return files_.size() + processes_.size() + networks_.size(); }
 

@@ -55,12 +55,6 @@ struct Event {
   int32_t failure_code = 0;  // 0 = success
 };
 
-// Event attribute access by name (for event-level predicates such as
-// evt[amount > 1000] and for return items like evt1.optype).
-std::optional<Value> GetEventAttr(const Event& e, const EntityCatalog& catalog,
-                                  std::string_view attr);
-bool IsEventAttr(std::string_view attr);
-
 }  // namespace aiql
 
 #endif  // AIQL_SRC_STORAGE_EVENT_H_

@@ -54,6 +54,30 @@ struct DefaultInitAllocator : std::allocator<T> {
 template <typename T>
 using EventColumn = std::vector<T, DefaultInitAllocator<T>>;
 
+// One event column per Event field, each independently encodable and
+// decodable (the archive tier keeps one encoded block list per column).
+enum class EventColumnId : uint8_t {
+  kId = 0,
+  kSeq = 1,
+  kAgentId = 2,
+  kOp = 3,
+  kObjectType = 4,
+  kSubjectIdx = 5,
+  kObjectIdx = 6,
+  kStartTime = 7,
+  kEndTime = 8,
+  kAmount = 9,
+  kFailureCode = 10,
+};
+
+inline constexpr int kNumEventColumns = 11;
+using EventColumnMask = uint16_t;
+inline constexpr EventColumnMask kAllEventColumns = (1u << kNumEventColumns) - 1;
+
+constexpr EventColumnMask ColumnBit(EventColumnId c) {
+  return static_cast<EventColumnMask>(1u << static_cast<int>(c));
+}
+
 // Parallel per-attribute columns; row i across all vectors is one event.
 struct EventColumns {
   EventColumn<int64_t> id;
@@ -68,64 +92,45 @@ struct EventColumns {
   EventColumn<int64_t> amount;
   EventColumn<int32_t> failure_code;
 
+  // The one list of the columns: calls fn(id, column, field) for each, in
+  // EventColumnId order, where `column` is the EventColumns member and
+  // `field` the Event member it stores. Every per-column loop (reserve,
+  // append, encode, decode, zone maps, scan filters) goes through it.
+  template <typename Fn>
+  static void ForEachColumn(Fn&& fn) {
+    fn(EventColumnId::kId, &EventColumns::id, &Event::id);
+    fn(EventColumnId::kSeq, &EventColumns::seq, &Event::seq);
+    fn(EventColumnId::kAgentId, &EventColumns::agent_id, &Event::agent_id);
+    fn(EventColumnId::kOp, &EventColumns::op, &Event::op);
+    fn(EventColumnId::kObjectType, &EventColumns::object_type, &Event::object_type);
+    fn(EventColumnId::kSubjectIdx, &EventColumns::subject_idx, &Event::subject_idx);
+    fn(EventColumnId::kObjectIdx, &EventColumns::object_idx, &Event::object_idx);
+    fn(EventColumnId::kStartTime, &EventColumns::start_time, &Event::start_time);
+    fn(EventColumnId::kEndTime, &EventColumns::end_time, &Event::end_time);
+    fn(EventColumnId::kAmount, &EventColumns::amount, &Event::amount);
+    fn(EventColumnId::kFailureCode, &EventColumns::failure_code, &Event::failure_code);
+  }
+
   size_t size() const { return start_time.size(); }
   bool empty() const { return start_time.empty(); }
 
   void Reserve(size_t n) {
-    id.reserve(n);
-    seq.reserve(n);
-    agent_id.reserve(n);
-    op.reserve(n);
-    object_type.reserve(n);
-    subject_idx.reserve(n);
-    object_idx.reserve(n);
-    start_time.reserve(n);
-    end_time.reserve(n);
-    amount.reserve(n);
-    failure_code.reserve(n);
+    ForEachColumn([&](EventColumnId, auto column, auto) { (this->*column).reserve(n); });
   }
 
   void Append(const Event& e) {
-    id.push_back(e.id);
-    seq.push_back(e.seq);
-    agent_id.push_back(e.agent_id);
-    op.push_back(e.op);
-    object_type.push_back(e.object_type);
-    subject_idx.push_back(e.subject_idx);
-    object_idx.push_back(e.object_idx);
-    start_time.push_back(e.start_time);
-    end_time.push_back(e.end_time);
-    amount.push_back(e.amount);
-    failure_code.push_back(e.failure_code);
+    ForEachColumn(
+        [&](EventColumnId, auto column, auto field) { (this->*column).push_back(e.*field); });
   }
 
   void Clear() {
-    id.clear();
-    seq.clear();
-    agent_id.clear();
-    op.clear();
-    object_type.clear();
-    subject_idx.clear();
-    object_idx.clear();
-    start_time.clear();
-    end_time.clear();
-    amount.clear();
-    failure_code.clear();
+    ForEachColumn([&](EventColumnId, auto column, auto) { (this->*column).clear(); });
   }
 
   Event Materialize(uint32_t row) const {
     Event e;
-    e.id = id[row];
-    e.seq = seq[row];
-    e.agent_id = agent_id[row];
-    e.op = op[row];
-    e.object_type = object_type[row];
-    e.subject_idx = subject_idx[row];
-    e.object_idx = object_idx[row];
-    e.start_time = start_time[row];
-    e.end_time = end_time[row];
-    e.amount = amount[row];
-    e.failure_code = failure_code[row];
+    ForEachColumn(
+        [&](EventColumnId, auto column, auto field) { e.*field = (this->*column)[row]; });
     return e;
   }
 };
@@ -185,11 +190,6 @@ class EventView {
 struct EventViewHash {
   size_t operator()(const EventView& v) const { return v.SlotHash(); }
 };
-
-// Event attribute access by name over either form; the Event overload in
-// event.h delegates here, so this is the single attribute-name dispatch.
-std::optional<Value> GetEventAttr(const EventView& v, const EntityCatalog& catalog,
-                                  std::string_view attr);
 
 // The engine-wide result ordering contract: every EventStore returns matches
 // sorted by (start_time, id). Stores emit partition/morsel results in time

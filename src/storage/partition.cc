@@ -53,83 +53,22 @@ size_t ApplyMembership(uint32_t* rows, size_t n, const T* col,
   return kernels::SelectHashSet(rows, n, col, set, /*negate=*/false);
 }
 
-EventColumnId ColumnIdFor(NumericColumn c) {
-  switch (c) {
-    case NumericColumn::kId:
-      return EventColumnId::kId;
-    case NumericColumn::kSeq:
-      return EventColumnId::kSeq;
-    case NumericColumn::kAgentId:
-      return EventColumnId::kAgentId;
-    case NumericColumn::kStartTime:
-      return EventColumnId::kStartTime;
-    case NumericColumn::kEndTime:
-      return EventColumnId::kEndTime;
-    case NumericColumn::kAmount:
-      return EventColumnId::kAmount;
-    case NumericColumn::kFailureCode:
-      return EventColumnId::kFailureCode;
-  }
-  return EventColumnId::kId;
-}
-
 void DecodeOneColumn(const ArchivedColumns& a, EventColumnId id, EventColumns* out) {
-  const EncodedInts& e = a.cols[static_cast<int>(id)];
-  switch (id) {
-    case EventColumnId::kId:
-      DecodeColumn(e, &out->id);
-      break;
-    case EventColumnId::kSeq:
-      DecodeColumn(e, &out->seq);
-      break;
-    case EventColumnId::kAgentId:
-      DecodeColumn(e, &out->agent_id);
-      break;
-    case EventColumnId::kOp:
-      DecodeColumn(e, &out->op);
-      break;
-    case EventColumnId::kObjectType:
-      DecodeColumn(e, &out->object_type);
-      break;
-    case EventColumnId::kSubjectIdx:
-      DecodeColumn(e, &out->subject_idx);
-      break;
-    case EventColumnId::kObjectIdx:
-      DecodeColumn(e, &out->object_idx);
-      break;
-    case EventColumnId::kStartTime:
-      DecodeColumn(e, &out->start_time);
-      break;
-    case EventColumnId::kEndTime:
-      DecodeColumn(e, &out->end_time);
-      break;
-    case EventColumnId::kAmount:
-      DecodeColumn(e, &out->amount);
-      break;
-    case EventColumnId::kFailureCode:
-      DecodeColumn(e, &out->failure_code);
-      break;
-  }
+  EventColumns::ForEachColumn([&](EventColumnId c, auto column, auto) {
+    if (c == id) {
+      DecodeColumn(a.cols[static_cast<int>(c)], &(out->*column));
+    }
+  });
 }
 
 size_t DecodedColumnBytes(EventColumnId id, size_t rows) {
-  switch (id) {
-    case EventColumnId::kId:
-    case EventColumnId::kSeq:
-    case EventColumnId::kStartTime:
-    case EventColumnId::kEndTime:
-    case EventColumnId::kAmount:
-      return rows * sizeof(int64_t);
-    case EventColumnId::kAgentId:
-    case EventColumnId::kSubjectIdx:
-    case EventColumnId::kObjectIdx:
-    case EventColumnId::kFailureCode:
-      return rows * sizeof(uint32_t);
-    case EventColumnId::kOp:
-    case EventColumnId::kObjectType:
-      return rows * sizeof(uint8_t);
-  }
-  return 0;
+  size_t bytes = 0;
+  EventColumns::ForEachColumn([&](EventColumnId c, auto column, auto) {
+    if (c == id) {
+      bytes = rows * sizeof((EventColumns{}.*column)[0]);
+    }
+  });
+  return bytes;
 }
 
 void DecodeAllColumns(const ArchivedColumns& a, EventColumns* out) {
@@ -143,17 +82,9 @@ void DecodeAllColumns(const ArchivedColumns& a, EventColumns* out) {
 ArchivedColumns EncodeEventColumns(const EventColumns& cols) {
   ArchivedColumns a;
   a.count = static_cast<uint32_t>(cols.size());
-  a.cols[static_cast<int>(EventColumnId::kId)] = EncodeColumn(cols.id);
-  a.cols[static_cast<int>(EventColumnId::kSeq)] = EncodeColumn(cols.seq);
-  a.cols[static_cast<int>(EventColumnId::kAgentId)] = EncodeColumn(cols.agent_id);
-  a.cols[static_cast<int>(EventColumnId::kOp)] = EncodeColumn(cols.op);
-  a.cols[static_cast<int>(EventColumnId::kObjectType)] = EncodeColumn(cols.object_type);
-  a.cols[static_cast<int>(EventColumnId::kSubjectIdx)] = EncodeColumn(cols.subject_idx);
-  a.cols[static_cast<int>(EventColumnId::kObjectIdx)] = EncodeColumn(cols.object_idx);
-  a.cols[static_cast<int>(EventColumnId::kStartTime)] = EncodeColumn(cols.start_time);
-  a.cols[static_cast<int>(EventColumnId::kEndTime)] = EncodeColumn(cols.end_time);
-  a.cols[static_cast<int>(EventColumnId::kAmount)] = EncodeColumn(cols.amount);
-  a.cols[static_cast<int>(EventColumnId::kFailureCode)] = EncodeColumn(cols.failure_code);
+  EventColumns::ForEachColumn([&](EventColumnId c, auto column, auto) {
+    a.cols[static_cast<int>(c)] = EncodeColumn(cols.*column);
+  });
   return a;
 }
 
@@ -362,11 +293,15 @@ std::unique_ptr<EntityBitmaps> Partition::TranslateCandidateBitmaps(
   EntityBitmaps b;
   bool any = false;
   if (subject_set != nullptr) {
-    b.subject = TranslateCandidates(*subject_set, zone_.subject_min, zone_.subject_max, size());
+    b.subject = TranslateCandidates(
+        *subject_set, static_cast<uint32_t>(zone_.MinOf(EventColumnId::kSubjectIdx)),
+        static_cast<uint32_t>(zone_.MaxOf(EventColumnId::kSubjectIdx)), size());
     any |= b.subject.has_value();
   }
   if (object_set != nullptr) {
-    b.object = TranslateCandidates(*object_set, zone_.object_min, zone_.object_max, size());
+    b.object = TranslateCandidates(
+        *object_set, static_cast<uint32_t>(zone_.MinOf(EventColumnId::kObjectIdx)),
+        static_cast<uint32_t>(zone_.MaxOf(EventColumnId::kObjectIdx)), size());
     any |= b.object.has_value();
   }
   // The agent stage only runs when some zone agent is outside the candidate
@@ -497,7 +432,7 @@ EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
   }
   for (const ColumnFilter& f : pred.filters) {
     if (ColumnFilterActive(f)) {
-      m |= ColumnBit(ColumnIdFor(f.col));
+      m |= ColumnBit(f.col);
     }
   }
   if (AgentFilterActive(args.agent_set)) {
@@ -543,29 +478,11 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
     if (!ColumnFilterActive(f)) {
       continue;
     }
-    switch (f.col) {
-      case NumericColumn::kId:
-        n = ApplyColumnFilter(rows, n, cols->id.data(), f);
-        break;
-      case NumericColumn::kSeq:
-        n = ApplyColumnFilter(rows, n, cols->seq.data(), f);
-        break;
-      case NumericColumn::kAgentId:
-        n = ApplyColumnFilter(rows, n, cols->agent_id.data(), f);
-        break;
-      case NumericColumn::kStartTime:
-        n = ApplyColumnFilter(rows, n, cols->start_time.data(), f);
-        break;
-      case NumericColumn::kEndTime:
-        n = ApplyColumnFilter(rows, n, cols->end_time.data(), f);
-        break;
-      case NumericColumn::kAmount:
-        n = ApplyColumnFilter(rows, n, cols->amount.data(), f);
-        break;
-      case NumericColumn::kFailureCode:
-        n = ApplyColumnFilter(rows, n, cols->failure_code.data(), f);
-        break;
-    }
+    EventColumns::ForEachColumn([&](EventColumnId c, auto column, auto) {
+      if (c == f.col) {
+        n = ApplyColumnFilter(rows, n, (cols->*column).data(), f);
+      }
+    });
   }
 
   // Membership stages, strongest probe available first: plan-built dense
@@ -603,9 +520,9 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
   // Residual predicate: row-at-a-time over whatever survives.
   if (!pred.residual.is_true() && n > 0) {
     n = kernels::SelectIf(rows, n, [&](uint32_t r) {
-      EventView v(cols, r);
-      auto source = [&](std::string_view attr) { return GetEventAttr(v, *args.catalog, attr); };
-      return pred.residual.Eval(source);
+      const EventView v(cols, r);
+      return pred.residual.Eval(
+          [&](const AttrDef& attr) { return attr.event(v, *args.catalog); });
     });
   }
 

@@ -7,7 +7,7 @@
 // that evaluates one column at a time over a shrinking selection vector and
 // emits EventViews without materializing Event copies. Finalize also builds
 // per-entity posting lists, the analogue of the paper's per-attribute B-tree
-// indexes, and a zone map (min/max per numeric column, op mask, agent set)
+// indexes, and a zone map (min/max per column, op mask, agent set)
 // so Database::ExecuteQuery can skip whole partitions before touching any
 // column.
 #ifndef AIQL_SRC_STORAGE_PARTITION_H_
@@ -42,29 +42,6 @@ namespace aiql {
 // kernels run over decoded columns exactly as over hot ones. Only a partition
 // that survives pruning decodes — per column, on demand, through the
 // database's LRU-bounded DecodeCache.
-
-// One event column per field, each independently decodable.
-enum class EventColumnId : uint8_t {
-  kId = 0,
-  kSeq = 1,
-  kAgentId = 2,
-  kOp = 3,
-  kObjectType = 4,
-  kSubjectIdx = 5,
-  kObjectIdx = 6,
-  kStartTime = 7,
-  kEndTime = 8,
-  kAmount = 9,
-  kFailureCode = 10,
-};
-
-inline constexpr int kNumEventColumns = 11;
-using EventColumnMask = uint16_t;
-inline constexpr EventColumnMask kAllEventColumns = (1u << kNumEventColumns) - 1;
-
-constexpr EventColumnMask ColumnBit(EventColumnId c) {
-  return static_cast<EventColumnMask>(1u << static_cast<int>(c));
-}
 
 // The delta/FOR re-encoding of one partition's EventColumns (codec choice is
 // adaptive per column; see encoding.h).
@@ -289,8 +266,8 @@ class Partition {
   EventView ViewAt(uint32_t row) const { return EventView(&cols_, row); }
 
   const ZoneMap& zone_map() const { return zone_; }
-  TimestampMs min_time() const { return zone_.MinOf(NumericColumn::kStartTime); }
-  TimestampMs max_time() const { return zone_.MaxOf(NumericColumn::kStartTime); }
+  TimestampMs min_time() const { return zone_.MinOf(EventColumnId::kStartTime); }
+  TimestampMs max_time() const { return zone_.MaxOf(EventColumnId::kStartTime); }
 
  private:
   // Offsets of events within [range) via binary search on start_time. `cols`

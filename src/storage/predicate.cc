@@ -253,16 +253,6 @@ std::vector<Value> PredExpr::EqualityValuesFor(std::string_view attr) const {
   return out;
 }
 
-void PredExpr::CollectAttrs(std::vector<std::string>* out) const {
-  if (kind_ == Kind::kLeaf) {
-    out->push_back(leaf_.attr);
-    return;
-  }
-  for (const PredExpr& c : children_) {
-    c.CollectAttrs(out);
-  }
-}
-
 std::string PredExpr::ToString() const {
   switch (kind_) {
     case Kind::kTrue:

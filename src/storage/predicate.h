@@ -49,7 +49,9 @@ struct AttrPredicate {
   std::string ToString() const;
 };
 
-// Source of attribute values during evaluation.
+// Source of attribute values by name during evaluation: the property-graph
+// baseline's per-edge property lookup. The storage engine resolves names once
+// per query instead (ResolvedPred in schema.h).
 using AttrSource = std::function<std::optional<Value>(std::string_view)>;
 
 // Boolean combination tree over atomic predicates.
@@ -84,9 +86,6 @@ class PredExpr {
   // lookup. Disjunctions at the top level return values only when every
   // branch constrains `attr` by equality.
   std::vector<Value> EqualityValuesFor(std::string_view attr) const;
-
-  // Collects the attribute names referenced anywhere in the expression.
-  void CollectAttrs(std::vector<std::string>* out) const;
 
   std::string ToString() const;
 

@@ -2,56 +2,16 @@
 
 namespace aiql {
 
-std::optional<NumericColumn> NumericColumnFor(std::string_view attr) {
-  if (attr == "id") {
-    return NumericColumn::kId;
-  }
-  if (attr == "seq" || attr == "sequence") {
-    return NumericColumn::kSeq;
-  }
-  if (attr == "agentid" || attr == "agent_id") {
-    return NumericColumn::kAgentId;
-  }
-  if (attr == "start_time" || attr == "starttime") {
-    return NumericColumn::kStartTime;
-  }
-  if (attr == "end_time" || attr == "endtime") {
-    return NumericColumn::kEndTime;
-  }
-  if (attr == "amount") {
-    return NumericColumn::kAmount;
-  }
-  if (attr == "failure_code" || attr == "failurecode" || attr == "access") {
-    return NumericColumn::kFailureCode;
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-void ObserveValue(ZoneMap* z, NumericColumn c, int64_t v) {
-  int i = static_cast<int>(c);
-  z->min[i] = std::min(z->min[i], v);
-  z->max[i] = std::max(z->max[i], v);
-}
-
-}  // namespace
-
 void ZoneMap::Observe(const Event& e) {
-  ObserveValue(this, NumericColumn::kId, e.id);
-  ObserveValue(this, NumericColumn::kSeq, e.seq);
-  ObserveValue(this, NumericColumn::kAgentId, static_cast<int64_t>(e.agent_id));
-  ObserveValue(this, NumericColumn::kStartTime, e.start_time);
-  ObserveValue(this, NumericColumn::kEndTime, e.end_time);
-  ObserveValue(this, NumericColumn::kAmount, e.amount);
-  ObserveValue(this, NumericColumn::kFailureCode, static_cast<int64_t>(e.failure_code));
+  EventColumns::ForEachColumn([&](EventColumnId c, auto, auto field) {
+    const int i = static_cast<int>(c);
+    const auto v = static_cast<int64_t>(e.*field);
+    min[i] = std::min(min[i], v);
+    max[i] = std::max(max[i], v);
+  });
   op_mask |= OpBit(e.op);
   object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(e.object_type));
   agents.push_back(e.agent_id);
-  subject_min = std::min(subject_min, e.subject_idx);
-  subject_max = std::max(subject_max, e.subject_idx);
-  object_min = std::min(object_min, e.object_idx);
-  object_max = std::max(object_max, e.object_idx);
   pending_subjects_.push_back(e.subject_idx);
   pending_objects_.push_back(PackObjectKey(e.object_type, e.object_idx));
 }
@@ -99,7 +59,8 @@ CandidateSummary CandidateSummary::For(const std::unordered_set<uint32_t>& set) 
 }
 
 bool ZoneMap::MayContainSubject(const CandidateSummary& s) const {
-  if (s.max_idx < subject_min || s.min_idx > subject_max) {
+  if (s.max_idx < MinOf(EventColumnId::kSubjectIdx) ||
+      s.min_idx > MaxOf(EventColumnId::kSubjectIdx)) {
     return false;
   }
   if (s.bloom_probe && !subject_bloom.empty()) {
@@ -114,7 +75,8 @@ bool ZoneMap::MayContainSubject(const CandidateSummary& s) const {
 }
 
 bool ZoneMap::MayContainObject(const CandidateSummary& s, EntityType object_type) const {
-  if (s.max_idx < object_min || s.min_idx > object_max) {
+  if (s.max_idx < MinOf(EventColumnId::kObjectIdx) ||
+      s.min_idx > MaxOf(EventColumnId::kObjectIdx)) {
     return false;
   }
   if (s.bloom_probe && !object_bloom.empty()) {
@@ -251,11 +213,7 @@ bool ColumnFilter::AlwaysTrueOnRange(int64_t zone_min, int64_t zone_max) const {
 
 namespace {
 
-bool IsOptypeAttr(std::string_view attr) {
-  return attr == "optype" || attr == "op" || attr == "operation";
-}
-
-// Exact-match op bit for a predicate value: GetEventAttr renders operations
+// Exact-match op bit for a predicate value: the schema renders operations
 // as lowercase names and Value equality on strings is case-sensitive, so only
 // the exact lowercase spelling can ever match a row.
 std::optional<Operation> ExactOperationFor(const Value& v) {
@@ -323,7 +281,7 @@ bool TryCompileOptype(const AttrPredicate& leaf, OpMask* mask) {
 // Tries to turn a leaf over a numeric column into a ColumnFilter. Only exact
 // integer comparisons compile: Value's mixed-type semantics (string/double
 // coercions) are preserved by leaving everything else in the residual.
-bool TryCompileNumeric(const AttrPredicate& leaf, NumericColumn col,
+bool TryCompileNumeric(const AttrPredicate& leaf, EventColumnId col,
                        std::vector<ColumnFilter>* filters) {
   switch (leaf.op) {
     case CmpOp::kEq:
@@ -361,29 +319,31 @@ bool TryCompileNumeric(const AttrPredicate& leaf, NumericColumn col,
   }
 }
 
-void CompileConjunct(const PredExpr& e, CompiledEventPred* out, PredExpr* residual) {
+void CompileConjunct(const PredExpr& e, CompiledEventPred* out) {
   switch (e.kind()) {
     case PredExpr::Kind::kTrue:
       return;
     case PredExpr::Kind::kAnd:
       for (const PredExpr& c : e.children()) {
-        CompileConjunct(c, out, residual);
+        CompileConjunct(c, out);
       }
       return;
     case PredExpr::Kind::kLeaf: {
       const AttrPredicate& leaf = e.leaf();
-      if (IsOptypeAttr(leaf.attr) && TryCompileOptype(leaf, &out->op_mask)) {
+      // The op column folds into the op mask; every other column stores
+      // integers that read as int Values.
+      const AttrDef* attr = FindAttr(AttrOwner::kEvent, leaf.attr);
+      if (attr != nullptr && attr->column.has_value() &&
+          (*attr->column == EventColumnId::kOp
+               ? TryCompileOptype(leaf, &out->op_mask)
+               : TryCompileNumeric(leaf, *attr->column, &out->filters))) {
         return;
       }
-      std::optional<NumericColumn> col = NumericColumnFor(leaf.attr);
-      if (col.has_value() && TryCompileNumeric(leaf, *col, &out->filters)) {
-        return;
-      }
-      *residual = PredExpr::And(std::move(*residual), e);
+      out->residual.And(e, AttrOwner::kEvent);
       return;
     }
     default:  // kOr / kNot subtrees are not conjunctive; keep them whole
-      *residual = PredExpr::And(std::move(*residual), e);
+      out->residual.And(e, AttrOwner::kEvent);
       return;
   }
 }
@@ -392,9 +352,7 @@ void CompileConjunct(const PredExpr& e, CompiledEventPred* out, PredExpr* residu
 
 CompiledEventPred CompileEventPred(const PredExpr& pred) {
   CompiledEventPred out;
-  PredExpr residual = PredExpr::True();
-  CompileConjunct(pred, &out, &residual);
-  out.residual = std::move(residual);
+  CompileConjunct(pred, &out);
   return out;
 }
 

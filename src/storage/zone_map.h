@@ -1,6 +1,6 @@
 // Per-partition zone maps and compiled column filters.
 //
-// A zone map summarizes one partition: min/max per numeric event column, the
+// A zone map summarizes one partition: min/max per event column, the
 // union of operation bits, the set of object entity types, and the distinct
 // agents present. Database::ExecuteQuery consults zone maps to skip whole
 // partitions before touching any column (the sketch-based candidate check of
@@ -9,7 +9,8 @@
 // CompileEventPred splits a data query's event predicate into
 //   - an operation-mask refinement (optype = "write" and friends),
 //   - vectorizable per-column comparisons against integer constants,
-//   - a residual PredExpr evaluated row-at-a-time for whatever remains.
+//   - a residual predicate, resolved against the event schema, evaluated
+//     row-at-a-time for whatever remains.
 // The compiled filters drive both zone-map pruning (can ANY row in this
 // partition match?) and the vectorized scan (evaluate one column at a time
 // over a shrinking selection vector).
@@ -19,14 +20,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "src/storage/bloom.h"
-#include "src/storage/event.h"
-#include "src/storage/predicate.h"
+#include "src/storage/event_view.h"
+#include "src/storage/schema.h"
 
 namespace aiql {
 
@@ -53,38 +52,19 @@ struct CandidateSummary {
   static CandidateSummary For(const std::unordered_set<uint32_t>& set);
 };
 
-// Numeric event columns addressable by zone maps and vectorized filters.
-enum class NumericColumn : uint8_t {
-  kId = 0,
-  kSeq = 1,
-  kAgentId = 2,
-  kStartTime = 3,
-  kEndTime = 4,
-  kAmount = 5,
-  kFailureCode = 6,
-};
-
-inline constexpr int kNumNumericColumns = 7;
-
-// Maps an event attribute name (any accepted alias) to its numeric column.
-std::optional<NumericColumn> NumericColumnFor(std::string_view attr);
-
 struct ZoneMap {
-  int64_t min[kNumNumericColumns];
-  int64_t max[kNumNumericColumns];
+  int64_t min[kNumEventColumns];  // per EventColumnId
+  int64_t max[kNumEventColumns];
   OpMask op_mask = 0;
   uint8_t object_type_mask = 0;          // bit i = EntityType(i) present
   std::vector<AgentId> agents;           // sorted distinct agents
 
-  // Entity summaries: index ranges plus blocked bloom filters over the
-  // distinct entity references, so pushed-down candidate sets can prune a
-  // partition before any column is touched. object_min/max cover object
-  // indexes of every type (a conservative range); the object bloom keys on
-  // PackObjectKey(type, idx) and is therefore type-exact.
-  uint32_t subject_min = UINT32_MAX;
-  uint32_t subject_max = 0;
-  uint32_t object_min = UINT32_MAX;
-  uint32_t object_max = 0;
+  // Entity summaries: the subject_idx / object_idx ranges above plus blocked
+  // bloom filters over the distinct entity references, so pushed-down
+  // candidate sets can prune a partition before any column is touched. The
+  // object_idx range covers object indexes of every type (a conservative
+  // range); the object bloom keys on PackObjectKey(type, idx) and is
+  // therefore type-exact.
   BlockedBloom subject_bloom;
   BlockedBloom object_bloom;
 
@@ -129,8 +109,8 @@ struct ZoneMap {
   bool MayContainSubject(const CandidateSummary& s) const;
   bool MayContainObject(const CandidateSummary& s, EntityType object_type) const;
 
-  int64_t MinOf(NumericColumn c) const { return min[static_cast<int>(c)]; }
-  int64_t MaxOf(NumericColumn c) const { return max[static_cast<int>(c)]; }
+  int64_t MinOf(EventColumnId c) const { return min[static_cast<int>(c)]; }
+  int64_t MaxOf(EventColumnId c) const { return max[static_cast<int>(c)]; }
 
  private:
   // Distinct-key staging for the Seal()-time bloom build; cleared by Seal.
@@ -140,7 +120,7 @@ struct ZoneMap {
 
 // One vectorizable comparison: column <op> value (or value set for IN).
 struct ColumnFilter {
-  NumericColumn col = NumericColumn::kId;
+  EventColumnId col = EventColumnId::kId;
   CmpOp op = CmpOp::kEq;
   int64_t value = 0;
   std::shared_ptr<std::unordered_set<int64_t>> values;  // kIn / kNotIn only
@@ -157,7 +137,7 @@ struct ColumnFilter {
 struct CompiledEventPred {
   OpMask op_mask = kAllOps;            // refinement from optype constraints
   std::vector<ColumnFilter> filters;   // conjunctive column comparisons
-  PredExpr residual;                   // whatever could not be vectorized
+  ResolvedPred residual;               // whatever could not be vectorized
 
   bool TriviallyTrue() const {
     return op_mask == kAllOps && filters.empty() && residual.is_true();
@@ -165,7 +145,8 @@ struct CompiledEventPred {
 };
 
 // Splits the top-level conjunction of `pred`. Semantics are preserved
-// exactly: op_mask ∧ filters ∧ residual  ⇔  pred.
+// exactly: op_mask ∧ filters ∧ residual  ⇔  pred. The residual borrows
+// `pred`'s leaves, so `pred` must outlive the result.
 CompiledEventPred CompileEventPred(const PredExpr& pred);
 
 }  // namespace aiql

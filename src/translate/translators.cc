@@ -115,7 +115,8 @@ std::string ExprToSql(const Expr& e) {
       return ":" + e.name;
     case Expr::Kind::kVarRef: {
       if (e.resolved.has_value() && e.resolved->side != RefSide::kAlias) {
-        return SideAlias(e.resolved->side, e.resolved->pattern) + "." + e.resolved->attr;
+        return SideAlias(e.resolved->side, e.resolved->pattern) + "." +
+               std::string(e.resolved->attr->name);
       }
       return e.name;  // alias reference
     }
@@ -215,9 +216,10 @@ TranslatedQuery ToSql(const QueryContext& ctx) {
     }
   }
   for (const AttrRelation& rel : ctx.attr_rels) {
-    where.push_back(SideAlias(rel.left_side, rel.left_pattern) + "." + rel.left_attr + " " +
-                    CmpOpName(rel.op) + " " + SideAlias(rel.right_side, rel.right_pattern) +
-                    "." + rel.right_attr);
+    where.push_back(SideAlias(rel.left_side, rel.left_pattern) + "." +
+                    std::string(rel.left_attr->name) + " " + CmpOpName(rel.op) + " " +
+                    SideAlias(rel.right_side, rel.right_pattern) + "." +
+                    std::string(rel.right_attr->name));
     ++out.constraints;
   }
   for (const TempRelation& rel : ctx.temp_rels) {
@@ -360,9 +362,10 @@ TranslatedQuery ToCypher(const QueryContext& ctx) {
       }
       return "e" + std::to_string(pattern);
     };
-    where.push_back(side_name(lp, rel.left_side, rel.left_pattern) + "." + rel.left_attr + " " +
-                    CmpOpName(rel.op) + " " +
-                    side_name(rp, rel.right_side, rel.right_pattern) + "." + rel.right_attr);
+    where.push_back(side_name(lp, rel.left_side, rel.left_pattern) + "." +
+                    std::string(rel.left_attr->name) + " " + CmpOpName(rel.op) + " " +
+                    side_name(rp, rel.right_side, rel.right_pattern) + "." +
+                    std::string(rel.right_attr->name));
     ++out.constraints;
   }
   for (const TempRelation& rel : ctx.temp_rels) {
@@ -478,7 +481,7 @@ TranslatedQuery ToSpl(const QueryContext& ctx) {
     for (const AttrRelation& rel : ctx.attr_rels) {
       if ((rel.right_pattern == i && rel.left_pattern < i) ||
           (rel.left_pattern == i && rel.right_pattern < i)) {
-        key = rel.left_attr;
+        key = rel.left_attr->name;
         break;
       }
     }

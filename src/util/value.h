@@ -1,8 +1,8 @@
 // Dynamically typed attribute value used throughout the AIQL system.
 //
-// Entity and event attributes are accessed by name (e.g. "exe_name", "dst_ip",
-// "start_time"), so predicates, relationship joins, aggregation, and result
-// tables all operate on a small variant type. Values are totally ordered
+// Entity and event attributes (the schema in src/storage/schema.h) have mixed
+// types, so predicates, relationship joins, aggregation, and result tables
+// all operate on a small variant type. Values are totally ordered
 // (numbers before strings, like SQL collation of mixed types never happens in
 // practice because attributes are consistently typed).
 #ifndef AIQL_SRC_UTIL_VALUE_H_

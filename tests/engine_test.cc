@@ -277,9 +277,10 @@ TEST(TupleJoinerTest, JoinsThatEmitNothingStopOnCancellation) {
   };
   auto same_amount = [] {
     Relationship r;
+    const AttrDef* amount = FindAttr(AttrOwner::kEvent, "amount");
     r.attr = AttrRelation{.left_pattern = 0, .left_side = RefSide::kEvent,
-                          .left_attr = "amount", .right_pattern = 1,
-                          .right_side = RefSide::kEvent, .right_attr = "amount"};
+                          .left_attr = amount, .right_pattern = 1,
+                          .right_side = RefSide::kEvent, .right_attr = amount};
     return r;
   };
   auto big_before_small = [](size_t big_pattern) {  // never true here

@@ -14,10 +14,14 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/core/engine.h"
 #include "src/graph/graph_engine.h"
 #include "src/mpp/mpp_cluster.h"
+#include "src/storage/schema.h"
 #include "src/workload/workload.h"
 #include "tests/reference_scan.h"
 
@@ -27,6 +31,7 @@ namespace {
 struct SharedWorld {
   ScenarioConfig config;
   std::unique_ptr<Database> db;
+  std::unique_ptr<Database> archived;  // the same trace, every partition archived
   std::unique_ptr<Workload> workload;
   std::unique_ptr<PropertyGraph> graph;
   std::unique_ptr<MppCluster> mpp_rr;
@@ -44,6 +49,9 @@ const SharedWorld& World() {
     w->workload = std::make_unique<Workload>(w->config, w->db.get());
     w->workload->Build();
     w->db->Finalize();
+    w->archived = std::make_unique<Database>(DatabaseOptions{.archive_after_days = 0});
+    Workload(w->config, w->archived.get()).Build();
+    w->archived->Finalize();
     w->graph = std::make_unique<PropertyGraph>();
     w->graph->BuildFrom(*w->db);
     w->mpp_rr =
@@ -125,6 +133,130 @@ std::string QueryName(const ::testing::TestParamInfo<size_t>& info) {
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusEquivalenceTest,
                          ::testing::Range<size_t>(0, 45),  // 26 case-study + 19 behavior
                          QueryName);
+
+// Every accepted spelling of every schema attribute, canonical names
+// included: one generated single-pattern query each, constraining the
+// attribute to its value on a sample event, so the predicate matches at
+// least that event. Each spelling must return its canonical name's rows on
+// every engine and storage configuration, and the data query must return the
+// reference scan's rows.
+struct Spelling {
+  const AttrDef* attr = nullptr;
+  std::string_view text;
+};
+
+const std::vector<Spelling>& Spellings() {
+  static const std::vector<Spelling> spellings = [] {
+    std::vector<Spelling> out;
+    for (const AttrDef& a : AttrTable()) {
+      out.push_back(Spelling{&a, a.name});
+      for (std::string_view alias : a.aliases) {
+        if (!alias.empty()) {
+          out.push_back(Spelling{&a, alias});
+        }
+      }
+    }
+    return out;
+  }();
+  return spellings;
+}
+
+// An AIQL literal for `v`.
+std::string Literal(const Value& v) {
+  if (!v.is_string()) {
+    return v.ToString();
+  }
+  std::string out = "\"";
+  for (char c : v.as_string()) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+    }
+    out += c;
+  }
+  return out + "\"";
+}
+
+// `proc p[...] <op> <type> o as evt[...] return distinct p, o, evt.id`, with
+// `spelling = value` on the attribute's owner and the sample event's
+// operation and object type.
+std::string SpellingQuery(const Spelling& s, const Event& sample, const Value& value) {
+  const std::string cstr = "[" + std::string(s.text) + " = " + Literal(value) + "]";
+  const AttrOwner owner = s.attr->owner;
+  return std::string("proc p") + (owner == AttrOwner::kProcess ? cstr : "") + " " +
+         OperationName(sample.op) + " " + EntityTypeName(sample.object_type) + " o" +
+         (owner == OwnerOf(sample.object_type) ? cstr : "") + " as evt" +
+         (owner == AttrOwner::kEvent ? cstr : "") + " return distinct p, o, evt.id";
+}
+
+class SpellingEquivalenceTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SpellingEquivalenceTest, EverySpellingReturnsTheCanonicalRowsOnEveryEngine) {
+  const SharedWorld& world = World();
+  const Spelling& spelling = Spellings()[GetParam()];
+  const AttrDef& attr = *spelling.attr;
+  const EntityCatalog& catalog = world.db->catalog();
+
+  // The first event carrying the owner: any event for subject and event
+  // attributes, one with an object of the owner's type otherwise.
+  std::optional<Event> sample;
+  world.db->ForEachEvent([&](const Event& e) {
+    if (!sample.has_value() && (attr.owner == AttrOwner::kEvent ||
+                                attr.owner == AttrOwner::kProcess ||
+                                attr.owner == OwnerOf(e.object_type))) {
+      sample = e;
+    }
+  });
+  ASSERT_TRUE(sample.has_value());
+  const Value value =
+      attr.owner == AttrOwner::kEvent     ? attr.event(EventView(&*sample), catalog)
+      : attr.owner == AttrOwner::kProcess ? attr.entity(catalog, sample->subject_idx)
+                                          : attr.entity(catalog, sample->object_idx);
+
+  const std::string text = SpellingQuery(spelling, *sample, value);
+  const std::string canonical_text =
+      SpellingQuery(Spelling{&attr, attr.name}, *sample, value);
+  SCOPED_TRACE(text);
+  Result<QueryContext> ctx = CompileQuery(text);
+  ASSERT_TRUE(ctx.ok()) << ctx.error();
+  Result<QueryContext> canonical_ctx = CompileQuery(canonical_text);
+  ASSERT_TRUE(canonical_ctx.ok()) << canonical_ctx.error();
+
+  const EngineOptions options{.time_budget_ms = 120000};
+  Result<ResultTable> expected = AiqlEngine(world.db.get(), options).ExecuteContext(
+      canonical_ctx.value());
+  ASSERT_TRUE(expected.ok()) << expected.error();
+  EXPECT_GT(expected.value().num_rows(), 0u) << "the predicate matches its sample event";
+
+  auto expect_same = [&](const char* engine, const Result<ResultTable>& r) {
+    ASSERT_TRUE(r.ok()) << engine << ": " << r.error();
+    EXPECT_TRUE(expected.value().SameRowsAs(r.value()))
+        << engine << " diverges\nexpected:\n"
+        << expected.value().ToString() << "\n" << engine << ":\n"
+        << r.value().ToString();
+  };
+  expect_same("hot", AiqlEngine(world.db.get(), options).ExecuteContext(ctx.value()));
+  expect_same("archived",
+              AiqlEngine(world.archived.get(), options).ExecuteContext(ctx.value()));
+  for (const MppCluster* cluster : {world.mpp_rr.get(), world.mpp_sem.get()}) {
+    expect_same(DistributionPolicyName(cluster->policy()),
+                AiqlEngine(cluster, options).ExecuteContext(ctx.value()));
+  }
+  expect_same("graph", GraphEngine(world.graph.get(), 120000).Execute(ctx.value()));
+
+  const DataQuery& q = ctx.value().patterns[0].query;
+  EXPECT_EQ(RowsOf(world.db->ExecuteQuery(q)), RowsOf(ReferenceScan(*world.db, q)));
+}
+
+std::string SpellingName(const ::testing::TestParamInfo<size_t>& info) {
+  const Spelling& s = Spellings()[info.param];
+  const AttrOwner owner = s.attr->owner;
+  return std::string(owner == AttrOwner::kEvent ? "evt"
+                                                : EntityTypeName(static_cast<EntityType>(owner))) +
+         "_" + std::string(s.text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schema, SpellingEquivalenceTest,
+                         ::testing::Range<size_t>(0, Spellings().size()), SpellingName);
 
 TEST(CorpusTest, ExpectedQueryCounts) {
   const SharedWorld& world = World();

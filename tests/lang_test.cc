@@ -247,8 +247,8 @@ TEST(InferenceTest, DefaultAttributeFilled) {
 TEST(InferenceTest, ReturnItemsGetDefaultAttrs) {
   auto ctx = CompileQuery(R"(proc p1 read ip i1 return p1, i1)");
   ASSERT_TRUE(ctx.ok()) << ctx.error();
-  EXPECT_EQ(ctx.value().items[0].expr.resolved->attr, "exe_name");
-  EXPECT_EQ(ctx.value().items[1].expr.resolved->attr, "dst_ip");
+  EXPECT_EQ(ctx.value().items[0].expr.resolved->attr->name, "exe_name");
+  EXPECT_EQ(ctx.value().items[1].expr.resolved->attr->name, "dst_ip");
 }
 
 TEST(InferenceTest, EntityReuseCreatesImplicitRelationship) {
@@ -264,7 +264,7 @@ TEST(InferenceTest, EntityReuseCreatesImplicitRelationship) {
   EXPECT_EQ(rel.left_side, RefSide::kObject);
   EXPECT_EQ(rel.right_pattern, 1u);
   EXPECT_EQ(rel.right_side, RefSide::kSubject);
-  EXPECT_EQ(rel.left_attr, "id");
+  EXPECT_EQ(rel.left_attr->name, "id");
 }
 
 TEST(InferenceTest, ExplicitAttrRelDefaultsToId) {
@@ -275,7 +275,7 @@ TEST(InferenceTest, ExplicitAttrRelDefaultsToId) {
       return p1)");
   ASSERT_TRUE(ctx.ok()) << ctx.error();
   ASSERT_EQ(ctx.value().attr_rels.size(), 1u);
-  EXPECT_EQ(ctx.value().attr_rels[0].left_attr, "id");
+  EXPECT_EQ(ctx.value().attr_rels[0].left_attr->name, "id");
   EXPECT_FALSE(ctx.value().attr_rels[0].implicit);
 }
 

@@ -382,7 +382,7 @@ TEST(ReferenceScanPropertyTest, RandomQueriesMatchReference) {
       q.subject_pred = leaf("user", CmpOp::kEq, Value(rng.Chance(0.5) ? "root" : "alice"));
     }
     if (rng.Chance(0.2)) {
-      q.object_pred = leaf(DefaultAttribute(q.object_type), CmpOp::kLike,
+      q.object_pred = leaf(DefaultAttr(q.object_type).name.data(), CmpOp::kLike,
                            Value(rng.Chance(0.5) ? "%1%" : "%8%"));
     }
     if (rng.Chance(0.3)) {

@@ -108,7 +108,7 @@ inline std::optional<Value> EvalScalarExpr(const Expr& e, const RowAccessor* row
     case Expr::Kind::kVarRef: {
       if (e.resolved.has_value() && e.resolved->side == RefSide::kAlias) {
         if (env != nullptr && env->lookup) {
-          return env->lookup(e.resolved->attr);
+          return env->lookup(e.resolved->alias);
         }
         return std::nullopt;
       }

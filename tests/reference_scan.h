@@ -1,10 +1,11 @@
 // Brute-force reference evaluator for data queries: the storage layer's test
 // oracle. It walks every stored event through Database::ForEachEvent and
 // checks each DataQuery constraint directly against the event and the
-// catalog's entity vectors. It shares no code with query planning
-// (PlanQuery, FindEntities), predicate compilation (CompiledEventPred), or
-// the scan kernels, so every storage configuration, access path, and
-// parallelism level must return exactly its rows, in its order.
+// catalog, looking attributes up by name in the schema table. It shares no
+// code with query planning (PlanQuery, FindEntities), predicate resolution
+// and compilation (ResolvedPred, CompiledEventPred), or the scan kernels, so
+// every storage configuration, access path, and parallelism level must
+// return exactly its rows, in its order.
 #ifndef AIQL_TESTS_REFERENCE_SCAN_H_
 #define AIQL_TESTS_REFERENCE_SCAN_H_
 
@@ -24,31 +25,22 @@ bool ReferenceAdmits(const std::optional<std::vector<T>>& values, T v) {
   return !values.has_value() || std::find(values->begin(), values->end(), v) != values->end();
 }
 
-// An entity predicate over one catalog entity. `host_local` entities (the
+// An entity predicate over catalog entity (t, idx), each attribute looked up
+// by name in the schema table as it is evaluated. `host_local` entities (the
 // subject, file and network objects) must also belong to one of the query's
 // agents; process objects may live on a remote host (cross-host connects).
-template <typename Entity>
-bool ReferenceEntityMatches(const Entity& entity, const PredExpr& pred, bool host_local,
-                            const std::optional<std::vector<AgentId>>& agents) {
+inline bool ReferenceEntityMatches(const EntityCatalog& catalog, EntityType t, uint32_t idx,
+                                   const PredExpr& pred, bool host_local,
+                                   const std::optional<std::vector<AgentId>>& agents) {
   return pred.is_true() ||
-         ((!host_local || ReferenceAdmits(agents, entity.agent_id)) &&
-          pred.Eval([&](std::string_view attr) { return GetAttr(entity, attr); }));
-}
-
-inline bool ReferenceObjectMatches(const EntityCatalog& catalog, const Event& e,
-                                   const DataQuery& q) {
-  switch (e.object_type) {
-    case EntityType::kFile:
-      return ReferenceEntityMatches(catalog.files()[e.object_idx], q.object_pred, true,
-                                    q.agent_ids);
-    case EntityType::kProcess:
-      return ReferenceEntityMatches(catalog.processes()[e.object_idx], q.object_pred, false,
-                                    q.agent_ids);
-    case EntityType::kNetwork:
-      return ReferenceEntityMatches(catalog.networks()[e.object_idx], q.object_pred, true,
-                                    q.agent_ids);
-  }
-  return false;
+         ((!host_local || ReferenceAdmits(agents, catalog.AgentOf(t, idx))) &&
+          pred.Eval([&](std::string_view name) -> std::optional<Value> {
+            const AttrDef* attr = FindAttr(OwnerOf(t), name);
+            if (attr == nullptr) {
+              return std::nullopt;
+            }
+            return attr->entity(catalog, idx);
+          }));
 }
 
 // Every event of `db` satisfying `q`, sorted by (start_time, id).
@@ -68,11 +60,17 @@ inline std::vector<Event> ReferenceScan(const Database& db, const DataQuery& q) 
         !range.Contains(e.start_time) || !ReferenceAdmits(q.agent_ids, e.agent_id) ||
         (subjects.has_value() && subjects->count(e.subject_idx) == 0) ||
         (objects.has_value() && objects->count(e.object_idx) == 0) ||
-        !ReferenceEntityMatches(catalog.processes()[e.subject_idx], q.subject_pred, true,
-                                q.agent_ids) ||
-        !ReferenceObjectMatches(catalog, e, q) ||
-        !q.event_pred.Eval(
-            [&](std::string_view attr) { return GetEventAttr(e, catalog, attr); })) {
+        !ReferenceEntityMatches(catalog, EntityType::kProcess, e.subject_idx, q.subject_pred,
+                                true, q.agent_ids) ||
+        !ReferenceEntityMatches(catalog, e.object_type, e.object_idx, q.object_pred,
+                                e.object_type != EntityType::kProcess, q.agent_ids) ||
+        !q.event_pred.Eval([&](std::string_view name) -> std::optional<Value> {
+          const AttrDef* attr = FindAttr(AttrOwner::kEvent, name);
+          if (attr == nullptr) {
+            return std::nullopt;
+          }
+          return attr->event(EventView(&e), catalog);
+        })) {
       return;
     }
     out.push_back(e);

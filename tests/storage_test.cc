@@ -55,11 +55,14 @@ TEST_F(StorageTest, EntityIdsAreUnique) {
 }
 
 TEST_F(StorageTest, AttrAccess) {
-  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kProcess, bash_, "exe_name")->ToString(),
-            "/usr/bin/bash");
-  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kProcess, bash_, "user")->ToString(), "root");
-  EXPECT_EQ(db_.catalog().AttrOf(EntityType::kNetwork, ip_, "dst_port")->as_int(), 443);
-  EXPECT_FALSE(db_.catalog().AttrOf(EntityType::kFile, etc_, "bogus").has_value());
+  const EntityCatalog& catalog = db_.catalog();
+  auto read = [&](EntityType t, uint32_t idx, std::string_view name) {
+    return ReadAttr(FindAttr(OwnerOf(t), name), catalog, t, idx);
+  };
+  EXPECT_EQ(read(EntityType::kProcess, bash_, "exe_name").ToString(), "/usr/bin/bash");
+  EXPECT_EQ(read(EntityType::kProcess, bash_, "user").ToString(), "root");
+  EXPECT_EQ(read(EntityType::kNetwork, ip_, "dst_port").as_int(), 443);
+  EXPECT_EQ(FindAttr(AttrOwner::kFile, "bogus"), nullptr);
 }
 
 TEST_F(StorageTest, PartitioningByDayAndAgentGroup) {
