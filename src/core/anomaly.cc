@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/core/compiled_projector.h"
-#include "src/core/eval.h"
 #include "src/core/exec_session.h"
 
 namespace aiql {
@@ -100,29 +99,13 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   if (session == nullptr) {
     session = &local;
   }
-  ExecStats* st = &session->stats;
-  st->pattern_matches.assign(1, 0);
-  ScanContext scan_ctx;
-  scan_ctx.cancel = &session->cancelled;
-  scan_ctx.ArmDeadline(options.time_budget_ms);
-  scan_ctx.pins = &session->pins;
+  session->stats.pattern_matches.assign(1, 0);
+  session->scan.ArmDeadline(options.time_budget_ms);
+  const ScanContext& stop = session->scan;
   std::vector<EventView> events =
-      FetchDataQuery(db, ctx.patterns[0].query, options, pool, session, &scan_ctx);
-  if (Status s = scan_ctx.StopStatus(); !s.ok()) {
+      FetchPattern(db, ctx, 0, ctx.patterns[0].query, options, pool, session);
+  if (Status s = stop.StopStatus(); !s.ok()) {
     return Result<ResultTable>(s);
-  }
-  st->pattern_matches[0] = events.size();
-  // Intra-pattern attribute relationships filter single events.
-  for (const AttrRelation& rel : ctx.attr_rels) {
-    if (rel.IsIntraPattern()) {
-      size_t w = 0;
-      for (size_t i = 0; i < events.size(); ++i) {
-        if (CheckAttrRel(rel, events[i], events[i], db.catalog())) {
-          events[w++] = events[i];
-        }
-      }
-      events.resize(w);
-    }
   }
 
   // Windows are anchored at the query's declared time window (inference
@@ -155,7 +138,7 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   size_t first = 0, last = 0;
   uint32_t w = 0;
   for (TimestampMs ws = range.begin; ws < range.end; ws += step, ++w) {
-    if (Status s = scan_ctx.StopStatus(); !s.ok()) {
+    if (Status s = stop.StopStatus(); !s.ok()) {
       return Result<ResultTable>(s);
     }
     const TimestampMs we = std::min<TimestampMs>(ws + window, range.end);

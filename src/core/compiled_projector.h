@@ -174,13 +174,14 @@ class CompiledProjector {
                     Mode mode, size_t num_windows = 1);
 
   // kRows: appends one row per input row passing `having`, checking `stop`
-  // before each row. Under `distinct`, a row whose packed items equal an
+  // before the first row and every BudgetGuard::kStopCheckRows rows. Under `distinct`, a row whose packed items equal an
   // earlier row's is not appended (see EmitRows).
   Status ProjectRows(const ScanContext& stop, ResultTable* table);
 
   // kGroups / kWindows: runs window `w` over rows [first, last) and appends
   // its rows in group-key order. A window start, when given, leads each row
-  // as a formatted timestamp. `stop` (optional) is checked before each group.
+  // as a formatted timestamp. `stop` (optional) is checked before the first
+  // group and every BudgetGuard::kStopCheckRows groups.
   Status RunWindow(uint32_t w, std::optional<TimestampMs> window_start, size_t first,
                    size_t last, const ScanContext* stop, ResultTable* table);
 

@@ -1,5 +1,7 @@
 #include "src/core/eval.h"
 
+#include <algorithm>
+
 namespace aiql {
 
 Value EndpointValue(const EventView& e, RefSide side, const AttrDef* attr,
@@ -78,6 +80,27 @@ bool CheckTempRel(const TempRelation& rel, const EventView& le, const EventView&
     }
   }
   return false;
+}
+
+TimeRange TempStartWindow(const TempRelation& rel, bool target_is_left, TimestampMs tmin,
+                          TimestampMs tmax) {
+  const DurationMs lo = std::max<DurationMs>(rel.lo.value_or(0), 1);
+  const bool has_hi = rel.hi.has_value();
+  const DurationMs hi = rel.hi.value_or(0);
+  ast::TempOrder order = rel.order;
+  if (target_is_left && order != ast::TempOrder::kWithin) {
+    // "target <order> source": flip to express the target relative to the source.
+    order = order == ast::TempOrder::kBefore ? ast::TempOrder::kAfter : ast::TempOrder::kBefore;
+  }
+  switch (order) {
+    case ast::TempOrder::kBefore:  // target strictly later than source
+      return {tmin + lo, has_hi ? tmax + hi + 1 : INT64_MAX};
+    case ast::TempOrder::kAfter:  // target strictly earlier than source
+      return {has_hi ? tmin - hi : INT64_MIN, tmax - lo + 1};
+    case ast::TempOrder::kWithin:
+      break;
+  }
+  return {has_hi ? tmin - hi : INT64_MIN, has_hi ? tmax + hi + 1 : INT64_MAX};
 }
 
 std::vector<Relationship> InterPatternRelationships(const QueryContext& ctx) {

@@ -24,6 +24,14 @@ bool CheckAttrRel(const AttrRelation& rel, const EventView& le, const EventView&
                   const EntityCatalog& catalog);
 bool CheckTempRel(const TempRelation& rel, const EventView& le, const EventView& re);
 
+// Admissible start times of the event bound to one endpoint of `rel` (the
+// target: the relationship's left pattern when `target_is_left`) given that
+// the other endpoint's start times span [tmin, tmax]. Pushdown narrows a
+// fetch to it over every known row; the temporal join binary-searches it per
+// row (tmin = tmax). CheckTempRel stays the exact test (e.g. within's lo).
+TimeRange TempStartWindow(const TempRelation& rel, bool target_is_left, TimestampMs tmin,
+                          TimestampMs tmax);
+
 // Unified relationship handle used by the schedulers.
 struct Relationship {
   enum class Kind : uint8_t { kAttr, kTemp };

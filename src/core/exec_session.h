@@ -41,7 +41,7 @@ struct ExecutionSession {
   ExecStats stats;
 
   // Cooperative cancellation: set (from any thread) to abort the execution at
-  // the next pattern fetch, join-budget charge, or projection row.
+  // the next pattern fetch, join-budget or projection stop check.
   std::atomic<bool> cancelled{false};
 
   // Per-execution time budget in ms; 0 inherits EngineOptions::time_budget_ms.
@@ -56,6 +56,14 @@ struct ExecutionSession {
   // if the decode cache evicts the columns mid-run. The engine clears them
   // after projection (results are materialized values by then).
   ColumnPins pins;
+
+  // The run's one stop check: the cancellation flag above, the run deadline
+  // and the pin sink. Storage morsel loops, the join budget, the executors
+  // between steps, anomaly windows and projection all read it.
+  // ExecuteMultievent and ExecuteAnomaly arm the deadline from
+  // ExecOptions::time_budget_ms (0 clears it, so a reused session carries no
+  // stale deadline); ProjectResults on the same session honours it.
+  ScanContext scan{.cancel = &cancelled, .pins = &pins};
 
   void RequestCancel() { cancelled.store(true, std::memory_order_relaxed); }
   bool IsCancelled() const { return cancelled.load(std::memory_order_relaxed); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <unordered_set>
 
 namespace aiql {
@@ -75,40 +74,35 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
                                &stats->plan_cache_hits, ctx);
 }
 
+std::vector<EventView> FetchPattern(const EventStore& db, const QueryContext& ctx,
+                                    size_t pattern, const DataQuery& query,
+                                    const ExecOptions& options, ThreadPool* pool,
+                                    ExecutionSession* session) {
+  std::vector<EventView> events =
+      FetchDataQuery(db, query, options, pool, session, &session->scan);
+  // Intra-pattern attribute relationships (e.g. p1.user = f1.owner within
+  // one pattern) filter single events.
+  for (const AttrRelation& rel : ctx.attr_rels) {
+    if (rel.IsIntraPattern() && rel.left_pattern == pattern) {
+      std::erase_if(events, [&](const EventView& e) {
+        return !CheckAttrRel(rel, e, e, db.catalog());
+      });
+    }
+  }
+  session->stats.pattern_matches[pattern] = events.size();
+  return events;
+}
+
 namespace {
 
 // Pushdown is skipped when the candidate value set exceeds this size.
 constexpr size_t kPushdownValueLimit = 262144;
-
-// Applies intra-pattern attribute relationships (e.g. p1.user = f1.owner
-// within one pattern) as a row filter on the pattern's matches.
-void ApplyIntraRels(const QueryContext& ctx, size_t pattern, std::vector<EventView>* events,
-                    const EntityCatalog& catalog) {
-  for (const AttrRelation& rel : ctx.attr_rels) {
-    if (!rel.IsIntraPattern() || rel.left_pattern != pattern) {
-      continue;
-    }
-    size_t w = 0;
-    for (size_t i = 0; i < events->size(); ++i) {
-      if (CheckAttrRel(rel, (*events)[i], (*events)[i], catalog)) {
-        (*events)[w++] = (*events)[i];
-      }
-    }
-    events->resize(w);
-  }
-}
 
 // Pattern type rank for relationship ordering: the paper sorts relationships
 // over process/network events ahead of file events (§5.2 step 2).
 int PatternTypeRank(const QueryContext& ctx, size_t pattern) {
   return ctx.patterns[pattern].query.object_type == EntityType::kFile ? 1 : 0;
 }
-
-struct RelOrderKey {
-  int type_rank;
-  size_t neg_score_sum;
-  size_t index;
-};
 
 std::vector<Relationship> SortedRelationships(const QueryContext& ctx,
                                               std::vector<Relationship> rels) {
@@ -151,38 +145,33 @@ class MultieventExecutor {
         pool_(pool),
         session_(session),
         stats_(&session->stats),
-        budget_(options.max_join_work, &scan_ctx_),
+        budget_(options.max_join_work, &session->scan),
         joiner_(db.catalog(), &budget_,
-                JoinStrategy{
-                    .hash_equality = options.scheduler != SchedulerKind::kBigJoin,
-                    .temporal_index = options.scheduler != SchedulerKind::kBigJoin}) {
+                JoinStrategy{.indexed = options.scheduler != SchedulerKind::kBigJoin}),
+        m_(ctx.patterns.size()) {
     stats_->pattern_matches.assign(ctx.patterns.size(), 0);
-    // The per-run scan context, the run's one stop check: storage-layer
-    // morsel loops check it between morsels, the join budget at its charge
-    // cadence, and CheckStop between steps. Decoded archive columns pin into
-    // the session for the run's lifetime. AiqlEngine::ExecuteContext already
-    // folded the session's budget override into options.time_budget_ms.
-    scan_ctx_.cancel = &session->cancelled;
-    scan_ctx_.ArmDeadline(options.time_budget_ms);
-    scan_ctx_.pins = &session->pins;
+    // The session's scan context is the run's one stop check (see
+    // ExecutionSession::scan). AiqlEngine::ExecuteContext already folded the
+    // session's budget override into options.time_budget_ms.
+    session->scan.ArmDeadline(options.time_budget_ms);
   }
 
   Result<TupleSet> Run() {
-    Result<TupleSet> result = options_.scheduler == SchedulerKind::kBigJoin
-                                  ? RunBigJoin()
-                                  : RunRelationshipLoop();
+    Status status = options_.scheduler == SchedulerKind::kBigJoin ? RunBigJoin()
+                                                                  : RunRelationshipLoop();
     stats_->join_work = budget_.rows_produced();
-    // The per-loop checks run BEFORE each fetch; a cancel or deadline firing
+    // The per-step checks run BEFORE each fetch; a cancel or deadline firing
     // during the final scan stops that scan mid-plan with no later check to
-    // notice. ShouldStop true here means the matches may be truncated, so
-    // the run must fail rather than pass them off as the answer.
-    if (result.ok()) {
-      if (Status s = CheckStop(); !s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      stats_->final_tuples = result.value().num_rows();
+    // notice. A stop here means the matches may be truncated, so the run
+    // must fail rather than pass them off as the answer.
+    if (status.ok()) {
+      status = CheckStop();
     }
-    return result;
+    if (!status.ok()) {
+      return Result<TupleSet>(status);
+    }
+    stats_->final_tuples = m_[0]->num_rows();
+    return std::move(*m_[0]);
   }
 
  private:
@@ -191,25 +180,25 @@ class MultieventExecutor {
   // Cancellation / scan-deadline check between execution steps. A stopped
   // storage scan returns a partial result, so the run must fail rather than
   // pass truncated matches off as the answer.
-  Status CheckStop() const { return scan_ctx_.StopStatus(); }
+  Status CheckStop() const { return session_->scan.StopStatus(); }
 
-  // Executes the data query of `pattern`, optionally constrained by the
-  // already-known bindings of the relationship's other endpoint.
-  void ExecutePattern(size_t pattern, const Relationship* rel, const TupleSet* known) {
+  // Executes the data query of `pattern` into a singleton set of M, narrowed
+  // by the rows `known` already binds for the other endpoint of `rel` when
+  // pushdown is on (paper Algorithm 1: "S_j <- execute_{S_i} q_j"). Only the
+  // relationship scheduler fetches with a known set: fetch-filter and the
+  // big join fetch every pattern up front.
+  void Fetch(size_t pattern, const Relationship* rel = nullptr,
+             const TupleSet* known = nullptr) {
     DataQuery q = ctx_.patterns[pattern].query;
-    if (options_.pushdown && options_.scheduler == SchedulerKind::kRelationship &&
-        rel != nullptr && known != nullptr) {
+    if (options_.pushdown && known != nullptr) {
       InjectPushdown(&q, *rel, pattern, *known);
     }
-    matches_[pattern] = FetchDataQuery(db_, q, options_, pool_, session_, &scan_ctx_);
-    ApplyIntraRels(ctx_, pattern, &matches_[pattern], db_.catalog());
-    executed_[pattern] = true;
-    stats_->pattern_matches[pattern] = matches_[pattern].size();
+    m_[pattern] = std::make_shared<TupleSet>(TupleSet::FromMatches(
+        pattern, FetchPattern(db_, ctx_, pattern, q, options_, pool_, session_)));
   }
 
   // Constrained execution: derive candidate values / time bounds for
-  // `target` from the known side of `rel` (paper Algorithm 1: "S_j <-
-  // execute_{S_i} q_j").
+  // `target` from the known side of `rel`.
   void InjectPushdown(DataQuery* q, const Relationship& rel, size_t target,
                       const TupleSet& known) {
     size_t source = rel.left() == target ? rel.right() : rel.left();
@@ -264,198 +253,105 @@ class MultieventExecutor {
         q->pushed_time = TimeRange{0, 0};  // empty: no source rows
         return;
       }
-      const TempRelation& tr = rel.temp;
-      bool target_is_left = tr.left_pattern == target;
-      DurationMs lo = tr.lo.value_or(0);
-      bool has_hi = tr.hi.has_value();
-      DurationMs hi = tr.hi.value_or(0);
-      TimeRange bound;  // admissible start times of the target event
-      ast::TempOrder order = tr.order;
-      if (target_is_left) {
-        // target <order> source: flip to express target relative to source.
-        if (order == ast::TempOrder::kBefore) {
-          order = ast::TempOrder::kAfter;
-        } else if (order == ast::TempOrder::kAfter) {
-          order = ast::TempOrder::kBefore;
-        }
-      }
-      switch (order) {
-        case ast::TempOrder::kBefore:  // target later than source
-          bound.begin = tmin + std::max<DurationMs>(lo, 1);
-          bound.end = has_hi ? tmax + hi + 1 : INT64_MAX;
-          break;
-        case ast::TempOrder::kAfter:  // target earlier than source
-          bound.begin = has_hi ? tmin - hi : INT64_MIN;
-          bound.end = tmax - std::max<DurationMs>(lo, 1) + 1;
-          break;
-        case ast::TempOrder::kWithin:
-          bound.begin = has_hi ? tmin - hi : INT64_MIN;
-          bound.end = has_hi ? tmax + hi + 1 : INT64_MAX;
-          break;
-      }
+      TimeRange bound = TempStartWindow(rel.temp, rel.temp.left_pattern == target, tmin, tmax);
       q->pushed_time = q->pushed_time.has_value() ? q->pushed_time->Intersect(bound) : bound;
       ++stats_->pushdown_applications;
     }
   }
 
-  void ReplaceVals(const std::shared_ptr<TupleSet>& old_set,
-                   const std::shared_ptr<TupleSet>& new_set) {
-    for (auto& m : m_) {
-      if (m == old_set) {
-        m = new_set;
+  // Joins the sets of patterns `x` (left) and `y` (right) under `rels`, and
+  // maps every pattern of either input to the result.
+  Status Merge(size_t x, size_t y, const std::vector<Relationship>& rels) {
+    const std::shared_ptr<TupleSet> left = m_[x];
+    const std::shared_ptr<TupleSet> right = m_[y];
+    Result<TupleSet> joined = joiner_.Join(*left, *right, rels);
+    if (!joined.ok()) {
+      return joined.status();
+    }
+    auto merged = std::make_shared<TupleSet>(joined.take());
+    for (std::shared_ptr<TupleSet>& set : m_) {
+      if (set == left || set == right) {
+        set = merged;
       }
     }
+    return Status::Ok();
   }
 
-  Result<TupleSet> RunRelationshipLoop() {
-    const size_t n = ctx_.patterns.size();
-    matches_.assign(n, {});
-    executed_.assign(n, false);
-    m_.assign(n, nullptr);
+  // Algorithm 1's connect step for one relationship. The lead endpoint is
+  // the executed one (`a` when both are); with neither executed it is the
+  // one with the higher pruning score (`a` on a tie) and is fetched plainly.
+  // The other endpoint is then fetched with pushdown from the lead's set.
+  // Endpoints already in one set filter it; otherwise their sets join.
+  Status Connect(const Relationship& rel) {
+    const size_t a = rel.left();
+    const size_t b = rel.right();
+    const size_t lead = m_[a] != nullptr || (m_[b] == nullptr && Score(a) >= Score(b)) ? a : b;
+    const size_t other = lead == a ? b : a;
+    if (m_[lead] == nullptr) {
+      Fetch(lead);
+    }
+    if (m_[other] == nullptr) {
+      Fetch(other, &rel, m_[lead].get());
+    }
+    if (m_[lead] == m_[other]) {
+      m_[lead]->Filter(rel, db_.catalog());
+      return Status::Ok();
+    }
+    return Merge(lead, other, {rel});
+  }
 
+  Status RunRelationshipLoop() {
     std::vector<Relationship> rels = InterPatternRelationships(ctx_);
     if (options_.ordering && options_.scheduler == SchedulerKind::kRelationship) {
       rels = SortedRelationships(ctx_, std::move(rels));
     }
-
     // Fetch-and-filter executes every data query up front (paper §5.2).
     if (options_.scheduler == SchedulerKind::kFetchFilter) {
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i < m_.size(); ++i) {
         if (Status s = CheckStop(); !s.ok()) {
-          return Result<TupleSet>(s);
+          return s;
         }
-        ExecutePattern(i, nullptr, nullptr);
+        Fetch(i);
       }
     }
-
     for (const Relationship& rel : rels) {
       if (Status s = CheckStop(); !s.ok()) {
-        return Result<TupleSet>(s);
+        return s;
       }
-      size_t a = rel.left();
-      size_t b = rel.right();
-      std::vector<Relationship> rel_vec{rel};
-      if (!executed_[a] && !executed_[b]) {
-        size_t first = Score(a) >= Score(b) ? a : b;
-        size_t second = first == a ? b : a;
-        ExecutePattern(first, nullptr, nullptr);
-        TupleSet sf = TupleSet::FromMatches(first, matches_[first]);
-        ExecutePattern(second, &rel, &sf);
-        TupleSet ss = TupleSet::FromMatches(second, matches_[second]);
-        Result<TupleSet> joined = joiner_.Join(sf, ss, rel_vec);
-        if (!joined.ok()) {
-          return joined;
-        }
-        auto t = std::make_shared<TupleSet>(joined.take());
-        m_[a] = t;
-        m_[b] = t;
-      } else if (executed_[a] != executed_[b]) {
-        size_t e = executed_[a] ? a : b;
-        size_t u = e == a ? b : a;
-        std::shared_ptr<TupleSet> te = m_[e];
-        TupleSet raw;
-        const TupleSet* known = te.get();
-        if (known == nullptr) {
-          raw = TupleSet::FromMatches(e, matches_[e]);
-          known = &raw;
-        }
-        ExecutePattern(u, &rel, known);
-        TupleSet su = TupleSet::FromMatches(u, matches_[u]);
-        Result<TupleSet> joined = joiner_.Join(*known, su, rel_vec);
-        if (!joined.ok()) {
-          return joined;
-        }
-        auto t = std::make_shared<TupleSet>(joined.take());
-        if (te != nullptr) {
-          ReplaceVals(te, t);
-        }
-        m_[e] = t;
-        m_[u] = t;
-      } else {
-        std::shared_ptr<TupleSet> ta = m_[a];
-        std::shared_ptr<TupleSet> tb = m_[b];
-        if (ta == tb && ta != nullptr) {
-          ta->Filter(rel, db_.catalog());
-        } else {
-          TupleSet raw_a, raw_b;
-          const TupleSet* left = ta.get();
-          const TupleSet* right = tb.get();
-          if (left == nullptr) {
-            raw_a = TupleSet::FromMatches(a, matches_[a]);
-            left = &raw_a;
-          }
-          if (right == nullptr) {
-            raw_b = TupleSet::FromMatches(b, matches_[b]);
-            right = &raw_b;
-          }
-          Result<TupleSet> joined = joiner_.Join(*left, *right, rel_vec);
-          if (!joined.ok()) {
-            return joined;
-          }
-          auto t = std::make_shared<TupleSet>(joined.take());
-          if (ta != nullptr) {
-            ReplaceVals(ta, t);
-          }
-          if (tb != nullptr) {
-            ReplaceVals(tb, t);
-          }
-          m_[a] = t;
-          m_[b] = t;
-        }
+      if (Status s = Connect(rel); !s.ok()) {
+        return s;
       }
     }
-
     // Step 4: patterns untouched by any relationship.
-    for (size_t i = 0; i < n; ++i) {
-      if (!executed_[i]) {
-        if (Status s = CheckStop(); !s.ok()) {
-          return Result<TupleSet>(s);
-        }
-        ExecutePattern(i, nullptr, nullptr);
-      }
+    for (size_t i = 0; i < m_.size(); ++i) {
       if (m_[i] == nullptr) {
-        m_[i] = std::make_shared<TupleSet>(TupleSet::FromMatches(i, matches_[i]));
+        if (Status s = CheckStop(); !s.ok()) {
+          return s;
+        }
+        Fetch(i);
       }
     }
-
-    // Step 5: merge remaining disjoint tuple sets (cross products).
-    for (;;) {
-      std::shared_ptr<TupleSet> first = m_[0];
-      std::shared_ptr<TupleSet> other = nullptr;
-      for (size_t i = 1; i < n; ++i) {
-        if (m_[i] != first) {
-          other = m_[i];
-          break;
+    // Step 5: cross-join each remaining disjoint set into pattern 0's.
+    for (size_t i = 1; i < m_.size(); ++i) {
+      if (m_[i] != m_[0]) {
+        if (Status s = Merge(0, i, {}); !s.ok()) {
+          return s;
         }
       }
-      if (other == nullptr) {
-        break;
-      }
-      Result<TupleSet> joined = joiner_.Join(*first, *other, {});
-      if (!joined.ok()) {
-        return joined;
-      }
-      auto t = std::make_shared<TupleSet>(joined.take());
-      ReplaceVals(first, t);
-      ReplaceVals(other, t);
     }
-    return *m_[0];
+    return Status::Ok();
   }
 
   // "PostgreSQL scheduling": monolithic left-deep join in written order.
-  Result<TupleSet> RunBigJoin() {
-    const size_t n = ctx_.patterns.size();
-    matches_.assign(n, {});
-    executed_.assign(n, false);
-    for (size_t i = 0; i < n; ++i) {
+  Status RunBigJoin() {
+    for (size_t i = 0; i < m_.size(); ++i) {
       if (Status s = CheckStop(); !s.ok()) {
-        return Result<TupleSet>(s);
+        return s;
       }
-      ExecutePattern(i, nullptr, nullptr);
+      Fetch(i);
     }
-    std::vector<Relationship> rels = InterPatternRelationships(ctx_);
-    TupleSet t = TupleSet::FromMatches(0, matches_[0]);
-    for (size_t i = 1; i < n; ++i) {
+    const std::vector<Relationship> rels = InterPatternRelationships(ctx_);
+    for (size_t i = 1; i < m_.size(); ++i) {
       std::vector<Relationship> applicable;
       for (const Relationship& rel : rels) {
         bool touches_i = rel.left() == i || rel.right() == i;
@@ -464,14 +360,11 @@ class MultieventExecutor {
           applicable.push_back(rel);
         }
       }
-      Result<TupleSet> joined = joiner_.Join(t, TupleSet::FromMatches(i, matches_[i]),
-                                             applicable);
-      if (!joined.ok()) {
-        return joined;
+      if (Status s = Merge(0, i, applicable); !s.ok()) {
+        return s;
       }
-      t = joined.take();
     }
-    return t;
+    return Status::Ok();
   }
 
   const EventStore& db_;
@@ -480,12 +373,10 @@ class MultieventExecutor {
   ThreadPool* pool_;
   ExecutionSession* session_;
   ExecStats* stats_;
-  ScanContext scan_ctx_;
   BudgetGuard budget_;
   TupleJoiner joiner_;
-
-  std::vector<std::vector<EventView>> matches_;
-  std::vector<bool> executed_;
+  // Algorithm 1's map M: pattern -> the tuple set binding it; null until the
+  // pattern is fetched, so "executed" is "has an entry".
   std::vector<std::shared_ptr<TupleSet>> m_;
 };
 

@@ -60,7 +60,8 @@ struct ExecOptions {
 // Executes the multievent part of a query context, producing the final tuple
 // set over all patterns. Fails on budget exhaustion, cancellation (via the
 // session's flag), or internal errors. `session` carries the execution's
-// stats and optional plan cache; it must outlive the call.
+// stats, optional plan cache and scan context (its deadline armed here from
+// options.time_budget_ms); it must outlive the call.
 Result<TupleSet> ExecuteMultievent(const EventStore& db, const QueryContext& ctx,
                                    const ExecOptions& options, ThreadPool* pool,
                                    ExecutionSession* session);
@@ -78,6 +79,16 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
                                       const ExecOptions& options, ThreadPool* pool,
                                       ExecutionSession* session,
                                       const ScanContext* ctx = nullptr);
+
+// Fetches pattern `pattern` of `ctx` with data query `query` (the pattern's
+// own, possibly narrowed by pushdown) through FetchDataQuery under the
+// session's scan context, keeps the events that satisfy the pattern's
+// intra-pattern attribute relationships, and records their count in
+// session->stats.pattern_matches[pattern] (sized by the caller).
+std::vector<EventView> FetchPattern(const EventStore& db, const QueryContext& ctx,
+                                    size_t pattern, const DataQuery& query,
+                                    const ExecOptions& options, ThreadPool* pool,
+                                    ExecutionSession* session);
 
 }  // namespace aiql
 

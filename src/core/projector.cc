@@ -772,8 +772,12 @@ Status CompiledProjector::EmitRows(const ScanContext& stop, bool dedupe, ResultT
   FlatKeyTable seen(2 * num_items);
   std::vector<uint64_t> packed(2 * num_items);
   for (size_t r = 0; r < rows_.size(); ++r) {
-    if (Status s = stop.StopStatus(); !s.ok()) {
-      return s;
+    // The stop check reads the clock once a deadline is armed, so it runs
+    // at the join budget's cadence rather than per row.
+    if (r % BudgetGuard::kStopCheckRows == 0) {
+      if (Status s = stop.StopStatus(); !s.ok()) {
+        return s;
+      }
     }
     if (!EvalRow(/*absent=*/false, nullptr, r)) {
       continue;
@@ -858,13 +862,13 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
   // stay aligned.
   static const Acc kZero;
   for (uint32_t g = 0; g < groups_.size(); ++g) {
-    if (!known_[g]) {
-      continue;
-    }
-    if (stop != nullptr) {
+    if (stop != nullptr && g % BudgetGuard::kStopCheckRows == 0) {
       if (Status s = stop->StopStatus(); !s.ok()) {
         return s;
       }
+    }
+    if (!known_[g]) {
+      continue;
     }
     GroupState& state = groups_[g];
     const bool present = window_stamp_[g] == stamp;
@@ -934,10 +938,8 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
 Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tuples,
                                    const EntityCatalog& catalog,
                                    const ExecutionSession* session) {
-  ScanContext stop;
-  if (session != nullptr) {
-    stop.cancel = &session->cancelled;
-  }
+  const ScanContext unstoppable;
+  const ScanContext& stop = session != nullptr ? session->scan : unstoppable;
   bool grouped = !ctx.group_by.empty();
   std::vector<std::string> columns;
   for (const OutputItem& item : ctx.items) {

@@ -18,7 +18,9 @@ struct ExecutionSession;
 // rows group by the group-by key (groups visited in key-string order, each
 // reading plain references from its first row) and a query with aggregates
 // but no group-by forms one global group, even over no rows. When a session
-// is supplied, its cancellation flag is checked before each row or group.
+// is supplied, its scan context (the cancellation flag, and the deadline
+// its ExecuteMultievent armed) is checked before the first row or group and
+// every BudgetGuard::kStopCheckRows (1024) after it.
 Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tuples,
                                    const EntityCatalog& catalog,
                                    const ExecutionSession* session = nullptr);

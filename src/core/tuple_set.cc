@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace aiql {
 
@@ -32,22 +31,6 @@ int TupleSet::ColumnOf(size_t pattern) const {
     }
   }
   return -1;
-}
-
-std::vector<EventView> TupleSet::DistinctEventsOf(size_t pattern) const {
-  int col = ColumnOf(pattern);
-  std::vector<EventView> out;
-  if (col < 0) {
-    return out;
-  }
-  std::unordered_set<EventView, EventViewHash> seen;
-  for (const auto& row : rows_) {
-    const EventView& e = row[col];
-    if (seen.insert(e).second) {
-      out.push_back(e);
-    }
-  }
-  return out;
 }
 
 void TupleSet::Filter(const Relationship& rel, const EntityCatalog& catalog) {
@@ -109,25 +92,18 @@ Result<TupleSet> TupleJoiner::Join(const TupleSet& left, const TupleSet& right,
       temp_idx = static_cast<int>(i);
     }
   }
-  if (eq_idx >= 0 && strategy_.hash_equality) {
-    std::vector<Relationship> rest;
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (static_cast<int>(i) != eq_idx) {
-        rest.push_back(rels[i]);
-      }
-    }
-    return HashJoin(left, right, rels[eq_idx], rest);
+  const int drive = eq_idx >= 0 ? eq_idx : temp_idx;
+  if (drive < 0 || !strategy_.indexed) {
+    return NestedLoopJoin(left, right, rels);
   }
-  if (temp_idx >= 0 && strategy_.temporal_index) {
-    std::vector<Relationship> rest;
-    for (size_t i = 0; i < rels.size(); ++i) {
-      if (static_cast<int>(i) != temp_idx) {
-        rest.push_back(rels[i]);
-      }
+  std::vector<Relationship> rest;
+  for (size_t i = 0; i < rels.size(); ++i) {
+    if (static_cast<int>(i) != drive) {
+      rest.push_back(rels[i]);
     }
-    return TemporalJoin(left, right, rels[temp_idx], rest);
   }
-  return NestedLoopJoin(left, right, rels);
+  return drive == eq_idx ? HashJoin(left, right, rels[drive], rest)
+                         : TemporalJoin(left, right, rels[drive], rest);
 }
 
 Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& right,
@@ -215,33 +191,6 @@ Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet&
     times[i] = right.rows()[order[i]][rcol].start_time();
   }
 
-  // Admissible start-time interval of the right event given the left event.
-  auto bounds = [&](TimestampMs lt) -> std::pair<TimestampMs, TimestampMs> {
-    const DurationMs lo = rel.lo.value_or(0);
-    const bool has_hi = rel.hi.has_value();
-    const DurationMs hi = rel.hi.value_or(0);
-    ast::TempOrder order_eff = rel.order;
-    if (!left_has_lhs) {
-      // The relationship reads "rel.left <order> rel.right" but the left
-      // tuple set holds rel.right; flip the inequality.
-      if (order_eff == ast::TempOrder::kBefore) {
-        order_eff = ast::TempOrder::kAfter;
-      } else if (order_eff == ast::TempOrder::kAfter) {
-        order_eff = ast::TempOrder::kBefore;
-      }
-    }
-    switch (order_eff) {
-      case ast::TempOrder::kBefore:  // right strictly later than left
-        return {lt + std::max<DurationMs>(lo, 1),
-                has_hi ? lt + hi + 1 : INT64_MAX};
-      case ast::TempOrder::kAfter:  // right strictly earlier than left
-        return {has_hi ? lt - hi : INT64_MIN, lt - std::max<DurationMs>(lo, 1) + 1};
-      case ast::TempOrder::kWithin:
-        return {has_hi ? lt - hi : INT64_MIN, has_hi ? lt + hi + 1 : INT64_MAX};
-    }
-    return {INT64_MIN, INT64_MAX};
-  };
-
   TupleSet out;
   out.patterns_ = left.patterns();
   out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
@@ -249,10 +198,12 @@ Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet&
     if (Status s = budget_->Visit(); !s.ok()) {
       return Result<TupleSet>(s);
     }
-    TimestampMs lt = lrow[lcol].start_time();
-    auto [tmin, tmax] = bounds(lt);
-    auto first = std::lower_bound(times.begin(), times.end(), tmin);
-    auto last = std::lower_bound(times.begin(), times.end(), tmax);
+    // The right event's admissible start times given the left event; the
+    // right side holds rel.left exactly when the left side does not.
+    const TimestampMs lt = lrow[lcol].start_time();
+    const TimeRange window = TempStartWindow(rel, !left_has_lhs, lt, lt);
+    auto first = std::lower_bound(times.begin(), times.end(), window.begin);
+    auto last = std::lower_bound(times.begin(), times.end(), window.end);
     for (auto it = first; it != last; ++it) {
       if (Status s = budget_->Visit(); !s.ok()) {
         return Result<TupleSet>(s);

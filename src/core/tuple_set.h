@@ -2,8 +2,9 @@
 //
 // A TupleSet binds a subset of the query's event patterns to concrete matched
 // events; each row is one joint assignment. The map M of Algorithm 1 maps
-// pattern ids to shared tuple sets; joins/filters produce new sets which
-// replace the old values (replaceVals in the paper's pseudocode).
+// pattern ids to shared tuple sets; joins produce new sets which every
+// pattern of both inputs then maps to (replaceVals in the paper's
+// pseudocode), filters narrow a set in place.
 #ifndef AIQL_SRC_CORE_TUPLE_SET_H_
 #define AIQL_SRC_CORE_TUPLE_SET_H_
 
@@ -58,6 +59,9 @@ class BudgetGuard {
 class TupleSet {
  public:
   TupleSet() = default;
+  // Rows over `patterns`, each row holding one event per pattern, in order.
+  TupleSet(std::vector<size_t> patterns, std::vector<std::vector<EventView>> rows)
+      : patterns_(std::move(patterns)), rows_(std::move(rows)) {}
 
   static TupleSet FromMatches(size_t pattern, std::vector<EventView> matches);
 
@@ -69,13 +73,8 @@ class TupleSet {
   int ColumnOf(size_t pattern) const;
   bool Binds(size_t pattern) const { return ColumnOf(pattern) >= 0; }
 
-  // Distinct events bound to `pattern` across all rows (document order).
-  std::vector<EventView> DistinctEventsOf(size_t pattern) const;
-
   // In-place filter by a relationship whose two patterns are both bound.
   void Filter(const Relationship& rel, const EntityCatalog& catalog);
-
-  std::vector<std::vector<EventView>>* mutable_rows() { return &rows_; }
 
   friend class TupleJoiner;
 
@@ -84,7 +83,7 @@ class TupleSet {
   std::vector<std::vector<EventView>> rows_;
 };
 
-// Join strategy knobs. The AIQL engine uses hash joins for equality
+// Join strategy. The AIQL engine (indexed) uses hash joins for equality
 // relationships and time-sorted binary-search joins for temporal ones; the
 // big-join baseline (PostgreSQL-scheduling model) uses nested loops
 // throughout, modeling the misplanned monolithic join the paper measures
@@ -92,8 +91,7 @@ class TupleSet {
 // (paper §5.1: "indeterministic optimizations ... often causes the execution
 // to last for minutes or even hours", §6.2.2).
 struct JoinStrategy {
-  bool hash_equality = true;
-  bool temporal_index = true;
+  bool indexed = true;
 };
 
 class TupleJoiner {

@@ -1,5 +1,6 @@
 #include "src/graph/graph_engine.h"
 
+#include <numeric>
 #include <unordered_map>
 
 #include "src/core/eval.h"
@@ -249,27 +250,10 @@ Result<ResultTable> GraphEngine::Execute(const QueryContext& ctx) {
   if (!s.ok()) {
     return Result<ResultTable>(s);
   }
-  // Assemble the tuple set over patterns 0..n-1 from the collected rows.
-  TupleSet tuples;
-  if (ctx.patterns.size() == 1) {
-    std::vector<EventView> matches;
-    matches.reserve(matcher.rows_.size());
-    for (const auto& row : matcher.rows_) {
-      matches.push_back(row[0]);
-    }
-    tuples = TupleSet::FromMatches(0, std::move(matches));
-  } else {
-    // Multi-pattern: create schema by chaining empty joins, then inject rows.
-    BudgetGuard guard;
-    TupleJoiner joiner(graph_->catalog(), &guard, JoinStrategy{});
-    TupleSet schema = TupleSet::FromMatches(0, {});
-    for (size_t i = 1; i < ctx.patterns.size(); ++i) {
-      Result<TupleSet> joined = joiner.Join(schema, TupleSet::FromMatches(i, {}), {});
-      schema = joined.take();
-    }
-    *schema.mutable_rows() = std::move(matcher.rows_);
-    tuples = std::move(schema);
-  }
+  // The collected rows bind patterns 0..n-1 in order.
+  std::vector<size_t> patterns(ctx.patterns.size());
+  std::iota(patterns.begin(), patterns.end(), 0);
+  const TupleSet tuples(std::move(patterns), std::move(matcher.rows_));
   return ProjectResults(ctx, tuples, graph_->catalog());
 }
 

@@ -153,10 +153,11 @@ struct ScanContext {
   bool has_deadline = false;
   ColumnPins* pins = nullptr;
 
+  // Arms the deadline `budget_ms` from now; a budget <= 0 clears it.
   void ArmDeadline(int64_t budget_ms) {
-    if (budget_ms > 0) {
+    has_deadline = budget_ms > 0;
+    if (has_deadline) {
       deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-      has_deadline = true;
     }
   }
 

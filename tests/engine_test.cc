@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <thread>
 
 #include "src/core/engine.h"
+#include "src/core/projector.h"
 #include "src/core/tuple_set.h"
 #include "src/storage/database.h"
 
@@ -225,6 +227,32 @@ TEST_F(EngineTest, BudgetAborts) {
 // The join budget stops on the run's ScanContext at its row check cadence
 // (BudgetGuard::kStopCheckRows), with the same diagnostics as every other
 // layer.
+// The time budget a run arms covers its projection too: the session holds
+// the run's one scan context, so ProjectResults on that session stops once
+// the deadline ExecuteMultievent armed has passed. Re-running on the same
+// session with no budget clears the deadline.
+TEST_F(EngineTest, ProjectionHonorsTheRunDeadline) {
+  Result<QueryContext> ctx = CompileQuery(kChainQuery);
+  ASSERT_TRUE(ctx.ok()) << ctx.error();
+  ExecutionSession session;
+  Result<TupleSet> tuples = ExecuteMultievent(db_, ctx.value(),
+                                              ExecOptions{.time_budget_ms = 200}, nullptr,
+                                              &session);
+  ASSERT_TRUE(tuples.ok()) << tuples.error();
+  ASSERT_EQ(tuples.value().num_rows(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  Result<ResultTable> late = ProjectResults(ctx.value(), tuples.value(), db_.catalog(), &session);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.error(), "execution budget exceeded: time limit reached");
+
+  tuples = ExecuteMultievent(db_, ctx.value(), ExecOptions{}, nullptr, &session);
+  ASSERT_TRUE(tuples.ok()) << tuples.error();
+  Result<ResultTable> unbudgeted =
+      ProjectResults(ctx.value(), tuples.value(), db_.catalog(), &session);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.error();
+  EXPECT_EQ(unbudgeted.value().num_rows(), 1u);
+}
+
 TEST(BudgetGuardTest, ChargeStopsOnACancelledOrExpiredContext) {
   std::atomic<bool> cancel{true};
   const ScanContext cancelled{.cancel = &cancel};

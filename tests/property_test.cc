@@ -7,7 +7,9 @@
 //   - random data queries vs the brute-force reference scan.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <ostream>
 
 #include "src/core/engine.h"
 #include "src/storage/database.h"
@@ -139,10 +141,19 @@ INSTANTIATE_TEST_SUITE_P(Windows, AnomalyWindowPropertyTest,
 
 struct TempJoinCase {
   const char* rel;  // relationship clause text
+  // Reference: does the pair (evt1 at `l`, evt2 at `r`) satisfy `rel`?
+  bool (*holds)(TimestampMs l, TimestampMs r);
 };
+
+void PrintTo(const TempJoinCase& c, std::ostream* os) { *os << c.rel; }
 
 class TemporalJoinPropertyTest : public ::testing::TestWithParam<TempJoinCase> {};
 
+// evt1's pattern carries one more constraint than evt2's, so the
+// relationship scheduler leads with evt1: "evt1 <op> evt2" pushes the window
+// down into the relationship's right pattern, "evt2 <op> evt1" into its left
+// one (the flipped orientation of TempStartWindow), and the temporal join
+// probes from either side accordingly.
 TEST_P(TemporalJoinPropertyTest, MatchesNestedLoopReference) {
   Database db;
   uint32_t p = db.catalog().InternProcess(1, 1, "/bin/p");
@@ -165,48 +176,68 @@ TEST_P(TemporalJoinPropertyTest, MatchesNestedLoopReference) {
   db.Finalize();
 
   std::string text = std::string(R"(
-      proc a["/bin/p"] read file x as evt1
+      proc a["/bin/p"] read file x["/data"] as evt1
       proc b["/bin/q"] write ip y as evt2
       with )") + GetParam().rel + "\nreturn count evt1.id, evt2.id";
-  // Reference: nested loop over the raw timestamp pairs.
-  auto check = [&](TimestampMs l, TimestampMs r) {
-    std::string rel = GetParam().rel;
-    if (rel.find("within") != std::string::npos) {
-      DurationMs d = l >= r ? l - r : r - l;
-      return d <= 2 * kMinuteMs;
-    }
-    if (rel.find("after") != std::string::npos) {
-      return l > r;
-    }
-    if (rel.find("[1-5 minutes]") != std::string::npos) {
-      return r - l >= kMinuteMs && r - l <= 5 * kMinuteMs;
-    }
-    return l < r;  // plain before
-  };
   size_t expected = 0;
   for (TimestampMs l : lefts) {
     for (TimestampMs r : rights) {
-      if (check(l, r)) {
+      if (GetParam().holds(l, r)) {
         ++expected;
       }
     }
   }
+  ASSERT_GT(expected, 0u) << GetParam().rel;
   for (SchedulerKind scheduler : {SchedulerKind::kRelationship, SchedulerKind::kFetchFilter,
                                   SchedulerKind::kBigJoin}) {
-    AiqlEngine engine(&db, EngineOptions{.scheduler = scheduler});
-    auto r = engine.Execute(text);
-    ASSERT_TRUE(r.ok()) << r.error();
-    EXPECT_EQ(static_cast<size_t>(r.value().rows()[0][0].as_int()), expected)
-        << GetParam().rel << " under " << SchedulerKindName(scheduler);
+    for (bool pushdown : {true, false}) {
+      AiqlEngine engine(&db, EngineOptions{.scheduler = scheduler, .pushdown = pushdown});
+      auto r = engine.Execute(text);
+      ASSERT_TRUE(r.ok()) << r.error();
+      EXPECT_EQ(static_cast<size_t>(r.value().rows()[0][0].as_int()), expected)
+          << GetParam().rel << " under " << SchedulerKindName(scheduler)
+          << (pushdown ? " with" : " without") << " pushdown";
+      if (scheduler == SchedulerKind::kRelationship) {
+        EXPECT_EQ(r.value().exec_stats().pushdown_applications, pushdown ? 1u : 0u);
+      }
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Operators, TemporalJoinPropertyTest,
-                         ::testing::Values(TempJoinCase{"evt1 before evt2"},
-                                           TempJoinCase{"evt1 after evt2"},
-                                           TempJoinCase{"evt1 within [0-2 minutes] evt2"},
-                                           TempJoinCase{"evt1 before[1-5 minutes] evt2"}),
-                         [](const auto& info) { return "case" + std::to_string(info.index); });
+DurationMs Gap(TimestampMs from, TimestampMs to) { return to - from; }
+
+INSTANTIATE_TEST_SUITE_P(
+    Operators, TemporalJoinPropertyTest,
+    ::testing::Values(
+        TempJoinCase{"evt1 before evt2", [](TimestampMs l, TimestampMs r) { return l < r; }},
+        TempJoinCase{"evt1 after evt2", [](TimestampMs l, TimestampMs r) { return l > r; }},
+        TempJoinCase{"evt1 within [0-2 minutes] evt2",
+                     [](TimestampMs l, TimestampMs r) {
+                       return std::abs(Gap(l, r)) <= 2 * kMinuteMs;
+                     }},
+        TempJoinCase{"evt1 before[1-5 minutes] evt2",
+                     [](TimestampMs l, TimestampMs r) {
+                       return Gap(l, r) >= kMinuteMs && Gap(l, r) <= 5 * kMinuteMs;
+                     }},
+        TempJoinCase{"evt1 after[1-5 minutes] evt2",
+                     [](TimestampMs l, TimestampMs r) {
+                       return Gap(r, l) >= kMinuteMs && Gap(r, l) <= 5 * kMinuteMs;
+                     }},
+        TempJoinCase{"evt1 within[1-3 minutes] evt2",
+                     [](TimestampMs l, TimestampMs r) {
+                       return std::abs(Gap(l, r)) >= kMinuteMs &&
+                              std::abs(Gap(l, r)) <= 3 * kMinuteMs;
+                     }},
+        TempJoinCase{"evt2 before evt1", [](TimestampMs l, TimestampMs r) { return r < l; }},
+        TempJoinCase{"evt2 before[1-5 minutes] evt1",
+                     [](TimestampMs l, TimestampMs r) {
+                       return Gap(r, l) >= kMinuteMs && Gap(r, l) <= 5 * kMinuteMs;
+                     }},
+        TempJoinCase{"evt2 after[2-4 minutes] evt1",
+                     [](TimestampMs l, TimestampMs r) {
+                       return Gap(l, r) >= 2 * kMinuteMs && Gap(l, r) <= 4 * kMinuteMs;
+                     }}),
+    [](const auto& info) { return "case" + std::to_string(info.index); });
 
 // --- data-query execution vs full-scan reference across partition schemes ---
 
