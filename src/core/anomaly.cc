@@ -132,8 +132,9 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   const uint64_t span = static_cast<uint64_t>(range.end) - static_cast<uint64_t>(range.begin);
   const size_t num_windows =
       range.end > range.begin ? (span - 1) / static_cast<uint64_t>(step) + 1 : 0;
-  CompiledProjector projector(ctx, db.catalog(), RowSource(events),
-                              CompiledProjector::Mode::kWindows, num_windows);
+  const TupleSet rows = TupleSet::FromMatches(0, std::move(events));
+  CompiledProjector projector(ctx, db.catalog(), rows, CompiledProjector::Mode::kWindows,
+                              num_windows);
 
   size_t first = 0, last = 0;
   uint32_t w = 0;

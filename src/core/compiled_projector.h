@@ -2,9 +2,11 @@
 // aggregates and having clauses. Multievent projection (ProjectResults) and
 // sliding-window anomaly execution (ExecuteAnomaly) both run on it.
 //
-// Every expression compiles once into a postfix program over *slots*
-// (aggregate results, evaluated items, stored group keys, constants); a
-// reference to a matched event reads its column straight from the row. A
+// The rows are a TupleSet: the multievent executor's final set, or an
+// anomaly query's fetched events as a one-column set. Every expression
+// compiles once into a postfix program over *slots* (aggregate results,
+// evaluated items, stored group keys, constants); a reference to a matched
+// event reads its column straight from the row (TupleSet::At). A
 // pre-pass gives every row its dense group id, assigned in group-key string
 // order, and its aggregate inputs, once. Each window then folds its rows into
 // per-group accumulators and runs the item and having programs once per
@@ -38,30 +40,6 @@
 #include "src/util/flat_index.h"
 
 namespace aiql {
-
-// The rows a projection reads: one event per row (anomaly windows) or the
-// rows of a multievent tuple set, addressed by pattern column.
-class RowSource {
- public:
-  explicit RowSource(const std::vector<EventView>& events) : events_(&events) {}
-  explicit RowSource(const TupleSet& tuples) : tuples_(&tuples) {}
-
-  size_t size() const { return events_ != nullptr ? events_->size() : tuples_->num_rows(); }
-  // Column of `pattern` in every row; -1 when the rows do not bind it.
-  int ColumnOf(size_t pattern) const {
-    if (events_ != nullptr) {
-      return pattern == 0 ? 0 : -1;
-    }
-    return tuples_->ColumnOf(pattern);
-  }
-  const EventView& At(size_t row, uint32_t col) const {
-    return events_ != nullptr ? (*events_)[row] : tuples_->rows()[row][col];
-  }
-
- private:
-  const std::vector<EventView>* events_ = nullptr;
-  const TupleSet* tuples_ = nullptr;
-};
 
 // A Value that owns nothing: a string is an id in the projector's value
 // table (`i`) and its address there (`s`), valid for the projector's
@@ -170,7 +148,7 @@ class CompiledProjector {
   // Compiles the query's items, group keys, aggregates and having clause,
   // then runs the per-row pre-pass. `num_windows` bounds the history rings
   // (kWindows).
-  CompiledProjector(const QueryContext& ctx, const EntityCatalog& catalog, RowSource rows,
+  CompiledProjector(const QueryContext& ctx, const EntityCatalog& catalog, const TupleSet& rows,
                     Mode mode, size_t num_windows = 1);
 
   // kRows: appends one row per input row passing `having`, checking `stop`
@@ -272,7 +250,7 @@ class CompiledProjector {
 
   const QueryContext& ctx_;
   const EntityCatalog& catalog_;
-  const RowSource rows_;
+  const TupleSet& rows_;
   const Mode mode_;
 
   // Every string a Scalar points at: constants, row values, renderings.

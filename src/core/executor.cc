@@ -42,8 +42,11 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
     int64_t last_day = DayIndex(range.end - 1);
     if (last_day > first_day) {
       size_t num_days = static_cast<size_t>(last_day - first_day + 1);
-      std::vector<std::vector<EventView>> slices(num_days);
-      std::vector<ScanStats> slice_stats(num_days);
+      struct DaySlice {
+        std::vector<EventView> events;
+        ScanStats stats;
+      };
+      std::vector<DaySlice> slices(num_days);
       pool->ParallelFor(num_days, [&](size_t k) {
         if (ctx != nullptr && ctx->ShouldStop()) {
           return;
@@ -52,19 +55,19 @@ std::vector<EventView> FetchDataQuery(const EventStore& db, const DataQuery& que
         TimeRange day{DayStart(first_day + static_cast<int64_t>(k)),
                       DayStart(first_day + static_cast<int64_t>(k) + 1)};
         sub.pushed_time = query.pushed_time.has_value() ? query.pushed_time->Intersect(day) : day;
-        slices[k] = db.ExecuteQuery(sub, &slice_stats[k], ctx);
+        slices[k].events = db.ExecuteQuery(sub, &slices[k].stats, ctx);
       });
       std::vector<EventView> out;
       size_t total = 0;
-      for (const auto& s : slices) {
-        total += s.size();
+      for (const DaySlice& slice : slices) {
+        total += slice.events.size();
       }
       out.reserve(total);
-      for (size_t k = 0; k < num_days; ++k) {
+      for (const DaySlice& slice : slices) {
         // Day slices are internally sorted and day-disjoint, so appending in
         // day order preserves the global (start_time, id) order.
-        out.insert(out.end(), slices[k].begin(), slices[k].end());
-        stats->scan += slice_stats[k];
+        out.insert(out.end(), slice.events.begin(), slice.events.end());
+        stats->scan += slice.stats;
       }
       stats->parallel_slices += num_days;
       return out;
@@ -206,6 +209,7 @@ class MultieventExecutor {
     if (source_col < 0) {
       return;
     }
+    const size_t num_known = known.num_rows();
     const EntityCatalog& catalog = db_.catalog();
 
     if (rel.kind == Relationship::Kind::kAttr && rel.attr.IsEquiJoin()) {
@@ -216,8 +220,9 @@ class MultieventExecutor {
       const AttrDef* source_attr = target_is_left ? rel.attr.right_attr : rel.attr.left_attr;
 
       std::unordered_set<Value, ValueHash> distinct;
-      for (const auto& row : known.rows()) {
-        distinct.insert(EndpointValue(row[source_col], source_side, source_attr, catalog));
+      for (size_t r = 0; r < num_known; ++r) {
+        distinct.insert(
+            EndpointValue(known.At(r, source_col), source_side, source_attr, catalog));
         if (distinct.size() > kPushdownValueLimit) {
           return;  // candidate set too large to help
         }
@@ -244,8 +249,8 @@ class MultieventExecutor {
 
     if (rel.kind == Relationship::Kind::kTemp) {
       TimestampMs tmin = INT64_MAX, tmax = INT64_MIN;
-      for (const auto& row : known.rows()) {
-        TimestampMs t = row[source_col].start_time();
+      for (size_t r = 0; r < num_known; ++r) {
+        TimestampMs t = known.At(r, source_col).start_time();
         tmin = std::min(tmin, t);
         tmax = std::max(tmax, t);
       }

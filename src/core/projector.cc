@@ -199,7 +199,7 @@ Result<ResultTable> FinishResults(const QueryContext& ctx, ResultTable table) {
 // --- compiler ----------------------------------------------------------------
 
 CompiledProjector::CompiledProjector(const QueryContext& ctx, const EntityCatalog& catalog,
-                                     RowSource rows, Mode mode, size_t num_windows)
+                                     const TupleSet& rows, Mode mode, size_t num_windows)
     : ctx_(ctx), catalog_(catalog), rows_(rows), mode_(mode) {
   std::vector<const Expr*> agg_calls;
   if (mode_ != Mode::kRows) {
@@ -484,7 +484,7 @@ void CompiledProjector::CompilePrograms(const std::vector<const Expr*>& agg_call
 // their key strings). A count(distinct x) input is likewise rendered once per
 // distinct packed x.
 void CompiledProjector::IndexRows() {
-  const size_t n = rows_.size();
+  const size_t n = rows_.num_rows();
   const size_t num_keys = keys_.size();
   FlatKeyTable tuples(2 * num_keys);
   std::vector<Scalar> tuple_values;  // num_keys per packed tuple
@@ -771,7 +771,8 @@ Status CompiledProjector::EmitRows(const ScanContext& stop, bool dedupe, ResultT
   const size_t num_items = ctx_.items.size();
   FlatKeyTable seen(2 * num_items);
   std::vector<uint64_t> packed(2 * num_items);
-  for (size_t r = 0; r < rows_.size(); ++r) {
+  const size_t n = rows_.num_rows();
+  for (size_t r = 0; r < n; ++r) {
     // The stop check reads the clock once a deadline is armed, so it runs
     // at the join budget's cadence rather than per row.
     if (r % BudgetGuard::kStopCheckRows == 0) {
@@ -947,7 +948,7 @@ Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSet& tupl
     columns.push_back(item.name);
   }
   ResultTable table(std::move(columns));
-  CompiledProjector projector(ctx, catalog, RowSource(tuples),
+  CompiledProjector projector(ctx, catalog, tuples,
                               grouped ? CompiledProjector::Mode::kGroups
                                       : CompiledProjector::Mode::kRows);
   Status s = grouped ? projector.RunWindow(0, std::nullopt, 0, tuples.num_rows(), &stop, &table)

@@ -14,16 +14,6 @@ Status BudgetGuard::Charge(size_t produced) {
   return Visit(produced);
 }
 
-TupleSet TupleSet::FromMatches(size_t pattern, std::vector<EventView> matches) {
-  TupleSet t;
-  t.patterns_.push_back(pattern);
-  t.rows_.reserve(matches.size());
-  for (const EventView& e : matches) {
-    t.rows_.push_back({e});
-  }
-  return t;
-}
-
 int TupleSet::ColumnOf(size_t pattern) const {
   for (size_t i = 0; i < patterns_.size(); ++i) {
     if (patterns_[i] == pattern) {
@@ -39,40 +29,27 @@ void TupleSet::Filter(const Relationship& rel, const EntityCatalog& catalog) {
   if (lcol < 0 || rcol < 0) {
     return;
   }
+  const size_t n = num_rows();
   size_t w = 0;
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (rel.Check(rows_[r][lcol], rows_[r][rcol], catalog)) {
+  for (size_t r = 0; r < n; ++r) {
+    if (rel.Check(At(r, lcol), At(r, rcol), catalog)) {
       if (w != r) {
-        rows_[w] = std::move(rows_[r]);
+        std::copy_n(events_.begin() + r * width(), width(), events_.begin() + w * width());
       }
       ++w;
     }
   }
-  rows_.resize(w);
+  events_.resize(w * width());
 }
 
-namespace {
-
-std::vector<EventView> ConcatRows(const std::vector<EventView>& a,
-                                  const std::vector<EventView>& b) {
-  std::vector<EventView> out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
-}  // namespace
-
-bool TupleJoiner::RowPairSatisfies(const std::vector<Relationship>& rels, const TupleSet& left,
-                                   const TupleSet& right, const std::vector<EventView>& lrow,
-                                   const std::vector<EventView>& rrow) const {
-  for (const Relationship& rel : rels) {
-    int lc = left.ColumnOf(rel.left());
-    const EventView& le = lc >= 0 ? lrow[lc] : rrow[right.ColumnOf(rel.left())];
-    int rc = left.ColumnOf(rel.right());
-    const EventView& re = rc >= 0 ? lrow[rc] : rrow[right.ColumnOf(rel.right())];
-    if (!rel.Check(le, re, catalog_)) {
+bool TupleJoiner::RowPairSatisfies(const std::vector<BoundRel>& rels,
+                                   std::span<const EventView> lrow,
+                                   std::span<const EventView> rrow) const {
+  auto at = [&](size_t col) -> const EventView& {
+    return col < lrow.size() ? lrow[col] : rrow[col - lrow.size()];
+  };
+  for (const BoundRel& b : rels) {
+    if (!b.rel->Check(at(b.left_col), at(b.right_col), catalog_)) {
       return false;
     }
   }
@@ -92,23 +69,45 @@ Result<TupleSet> TupleJoiner::Join(const TupleSet& left, const TupleSet& right,
       temp_idx = static_cast<int>(i);
     }
   }
-  const int drive = eq_idx >= 0 ? eq_idx : temp_idx;
-  if (drive < 0 || !strategy_.indexed) {
-    return NestedLoopJoin(left, right, rels);
-  }
-  std::vector<Relationship> rest;
+  const int drive = strategy_.indexed ? (eq_idx >= 0 ? eq_idx : temp_idx) : -1;
+  // Every relationship but the driving one is checked per row pair.
+  auto joined_col = [&](size_t pattern) {
+    const int lc = left.ColumnOf(pattern);
+    return lc >= 0 ? static_cast<size_t>(lc)
+                   : left.width() + static_cast<size_t>(right.ColumnOf(pattern));
+  };
+  std::vector<BoundRel> checked;
   for (size_t i = 0; i < rels.size(); ++i) {
     if (static_cast<int>(i) != drive) {
-      rest.push_back(rels[i]);
+      checked.push_back(
+          BoundRel{&rels[i], joined_col(rels[i].left()), joined_col(rels[i].right())});
     }
   }
-  return drive == eq_idx ? HashJoin(left, right, rels[drive], rest)
-                         : TemporalJoin(left, right, rels[drive], rest);
+  RowPairs pairs;
+  Status s = drive < 0        ? NestedLoopJoin(left, right, checked, &pairs)
+             : drive == eq_idx ? HashJoin(left, right, rels[drive], checked, &pairs)
+                               : TemporalJoin(left, right, rels[drive], checked, &pairs);
+  if (!s.ok()) {
+    return Result<TupleSet>(s);
+  }
+  // The one emit step: left's patterns then right's, and per pair the left
+  // row then the right row, written once into an array of the final size.
+  std::vector<size_t> patterns = left.patterns();
+  patterns.insert(patterns.end(), right.patterns().begin(), right.patterns().end());
+  std::vector<EventView> events;
+  events.reserve(pairs.size() * patterns.size());
+  for (const auto& [i, j] : pairs) {
+    const std::span<const EventView> lrow = left.Row(i);
+    const std::span<const EventView> rrow = right.Row(j);
+    events.insert(events.end(), lrow.begin(), lrow.end());
+    events.insert(events.end(), rrow.begin(), rrow.end());
+  }
+  return TupleSet(std::move(patterns), std::move(events));
 }
 
-Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& right,
-                                       const Relationship& eq_rel,
-                                       const std::vector<Relationship>& rest) {
+Status TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& right,
+                             const Relationship& eq_rel, const std::vector<BoundRel>& rest,
+                             RowPairs* out) {
   const AttrRelation& rel = eq_rel.attr;
   // Orient: which side of the relationship lives in `left`?
   bool left_has_lhs = left.ColumnOf(rel.left_pattern) >= 0;
@@ -123,22 +122,22 @@ Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& rig
 
   // Build on the right side, probe in left-row order for determinism.
   std::unordered_map<size_t, std::vector<size_t>> buckets;
-  buckets.reserve(right.rows().size() * 2);
-  for (size_t j = 0; j < right.rows().size(); ++j) {
+  const size_t num_right = right.num_rows();
+  buckets.reserve(num_right * 2);
+  for (size_t j = 0; j < num_right; ++j) {
     if (Status s = budget_->Visit(); !s.ok()) {
-      return Result<TupleSet>(s);
+      return s;
     }
-    Value v = EndpointValue(right.rows()[j][rcol], rside, rattr, catalog_);
+    Value v = EndpointValue(right.At(j, rcol), rside, rattr, catalog_);
     buckets[v.Hash()].push_back(j);
   }
 
-  TupleSet out;
-  out.patterns_ = left.patterns();
-  out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
-  for (const auto& lrow : left.rows()) {
+  const size_t num_left = left.num_rows();
+  for (size_t i = 0; i < num_left; ++i) {
     if (Status s = budget_->Visit(); !s.ok()) {
-      return Result<TupleSet>(s);
+      return s;
     }
+    const std::span<const EventView> lrow = left.Row(i);
     Value lv = EndpointValue(lrow[lcol], lside, lattr, catalog_);
     auto it = buckets.find(lv.Hash());
     if (it == buckets.end()) {
@@ -146,109 +145,93 @@ Result<TupleSet> TupleJoiner::HashJoin(const TupleSet& left, const TupleSet& rig
     }
     for (size_t j : it->second) {
       if (Status s = budget_->Visit(); !s.ok()) {
-        return Result<TupleSet>(s);
+        return s;
       }
-      const auto& rrow = right.rows()[j];
+      const std::span<const EventView> rrow = right.Row(j);
       Value rv = EndpointValue(rrow[rcol], rside, rattr, catalog_);
-      if (!(lv == rv)) {
-        continue;  // hash collision
+      if (!(lv == rv) || !RowPairSatisfies(rest, lrow, rrow)) {
+        continue;  // a hash collision, or a remaining relationship fails
       }
-      if (!rest.empty() && !RowPairSatisfies(rest, left, right, lrow, rrow)) {
-        continue;
+      if (Status s = budget_->Charge(1); !s.ok()) {
+        return s;
       }
-      Status s = budget_->Charge(1);
-      if (!s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      out.rows_.push_back(ConcatRows(lrow, rrow));
+      out->emplace_back(i, j);
     }
   }
-  return out;
+  return Status::Ok();
 }
 
-Result<TupleSet> TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet& right,
-                                           const Relationship& temp_rel,
-                                           const std::vector<Relationship>& rest) {
+Status TupleJoiner::TemporalJoin(const TupleSet& left, const TupleSet& right,
+                                 const Relationship& temp_rel, const std::vector<BoundRel>& rest,
+                                 RowPairs* out) {
   const TempRelation& rel = temp_rel.temp;
   bool left_has_lhs = left.ColumnOf(rel.left_pattern) >= 0;
   int lcol = left.ColumnOf(left_has_lhs ? rel.left_pattern : rel.right_pattern);
   int rcol = right.ColumnOf(left_has_lhs ? rel.right_pattern : rel.left_pattern);
 
-  // Sort right rows by the joined pattern's start time; per left row, binary
-  // search the admissible window.
-  std::vector<size_t> order(right.rows().size());
-  for (size_t i = 0; i < order.size(); ++i) {
+  // Sort right rows by the joined pattern's start time, the row index
+  // breaking ties (a stable order); per left row, binary search the
+  // admissible window.
+  std::vector<std::pair<TimestampMs, size_t>> by_time(right.num_rows());
+  for (size_t j = 0; j < by_time.size(); ++j) {
     if (Status s = budget_->Visit(); !s.ok()) {
-      return Result<TupleSet>(s);  // before paying for the sort
+      return s;  // before paying for the sort
     }
-    order[i] = i;
+    by_time[j] = {right.At(j, rcol).start_time(), j};
   }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return right.rows()[a][rcol].start_time() < right.rows()[b][rcol].start_time();
-  });
-  std::vector<TimestampMs> times(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    times[i] = right.rows()[order[i]][rcol].start_time();
-  }
+  std::sort(by_time.begin(), by_time.end());
+  auto before = [](const std::pair<TimestampMs, size_t>& p, TimestampMs t) { return p.first < t; };
 
-  TupleSet out;
-  out.patterns_ = left.patterns();
-  out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
-  for (const auto& lrow : left.rows()) {
+  const size_t num_left = left.num_rows();
+  for (size_t i = 0; i < num_left; ++i) {
     if (Status s = budget_->Visit(); !s.ok()) {
-      return Result<TupleSet>(s);
+      return s;
     }
     // The right event's admissible start times given the left event; the
     // right side holds rel.left exactly when the left side does not.
+    const std::span<const EventView> lrow = left.Row(i);
     const TimestampMs lt = lrow[lcol].start_time();
     const TimeRange window = TempStartWindow(rel, !left_has_lhs, lt, lt);
-    auto first = std::lower_bound(times.begin(), times.end(), window.begin);
-    auto last = std::lower_bound(times.begin(), times.end(), window.end);
+    auto first = std::lower_bound(by_time.begin(), by_time.end(), window.begin, before);
+    auto last = std::lower_bound(first, by_time.end(), window.end, before);
     for (auto it = first; it != last; ++it) {
       if (Status s = budget_->Visit(); !s.ok()) {
-        return Result<TupleSet>(s);
+        return s;
       }
-      size_t j = order[static_cast<size_t>(it - times.begin())];
-      const auto& rrow = right.rows()[j];
+      const std::span<const EventView> rrow = right.Row(it->second);
       // Re-check the driving relationship exactly (lo=0 'within' etc.).
       const EventView& le = left_has_lhs ? lrow[lcol] : rrow[rcol];
       const EventView& re = left_has_lhs ? rrow[rcol] : lrow[lcol];
-      if (!CheckTempRel(rel, le, re)) {
+      if (!CheckTempRel(rel, le, re) || !RowPairSatisfies(rest, lrow, rrow)) {
         continue;
       }
-      if (!rest.empty() && !RowPairSatisfies(rest, left, right, lrow, rrow)) {
-        continue;
+      if (Status s = budget_->Charge(1); !s.ok()) {
+        return s;
       }
-      Status s = budget_->Charge(1);
-      if (!s.ok()) {
-        return Result<TupleSet>(s);
-      }
-      out.rows_.push_back(ConcatRows(lrow, rrow));
+      out->emplace_back(i, it->second);
     }
   }
-  return out;
+  return Status::Ok();
 }
 
-Result<TupleSet> TupleJoiner::NestedLoopJoin(const TupleSet& left, const TupleSet& right,
-                                             const std::vector<Relationship>& rels) {
-  TupleSet out;
-  out.patterns_ = left.patterns();
-  out.patterns_.insert(out.patterns_.end(), right.patterns().begin(), right.patterns().end());
-  for (const auto& lrow : left.rows()) {
-    for (const auto& rrow : right.rows()) {
+Status TupleJoiner::NestedLoopJoin(const TupleSet& left, const TupleSet& right,
+                                   const std::vector<BoundRel>& rels, RowPairs* out) {
+  const size_t num_left = left.num_rows();
+  const size_t num_right = right.num_rows();
+  for (size_t i = 0; i < num_left; ++i) {
+    const std::span<const EventView> lrow = left.Row(i);
+    for (size_t j = 0; j < num_right; ++j) {
       // The nested loop pays for every comparison — this is the cost model of
       // the semantics-agnostic baseline.
-      Status s = budget_->Charge(1);
-      if (!s.ok()) {
-        return Result<TupleSet>(s);
+      if (Status s = budget_->Charge(1); !s.ok()) {
+        return s;
       }
-      if (!rels.empty() && !RowPairSatisfies(rels, left, right, lrow, rrow)) {
-        continue;
+      if (RowPairSatisfies(rels, lrow, right.Row(j))) {
+        out->emplace_back(i, j);
       }
-      out.rows_.push_back(ConcatRows(lrow, rrow));
     }
   }
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace aiql

@@ -1,14 +1,17 @@
 // Tuple sets: the intermediate result representation of Algorithm 1.
 //
 // A TupleSet binds a subset of the query's event patterns to concrete matched
-// events; each row is one joint assignment. The map M of Algorithm 1 maps
-// pattern ids to shared tuple sets; joins produce new sets which every
-// pattern of both inputs then maps to (replaceVals in the paper's
-// pseudocode), filters narrow a set in place.
+// events; each row is one joint assignment. Rows live in one flat EventView
+// array with stride = pattern count (At(row, col), Row(row)); a fetch moves in
+// as a one-column set (FromMatches). The map M of Algorithm 1 maps pattern
+// ids to shared tuple sets; joins produce new sets which every pattern of
+// both inputs then maps to (replaceVals in the paper's pseudocode), filters
+// narrow a set in place, compacting in stride.
 #ifndef AIQL_SRC_CORE_TUPLE_SET_H_
 #define AIQL_SRC_CORE_TUPLE_SET_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,28 +62,34 @@ class BudgetGuard {
 class TupleSet {
  public:
   TupleSet() = default;
-  // Rows over `patterns`, each row holding one event per pattern, in order.
-  TupleSet(std::vector<size_t> patterns, std::vector<std::vector<EventView>> rows)
-      : patterns_(std::move(patterns)), rows_(std::move(rows)) {}
+  // Rows over `patterns`, flattened: `events` holds each row's one event per
+  // pattern, in pattern order, row after row.
+  TupleSet(std::vector<size_t> patterns, std::vector<EventView> events)
+      : patterns_(std::move(patterns)), events_(std::move(events)) {}
 
-  static TupleSet FromMatches(size_t pattern, std::vector<EventView> matches);
+  // The one-column set of a pattern's fetched events (moved, not copied).
+  static TupleSet FromMatches(size_t pattern, std::vector<EventView> matches) {
+    return TupleSet({pattern}, std::move(matches));
+  }
 
   const std::vector<size_t>& patterns() const { return patterns_; }
-  const std::vector<std::vector<EventView>>& rows() const { return rows_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t width() const { return patterns_.size(); }
+  // A pattern-less set has no rows.
+  size_t num_rows() const { return patterns_.empty() ? 0 : events_.size() / patterns_.size(); }
+  const EventView& At(size_t row, size_t col) const { return events_[row * width() + col]; }
+  std::span<const EventView> Row(size_t row) const {
+    return {events_.data() + row * width(), width()};
+  }
 
   // Column of `pattern` in each row; -1 if the pattern is not bound.
   int ColumnOf(size_t pattern) const;
-  bool Binds(size_t pattern) const { return ColumnOf(pattern) >= 0; }
 
   // In-place filter by a relationship whose two patterns are both bound.
   void Filter(const Relationship& rel, const EntityCatalog& catalog);
 
-  friend class TupleJoiner;
-
  private:
   std::vector<size_t> patterns_;
-  std::vector<std::vector<EventView>> rows_;
+  std::vector<EventView> events_;  // num_rows() x width(), row-major
 };
 
 // Join strategy. The AIQL engine (indexed) uses hash joins for equality
@@ -105,17 +114,25 @@ class TupleJoiner {
                         const std::vector<Relationship>& rels);
 
  private:
-  Result<TupleSet> HashJoin(const TupleSet& left, const TupleSet& right,
-                            const Relationship& eq_rel, const std::vector<Relationship>& rest);
-  Result<TupleSet> TemporalJoin(const TupleSet& left, const TupleSet& right,
-                                const Relationship& temp_rel,
-                                const std::vector<Relationship>& rest);
-  Result<TupleSet> NestedLoopJoin(const TupleSet& left, const TupleSet& right,
-                                  const std::vector<Relationship>& rels);
+  // A relationship with both endpoints resolved, once per join, to columns of
+  // the joined row (left's columns, then right's).
+  struct BoundRel {
+    const Relationship* rel;
+    size_t left_col, right_col;
+  };
 
-  bool RowPairSatisfies(const std::vector<Relationship>& rels, const TupleSet& left,
-                        const TupleSet& right, const std::vector<EventView>& lrow,
-                        const std::vector<EventView>& rrow) const;
+  // The (left row, right row) pairs a join emits, in emit order.
+  using RowPairs = std::vector<std::pair<size_t, size_t>>;
+
+  Status HashJoin(const TupleSet& left, const TupleSet& right, const Relationship& eq_rel,
+                  const std::vector<BoundRel>& rest, RowPairs* out);
+  Status TemporalJoin(const TupleSet& left, const TupleSet& right, const Relationship& temp_rel,
+                      const std::vector<BoundRel>& rest, RowPairs* out);
+  Status NestedLoopJoin(const TupleSet& left, const TupleSet& right,
+                        const std::vector<BoundRel>& rels, RowPairs* out);
+
+  bool RowPairSatisfies(const std::vector<BoundRel>& rels, std::span<const EventView> lrow,
+                        std::span<const EventView> rrow) const;
 
   const EntityCatalog& catalog_;
   BudgetGuard* budget_;

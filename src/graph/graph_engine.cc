@@ -168,12 +168,9 @@ class Matcher {
 
   Status Recurse(size_t i) {
     if (i == ctx_.patterns.size()) {
-      std::vector<EventView> row;
-      row.reserve(chosen_.size());
       for (const Event* e : chosen_) {
-        row.push_back(EventView(e));
+        events_.push_back(EventView(e));
       }
-      rows_.push_back(std::move(row));
       ++stats_->rows_emitted;
       return Status::Ok();
     }
@@ -232,7 +229,7 @@ class Matcher {
 
   std::unordered_map<std::string, uint32_t> bindings_;
   std::vector<const Event*> chosen_;
-  std::vector<std::vector<EventView>> rows_;
+  std::vector<EventView> events_;  // the matched rows, flat (TupleSet layout)
 
   friend class ::aiql::GraphEngine;
 };
@@ -253,7 +250,7 @@ Result<ResultTable> GraphEngine::Execute(const QueryContext& ctx) {
   // The collected rows bind patterns 0..n-1 in order.
   std::vector<size_t> patterns(ctx.patterns.size());
   std::iota(patterns.begin(), patterns.end(), 0);
-  const TupleSet tuples(std::move(patterns), std::move(matcher.rows_));
+  const TupleSet tuples(std::move(patterns), std::move(matcher.events_));
   return ProjectResults(ctx, tuples, graph_->catalog());
 }
 

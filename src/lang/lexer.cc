@@ -5,6 +5,10 @@
 
 namespace aiql {
 
+std::string PositionPrefix(int line, int col) {
+  return "line " + std::to_string(line) + ", col " + std::to_string(col) + ": ";
+}
+
 const char* TokenTypeName(TokenType t) {
   switch (t) {
     case TokenType::kIdent:
@@ -146,8 +150,8 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
         ++col;
       }
       if (!closed) {
-        return Result<std::vector<Token>>::Error("line " + std::to_string(tline) +
-                                                 ": unterminated string literal");
+        return Result<std::vector<Token>>::Error(PositionPrefix(tline, tcol) +
+                                                 "unterminated string literal");
       }
       push(TokenType::kString, std::move(s), tline, tcol);
       continue;
@@ -185,9 +189,8 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
     // $name — a query parameter placeholder (PreparedQuery::Bind).
     if (c == '$') {
       if (i + 1 >= n || !IsIdentStart(input[i + 1])) {
-        return Result<std::vector<Token>>::Error(
-            "line " + std::to_string(tline) + ", col " + std::to_string(tcol) +
-            ": expected a parameter name after '$'");
+        return Result<std::vector<Token>>::Error(PositionPrefix(tline, tcol) +
+                                                 "expected a parameter name after '$'");
       }
       ++i;
       ++col;
@@ -291,8 +294,7 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
         break;
       default:
         return Result<std::vector<Token>>::Error(
-            "line " + std::to_string(tline) + ", col " + std::to_string(tcol) +
-            ": unexpected character '" + std::string(1, c) + "'");
+            PositionPrefix(tline, tcol) + "unexpected character '" + std::string(1, c) + "'");
     }
     push(single, std::string(1, c), tline, tcol);
     ++i;

@@ -51,6 +51,9 @@ struct Token {
   int col = 1;
 };
 
+// "line N, col C: ", the prefix of every lexer and parser error.
+std::string PositionPrefix(int line, int col);
+
 // Tokenizes the whole input. Fails on unterminated strings or bytes outside
 // the language's alphabet, with line/column in the message.
 Result<std::vector<Token>> Tokenize(const std::string& input);

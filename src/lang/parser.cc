@@ -83,7 +83,7 @@ class Parser {
       return Result<Query>(s);
     }
     if (Cur().type != TokenType::kEof) {
-      return Err("unexpected trailing input starting with " + Describe(Cur()));
+      return Err("unexpected trailing input");
     }
     if (q.kind == ast::QueryKind::kAnomaly && !q.global.step.has_value()) {
       q.global.step = q.global.window;  // tumbling window by default
@@ -122,8 +122,7 @@ class Parser {
   }
   Status Expect(TokenType t, const char* context) {
     if (Cur().type != t) {
-      return Status::Error("line " + std::to_string(Cur().line) + ": expected " +
-                           TokenTypeName(t) + " in " + context + ", found " + Describe(Cur()));
+      return ErrStatus(std::string("expected ") + TokenTypeName(t) + " in " + context);
     }
     Advance();
     return Status::Ok();
@@ -140,8 +139,11 @@ class Parser {
     }
     return TokenTypeName(t.type);
   }
+  // Every parse error: the offending token's position, the message, and the
+  // token itself.
   Status ErrStatus(const std::string& message) const {
-    return Status::Error("line " + std::to_string(Cur().line) + ": " + message);
+    return Status::Error(PositionPrefix(Cur().line, Cur().col) + message + ", found " +
+                         Describe(Cur()));
   }
   Result<Query> Err(const std::string& message) const {
     return Result<Query>(ErrStatus(message));
@@ -246,7 +248,7 @@ class Parser {
                         (EqualsIgnoreCase(Peek().text, "in") ||
                          EqualsIgnoreCase(Peek().text, "not")));
         if (!is_cstr) {
-          return ErrStatus("unrecognized global constraint near '" + Cur().text + "'");
+          return ErrStatus("unrecognized global constraint");
         }
         PredExpr leaf;
         Status s = ParseConstraintLeaf(&leaf);
@@ -393,7 +395,7 @@ class Parser {
       Advance();
       return Status::Ok();
     }
-    return ErrStatus("expected an attribute constraint, found " + Describe(Cur()));
+    return ErrStatus("expected an attribute constraint");
   }
 
   Status ParseAttrUnary(PredExpr* out) {
@@ -495,13 +497,13 @@ class Parser {
     if (Cur().type == TokenType::kIdent) {
       std::optional<Operation> op = ParseOperation(Cur().text);
       if (!op.has_value()) {
-        return ErrStatus("unknown operation '" + Cur().text + "'");
+        return ErrStatus("unknown operation");
       }
       Advance();
       *out = OpBit(*op);
       return Status::Ok();
     }
-    return ErrStatus("expected an operation, found " + Describe(Cur()));
+    return ErrStatus("expected an operation");
   }
 
   Status ParseOpAnd(OpMask* out) {
@@ -543,7 +545,7 @@ class Parser {
   // --- entities and patterns -----------------------------------------------
   Status ParseEntity(ast::EntityRef* out) {
     if (Cur().type != TokenType::kIdent || !IsEntityTypeName(Cur().text)) {
-      return ErrStatus("expected an entity type (proc/file/ip), found " + Describe(Cur()));
+      return ErrStatus("expected an entity type (proc/file/ip)");
     }
     out->type = EntityTypeFromName(Cur().text);
     out->line = Cur().line;
@@ -616,7 +618,7 @@ class Parser {
   // --- relationships ---------------------------------------------------------
   Status ParseRelationship(ast::MultieventQuery* out) {
     if (Cur().type != TokenType::kIdent) {
-      return ErrStatus("expected a relationship, found " + Describe(Cur()));
+      return ErrStatus("expected a relationship");
     }
     int line = Cur().line;
     std::string left = Cur().text;
@@ -666,7 +668,7 @@ class Parser {
         Result<DurationMs> lo_ms = ParseDuration(lo, Cur().text);
         Result<DurationMs> hi_ms = ParseDuration(hi, Cur().text);
         if (!lo_ms.ok() || !hi_ms.ok()) {
-          return ErrStatus("bad time unit '" + Cur().text + "'");
+          return ErrStatus("bad time unit");
         }
         Advance();
         s = Expect(TokenType::kRBracket, "temporal range");
@@ -790,7 +792,7 @@ class Parser {
       *out = Expr::Var(std::move(name));
       return Status::Ok();
     }
-    return ErrStatus("expected an expression, found " + Describe(Cur()));
+    return ErrStatus("expected an expression");
   }
 
   Status ParseUnaryExpr(Expr* out) {

@@ -454,25 +454,26 @@ std::vector<EventView> ScanMorsels(const std::vector<PlannedMorsel>& morsels, Th
     }
   } else {
     // Workers claim the next unclaimed morsel and write into that morsel's
-    // slot and their own ScanStats, so no scan state is shared; the slots
+    // slot (its events and ScanStats), so no scan state is shared; the slots
     // concatenate in list order regardless of which worker filled them.
-    std::vector<std::vector<EventView>> slots(morsels.size());
-    std::vector<ScanStats> worker_stats(pool->max_participants());
-    pool->RunBulk(morsels.size(), [&](size_t worker, size_t i) {
-      scan(morsels[i], &slots[i], &worker_stats[worker]);
+    struct MorselSlot {
+      std::vector<EventView> events;
+      ScanStats stats;
+    };
+    std::vector<MorselSlot> slots(morsels.size());
+    pool->ParallelFor(morsels.size(), [&](size_t i) {
+      scan(morsels[i], &slots[i].events, &slots[i].stats);
     });
-    for (const ScanStats& ws : worker_stats) {
-      *stats += ws;
-    }
     stats->parallel_morsels += morsels.size();
     size_t total = 0;
-    for (const auto& slot : slots) {
-      total += slot.size();
+    for (const MorselSlot& slot : slots) {
+      total += slot.events.size();
     }
     out.reserve(total);
-    for (const auto& slot : slots) {
+    for (const MorselSlot& slot : slots) {
       run_starts.push_back(out.size());
-      out.insert(out.end(), slot.begin(), slot.end());
+      out.insert(out.end(), slot.events.begin(), slot.events.end());
+      *stats += slot.stats;
     }
   }
   MergeSortedRuns(&out, &run_starts);

@@ -353,6 +353,66 @@ TEST(TupleJoinerTest, JoinsThatEmitNothingStopOnCancellation) {
   }
 }
 
+// A TupleSet is one flat EventView array with stride = pattern count. A
+// fetch moves in without a copy, a pattern-less set has no rows, every join
+// family writes each output row as the left row then the right row, in the
+// same order, and Filter compacts whole rows.
+TEST(TupleSetTest, FlatRowsJoinLeftThenRight) {
+  EXPECT_EQ(TupleSet().num_rows(), 0u);
+  const EntityCatalog catalog;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  std::vector<Event> events(4);  // ids 0-3, one second apart, amounts 0 1 0 1
+  for (size_t i = 0; i < events.size(); ++i) {
+    events[i].id = static_cast<int64_t>(i);
+    events[i].start_time = t0 + static_cast<TimestampMs>(i) * 1000;
+    events[i].amount = static_cast<int64_t>(i % 2);
+  }
+  std::vector<EventView> views;
+  for (const Event& e : events) {
+    views.emplace_back(&e);
+  }
+  const EventView* fetched = views.data();
+  const TupleSet left = TupleSet::FromMatches(0, std::move(views));
+  EXPECT_EQ(left.Row(0).data(), fetched);
+  const TupleSet right =
+      TupleSet::FromMatches(1, {EventView(&events[1]), EventView(&events[2])});
+  auto ids = [](const TupleSet& set) {
+    std::vector<std::vector<int64_t>> out;
+    for (size_t r = 0; r < set.num_rows(); ++r) {
+      std::vector<int64_t>& row = out.emplace_back();
+      for (const EventView& e : set.Row(r)) {
+        row.push_back(e.id());
+      }
+    }
+    return out;
+  };
+  Relationship same_amount;
+  const AttrDef* amount = FindAttr(AttrOwner::kEvent, "amount");
+  same_amount.attr = AttrRelation{.left_pattern = 0, .left_side = RefSide::kEvent,
+                                  .left_attr = amount, .right_pattern = 1,
+                                  .right_side = RefSide::kEvent, .right_attr = amount};
+  Relationship before;
+  before.kind = Relationship::Kind::kTemp;
+  before.temp = TempRelation{.left_pattern = 0, .right_pattern = 1};
+  const std::vector<std::vector<int64_t>> by_amount = {{0, 2}, {1, 1}, {2, 2}, {3, 1}};
+  const std::vector<std::vector<int64_t>> by_time = {{0, 1}, {0, 2}, {1, 2}};
+  for (bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "hash and temporal joins" : "nested loops");
+    BudgetGuard budget;
+    TupleJoiner joiner(catalog, &budget, JoinStrategy{.indexed = indexed});
+    Result<TupleSet> equal = joiner.Join(left, right, {same_amount});
+    ASSERT_TRUE(equal.ok()) << equal.error();
+    EXPECT_EQ(equal.value().patterns(), (std::vector<size_t>{0, 1}));
+    EXPECT_EQ(ids(equal.value()), by_amount);
+    Result<TupleSet> timed = joiner.Join(left, right, {before});
+    ASSERT_TRUE(timed.ok()) << timed.error();
+    EXPECT_EQ(ids(timed.value()), by_time);
+    TupleSet filtered = equal.take();
+    filtered.Filter(before, catalog);
+    EXPECT_EQ(ids(filtered), (std::vector<std::vector<int64_t>>{{0, 2}}));
+  }
+}
+
 TEST_F(EngineTest, ParseErrorSurfaces) {
   auto r = Run("proc p1 banana file f1 return p1", SchedulerKind::kRelationship);
   ASSERT_FALSE(r.ok());

@@ -212,6 +212,27 @@ TEST(ParserErrorTest, ReportsLineNumbers) {
   EXPECT_NE(r.error().find("chew"), std::string::npos);
 }
 
+// Every lexer and parser error starts "line N, col C: " at the offending
+// token and names that token.
+TEST(ParserErrorTest, ReportsColumnAndToken) {
+  EXPECT_EQ(ParseQuery("proc p1 chew file f1 return p1").error(),
+            "line 1, col 9: unknown operation, found 'chew'");
+  EXPECT_EQ(ParseQuery("proc p1 read file f1\n  return p1,, f1").error(),
+            "line 2, col 13: expected an expression, found ','");
+  EXPECT_EQ(ParseQuery("proc p1 read file f1 as evt1\nproc p1 write file f2 as evt2\n"
+                       "with evt1 before[1-2 minutes evt2 return p1")
+                .error(),
+            "line 3, col 30: expected ']' in temporal range, found 'evt2'");
+  EXPECT_EQ(ParseQuery("proc p read file f return p banana").error(),
+            "line 1, col 29: unexpected trailing input, found 'banana'");
+  EXPECT_EQ(ParseQuery("proc p1 read file f1 return").error(),
+            "line 1, col 28: expected an expression, found end of input");
+  EXPECT_EQ(ParseQuery("proc p1[\"/bin] read file f1 return p1").error(),
+            "line 1, col 9: unterminated string literal");
+  EXPECT_EQ(ParseQuery("proc p1 read file f1\nreturn p1 #").error(),
+            "line 2, col 11: unexpected character '#'");
+}
+
 TEST(ParserErrorTest, MissingReturn) {
   auto r = ParseQuery("proc p1 read file f1");
   ASSERT_FALSE(r.ok());

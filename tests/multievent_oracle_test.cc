@@ -1,17 +1,20 @@
 // Multi-pattern differential test: random 2-3-pattern queries over a small
 // two-host trace must bind exactly the brute-force reference's tuples
 // (tests/reference_multievent.h) under every scheduler, relationship
-// ordering on/off, pushdown on/off, parallelism 1/8 and hot/archived storage.
+// ordering on/off, pushdown on/off, parallelism 1/8 and hot/archived storage,
+// and over both MPP distribution policies (parallelism 1).
 // The query shapes cover chains, relationship cycles (the connect step's
 // filter path), patterns no relationship touches (steps 4-5 cross joins) and
 // entity-ID reuse (implicit attribute relationships).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/core/executor.h"
+#include "src/mpp/mpp_cluster.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -196,7 +199,8 @@ std::vector<std::vector<int64_t>> IdTuples(const TupleSet& set, size_t num_patte
   }
   std::vector<std::vector<int64_t>> out;
   out.reserve(set.num_rows());
-  for (const std::vector<EventView>& row : set.rows()) {
+  for (size_t r = 0; r < set.num_rows(); ++r) {
+    const std::span<const EventView> row = set.Row(r);
     std::vector<int64_t>& ids = out.emplace_back();
     for (int c : columns) {
       ids.push_back(c >= 0 ? row[static_cast<size_t>(c)].id() : -1);
@@ -215,6 +219,14 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
   BuildTrace(&hot);
   BuildTrace(&archived);
   ASSERT_GT(archived.Footprint().archived_partitions, 1u);
+  // The same events sharded over three segments by each distribution policy;
+  // a cluster scans on its own pool, so it runs at parallelism 1 only.
+  MppCluster round_robin(3, DistributionPolicy::kArrivalRoundRobin,
+                         DatabaseOptions{.morsel_rows = 16});
+  MppCluster semantics(3, DistributionPolicy::kSemanticsAware,
+                       DatabaseOptions{.morsel_rows = 16});
+  round_robin.BuildFrom(hot);
+  semantics.BuildFrom(hot);
   ThreadPool pool(7);
 
   Rng rng(42);
@@ -229,16 +241,32 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
       ASSERT_TRUE(ctx.ok()) << ctx.error();
       const size_t n = ctx.value().patterns.size();
       ++queries;
-      for (const Database* db : {&hot, &archived}) {
-        const std::vector<std::vector<int64_t>> want = ReferenceMultievent(*db, ctx.value());
-        nonempty += db == &hot && !want.empty();
+      const std::vector<std::vector<int64_t>> want_hot = ReferenceMultievent(hot, ctx.value());
+      const std::vector<std::vector<int64_t>> want_archived =
+          ReferenceMultievent(archived, ctx.value());
+      nonempty += !want_hot.empty();
+      struct Target {
+        std::string name;
+        const EventStore* store;
+        const std::vector<std::vector<int64_t>>* want;
+        size_t max_parallelism;
+      };
+      const Target targets[] = {
+          {"hot", &hot, &want_hot, 8},
+          {"archived", &archived, &want_archived, 8},
+          {DistributionPolicyName(round_robin.policy()), &round_robin, &want_hot, 1},
+          {DistributionPolicyName(semantics.policy()), &semantics, &want_hot, 1},
+      };
+      for (const Target& target : targets) {
         for (SchedulerKind scheduler : {SchedulerKind::kRelationship,
                                         SchedulerKind::kFetchFilter, SchedulerKind::kBigJoin}) {
           for (bool ordering : {true, false}) {
             for (bool pushdown : {true, false}) {
               for (size_t parallelism : {size_t{1}, size_t{8}}) {
-                SCOPED_TRACE(std::string(SchedulerKindName(scheduler)) +
-                             (db == &hot ? " hot" : " archived") +
+                if (parallelism > target.max_parallelism) {
+                  continue;
+                }
+                SCOPED_TRACE(std::string(SchedulerKindName(scheduler)) + " " + target.name +
                              (ordering ? " ordering" : " no-ordering") +
                              (pushdown ? " pushdown" : " no-pushdown") +
                              " parallelism=" + std::to_string(parallelism));
@@ -247,11 +275,12 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
                                           .ordering = ordering,
                                           .parallelism = parallelism};
                 ExecutionSession session;
-                Result<TupleSet> got = ExecuteMultievent(
-                    *db, ctx.value(), options, parallelism > 1 ? &pool : nullptr, &session);
+                Result<TupleSet> got =
+                    ExecuteMultievent(*target.store, ctx.value(), options,
+                                      parallelism > 1 ? &pool : nullptr, &session);
                 ASSERT_TRUE(got.ok()) << got.error();
                 EXPECT_EQ(got.value().patterns().size(), n);
-                EXPECT_EQ(IdTuples(got.value(), n), want);
+                EXPECT_EQ(IdTuples(got.value(), n), *target.want);
               }
             }
           }

@@ -410,7 +410,8 @@ inline Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSe
 
   if (!aggregated) {
     // Row-wise projection.
-    for (const auto& row : tuples.rows()) {
+    for (size_t r = 0; r < tuples.num_rows(); ++r) {
+      const std::vector<EventView> row(tuples.Row(r).begin(), tuples.Row(r).end());
       RowAccessor acc(row, pattern_order, catalog);
       std::vector<Value> out_row;
       out_row.reserve(ctx.items.size());
@@ -441,7 +442,8 @@ inline Result<ResultTable> ProjectResults(const QueryContext& ctx, const TupleSe
     std::vector<const Expr*> agg_calls = CollectAggregateCalls(ctx);
     std::map<std::string, std::pair<std::vector<Value>, std::vector<std::vector<EventView>>>>
         groups;
-    for (const auto& row : tuples.rows()) {
+    for (size_t r = 0; r < tuples.num_rows(); ++r) {
+      const std::vector<EventView> row(tuples.Row(r).begin(), tuples.Row(r).end());
       RowAccessor acc(row, pattern_order, catalog);
       std::vector<Value> key;
       for (const OutputItem& g : ctx.group_by) {
