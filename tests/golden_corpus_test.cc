@@ -15,12 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "src/core/engine.h"
 #include "src/workload/workload.h"
+#include "tests/golden_file.h"
 
 namespace aiql {
 namespace {
@@ -86,37 +85,18 @@ TEST(GoldenCorpusTest, CountersAndAnswersMatchGoldenFile) {
   const std::vector<std::string> got = CorpusLines();
   ASSERT_EQ(got.size(), 46u);  // 26 case-study + 19 behavior + 1 anomaly
 
-  if (std::getenv("AIQL_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath);
-    out << "# id events_scanned join_work final_tuples rows digest\n"
-        << "# Written by tests/golden_corpus_test.cc; regenerate with\n"
-        << "#   AIQL_UPDATE_GOLDEN=1 ./build/golden_corpus_test\n";
-    for (const std::string& line : got) {
-      out << line << "\n";
-    }
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
+  const std::optional<std::string> diff = golden::CompareOrUpdate(
+      kGoldenPath,
+      {"id events_scanned join_work final_tuples rows digest",
+       "Written by tests/golden_corpus_test.cc; regenerate with",
+       "  AIQL_UPDATE_GOLDEN=1 ./build/golden_corpus_test"},
+      got);
+  if (!diff.has_value()) {
     GTEST_SKIP() << "rewrote " << kGoldenPath;
   }
-
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good()) << "missing " << kGoldenPath;
-  std::vector<std::string> want;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty() && line[0] != '#') {
-      want.push_back(line);
-    }
-  }
-  std::string diff;
-  for (size_t i = 0; i < std::max(want.size(), got.size()); ++i) {
-    const std::string w = i < want.size() ? want[i] : "(none)";
-    const std::string g = i < got.size() ? got[i] : "(none)";
-    if (w != g) {
-      diff += "  golden: " + w + "\n  now:    " + g + "\n";
-    }
-  }
-  EXPECT_TRUE(diff.empty()) << "corpus counters or answers changed "
-                            << "(id events_scanned join_work final_tuples rows digest):\n"
-                            << diff;
+  EXPECT_TRUE(diff->empty()) << "corpus counters or answers changed "
+                             << "(id events_scanned join_work final_tuples rows digest):\n"
+                             << *diff;
 }
 
 }  // namespace
