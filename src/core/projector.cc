@@ -120,36 +120,19 @@ void AppendRendered(const Scalar& v, std::string* out) {
 }
 
 // `sorted`: the rows are already in lexicographic order (after `distinct`).
-Status SortAndLimit(const QueryContext& ctx, bool sorted, ResultTable* table) {
+// Each sort key carries the result column inference resolved it to.
+void SortAndLimit(const QueryContext& ctx, bool sorted, ResultTable* table) {
   if (!ctx.sort_by.empty()) {
-    struct Key {
-      int col;
-      bool asc;
-    };
-    std::vector<Key> keys;
-    for (const ast::SortKey& k : ctx.sort_by) {
-      std::string name = k.expr.kind == Expr::Kind::kVarRef && k.expr.attr.empty()
-                             ? k.expr.name
-                             : k.expr.ToString();
-      int col = table->ColumnIndex(name);
-      if (col < 0) {
-        col = table->ColumnIndex(k.expr.ToString());
-      }
-      if (col < 0) {
-        return Status::Error("sort key '" + name + "' is not a returned column");
-      }
-      keys.push_back({col, k.ascending});
-    }
     std::stable_sort(table->mutable_rows()->begin(), table->mutable_rows()->end(),
                      [&](const std::vector<Value>& a, const std::vector<Value>& b) {
-                       for (const Key& k : keys) {
-                         const Value& va = a[k.col];
-                         const Value& vb = b[k.col];
+                       for (const SortColumn& k : ctx.sort_by) {
+                         const Value& va = a[k.column];
+                         const Value& vb = b[k.column];
                          if (va < vb) {
-                           return k.asc;
+                           return k.ascending;
                          }
                          if (vb < va) {
-                           return !k.asc;
+                           return !k.ascending;
                          }
                        }
                        return false;
@@ -161,7 +144,6 @@ Status SortAndLimit(const QueryContext& ctx, bool sorted, ResultTable* table) {
       table->num_rows() > static_cast<size_t>(*ctx.top)) {
     table->mutable_rows()->resize(static_cast<size_t>(*ctx.top));
   }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -189,10 +171,7 @@ Result<ResultTable> FinishResults(const QueryContext& ctx, ResultTable table) {
     count_table.AddRow({Value(static_cast<int64_t>(table.num_rows()))});
     return count_table;
   }
-  Status s = SortAndLimit(ctx, /*sorted=*/ctx.distinct, &table);
-  if (!s.ok()) {
-    return Result<ResultTable>(s);
-  }
+  SortAndLimit(ctx, /*sorted=*/ctx.distinct, &table);
   return table;
 }
 

@@ -20,15 +20,6 @@ bool RowLess(const std::vector<Value>& a, const std::vector<Value>& b) {
 
 }  // namespace
 
-int ResultTable::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i] == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 void ResultTable::SortRowsLexicographically() {
   std::stable_sort(rows_.begin(), rows_.end(), RowLess);
 }

@@ -23,9 +23,6 @@ class ResultTable {
   void AddRow(std::vector<Value> row) { rows_.push_back(std::move(row)); }
   std::vector<std::vector<Value>>* mutable_rows() { return &rows_; }
 
-  // Column index by name; -1 if absent.
-  int ColumnIndex(const std::string& name) const;
-
   // Sorts rows lexicographically (used for deterministic comparisons when the
   // query has no sort clause). Stable: of rows that compare equal, such as
   // 1 and 1.0, the earlier stays first, so `distinct` keeps the first row of

@@ -50,7 +50,7 @@ struct Expr {
   Kind kind = Kind::kNumber;
   double number = 0;
   std::string str;
-  int line = 0;  // source line; set for kParam (bind diagnostics)
+  int line = 0;  // source line; set for kParam and sort-key roots (diagnostics)
 
   // kVarRef / kHistRef / kParam
   std::string name;

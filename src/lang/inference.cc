@@ -1,5 +1,6 @@
 // Context-aware inference: resolves AIQL syntax shortcuts (paper §4.1) and
 // rewrites dependency queries into multievent queries (paper §5.1).
+#include <algorithm>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -502,13 +503,36 @@ class Resolver {
       }
       ctx_.having = std::move(having);
     }
+    // A sort key orders by the result column its bare name or its rendering
+    // names; anomaly tables lead with a `window` column.
+    std::vector<std::string> columns;
+    if (ctx_.kind == ast::QueryKind::kAnomaly) {
+      columns.push_back("window");
+    }
+    for (const OutputItem& item : ctx_.items) {
+      columns.push_back(item.name);
+    }
     for (const ast::SortKey& key : mq.filters.sort_by) {
-      ast::SortKey resolved = key;
-      Status s = ResolveExpr(&resolved.expr, /*aliases_visible=*/true);
+      SortColumn sort{key.expr, key.ascending};
+      Status s = ResolveExpr(&sort.expr, /*aliases_visible=*/true);
       if (!s.ok()) {
         return s;
       }
-      ctx_.sort_by.push_back(std::move(resolved));
+      if (!ctx_.count_all) {
+        const std::string rendered = sort.expr.ToString();
+        const std::string name =
+            sort.expr.kind == Expr::Kind::kVarRef && sort.expr.attr.empty() ? sort.expr.name
+                                                                             : rendered;
+        auto it = std::find(columns.begin(), columns.end(), name);
+        if (it == columns.end()) {
+          it = std::find(columns.begin(), columns.end(), rendered);
+        }
+        if (it == columns.end()) {
+          return LineError(key.expr.line, "sort key '" + name + "' is not a returned column");
+        }
+        sort.column = static_cast<size_t>(it - columns.begin());
+      }
+      ctx_.sort_by.push_back(std::move(sort));
     }
     ctx_.top = mq.filters.top;
     return Status::Ok();

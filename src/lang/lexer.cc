@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <string_view>
 
 namespace aiql {
 
@@ -9,67 +10,24 @@ std::string PositionPrefix(int line, int col) {
   return "line " + std::to_string(line) + ", col " + std::to_string(col) + ": ";
 }
 
-const char* TokenTypeName(TokenType t) {
-  switch (t) {
-    case TokenType::kIdent:
-      return "identifier";
-    case TokenType::kString:
-      return "string";
-    case TokenType::kNumber:
-      return "number";
-    case TokenType::kParam:
-      return "parameter";
-    case TokenType::kLParen:
-      return "'('";
-    case TokenType::kRParen:
-      return "')'";
-    case TokenType::kLBracket:
-      return "'['";
-    case TokenType::kRBracket:
-      return "']'";
-    case TokenType::kComma:
-      return "','";
-    case TokenType::kDot:
-      return "'.'";
-    case TokenType::kColon:
-      return "':'";
-    case TokenType::kEq:
-      return "'='";
-    case TokenType::kNe:
-      return "'!='";
-    case TokenType::kLt:
-      return "'<'";
-    case TokenType::kLe:
-      return "'<='";
-    case TokenType::kGt:
-      return "'>'";
-    case TokenType::kGe:
-      return "'>='";
-    case TokenType::kAndAnd:
-      return "'&&'";
-    case TokenType::kOrOr:
-      return "'||'";
-    case TokenType::kBang:
-      return "'!'";
-    case TokenType::kArrow:
-      return "'->'";
-    case TokenType::kLArrow:
-      return "'<-'";
-    case TokenType::kPlus:
-      return "'+'";
-    case TokenType::kMinus:
-      return "'-'";
-    case TokenType::kStar:
-      return "'*'";
-    case TokenType::kSlash:
-      return "'/'";
-    case TokenType::kEof:
-      return "end of input";
-  }
-  return "?";
-}
-
 namespace {
+
+// Every operator and punctuation mark with its spelling, two-character
+// spellings first so the lexer takes the longest match.
+struct Punctuation {
+  std::string_view spelling;
+  TokenType type;
+};
+constexpr Punctuation kPunctuation[] = {
+    {"&&", TokenType::kAndAnd}, {"||", TokenType::kOrOr},    {"!=", TokenType::kNe},
+    {"<=", TokenType::kLe},     {">=", TokenType::kGe},      {"->", TokenType::kArrow},
+    {"<-", TokenType::kLArrow}, {"(", TokenType::kLParen},   {")", TokenType::kRParen},
+    {"[", TokenType::kLBracket}, {"]", TokenType::kRBracket}, {",", TokenType::kComma},
+    {".", TokenType::kDot},     {":", TokenType::kColon},    {"=", TokenType::kEq},
+    {"<", TokenType::kLt},      {">", TokenType::kGt},       {"!", TokenType::kBang},
+    {"+", TokenType::kPlus},    {"-", TokenType::kMinus},    {"*", TokenType::kStar},
+    {"/", TokenType::kSlash},
+};
 
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
@@ -80,6 +38,28 @@ bool IsIdentChar(char c) {
 }
 
 }  // namespace
+
+std::string TokenTypeName(TokenType t) {
+  switch (t) {
+    case TokenType::kIdent:
+      return "identifier";
+    case TokenType::kString:
+      return "string";
+    case TokenType::kNumber:
+      return "number";
+    case TokenType::kParam:
+      return "parameter";
+    case TokenType::kEof:
+      return "end of input";
+    default:
+      for (const Punctuation& p : kPunctuation) {
+        if (p.type == t) {
+          return "'" + std::string(p.spelling) + "'";
+        }
+      }
+      return "?";
+  }
+}
 
 Result<std::vector<Token>> Tokenize(const std::string& input) {
   std::vector<Token> out;
@@ -202,103 +182,21 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
       push(TokenType::kParam, input.substr(start, i - start), tline, tcol);
       continue;
     }
-    auto two = [&](char a, char b) { return c == a && i + 1 < n && input[i + 1] == b; };
-    if (two('&', '&')) {
-      push(TokenType::kAndAnd, "&&", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
+    const std::string_view rest = std::string_view(input).substr(i);
+    const Punctuation* punct = nullptr;
+    for (const Punctuation& p : kPunctuation) {
+      if (rest.starts_with(p.spelling)) {
+        punct = &p;
+        break;
+      }
     }
-    if (two('|', '|')) {
-      push(TokenType::kOrOr, "||", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
+    if (punct == nullptr) {
+      return Result<std::vector<Token>>::Error(
+          PositionPrefix(tline, tcol) + "unexpected character '" + std::string(1, c) + "'");
     }
-    if (two('!', '=')) {
-      push(TokenType::kNe, "!=", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
-    }
-    if (two('<', '=')) {
-      push(TokenType::kLe, "<=", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
-    }
-    if (two('>', '=')) {
-      push(TokenType::kGe, ">=", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
-    }
-    if (two('-', '>')) {
-      push(TokenType::kArrow, "->", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
-    }
-    if (two('<', '-')) {
-      push(TokenType::kLArrow, "<-", tline, tcol);
-      i += 2;
-      col += 2;
-      continue;
-    }
-    TokenType single;
-    switch (c) {
-      case '(':
-        single = TokenType::kLParen;
-        break;
-      case ')':
-        single = TokenType::kRParen;
-        break;
-      case '[':
-        single = TokenType::kLBracket;
-        break;
-      case ']':
-        single = TokenType::kRBracket;
-        break;
-      case ',':
-        single = TokenType::kComma;
-        break;
-      case '.':
-        single = TokenType::kDot;
-        break;
-      case ':':
-        single = TokenType::kColon;
-        break;
-      case '=':
-        single = TokenType::kEq;
-        break;
-      case '<':
-        single = TokenType::kLt;
-        break;
-      case '>':
-        single = TokenType::kGt;
-        break;
-      case '!':
-        single = TokenType::kBang;
-        break;
-      case '+':
-        single = TokenType::kPlus;
-        break;
-      case '-':
-        single = TokenType::kMinus;
-        break;
-      case '*':
-        single = TokenType::kStar;
-        break;
-      case '/':
-        single = TokenType::kSlash;
-        break;
-      default:
-        return Result<std::vector<Token>>::Error(
-            PositionPrefix(tline, tcol) + "unexpected character '" + std::string(1, c) + "'");
-    }
-    push(single, std::string(1, c), tline, tcol);
-    ++i;
-    ++col;
+    push(punct->type, std::string(punct->spelling), tline, tcol);
+    i += punct->spelling.size();
+    col += static_cast<int>(punct->spelling.size());
   }
   push(TokenType::kEof, "", line, col);
   return out;

@@ -41,7 +41,8 @@ enum class TokenType : uint8_t {
   kEof,
 };
 
-const char* TokenTypeName(TokenType t);
+// "identifier", "end of input", or the quoted spelling: "'->'".
+std::string TokenTypeName(TokenType t);
 
 struct Token {
   TokenType type = TokenType::kEof;

@@ -1,6 +1,9 @@
 #include "src/lang/parser.h"
 
+#include <array>
+#include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "src/lang/lexer.h"
@@ -11,21 +14,20 @@ namespace {
 
 using ast::Query;
 
-bool IsEntityTypeName(const std::string& s) {
-  return EqualsIgnoreCase(s, "proc") || EqualsIgnoreCase(s, "process") ||
-         EqualsIgnoreCase(s, "file") || EqualsIgnoreCase(s, "ip") ||
-         EqualsIgnoreCase(s, "net") || EqualsIgnoreCase(s, "network") ||
-         EqualsIgnoreCase(s, "conn");
-}
-
-EntityType EntityTypeFromName(const std::string& s) {
-  if (EqualsIgnoreCase(s, "file")) {
-    return EntityType::kFile;
+// <entity_type> spellings.
+std::optional<EntityType> EntityTypeOf(const std::string& s) {
+  static constexpr std::pair<const char*, EntityType> kNames[] = {
+      {"proc", EntityType::kProcess}, {"process", EntityType::kProcess},
+      {"file", EntityType::kFile},    {"ip", EntityType::kNetwork},
+      {"net", EntityType::kNetwork},  {"network", EntityType::kNetwork},
+      {"conn", EntityType::kNetwork},
+  };
+  for (const auto& [name, type] : kNames) {
+    if (EqualsIgnoreCase(s, name)) {
+      return type;
+    }
   }
-  if (EqualsIgnoreCase(s, "proc") || EqualsIgnoreCase(s, "process")) {
-    return EntityType::kProcess;
-  }
-  return EntityType::kNetwork;
+  return std::nullopt;
 }
 
 // Words that may never be consumed as entity/event identifiers.
@@ -41,7 +43,101 @@ bool IsReservedWord(const std::string& s) {
       return true;
     }
   }
-  return ParseOperation(s).has_value() || IsEntityTypeName(s);
+  return ParseOperation(s).has_value() || EntityTypeOf(s).has_value();
+}
+
+// A comparison token, read as a constraint/relationship operator (CmpOp) or
+// as an expression operator (BinOp).
+struct Comparison {
+  TokenType token;
+  CmpOp cmp;
+  BinOp bop;
+};
+constexpr Comparison kComparisons[] = {
+    {TokenType::kEq, CmpOp::kEq, BinOp::kEq}, {TokenType::kNe, CmpOp::kNe, BinOp::kNe},
+    {TokenType::kLt, CmpOp::kLt, BinOp::kLt}, {TokenType::kLe, CmpOp::kLe, BinOp::kLe},
+    {TokenType::kGt, CmpOp::kGt, BinOp::kGt}, {TokenType::kGe, CmpOp::kGe, BinOp::kGe},
+};
+
+const Comparison* ComparisonOf(TokenType t) {
+  for (const Comparison& c : kComparisons) {
+    if (c.token == t) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+// One infix operator of a grammar: its token, its binding strength (higher
+// binds tighter; equal strengths associate left) and what it builds. A
+// non-chaining operator takes one operand on each side: `a > 1 > 2` stops
+// before the second '>'.
+struct InfixOp {
+  TokenType token;
+  int prec;
+  BinOp op;
+  bool chains = true;
+};
+
+// Attribute constraints: ',' is an And looser than '||', read only directly
+// inside '[...]' (paper Query 3: proc p1["%/bin/cp%", agentid = 2]).
+constexpr int kAttrListPrec = 1;
+constexpr InfixOp kAttrOps[] = {
+    {TokenType::kComma, kAttrListPrec, BinOp::kAnd},
+    {TokenType::kOrOr, 2, BinOp::kOr},
+    {TokenType::kAndAnd, 3, BinOp::kAnd},
+};
+
+// Operation sets: '||' unions masks, '&&' intersects them.
+constexpr InfixOp kOpSetOps[] = {
+    {TokenType::kOrOr, 1, BinOp::kOr},
+    {TokenType::kAndAnd, 2, BinOp::kAnd},
+};
+
+// Return, group-by, having and sort expressions: '||', '&&', the
+// comparisons, '+ -', '* /'.
+constexpr auto kExprOps = [] {
+  std::array<InfixOp, 6 + std::size(kComparisons)> ops = {{
+      {TokenType::kOrOr, 1, BinOp::kOr},
+      {TokenType::kAndAnd, 2, BinOp::kAnd},
+      {TokenType::kPlus, 4, BinOp::kAdd},
+      {TokenType::kMinus, 4, BinOp::kSub},
+      {TokenType::kStar, 5, BinOp::kMul},
+      {TokenType::kSlash, 5, BinOp::kDiv},
+  }};
+  for (size_t i = 0; i < std::size(kComparisons); ++i) {
+    ops[6 + i] = {kComparisons[i].token, 3, kComparisons[i].bop, /*chains=*/false};
+  }
+  return ops;
+}();
+
+const InfixOp* InfixOpOf(std::span<const InfixOp> ops, TokenType t) {
+  for (const InfixOp& op : ops) {
+    if (op.token == t) {
+      return &op;
+    }
+  }
+  return nullptr;
+}
+
+PredExpr Combine(BinOp op, PredExpr lhs, PredExpr rhs) {
+  return op == BinOp::kOr ? PredExpr::Or(std::move(lhs), std::move(rhs))
+                          : PredExpr::And(std::move(lhs), std::move(rhs));
+}
+
+OpMask Combine(BinOp op, OpMask lhs, OpMask rhs) {
+  return static_cast<OpMask>(op == BinOp::kOr ? lhs | rhs : lhs & rhs);
+}
+
+Expr Combine(BinOp op, Expr lhs, Expr rhs) {
+  return Expr::Binary(op, std::move(lhs), std::move(rhs));
+}
+
+// True when `d` truncates to a value of I, i.e. the cast is defined.
+template <typename I>
+bool FitsIn(double d) {
+  constexpr double kLimit = -static_cast<double>(std::numeric_limits<I>::min());
+  return d >= -kLimit && d < kLimit;
 }
 
 class Parser {
@@ -59,7 +155,7 @@ class Parser {
     if (IsIdent("forward") || IsIdent("backward")) {
       q.kind = ast::QueryKind::kDependency;
       s = ParseDependency(&q.dependency);
-    } else if (Cur().type == TokenType::kIdent && IsEntityTypeName(Cur().text)) {
+    } else if (CurEntityType().has_value()) {
       // Look ahead: an entity followed by '->' or '<-' starts a dependency
       // path; anything else is a multievent pattern.
       size_t save = pos_;
@@ -113,6 +209,15 @@ class Parser {
     }
     return false;
   }
+  // The entity type Cur() spells, if it is an identifier naming one.
+  std::optional<EntityType> CurEntityType() const {
+    return Cur().type == TokenType::kIdent ? EntityTypeOf(Cur().text) : std::nullopt;
+  }
+  // `attr [not] in (...)`: the token after the attribute is 'in' or 'not'.
+  bool PeekIsIn() const {
+    return Peek().type == TokenType::kIdent &&
+           (EqualsIgnoreCase(Peek().text, "in") || EqualsIgnoreCase(Peek().text, "not"));
+  }
   bool Accept(TokenType t) {
     if (Cur().type == t) {
       Advance();
@@ -149,28 +254,10 @@ class Parser {
     return Result<Query>(ErrStatus(message));
   }
 
-  static std::optional<CmpOp> CmpFromToken(TokenType t) {
-    switch (t) {
-      case TokenType::kEq:
-        return CmpOp::kEq;
-      case TokenType::kNe:
-        return CmpOp::kNe;
-      case TokenType::kLt:
-        return CmpOp::kLt;
-      case TokenType::kLe:
-        return CmpOp::kLe;
-      case TokenType::kGt:
-        return CmpOp::kGt;
-      case TokenType::kGe:
-        return CmpOp::kGe;
-      default:
-        return std::nullopt;
-    }
-  }
-
   static Value TokenValue(const Token& t) {
     if (t.type == TokenType::kNumber) {
-      if (t.number == static_cast<int64_t>(t.number)) {
+      // Integral literals become integers; those beyond int64 stay doubles.
+      if (FitsIn<int64_t>(t.number) && t.number == static_cast<int64_t>(t.number)) {
         return Value(static_cast<int64_t>(t.number));
       }
       return Value(t.number);
@@ -204,36 +291,20 @@ class Parser {
   // --- global constraints --------------------------------------------------
   Status ParseGlobalConstraints(ast::GlobalConstraints* out) {
     for (;;) {
-      if (Cur().type == TokenType::kLParen &&
-          (Peek().type == TokenType::kIdent &&
-           (EqualsIgnoreCase(Peek().text, "at") || EqualsIgnoreCase(Peek().text, "from")))) {
-        Advance();  // '('
+      if (AtTimeWindow()) {
         ast::TimeWindowSpec spec;
-        Status s = ParseTimeWindow(&spec);
+        Status s = ParseTimeWindow("time window", &spec);
         if (!s.ok()) {
           return s;
         }
         out->time_windows.push_back(std::move(spec));
-        s = Expect(TokenType::kRParen, "time window");
-        if (!s.ok()) {
-          return s;
-        }
         continue;
       }
-      if (IsIdent("window") && Peek().type == TokenType::kEq) {
+      if ((IsIdent("window") || IsIdent("step")) && Peek().type == TokenType::kEq) {
+        std::optional<DurationMs>* length = IsIdent("window") ? &out->window : &out->step;
         Advance();
         Advance();
-        Status s = ParseDurationTokens(&out->window);
-        if (!s.ok()) {
-          return s;
-        }
-        Accept(TokenType::kComma);
-        continue;
-      }
-      if (IsIdent("step") && Peek().type == TokenType::kEq) {
-        Advance();
-        Advance();
-        Status s = ParseDurationTokens(&out->step);
+        Status s = ParseDurationTokens(length);
         if (!s.ok()) {
           return s;
         }
@@ -241,13 +312,9 @@ class Parser {
         continue;
       }
       // Plain constraint: ident bop value | ident [not] in (...).
-      if (Cur().type == TokenType::kIdent && !IsEntityTypeName(Cur().text) &&
+      if (Cur().type == TokenType::kIdent && !CurEntityType().has_value() &&
           !IsIdent("forward") && !IsIdent("backward")) {
-        bool is_cstr = CmpFromToken(Peek().type).has_value() ||
-                       (Peek().type == TokenType::kIdent &&
-                        (EqualsIgnoreCase(Peek().text, "in") ||
-                         EqualsIgnoreCase(Peek().text, "not")));
-        if (!is_cstr) {
+        if (ComparisonOf(Peek().type) == nullptr && !PeekIsIn()) {
           return ErrStatus("unrecognized global constraint");
         }
         PredExpr leaf;
@@ -262,64 +329,56 @@ class Parser {
     }
   }
 
-  // One endpoint of a from..to window: a datetime string or a $parameter.
-  Status ParseTimeEndpoint(const char* after, std::optional<TimestampMs>* fixed,
-                           std::string* param) {
+  // The datetime string or $parameter after 'at', 'from' or 'to': `parse`
+  // reads the string into `fixed`, a parameter's name goes to `param`.
+  template <typename V>
+  Status ParseTimeEndpoint(const char* after, Result<V> (*parse)(const std::string&),
+                           std::optional<V>* fixed, std::string* param) {
     if (Cur().type == TokenType::kParam) {
       *param = Cur().text;
-      Advance();
-      return Status::Ok();
-    }
-    if (Cur().type != TokenType::kString) {
+    } else if (Cur().type != TokenType::kString) {
       return ErrStatus(std::string("expected a datetime string or $parameter after '") + after +
                        "'");
-    }
-    Result<TimestampMs> t = ParseDateTime(Cur().text);
-    if (!t.ok()) {
-      return ErrStatus(t.error());
+    } else {
+      Result<V> t = parse(Cur().text);
+      if (!t.ok()) {
+        return ErrStatus(t.error());
+      }
+      *fixed = t.value();
     }
     Advance();
-    *fixed = t.value();
     return Status::Ok();
   }
 
-  Status ParseTimeWindow(ast::TimeWindowSpec* out) {
+  // '(' followed by 'at' or 'from' opens a time window.
+  bool AtTimeWindow() const {
+    return Cur().type == TokenType::kLParen && Peek().type == TokenType::kIdent &&
+           (EqualsIgnoreCase(Peek().text, "at") || EqualsIgnoreCase(Peek().text, "from"));
+  }
+
+  // <twind> in parentheses, at AtTimeWindow(); `context` names the window
+  // in a missing-')' error.
+  Status ParseTimeWindow(const char* context, ast::TimeWindowSpec* out) {
+    Advance();  // '('
     out->line = Cur().line;
+    Status s;
     if (AcceptIdent("at")) {
-      if (Cur().type == TokenType::kParam) {
-        out->at_param = Cur().text;
-        Advance();
-        return Status::Ok();
-      }
-      if (Cur().type != TokenType::kString) {
-        return ErrStatus("expected a datetime string or $parameter after 'at'");
-      }
-      Result<TimeRange> r = ParseDateTimeRange(Cur().text);
-      if (!r.ok()) {
-        return ErrStatus(r.error());
-      }
-      Advance();
-      out->fixed = r.value();
-      return Status::Ok();
-    }
-    if (AcceptIdent("from")) {
-      Status s = ParseTimeEndpoint("from", &out->from_fixed, &out->from_param);
+      s = ParseTimeEndpoint("at", &ParseDateTimeRange, &out->fixed, &out->at_param);
+    } else {
+      AcceptIdent("from");
+      s = ParseTimeEndpoint("from", &ParseDateTime, &out->from_fixed, &out->from_param);
       if (!s.ok()) {
         return s;
       }
       if (!AcceptIdent("to")) {
         return ErrStatus("expected 'to' in time window");
       }
-      s = ParseTimeEndpoint("to", &out->to_fixed, &out->to_param);
-      if (!s.ok()) {
-        return s;
-      }
+      s = ParseTimeEndpoint("to", &ParseDateTime, &out->to_fixed, &out->to_param);
       if (out->from_fixed.has_value() && out->to_fixed.has_value()) {
         out->fixed = TimeRange{*out->from_fixed, *out->to_fixed};
       }
-      return Status::Ok();
     }
-    return ErrStatus("expected 'at' or 'from' in time window");
+    return s.ok() ? Expect(TokenType::kRParen, context) : s;
   }
 
   Status ParseDurationTokens(std::optional<DurationMs>* out) {
@@ -340,25 +399,50 @@ class Parser {
     return Status::Ok();
   }
 
+  // --- infix grammars -------------------------------------------------------
+  // Precedence climbing over one grammar's operator table: an operand, then
+  // each operator binding at least `min_prec` with its right operand, parsed
+  // one level tighter. After each operator, `max_prec` caps the next at that
+  // operator's strength (one below it, for a non-chaining one): a tighter
+  // operator there is one the right operand refused, such as a second
+  // comparison.
+  template <typename T>
+  Status ParseInfix(std::span<const InfixOp> ops, Status (Parser::*operand)(T*), int min_prec,
+                    T* out) {
+    Status s = (this->*operand)(out);
+    int max_prec = std::numeric_limits<int>::max();
+    while (s.ok()) {
+      const InfixOp* op = InfixOpOf(ops, Cur().type);
+      if (op == nullptr || op->prec < min_prec || op->prec > max_prec) {
+        break;
+      }
+      Advance();
+      T rhs{};
+      s = ParseInfix(ops, operand, op->prec + 1, &rhs);
+      *out = Combine(op->op, std::move(*out), std::move(rhs));
+      max_prec = op->chains ? op->prec : op->prec - 1;
+    }
+    return s;
+  }
+
   // --- attribute constraints ----------------------------------------------
   // <cstr> ::= <attr> <bop> <val> | '!'? <val> | <attr> 'not'? 'in' '(' ... ')'
   Status ParseConstraintLeaf(PredExpr* out) {
     if (Cur().type == TokenType::kIdent && !EqualsIgnoreCase(Cur().text, "not")) {
       std::string attr = ToLower(Cur().text);
       // attr bop val
-      if (auto cmp = CmpFromToken(Peek().type); cmp.has_value()) {
+      if (const Comparison* cmp = ComparisonOf(Peek().type); cmp != nullptr) {
         Advance();
         Advance();
         if (!IsValueToken(Cur())) {
           return ErrStatus("expected a value after comparison operator");
         }
-        *out = PredExpr::Leaf(MakeLeaf(std::move(attr), *cmp, {TokenValue(Cur())}));
+        *out = PredExpr::Leaf(MakeLeaf(std::move(attr), cmp->cmp, {TokenValue(Cur())}));
         Advance();
         return Status::Ok();
       }
       // attr [not] in ( v, v, ... )
-      if (Peek().type == TokenType::kIdent &&
-          (EqualsIgnoreCase(Peek().text, "in") || EqualsIgnoreCase(Peek().text, "not"))) {
+      if (PeekIsIn()) {
         Advance();
         bool negated = AcceptIdent("not");
         if (!AcceptIdent("in")) {
@@ -398,6 +482,11 @@ class Parser {
     return ErrStatus("expected an attribute constraint");
   }
 
+  // <attr_cstr>; `min_prec` = kAttrListPrec admits ',' (inside '[...]').
+  Status ParseAttrs(int min_prec, PredExpr* out) {
+    return ParseInfix(kAttrOps, &Parser::ParseAttrUnary, min_prec, out);
+  }
+
   Status ParseAttrUnary(PredExpr* out) {
     if (Accept(TokenType::kBang)) {
       PredExpr inner;
@@ -410,7 +499,7 @@ class Parser {
     }
     if (Cur().type == TokenType::kLParen) {
       Advance();
-      Status s = ParseAttrOr(out);
+      Status s = ParseAttrs(kAttrListPrec + 1, out);
       if (!s.ok()) {
         return s;
       }
@@ -419,63 +508,25 @@ class Parser {
     return ParseConstraintLeaf(out);
   }
 
-  Status ParseAttrAnd(PredExpr* out) {
-    PredExpr lhs;
-    Status s = ParseAttrUnary(&lhs);
+  // An optional '[' <attr_cstr> ']' after an entity or event; `context`
+  // names it in a missing-']' error.
+  Status ParseOptionalAttrs(const char* context, PredExpr* out) {
+    if (!Accept(TokenType::kLBracket)) {
+      return Status::Ok();
+    }
+    Status s = ParseAttrs(kAttrListPrec, out);
     if (!s.ok()) {
       return s;
     }
-    while (Accept(TokenType::kAndAnd)) {
-      PredExpr rhs;
-      s = ParseAttrUnary(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = PredExpr::And(std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseAttrOr(PredExpr* out) {
-    PredExpr lhs;
-    Status s = ParseAttrAnd(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kOrOr)) {
-      PredExpr rhs;
-      s = ParseAttrAnd(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = PredExpr::Or(std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  // Entity constraints allow comma-separated conjuncts, as in the paper's
-  // Query 3: proc p1["%/bin/cp%", agentid = 2]. Comma binds loosest.
-  Status ParseAttrList(PredExpr* out) {
-    PredExpr lhs;
-    Status s = ParseAttrOr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kComma)) {
-      PredExpr rhs;
-      s = ParseAttrOr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = PredExpr::And(std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
+    return Expect(TokenType::kRBracket, context);
   }
 
   // --- operation expressions -----------------------------------------------
+  // <op_exp>
+  Status ParseOps(OpMask* out) {
+    return ParseInfix(kOpSetOps, &Parser::ParseOpUnary, 1, out);
+  }
+
   Status ParseOpUnary(OpMask* out) {
     if (Accept(TokenType::kBang)) {
       OpMask inner = 0;
@@ -488,7 +539,7 @@ class Parser {
     }
     if (Cur().type == TokenType::kLParen) {
       Advance();
-      Status s = ParseOpOr(out);
+      Status s = ParseOps(out);
       if (!s.ok()) {
         return s;
       }
@@ -506,65 +557,20 @@ class Parser {
     return ErrStatus("expected an operation");
   }
 
-  Status ParseOpAnd(OpMask* out) {
-    OpMask lhs = 0;
-    Status s = ParseOpUnary(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kAndAnd)) {
-      OpMask rhs = 0;
-      s = ParseOpUnary(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = static_cast<OpMask>(lhs & rhs);
-    }
-    *out = lhs;
-    return Status::Ok();
-  }
-
-  Status ParseOpOr(OpMask* out) {
-    OpMask lhs = 0;
-    Status s = ParseOpAnd(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kOrOr)) {
-      OpMask rhs = 0;
-      s = ParseOpAnd(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = static_cast<OpMask>(lhs | rhs);
-    }
-    *out = lhs;
-    return Status::Ok();
-  }
-
   // --- entities and patterns -----------------------------------------------
   Status ParseEntity(ast::EntityRef* out) {
-    if (Cur().type != TokenType::kIdent || !IsEntityTypeName(Cur().text)) {
+    const std::optional<EntityType> type = CurEntityType();
+    if (!type.has_value()) {
       return ErrStatus("expected an entity type (proc/file/ip)");
     }
-    out->type = EntityTypeFromName(Cur().text);
+    out->type = *type;
     out->line = Cur().line;
     Advance();
     if (Cur().type == TokenType::kIdent && !IsReservedWord(Cur().text)) {
       out->id = Cur().text;
       Advance();
     }
-    if (Accept(TokenType::kLBracket)) {
-      Status s = ParseAttrList(&out->constraint);
-      if (!s.ok()) {
-        return s;
-      }
-      s = Expect(TokenType::kRBracket, "entity constraint");
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
+    return ParseOptionalAttrs("entity constraint", &out->constraint);
   }
 
   Status ParseEventPattern(ast::EventPattern* out) {
@@ -573,7 +579,7 @@ class Parser {
     if (!s.ok()) {
       return s;
     }
-    s = ParseOpOr(&out->ops);
+    s = ParseOps(&out->ops);
     if (!s.ok()) {
       return s;
     }
@@ -587,49 +593,41 @@ class Parser {
       }
       out->evt_id = Cur().text;
       Advance();
-      if (Accept(TokenType::kLBracket)) {
-        s = ParseAttrList(&out->evt_constraint);
-        if (!s.ok()) {
-          return s;
-        }
-        s = Expect(TokenType::kRBracket, "event constraint");
-        if (!s.ok()) {
-          return s;
-        }
-      }
-    }
-    if (Cur().type == TokenType::kLParen && Peek().type == TokenType::kIdent &&
-        (EqualsIgnoreCase(Peek().text, "at") || EqualsIgnoreCase(Peek().text, "from"))) {
-      Advance();
-      ast::TimeWindowSpec spec;
-      s = ParseTimeWindow(&spec);
+      s = ParseOptionalAttrs("event constraint", &out->evt_constraint);
       if (!s.ok()) {
         return s;
       }
-      s = Expect(TokenType::kRParen, "pattern time window");
-      if (!s.ok()) {
-        return s;
-      }
-      out->time_window = std::move(spec);
     }
-    return Status::Ok();
+    if (AtTimeWindow()) {
+      s = ParseTimeWindow("pattern time window", &out->time_window.emplace());
+    }
+    return s;
   }
 
   // --- relationships ---------------------------------------------------------
-  Status ParseRelationship(ast::MultieventQuery* out) {
+  // <id> ('.' <attr>)?; `missing` is the error when no identifier comes.
+  Status ParseRef(const char* missing, std::string* id, std::string* attr) {
     if (Cur().type != TokenType::kIdent) {
-      return ErrStatus("expected a relationship");
+      return ErrStatus(missing);
     }
-    int line = Cur().line;
-    std::string left = Cur().text;
+    *id = Cur().text;
     Advance();
-    std::string left_attr;
     if (Accept(TokenType::kDot)) {
       if (Cur().type != TokenType::kIdent) {
         return ErrStatus("expected an attribute after '.'");
       }
-      left_attr = ToLower(Cur().text);
+      *attr = ToLower(Cur().text);
       Advance();
+    }
+    return Status::Ok();
+  }
+
+  Status ParseRelationship(ast::MultieventQuery* out) {
+    const int line = Cur().line;
+    std::string left, left_attr;
+    Status s = ParseRef("expected a relationship", &left, &left_attr);
+    if (!s.ok()) {
+      return s;
     }
     if (IsIdent("before") || IsIdent("after") || IsIdent("within")) {
       ast::TempRel rel;
@@ -653,7 +651,7 @@ class Parser {
         }
         double lo = Cur().number;
         Advance();
-        Status s = Expect(TokenType::kMinus, "temporal range");
+        s = Expect(TokenType::kMinus, "temporal range");
         if (!s.ok()) {
           return s;
         }
@@ -686,33 +684,44 @@ class Parser {
       out->temp_rels.push_back(std::move(rel));
       return Status::Ok();
     }
-    auto cmp = CmpFromToken(Cur().type);
-    if (!cmp.has_value()) {
+    const Comparison* cmp = ComparisonOf(Cur().type);
+    if (cmp == nullptr) {
       return ErrStatus("expected a comparison or temporal operator in relationship");
     }
     Advance();
-    if (Cur().type != TokenType::kIdent) {
-      return ErrStatus("expected an identifier on the right side of the relationship");
-    }
     ast::AttrRel rel;
     rel.line = line;
     rel.left_id = left;
     rel.left_attr = left_attr;
-    rel.op = *cmp;
-    rel.right_id = Cur().text;
-    Advance();
-    if (Accept(TokenType::kDot)) {
-      if (Cur().type != TokenType::kIdent) {
-        return ErrStatus("expected an attribute after '.'");
-      }
-      rel.right_attr = ToLower(Cur().text);
-      Advance();
+    rel.op = cmp->cmp;
+    s = ParseRef("expected an identifier on the right side of the relationship", &rel.right_id,
+                 &rel.right_attr);
+    if (s.ok()) {
+      out->attr_rels.push_back(std::move(rel));
     }
-    out->attr_rels.push_back(std::move(rel));
-    return Status::Ok();
+    return s;
   }
 
   // --- expressions -----------------------------------------------------------
+  Status ParseExpr(Expr* out) {
+    return ParseInfix(kExprOps, &Parser::ParseUnaryExpr, 1, out);
+  }
+
+  Status ParseUnaryExpr(Expr* out) {
+    if (Cur().type == TokenType::kBang || Cur().type == TokenType::kMinus) {
+      const char op = Cur().type == TokenType::kBang ? '!' : '-';
+      Advance();
+      Expr inner;
+      Status s = ParseUnaryExpr(&inner);
+      if (!s.ok()) {
+        return s;
+      }
+      *out = Expr::Unary(op, std::move(inner));
+      return Status::Ok();
+    }
+    return ParsePrimaryExpr(out);
+  }
+
   Status ParsePrimaryExpr(Expr* out) {
     if (Cur().type == TokenType::kNumber) {
       *out = Expr::Number(Cur().number);
@@ -736,215 +745,47 @@ class Parser {
       }
       return Expect(TokenType::kRParen, "expression");
     }
-    if (Cur().type == TokenType::kIdent) {
+    if (Cur().type != TokenType::kIdent) {
+      return ErrStatus("expected an expression");
+    }
+    if (Peek().type == TokenType::kLParen) {
+      // Function call; count(distinct x) becomes count_distinct(x).
+      std::string func = ToLower(Cur().text);
+      Advance();
+      Advance();
+      if (EqualsIgnoreCase(func, "count") && AcceptIdent("distinct")) {
+        func = "count_distinct";
+      }
+      std::vector<Expr> args;
+      if (Cur().type != TokenType::kRParen) {
+        do {
+          Expr arg;
+          Status s = ParseExpr(&arg);
+          if (!s.ok()) {
+            return s;
+          }
+          args.push_back(std::move(arg));
+        } while (Accept(TokenType::kComma));
+      }
+      *out = Expr::Call(std::move(func), std::move(args));
+      return Expect(TokenType::kRParen, "function call");
+    }
+    if (Peek().type == TokenType::kLBracket && Peek(2).type == TokenType::kNumber) {
+      // History reference: alias[k].
       std::string name = Cur().text;
       Advance();
-      if (Accept(TokenType::kLParen)) {
-        // Function call; count(distinct x) becomes count_distinct(x).
-        std::string func = ToLower(name);
-        bool distinct = false;
-        if (EqualsIgnoreCase(func, "count") && IsIdent("distinct")) {
-          Advance();
-          distinct = true;
-        }
-        std::vector<Expr> args;
-        if (Cur().type != TokenType::kRParen) {
-          do {
-            Expr arg;
-            Status s = ParseExpr(&arg);
-            if (!s.ok()) {
-              return s;
-            }
-            args.push_back(std::move(arg));
-          } while (Accept(TokenType::kComma));
-        }
-        Status s = Expect(TokenType::kRParen, "function call");
-        if (!s.ok()) {
-          return s;
-        }
-        if (distinct) {
-          func = "count_distinct";
-        }
-        *out = Expr::Call(std::move(func), std::move(args));
-        return Status::Ok();
-      }
-      if (Cur().type == TokenType::kLBracket && Peek().type == TokenType::kNumber) {
-        // History reference: alias[k].
-        Advance();
-        int offset = static_cast<int>(Cur().number);
-        Advance();
-        Status s = Expect(TokenType::kRBracket, "history reference");
-        if (!s.ok()) {
-          return s;
-        }
-        *out = Expr::Hist(std::move(name), offset);
-        return Status::Ok();
-      }
-      if (Accept(TokenType::kDot)) {
-        if (Cur().type != TokenType::kIdent) {
-          return ErrStatus("expected an attribute after '.'");
-        }
-        std::string attr = ToLower(Cur().text);
-        Advance();
-        *out = Expr::Var(std::move(name), std::move(attr));
-        return Status::Ok();
-      }
-      *out = Expr::Var(std::move(name));
-      return Status::Ok();
-    }
-    return ErrStatus("expected an expression");
-  }
-
-  Status ParseUnaryExpr(Expr* out) {
-    if (Accept(TokenType::kBang)) {
-      Expr inner;
-      Status s = ParseUnaryExpr(&inner);
-      if (!s.ok()) {
-        return s;
-      }
-      *out = Expr::Unary('!', std::move(inner));
-      return Status::Ok();
-    }
-    if (Accept(TokenType::kMinus)) {
-      Expr inner;
-      Status s = ParseUnaryExpr(&inner);
-      if (!s.ok()) {
-        return s;
-      }
-      *out = Expr::Unary('-', std::move(inner));
-      return Status::Ok();
-    }
-    return ParsePrimaryExpr(out);
-  }
-
-  Status ParseMulExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseUnaryExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    for (;;) {
-      BinOp op;
-      if (Cur().type == TokenType::kStar) {
-        op = BinOp::kMul;
-      } else if (Cur().type == TokenType::kSlash) {
-        op = BinOp::kDiv;
-      } else {
-        break;
-      }
       Advance();
-      Expr rhs;
-      s = ParseUnaryExpr(&rhs);
-      if (!s.ok()) {
-        return s;
+      if (!FitsIn<int>(Cur().number)) {
+        return ErrStatus("history offset out of range");
       }
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseAddExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseMulExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    for (;;) {
-      BinOp op;
-      if (Cur().type == TokenType::kPlus) {
-        op = BinOp::kAdd;
-      } else if (Cur().type == TokenType::kMinus) {
-        op = BinOp::kSub;
-      } else {
-        break;
-      }
+      *out = Expr::Hist(std::move(name), static_cast<int>(Cur().number));
       Advance();
-      Expr rhs;
-      s = ParseMulExpr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = Expr::Binary(op, std::move(lhs), std::move(rhs));
+      return Expect(TokenType::kRBracket, "history reference");
     }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseCmpExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseAddExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    BinOp op;
-    switch (Cur().type) {
-      case TokenType::kEq:
-        op = BinOp::kEq;
-        break;
-      case TokenType::kNe:
-        op = BinOp::kNe;
-        break;
-      case TokenType::kLt:
-        op = BinOp::kLt;
-        break;
-      case TokenType::kLe:
-        op = BinOp::kLe;
-        break;
-      case TokenType::kGt:
-        op = BinOp::kGt;
-        break;
-      case TokenType::kGe:
-        op = BinOp::kGe;
-        break;
-      default:
-        *out = std::move(lhs);
-        return Status::Ok();
-    }
-    Advance();
-    Expr rhs;
-    s = ParseAddExpr(&rhs);
-    if (!s.ok()) {
-      return s;
-    }
-    *out = Expr::Binary(op, std::move(lhs), std::move(rhs));
-    return Status::Ok();
-  }
-
-  Status ParseAndExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseCmpExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kAndAnd)) {
-      Expr rhs;
-      s = ParseCmpExpr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = Expr::Binary(BinOp::kAnd, std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
-  }
-
-  Status ParseExpr(Expr* out) {
-    Expr lhs;
-    Status s = ParseAndExpr(&lhs);
-    if (!s.ok()) {
-      return s;
-    }
-    while (Accept(TokenType::kOrOr)) {
-      Expr rhs;
-      s = ParseAndExpr(&rhs);
-      if (!s.ok()) {
-        return s;
-      }
-      lhs = Expr::Binary(BinOp::kOr, std::move(lhs), std::move(rhs));
-    }
-    *out = std::move(lhs);
-    return Status::Ok();
+    std::string name, attr;
+    Status s = ParseRef("expected an expression", &name, &attr);
+    *out = Expr::Var(std::move(name), std::move(attr));
+    return s;
   }
 
   // --- return and filters ----------------------------------------------------
@@ -963,6 +804,26 @@ class Parser {
     return Status::Ok();
   }
 
+  // <res> (',' <res>)*
+  Status ParseReturnItems(std::vector<ast::ReturnItem>* out) {
+    do {
+      Status s = ParseReturnItem(&out->emplace_back());
+      if (!s.ok()) {
+        return s;
+      }
+    } while (Accept(TokenType::kComma));
+    return Status::Ok();
+  }
+
+  // <return> <filter>*: the tail of every query body.
+  Status ParseReturnAndFilters(ast::ReturnClause* ret, ast::Filters* filters) {
+    Status s = ParseReturnClause(ret);
+    if (!s.ok()) {
+      return s;
+    }
+    return ParseFilters(filters);
+  }
+
   Status ParseReturnClause(ast::ReturnClause* out) {
     if (!AcceptIdent("return")) {
       return ErrStatus("expected 'return'");
@@ -974,15 +835,7 @@ class Parser {
     if (AcceptIdent("distinct")) {
       out->distinct = true;
     }
-    do {
-      ast::ReturnItem item;
-      Status s = ParseReturnItem(&item);
-      if (!s.ok()) {
-        return s;
-      }
-      out->items.push_back(std::move(item));
-    } while (Accept(TokenType::kComma));
-    return Status::Ok();
+    return ParseReturnItems(&out->items);
   }
 
   Status ParseFilters(ast::Filters* out) {
@@ -992,14 +845,10 @@ class Parser {
         if (!AcceptIdent("by")) {
           return ErrStatus("expected 'by' after 'group'");
         }
-        do {
-          ast::ReturnItem item;
-          Status s = ParseReturnItem(&item);
-          if (!s.ok()) {
-            return s;
-          }
-          out->group_by.push_back(std::move(item));
-        } while (Accept(TokenType::kComma));
+        Status s = ParseReturnItems(&out->group_by);
+        if (!s.ok()) {
+          return s;
+        }
         continue;
       }
       if (IsIdent("having")) {
@@ -1019,10 +868,12 @@ class Parser {
         }
         do {
           ast::SortKey key;
+          const int line = Cur().line;
           Status s = ParseExpr(&key.expr);
           if (!s.ok()) {
             return s;
           }
+          key.expr.line = line;
           out->sort_by.push_back(std::move(key));
         } while (Accept(TokenType::kComma));
         if (AcceptIdent("desc")) {
@@ -1039,6 +890,9 @@ class Parser {
         if (Cur().type != TokenType::kNumber) {
           return ErrStatus("expected a number after 'top'");
         }
+        if (!FitsIn<int64_t>(Cur().number)) {
+          return ErrStatus("'top' count out of range");
+        }
         out->top = static_cast<int64_t>(Cur().number);
         Advance();
         continue;
@@ -1049,7 +903,7 @@ class Parser {
 
   // --- query bodies ----------------------------------------------------------
   Status ParseMultievent(ast::MultieventQuery* out) {
-    while (Cur().type == TokenType::kIdent && IsEntityTypeName(Cur().text)) {
+    while (CurEntityType().has_value()) {
       ast::EventPattern pattern;
       Status s = ParseEventPattern(&pattern);
       if (!s.ok()) {
@@ -1068,22 +922,13 @@ class Parser {
         }
       } while (Accept(TokenType::kComma));
     }
-    Status s = ParseReturnClause(&out->ret);
-    if (!s.ok()) {
-      return s;
-    }
-    return ParseFilters(&out->filters);
+    return ParseReturnAndFilters(&out->ret, &out->filters);
   }
 
   Status ParseDependency(ast::DependencyQuery* out) {
-    if (AcceptIdent("forward")) {
-      out->forward = true;
-      Status s = Expect(TokenType::kColon, "dependency direction");
-      if (!s.ok()) {
-        return s;
-      }
-    } else if (AcceptIdent("backward")) {
-      out->forward = false;
+    if (IsIdent("forward") || IsIdent("backward")) {
+      out->forward = IsIdent("forward");
+      Advance();
       Status s = Expect(TokenType::kColon, "dependency direction");
       if (!s.ok()) {
         return s;
@@ -1103,7 +948,7 @@ class Parser {
       if (!s.ok()) {
         return s;
       }
-      s = ParseOpOr(&edge.ops);
+      s = ParseOps(&edge.ops);
       if (!s.ok()) {
         return s;
       }
@@ -1122,11 +967,7 @@ class Parser {
     if (out->edges.empty()) {
       return ErrStatus("a dependency query needs at least one edge");
     }
-    s = ParseReturnClause(&out->ret);
-    if (!s.ok()) {
-      return s;
-    }
-    return ParseFilters(&out->filters);
+    return ParseReturnAndFilters(&out->ret, &out->filters);
   }
 
   std::vector<Token> tokens_;

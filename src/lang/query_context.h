@@ -64,6 +64,13 @@ struct OutputItem {
   std::string name;  // alias or derived name
 };
 
+// A resolved sort key and the result-table column it orders by.
+struct SortColumn {
+  Expr expr;
+  bool ascending = true;
+  size_t column = 0;  // unset (0) in `return count` queries, which never sort
+};
+
 struct QueryContext {
   ast::QueryKind kind = ast::QueryKind::kMultievent;
 
@@ -77,7 +84,7 @@ struct QueryContext {
   std::vector<OutputItem> items;
   std::vector<OutputItem> group_by;
   std::optional<Expr> having;
-  std::vector<ast::SortKey> sort_by;
+  std::vector<SortColumn> sort_by;
   std::optional<int64_t> top;
 
   // Sliding window (anomaly queries only).

@@ -164,7 +164,12 @@ Result<DurationMs> ParseDuration(double amount, const std::string& unit) {
   } else {
     return Result<DurationMs>::Error("unrecognized time unit: '" + unit + "'");
   }
-  return static_cast<DurationMs>(amount * static_cast<double>(scale));
+  const double ms = amount * static_cast<double>(scale);
+  // Beyond int64 the cast is undefined.
+  if (!(ms >= -0x1p63 && ms < 0x1p63)) {
+    return Result<DurationMs>::Error("duration out of range");
+  }
+  return static_cast<DurationMs>(ms);
 }
 
 Result<DurationMs> ParseDuration(const std::string& text) {

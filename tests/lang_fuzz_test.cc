@@ -218,6 +218,8 @@ TEST_F(LangFuzzTest, CorpusMutantsNeverCrashAndParseErrorsCarryPositions) {
     executed += r.ok();
     if (!r.ok()) {
       EXPECT_FALSE(r.error().empty());
+      // Prepare resolved every sort key to a returned column.
+      EXPECT_EQ(r.error().find("is not a returned column"), std::string::npos) << r.error();
     }
   }
   // The mutation mix must exercise both the error paths and execution.

@@ -233,6 +233,29 @@ TEST(ParserErrorTest, ReportsColumnAndToken) {
             "line 2, col 11: unexpected character '#'");
 }
 
+// Numbers beyond an integer type's range must not be cast to it (undefined
+// behaviour, caught by -fsanitize=float-cast-overflow): a 'top' count, a
+// history offset or a duration out of range is a parse error, a literal
+// stays a double.
+TEST(ParserErrorTest, OutOfRangeNumbers) {
+  EXPECT_EQ(ParseQuery("proc p read ip i return p top 99999999999999999999").error(),
+            "line 1, col 31: 'top' count out of range, found '99999999999999999999'");
+  EXPECT_EQ(ParseQuery("proc p read ip i return p, amt[99999999999999999999]").error(),
+            "line 1, col 32: history offset out of range, found '99999999999999999999'");
+  EXPECT_EQ(ParseQuery("window = 99999999999999999999 d proc p read ip i return p").error(),
+            "line 1, col 31: duration out of range, found 'd'");
+
+  auto r = ParseQuery("proc p read ip i as e[amount = 99999999999999999999] return p");
+  ASSERT_TRUE(r.ok()) << r.error();
+  const AttrPredicate& leaf = r.value().multievent.patterns[0].evt_constraint.leaf();
+  ASSERT_TRUE(leaf.values[0].is_double());
+  EXPECT_EQ(leaf.values[0].as_double(), 1e20);
+  r = ParseQuery("proc p read ip i as e[amount = 9007199254740992] return p");
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.value().multievent.patterns[0].evt_constraint.leaf().values[0].as_int(),
+            int64_t{9007199254740992});
+}
+
 TEST(ParserErrorTest, MissingReturn) {
   auto r = ParseQuery("proc p1 read file f1");
   ASSERT_FALSE(r.ok());
@@ -351,6 +374,27 @@ TEST(InferenceTest, UnknownIdentifierInReturn) {
 TEST(InferenceTest, UnknownAttributeRejected) {
   auto ctx = CompileQuery("proc p1[dstport = 1] read file f1 return p1");
   EXPECT_FALSE(ctx.ok());
+}
+
+TEST(InferenceTest, SortKeyMustBeAReturnedColumn) {
+  auto ctx = CompileQuery("proc p1 write file f1\nreturn p1, f1\nsort by 2, p1");
+  ASSERT_FALSE(ctx.ok());
+  EXPECT_EQ(ctx.error(), "line 3: sort key '2' is not a returned column");
+
+  ctx = CompileQuery("proc p1 write file f1 as e return f1, e.amount as amt sort by amt, f1 desc");
+  ASSERT_TRUE(ctx.ok()) << ctx.error();
+  ASSERT_EQ(ctx.value().sort_by.size(), 2u);
+  EXPECT_EQ(ctx.value().sort_by[0].column, 1u);
+  EXPECT_EQ(ctx.value().sort_by[1].column, 0u);
+  EXPECT_FALSE(ctx.value().sort_by[1].ascending);
+
+  // Anomaly tables lead with the `window` column.
+  ctx = CompileQuery(R"((at "01/01/2017") window = 1 min proc p write file f as evt
+                        return p, count(evt) as n group by p sort by n desc)");
+  ASSERT_TRUE(ctx.ok()) << ctx.error();
+  EXPECT_EQ(ctx.value().sort_by[0].column, 2u);
+
+  EXPECT_TRUE(CompileQuery("proc p1 write file f1 return count p1 sort by f1").ok());
 }
 
 TEST(InferenceTest, HistoryRefNeedsWindow) {

@@ -229,6 +229,28 @@ TEST_F(PreparedQueryTest, PrepareValidatesInferenceEagerly) {
   EXPECT_NE(prepared.error().find("bogus"), std::string::npos);
 }
 
+// A sort key must name a returned column; Prepare resolves each key to its
+// column, so an unmatched one fails there (with its line), not at Run.
+TEST_F(PreparedQueryTest, PrepareRejectsSortKeyThatIsNotAColumn) {
+  const AiqlEngine engine(&db_);
+  auto prepared = engine.Prepare("proc p1 write file f1\nreturn p1, f1 sort by 2, p1");
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.error(), "line 2: sort key '2' is not a returned column");
+
+  // By alias, by rendering and by bare name.
+  auto sorted = engine.Execute("proc p1 write file f1 as e return p1, e.amount as amt, f1.name "
+                               "sort by amt, f1.name, p1 desc");
+  ASSERT_TRUE(sorted.ok()) << sorted.error();
+  ASSERT_EQ(sorted.value().num_rows(), 2u);
+  EXPECT_EQ(sorted.value().rows()[0][1].as_int(), 1000000);
+
+  // `return count` tables are never sorted, so their sort keys are not
+  // checked against the (single) count column.
+  auto counted = engine.Execute("proc p1 write file f1 return count p1 sort by f1");
+  ASSERT_TRUE(counted.ok()) << counted.error();
+  EXPECT_EQ(counted.value().rows()[0][0].as_int(), 2);
+}
+
 TEST_F(PreparedQueryTest, AnomalyHavingThresholdParameter) {
   const AiqlEngine engine(&db_);
   auto prepared = engine.Prepare(R"(

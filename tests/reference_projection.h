@@ -322,13 +322,20 @@ inline Status SortAndLimit(const QueryContext& ctx, ResultTable* table) {
       bool asc;
     };
     std::vector<Key> keys;
-    for (const ast::SortKey& k : ctx.sort_by) {
+    // Looks each key up by name in the table itself (the engine reads the
+    // column inference resolved).
+    const std::vector<std::string>& columns = table->columns();
+    auto column_index = [&](const std::string& name) {
+      auto it = std::find(columns.begin(), columns.end(), name);
+      return it == columns.end() ? -1 : static_cast<int>(it - columns.begin());
+    };
+    for (const SortColumn& k : ctx.sort_by) {
       std::string name = k.expr.kind == Expr::Kind::kVarRef && k.expr.attr.empty()
                              ? k.expr.name
                              : k.expr.ToString();
-      int col = table->ColumnIndex(name);
+      int col = column_index(name);
       if (col < 0) {
-        col = table->ColumnIndex(k.expr.ToString());
+        col = column_index(k.expr.ToString());
       }
       if (col < 0) {
         return Status::Error("sort key '" + name + "' is not a returned column");
