@@ -1,6 +1,6 @@
-// Micro-benchmarks (google-benchmark): ingest rate, LIKE matching, entity
-// index lookup, partition time-slice scans, full-scan throughput per scan
-// parallelism, hash vs nested-loop joins.
+// Micro-benchmarks (google-benchmark): ingest rate (in and out of time
+// order), LIKE matching, entity index lookup, partition time-slice scans,
+// full-scan throughput per scan parallelism, hash vs nested-loop joins.
 // These quantify the primitive costs behind the macro benches.
 #include <benchmark/benchmark.h>
 
@@ -37,6 +37,34 @@ void BM_IngestEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_IngestEvents)->Arg(10000)->Arg(100000);
+
+// Ingest out of time order: random start times over 4 agents and 4 days, so
+// every partition's Finalize sorts its rows and gathers its columns.
+void BM_IngestEventsUnordered(benchmark::State& state) {
+  constexpr AgentId kAgents = 4;
+  constexpr int64_t kDays = 4;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Database db;
+    std::vector<uint32_t> procs, files;
+    for (AgentId a = 1; a <= kAgents; ++a) {
+      procs.push_back(db.catalog().InternProcess(a, 1, "/usr/bin/x"));
+      files.push_back(db.catalog().InternFile(a, "/data/file"));
+    }
+    Rng rng(7);
+    state.ResumeTiming();
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      const size_t a = rng.Below(kAgents);
+      db.RecordEvent(static_cast<AgentId>(a + 1), procs[a], Operation::kRead, EntityType::kFile,
+                     files[a], t0 + static_cast<TimestampMs>(rng.Below(kDays * kDayMs)));
+    }
+    db.Finalize();
+    benchmark::DoNotOptimize(db.num_events());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_IngestEventsUnordered)->Arg(10000)->Arg(100000);
 
 void BM_LikeMatch(benchmark::State& state) {
   std::string text = "C:\\Program Files\\Common Files\\System\\wab32res.dll";

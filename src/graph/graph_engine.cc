@@ -28,7 +28,7 @@ class Matcher {
           size_t max_work, GraphExecStats* stats)
       : graph_(graph), ctx_(ctx), max_work_(max_work), stats_(stats) {
     stop_.ArmDeadline(budget_ms);
-    chosen_.assign(ctx.patterns.size(), nullptr);
+    chosen_.assign(ctx.patterns.size(), EventView());
   }
 
  private:
@@ -44,7 +44,9 @@ class Matcher {
   }
 
   // Does the relationship candidate satisfy pattern i's local constraints?
-  bool RelMatchesPattern(const PropertyGraph::Rel& rel, size_t i) {
+  bool RelMatchesPattern(uint32_t rid, size_t i) {
+    const PropertyGraph::Rel& rel = graph_.rel(rid);
+    const EventView self = graph_.event(rid);
     const DataQuery& q = ctx_.patterns[i].query;
     if ((OpBit(rel.op) & q.op_mask) == 0) {
       return false;
@@ -85,37 +87,37 @@ class Matcher {
     }
     // Cross-pattern relationships against already-bound patterns.
     for (const AttrRelation& ar : ctx_.attr_rels) {
-      const Event* le = nullptr;
-      const Event* re = nullptr;
+      EventView le;
+      EventView re;
       if (ar.left_pattern == i && (ar.right_pattern < i || ar.IsIntraPattern())) {
-        le = &rel.origin;
-        re = ar.IsIntraPattern() ? &rel.origin : chosen_[ar.right_pattern];
+        le = self;
+        re = ar.IsIntraPattern() ? self : chosen_[ar.right_pattern];
       } else if (ar.right_pattern == i && ar.left_pattern < i) {
         le = chosen_[ar.left_pattern];
-        re = &rel.origin;
+        re = self;
       } else {
         continue;
       }
-      if (le == nullptr || re == nullptr) {
+      if (!le.valid() || !re.valid()) {
         continue;
       }
-      if (!CheckAttrRel(ar, EventView(le), EventView(re), graph_.catalog())) {
+      if (!CheckAttrRel(ar, le, re, graph_.catalog())) {
         return false;
       }
     }
     for (const TempRelation& tr : ctx_.temp_rels) {
-      const Event* le = nullptr;
-      const Event* re = nullptr;
+      EventView le;
+      EventView re;
       if (tr.left_pattern == i && tr.right_pattern < i) {
-        le = &rel.origin;
+        le = self;
         re = chosen_[tr.right_pattern];
       } else if (tr.right_pattern == i && tr.left_pattern < i) {
         le = chosen_[tr.left_pattern];
-        re = &rel.origin;
+        re = self;
       } else {
         continue;
       }
-      if (!CheckTempRel(tr, EventView(le), EventView(re))) {
+      if (!CheckTempRel(tr, le, re)) {
         return false;
       }
     }
@@ -168,9 +170,7 @@ class Matcher {
 
   Status Recurse(size_t i) {
     if (i == ctx_.patterns.size()) {
-      for (const Event* e : chosen_) {
-        events_.push_back(EventView(e));
-      }
+      events_.insert(events_.end(), chosen_.begin(), chosen_.end());
       ++stats_->rows_emitted;
       return Status::Ok();
     }
@@ -181,10 +181,10 @@ class Matcher {
       if (!s.ok()) {
         return s;
       }
-      const PropertyGraph::Rel& rel = graph_.rel(rid);
-      if (!RelMatchesPattern(rel, i)) {
+      if (!RelMatchesPattern(rid, i)) {
         continue;
       }
+      const PropertyGraph::Rel& rel = graph_.rel(rid);
       // Bind subject/object vars (respecting existing bindings).
       auto subj = bindings_.find(pc.subject_var);
       if (subj != bindings_.end() && subj->second != rel.src) {
@@ -202,9 +202,9 @@ class Matcher {
       if (bound_obj) {
         bindings_[pc.object_var] = rel.dst;
       }
-      chosen_[i] = &rel.origin;
+      chosen_[i] = graph_.event(rid);
       s = Recurse(i + 1);
-      chosen_[i] = nullptr;
+      chosen_[i] = EventView();
       if (bound_subj) {
         bindings_.erase(pc.subject_var);
       }
@@ -228,7 +228,7 @@ class Matcher {
   const std::string agentid_key_{ColumnAttr(EventColumnId::kAgentId)->name};
 
   std::unordered_map<std::string, uint32_t> bindings_;
-  std::vector<const Event*> chosen_;
+  std::vector<EventView> chosen_;  // each pattern's bound event (invalid = unbound)
   std::vector<EventView> events_;  // the matched rows, flat (TupleSet layout)
 
   friend class ::aiql::GraphEngine;

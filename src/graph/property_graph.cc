@@ -47,18 +47,19 @@ void PropertyGraph::BuildFrom(const Database& db) {
   import_entities(EntityType::kProcess);
   import_entities(EntityType::kNetwork);
 
+  events_.Reserve(db.num_events());
   db.ForEachEvent([&](const Event& e) {
+    const uint32_t rid = static_cast<uint32_t>(rels_.size());
+    events_.Append(e);
     Rel rel;
     rel.op = e.op;
     rel.src = node_of_entity_.at(EntityKey(EntityType::kProcess, e.subject_idx));
     rel.dst = node_of_entity_.at(EntityKey(e.object_type, e.object_idx));
-    rel.origin = e;
     for (const AttrDef& a : AttrTable()) {
       if (a.owner == AttrOwner::kEvent) {
-        rel.props.emplace(a.name, a.event(EventView(&e), catalog));
+        rel.props.emplace(a.name, a.event(event(rid), catalog));
       }
     }
-    uint32_t rid = static_cast<uint32_t>(rels_.size());
     nodes_[rel.src].out_rels.push_back(rid);
     nodes_[rel.dst].in_rels.push_back(rid);
     rels_by_op_[static_cast<int>(e.op)].push_back(rid);

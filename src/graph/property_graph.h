@@ -5,7 +5,10 @@
 // Nodes carry a label (entity type) and a string->Value property map;
 // relationships are typed edges with their own property maps, kept in
 // per-node adjacency lists. Label+property indexes on the default attributes
-// mirror the schema indexes the paper grants the baseline. Per-edge property
+// mirror the schema indexes the paper grants the baseline. The imported
+// events themselves are one EventColumns table whose row r is relationship
+// r, so the engine hands matched relationships to the shared projector as
+// EventViews. Per-edge property
 // maps and adjacency expansion are exactly what makes multi-pattern joins
 // expensive in a graph store ("Neo4j generally runs slower than PostgreSQL,
 // due to the lack of support for efficient joins", §6.2.2).
@@ -35,9 +38,6 @@ class PropertyGraph {
     uint32_t src = 0;  // subject node
     uint32_t dst = 0;  // object node
     std::unordered_map<std::string, Value> props;
-    // Source event, stored by value: the graph owns its import (the source
-    // database's columnar partitions expose no stable Event pointers).
-    Event origin;
   };
 
   // Imports all entities and events of a finalized database.
@@ -47,6 +47,8 @@ class PropertyGraph {
   size_t num_rels() const { return rels_.size(); }
   const Node& node(uint32_t i) const { return nodes_[i]; }
   const Rel& rel(uint32_t i) const { return rels_[i]; }
+  // The source event of relationship i (row i of the imported events).
+  EventView event(uint32_t i) const { return EventView(&events_, i); }
   const EntityCatalog& catalog() const { return *catalog_; }
 
   // Label+property exact index (default attribute), as a Neo4j schema index.
@@ -62,6 +64,7 @@ class PropertyGraph {
   std::shared_ptr<EntityCatalog> catalog_;
   std::vector<Node> nodes_;
   std::vector<Rel> rels_;
+  EventColumns events_;  // row r is the source event of rels_[r]
   std::unordered_map<uint64_t, uint32_t> node_of_entity_;
   std::unordered_map<std::string, std::vector<uint32_t>> property_index_[3];
   std::vector<uint32_t> rels_by_op_[kNumOperations];

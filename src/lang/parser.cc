@@ -665,8 +665,11 @@ class Parser {
         }
         Result<DurationMs> lo_ms = ParseDuration(lo, Cur().text);
         Result<DurationMs> hi_ms = ParseDuration(hi, Cur().text);
-        if (!lo_ms.ok() || !hi_ms.ok()) {
-          return ErrStatus("bad time unit");
+        if (!lo_ms.ok()) {
+          return ErrStatus(lo_ms.error());
+        }
+        if (!hi_ms.ok()) {
+          return ErrStatus(hi_ms.error());
         }
         Advance();
         s = Expect(TokenType::kRBracket, "temporal range");

@@ -9,7 +9,7 @@
 // entity keys of the zone map (subject catalog indexes and packed
 // (type, object-index) keys).
 //
-// A partition's zone map builds one filter per entity side at Seal();
+// Each partition's zone map holds one filter per entity side (built at Finalize);
 // Partition::CanMatch probes them with pushed-down candidate sets to skip
 // partitions that share an index *range* with the candidates but none of the
 // actual values — the case min/max summaries cannot catch.

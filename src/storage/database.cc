@@ -38,12 +38,11 @@ Partition& Database::PartitionFor(AgentId agent, TimestampMs t) {
   return *it->second;
 }
 
-const Event& Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
-                                   EntityType object_type, uint32_t object_idx,
-                                   TimestampMs start_time, int64_t amount, int32_t failure_code,
-                                   TimestampMs end_time) {
+void Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
+                           EntityType object_type, uint32_t object_idx, TimestampMs start_time,
+                           int64_t amount, int32_t failure_code, TimestampMs end_time) {
   Event e;
-  e.id = next_event_id_++;
+  e.id = next_event_id_;
   e.seq = ++agent_seq_[agent];
   e.agent_id = agent;
   e.op = op;
@@ -54,19 +53,11 @@ const Event& Database::RecordEvent(AgentId agent, uint32_t subject_idx, Operatio
   e.end_time = end_time < 0 ? start_time : end_time;
   e.amount = amount;
   e.failure_code = failure_code;
-
-  Partition& p = PartitionFor(agent, start_time);
-  p.Append(e);
-  ++num_events_;
-  data_range_.begin = std::min(data_range_.begin, start_time);
-  data_range_.end = std::max(data_range_.end, start_time + 1);
-  finalized_ = false;
-  return p.events().back();
+  AppendRaw(e);
 }
 
 void Database::AppendRaw(const Event& e) {
-  Partition& p = PartitionFor(e.agent_id, e.start_time);
-  p.Append(e);
+  PartitionFor(e.agent_id, e.start_time).Append(e);
   ++num_events_;
   next_event_id_ = std::max(next_event_id_, e.id + 1);
   data_range_.begin = std::min(data_range_.begin, e.start_time);
@@ -92,9 +83,13 @@ void Database::ApplyArchivePolicy() {
   if (options_.archive_after_days < 0 || partitions_.empty()) {
     return;
   }
-  // Decode entries of the previous generation are unreachable (the key
-  // carries the archiving generation); drop them now rather than let them
-  // hold cache capacity until evicted.
+  // A decode-cache entry may be reused only for the same encoded bytes; its
+  // key is (partition, archive generation). A partition this Finalize leaves
+  // alone keeps its encoding and generation, so its entry would still be
+  // valid, while one re-encoded below gets a new generation and its old
+  // entry becomes unreachable. The cache is dropped whole, so every
+  // finalization starts with a cold cache and unreachable entries do not
+  // hold capacity until evicted.
   decode_cache_->Clear();
   const int64_t newest_day = partitions_.rbegin()->first.first;
   for (auto it = partitions_.rbegin(); it != partitions_.rend(); ++it) {

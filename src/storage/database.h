@@ -176,22 +176,24 @@ class Database : public EventStore {
 
   // Appends an event; ids and per-agent sequence numbers are assigned here.
   // end_time defaults to start_time when omitted.
-  const Event& RecordEvent(AgentId agent, uint32_t subject_idx, Operation op,
-                           EntityType object_type, uint32_t object_idx, TimestampMs start_time,
-                           int64_t amount = 0, int32_t failure_code = 0,
-                           TimestampMs end_time = -1);
+  void RecordEvent(AgentId agent, uint32_t subject_idx, Operation op, EntityType object_type,
+                   uint32_t object_idx, TimestampMs start_time, int64_t amount = 0,
+                   int32_t failure_code = 0, TimestampMs end_time = -1);
 
   // Appends a fully-formed event preserving its id/sequence (used when
   // re-sharding an existing database into MPP segments).
   void AppendRaw(const Event& e);
 
   // Sorts partitions, builds all indexes, and applies the archive policy
-  // (archive_after_days). Idempotent.
+  // (archive_after_days). Idempotent. A re-finalize after more ingest
+  // rebuilds only the partitions that received events; the others keep
+  // their order, indexes and (if archived) their encoding.
   void Finalize();
   bool finalized() const { return finalized_; }
   // Stamp of the last Finalize that changed the database, unique across the
-  // process. Plan-cache keys and decode-cache keys carry it, so a plan or
-  // decoded partition of an earlier finalization is never reused.
+  // process. Plan-cache keys carry it, so a plan of an earlier finalization
+  // is never reused; a partition archived by this Finalize carries it in its
+  // decode-cache key (Partition::archive_generation).
   uint64_t generation() const { return generation_; }
 
   size_t num_events() const { return num_events_; }

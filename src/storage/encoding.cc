@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 namespace aiql {
@@ -254,35 +253,5 @@ EncodedInts EncodeIntsAdaptive(const int64_t* v, size_t n) {
 }
 
 void DecodeInts(const EncodedInts& e, int64_t* out) { DecodeIntsInto(e, out); }
-
-EncodedStrings EncodeStrings(const std::vector<std::string>& v) {
-  EncodedStrings e;
-  e.count = static_cast<uint32_t>(v.size());
-  std::unordered_map<std::string, uint32_t> dict;
-  std::vector<int64_t> codes(v.size());
-  e.offsets.push_back(0);
-  for (size_t i = 0; i < v.size(); ++i) {
-    auto [it, inserted] = dict.emplace(v[i], static_cast<uint32_t>(dict.size()));
-    if (inserted) {
-      e.heap.insert(e.heap.end(), v[i].begin(), v[i].end());
-      e.offsets.push_back(static_cast<uint32_t>(e.heap.size()));
-    }
-    codes[i] = it->second;
-  }
-  e.codes = EncodeIntsAdaptive(codes.data(), codes.size());
-  return e;
-}
-
-void DecodeStrings(const EncodedStrings& e, std::vector<std::string>* out) {
-  std::vector<int64_t> codes(e.count);
-  DecodeInts(e.codes, codes.data());
-  out->clear();
-  out->reserve(e.count);
-  for (int64_t c : codes) {
-    const uint32_t lo = e.offsets[static_cast<size_t>(c)];
-    const uint32_t hi = e.offsets[static_cast<size_t>(c) + 1];
-    out->emplace_back(e.heap.data() + lo, hi - lo);
-  }
-}
 
 }  // namespace aiql

@@ -6,16 +6,19 @@
 // its own parallel vector so the vectorized scan (src/storage/partition.cc)
 // streams exactly the columns a query constrains.
 //
-// EventView is the engine-wide currency for a matched event: a cheap handle
-// that reads either a columnar row (partition storage after Finalize) or a
-// plain Event (the property-graph baseline, tests). Joins, tuple sets, and
-// projection consume EventViews without ever materializing Event copies.
+// EventColumns is the only in-memory form of a stored event: partitions
+// append into it at ingest and reorder it at Finalize, and the
+// property-graph baseline imports its events into one. `Event` is only the
+// ingest argument and the Materialize output.
+//
+// EventView is the engine-wide currency for a matched event: a two-word
+// (columns, row) handle. Joins, tuple sets, and projection consume
+// EventViews without ever materializing Event copies.
 #ifndef AIQL_SRC_STORAGE_EVENT_VIEW_H_
 #define AIQL_SRC_STORAGE_EVENT_VIEW_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -28,8 +31,9 @@ namespace aiql {
 
 // std::allocator whose value-less construct default-initialises: resize(n)
 // on a vector of scalars leaves the new elements uninitialised instead of
-// zero-filling them. The archive decode (DecodeColumn) resizes a column and
-// then writes every value, so the zero-fill would be a wasted pass.
+// zero-filling them. The archive decode (DecodeColumn) and the Finalize
+// gather size a column and then write every value, so the zero-fill would be
+// a wasted pass.
 template <typename T>
 struct DefaultInitAllocator : std::allocator<T> {
   template <typename U>
@@ -95,7 +99,8 @@ struct EventColumns {
   // The one list of the columns: calls fn(id, column, field) for each, in
   // EventColumnId order, where `column` is the EventColumns member and
   // `field` the Event member it stores. Every per-column loop (reserve,
-  // append, encode, decode, zone maps, scan filters) goes through it.
+  // append, the Finalize gather, encode, decode, zone maps, scan filters)
+  // goes through it.
   template <typename Fn>
   static void ForEachColumn(Fn&& fn) {
     fn(EventColumnId::kId, &EventColumns::id, &Event::id);
@@ -123,10 +128,6 @@ struct EventColumns {
         [&](EventColumnId, auto column, auto field) { (this->*column).push_back(e.*field); });
   }
 
-  void Clear() {
-    ForEachColumn([&](EventColumnId, auto column, auto) { (this->*column).clear(); });
-  }
-
   Event Materialize(uint32_t row) const {
     Event e;
     ForEachColumn(
@@ -135,61 +136,39 @@ struct EventColumns {
   }
 };
 
-// Cheap handle to one event, a columnar row or a plain Event. Identity
-// (equality/hash) is the storage slot, matching the pointer identity the
-// engine relied on when it passed `const Event*` around.
+// Cheap handle to one stored event: a row of an EventColumns table (a
+// partition's columns, a decode-cache entry's, or the property graph's
+// imported events). Identity (equality) is the (table, row) slot.
 class EventView {
  public:
   EventView() = default;
-  explicit EventView(const Event* e) : ev_(e) {}
   EventView(const EventColumns* cols, uint32_t row) : cols_(cols), row_(row) {}
 
-  bool valid() const { return ev_ != nullptr || cols_ != nullptr; }
+  bool valid() const { return cols_ != nullptr; }
 
-  int64_t id() const { return ev_ != nullptr ? ev_->id : cols_->id[row_]; }
-  int64_t seq() const { return ev_ != nullptr ? ev_->seq : cols_->seq[row_]; }
-  AgentId agent_id() const { return ev_ != nullptr ? ev_->agent_id : cols_->agent_id[row_]; }
-  Operation op() const { return ev_ != nullptr ? ev_->op : cols_->op[row_]; }
-  EntityType object_type() const {
-    return ev_ != nullptr ? ev_->object_type : cols_->object_type[row_];
-  }
-  uint32_t subject_idx() const {
-    return ev_ != nullptr ? ev_->subject_idx : cols_->subject_idx[row_];
-  }
-  uint32_t object_idx() const {
-    return ev_ != nullptr ? ev_->object_idx : cols_->object_idx[row_];
-  }
-  TimestampMs start_time() const {
-    return ev_ != nullptr ? ev_->start_time : cols_->start_time[row_];
-  }
-  TimestampMs end_time() const { return ev_ != nullptr ? ev_->end_time : cols_->end_time[row_]; }
-  int64_t amount() const { return ev_ != nullptr ? ev_->amount : cols_->amount[row_]; }
-  int32_t failure_code() const {
-    return ev_ != nullptr ? ev_->failure_code : cols_->failure_code[row_];
-  }
+  int64_t id() const { return cols_->id[row_]; }
+  int64_t seq() const { return cols_->seq[row_]; }
+  AgentId agent_id() const { return cols_->agent_id[row_]; }
+  Operation op() const { return cols_->op[row_]; }
+  EntityType object_type() const { return cols_->object_type[row_]; }
+  uint32_t subject_idx() const { return cols_->subject_idx[row_]; }
+  uint32_t object_idx() const { return cols_->object_idx[row_]; }
+  TimestampMs start_time() const { return cols_->start_time[row_]; }
+  TimestampMs end_time() const { return cols_->end_time[row_]; }
+  int64_t amount() const { return cols_->amount[row_]; }
+  int32_t failure_code() const { return cols_->failure_code[row_]; }
 
-  Event Materialize() const { return ev_ != nullptr ? *ev_ : cols_->Materialize(row_); }
+  Event Materialize() const { return cols_->Materialize(row_); }
 
-  bool operator==(const EventView& o) const {
-    return ev_ == o.ev_ && cols_ == o.cols_ && (cols_ == nullptr || row_ == o.row_);
-  }
-  bool operator!=(const EventView& o) const { return !(*this == o); }
-
-  size_t SlotHash() const {
-    size_t h = std::hash<const void*>{}(ev_ != nullptr ? static_cast<const void*>(ev_)
-                                                       : static_cast<const void*>(cols_));
-    return h ^ (std::hash<uint32_t>{}(row_) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-  }
+  bool operator==(const EventView& o) const { return cols_ == o.cols_ && row_ == o.row_; }
 
  private:
   const EventColumns* cols_ = nullptr;
-  const Event* ev_ = nullptr;
   uint32_t row_ = 0;
 };
 
-struct EventViewHash {
-  size_t operator()(const EventView& v) const { return v.SlotHash(); }
-};
+// Tuple sets hold rows of EventViews; keep the handle two words wide.
+static_assert(sizeof(EventView) == 16);
 
 // The engine-wide result ordering contract: every EventStore returns matches
 // sorted by (start_time, id). Stores emit partition/morsel results in time

@@ -128,24 +128,12 @@ std::shared_ptr<DecodedPartition> DecodeCache::Acquire(const Partition* p, ScanS
 }
 
 void Partition::Append(const Event& e) {
-  if (finalized_) {
-    Rehydrate();
-  }
-  finalized_ = false;
-  events_.push_back(e);
-}
-
-void Partition::Rehydrate() {
   if (archived_ != nullptr) {
     DecodeAllColumns(*archived_, &cols_);
     archived_.reset();
   }
-  events_.reserve(cols_.size());
-  for (uint32_t i = 0; i < cols_.size(); ++i) {
-    events_.push_back(cols_.Materialize(i));
-  }
-  cols_ = EventColumns();
   finalized_ = false;
+  cols_.Append(e);
 }
 
 void Partition::Archive(uint64_t generation) {
@@ -167,40 +155,48 @@ size_t Partition::ColumnBytes() const {
 
 void Partition::Finalize(bool build_indexes) {
   if (finalized_) {
-    Rehydrate();  // re-finalization over new options
+    return;
   }
   // (start_time, id) — not just start_time: scan emission order IS the
   // engine-wide result order (MergeSortedRuns merges per-partition runs
   // without re-sorting), and AppendRaw replay can ingest equal-timestamp
   // events with descending ids.
-  std::sort(events_.begin(), events_.end(), [](const Event& a, const Event& b) {
+  struct SortKey {
+    TimestampMs start_time;
+    int64_t id;
+    uint32_t row;
+  };
+  const size_t n = cols_.size();
+  std::vector<SortKey> keys(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    keys[r] = SortKey{cols_.start_time[r], cols_.id[r], r};
+  }
+  auto less = [](const SortKey& a, const SortKey& b) {
     return a.start_time != b.start_time ? a.start_time < b.start_time : a.id < b.id;
+  };
+  if (!std::is_sorted(keys.begin(), keys.end(), less)) {
+    std::sort(keys.begin(), keys.end(), less);
+  }
+  // The gather also trims each column to its size (ingest grows by doubling).
+  EventColumns::ForEachColumn([&](EventColumnId, auto column, auto) {
+    auto& col = cols_.*column;
+    std::remove_reference_t<decltype(col)> sorted(n);
+    for (size_t i = 0; i < n; ++i) {
+      sorted[i] = col[keys[i].row];
+    }
+    col = std::move(sorted);
   });
 
-  zone_ = ZoneMap();
-  for (const Event& e : events_) {
-    zone_.Observe(e);
-  }
-  zone_.Seal();
-
+  zone_ = ZoneMap(cols_);
   subject_postings_.clear();
   object_postings_.clear();
   if (build_indexes) {
-    for (uint32_t i = 0; i < events_.size(); ++i) {
-      const Event& e = events_[i];
-      subject_postings_[e.subject_idx].push_back(i);
-      object_postings_[PackObjectKey(e.object_type, e.object_idx)].push_back(i);
+    for (uint32_t i = 0; i < n; ++i) {
+      subject_postings_[cols_.subject_idx[i]].push_back(i);
+      object_postings_[PackObjectKey(cols_.object_type[i], cols_.object_idx[i])].push_back(i);
     }
   }
   has_indexes_ = build_indexes;
-
-  cols_.Clear();
-  cols_.Reserve(events_.size());
-  for (const Event& e : events_) {
-    cols_.Append(e);
-  }
-  events_.clear();
-  events_.shrink_to_fit();
   finalized_ = true;
 }
 
@@ -216,14 +212,8 @@ void Partition::ForEachEvent(const std::function<void(const Event&)>& fn) const 
     }
     return;
   }
-  if (finalized_) {
-    for (uint32_t i = 0; i < cols_.size(); ++i) {
-      Event e = cols_.Materialize(i);
-      fn(e);
-    }
-    return;
-  }
-  for (const Event& e : events_) {
+  for (uint32_t i = 0; i < cols_.size(); ++i) {
+    Event e = cols_.Materialize(i);
     fn(e);
   }
 }

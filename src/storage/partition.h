@@ -1,15 +1,15 @@
 // A storage partition: one (day, agent-group) shard of the event table
 // (paper §3.2 "Time and Space Partitioning").
 //
-// Events are ingested into a row buffer and, at Finalize(), sorted by
-// start_time (time-range scans are binary searches) and transposed into a
-// structure-of-arrays layout (EventColumns). Queries run a vectorized scan
-// that evaluates one column at a time over a shrinking selection vector and
-// emits EventViews without materializing Event copies. Finalize also builds
-// per-entity posting lists, the analogue of the paper's per-attribute B-tree
-// indexes, and a zone map (min/max per column, op mask, agent set)
-// so Database::ExecuteQuery can skip whole partitions before touching any
-// column.
+// Events are appended straight into a structure-of-arrays layout
+// (EventColumns). Finalize() sorts a (start_time, id, row) key array, gathers
+// every column into that order (time-range scans are then binary searches),
+// and builds per-entity posting lists, the analogue of the paper's
+// per-attribute B-tree indexes, and a zone map (min/max per column, op mask,
+// agent set, entity blooms) from the columns, so Database::ExecuteQuery can
+// skip whole partitions before touching any column. Queries run a vectorized scan that evaluates one
+// column at a time over a shrinking selection vector and emits EventViews
+// without materializing Event copies.
 #ifndef AIQL_SRC_STORAGE_PARTITION_H_
 #define AIQL_SRC_STORAGE_PARTITION_H_
 
@@ -177,30 +177,27 @@ class Partition {
   explicit Partition(PartitionKey key) : key_(key) {}
 
   const PartitionKey& key() const { return key_; }
-  size_t size() const {
-    return archived_ != nullptr ? archived_->count : finalized_ ? cols_.size() : events_.size();
-  }
+  size_t size() const { return archived_ != nullptr ? archived_->count : cols_.size(); }
 
-  // Pre-finalize row buffer; it is released at Finalize().
-  const std::vector<Event>& events() const { return events_; }
-
-  // Appending to a finalized partition rehydrates the row buffer;
-  // re-finalization rebuilds columns and indexes.
+  // Appends one row to the columns (decoding an archived partition back
+  // first); the partition needs Finalize again before it is scanned.
   void Append(const Event& e);
 
-  // Sorts by start_time, builds the zone map and posting lists, and
-  // transposes rows into EventColumns. Must be called before Execute; ingest
-  // after Finalize requires re-finalization.
+  // Sorts the rows by (start_time, id) and builds the zone map and posting
+  // lists from the columns. Must be called before Execute. A partition that
+  // received no event since its last Finalize is left as it is (archived
+  // ones stay encoded).
   void Finalize(bool build_indexes);
   bool finalized() const { return finalized_; }
 
   // Archive tier: re-encodes the decoded columns (delta/FOR, adaptive per
-  // column; see encoding.h) and releases them. Requires a finalized
-  // partition; no-op otherwise. Zone map and posting lists stay resident, so
-  // pruning and morsel planning never decode. Ingesting into an archived
-  // partition decodes it back (Append/Finalize handle this transparently).
-  // `generation` is the archiving database's finalization stamp
-  // (Database::generation), part of the partition's decode-cache key.
+  // column; see encoding.h) and releases them. Requires a finalized, hot
+  // partition; no-op otherwise, so an archived partition keeps its encoding
+  // and generation until it receives an event. Zone map and posting lists
+  // stay resident, so pruning and morsel planning never decode. Ingesting
+  // into an archived partition decodes it back (Append). `generation` is the
+  // archiving database's finalization stamp (Database::generation), part of
+  // the partition's decode-cache key.
   void Archive(uint64_t generation);
   bool archived() const { return archived_ != nullptr; }
   const ArchivedColumns* archived_columns() const { return archived_.get(); }
@@ -256,14 +253,10 @@ class Partition {
       const std::unordered_set<uint32_t>* object_set,
       const std::unordered_set<AgentId>* agent_set) const;
 
-  // Visits every event in storage order (start_time order once finalized).
-  // Columnar partitions materialize rows on the fly; archived partitions
-  // decode transiently (bulk export path — graph/MPP builds).
+  // Visits every event in storage order ((start_time, id) order once
+  // finalized), materializing rows on the fly; archived partitions decode
+  // transiently (bulk export path — graph/MPP builds).
   void ForEachEvent(const std::function<void(const Event&)>& fn) const;
-
-  // Hot partitions only: views into an archived partition must come from a
-  // scan (which routes through the decode cache).
-  EventView ViewAt(uint32_t row) const { return EventView(&cols_, row); }
 
   const ZoneMap& zone_map() const { return zone_; }
   TimestampMs min_time() const { return zone_.MinOf(EventColumnId::kStartTime); }
@@ -280,10 +273,6 @@ class Partition {
   // arbitrary attribute access). Emission widens to kAllEventColumns — the
   // engine reads any attribute of a returned view.
   EventColumnMask ScanColumnMask(const PartitionScanArgs& args) const;
-
-  // Rebuilds the row buffer from columns (decoding archived ones first) so
-  // post-finalize ingest works.
-  void Rehydrate();
 
   // Per-stage activity predicates, shared by NeedsFiltering and VectorScan
   // so the fast path and the filter pipeline can never disagree about which
@@ -323,8 +312,7 @@ class Partition {
                          std::vector<uint32_t>* offsets, ScanStats* stats) const;
 
   PartitionKey key_;
-  std::vector<Event> events_;  // pre-Finalize ingest buffer
-  EventColumns cols_;          // columnar storage (finalized, hot)
+  EventColumns cols_;  // columnar storage (hot; empty while archived)
   std::unique_ptr<ArchivedColumns> archived_;  // encoded columns (archived)
   uint64_t archive_generation_ = 0;
   ZoneMap zone_;

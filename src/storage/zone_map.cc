@@ -2,20 +2,6 @@
 
 namespace aiql {
 
-void ZoneMap::Observe(const Event& e) {
-  EventColumns::ForEachColumn([&](EventColumnId c, auto, auto field) {
-    const int i = static_cast<int>(c);
-    const auto v = static_cast<int64_t>(e.*field);
-    min[i] = std::min(min[i], v);
-    max[i] = std::max(max[i], v);
-  });
-  op_mask |= OpBit(e.op);
-  object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(e.object_type));
-  agents.push_back(e.agent_id);
-  pending_subjects_.push_back(e.subject_idx);
-  pending_objects_.push_back(PackObjectKey(e.object_type, e.object_idx));
-}
-
 namespace {
 
 template <typename T>
@@ -26,23 +12,42 @@ void SortDedupe(std::vector<T>* v) {
 
 }  // namespace
 
-void ZoneMap::Seal() {
+ZoneMap::ZoneMap(const EventColumns& cols) : ZoneMap() {
+  if (cols.empty()) {
+    return;
+  }
+  EventColumns::ForEachColumn([&](EventColumnId c, auto column, auto) {
+    const auto& v = cols.*column;
+    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+    min[static_cast<int>(c)] = static_cast<int64_t>(*lo);
+    max[static_cast<int>(c)] = static_cast<int64_t>(*hi);
+  });
+  for (Operation op : cols.op) {
+    op_mask |= OpBit(op);
+  }
+  for (EntityType t : cols.object_type) {
+    object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(t));
+  }
+  agents.assign(cols.agent_id.begin(), cols.agent_id.end());
   SortDedupe(&agents);
   agents.shrink_to_fit();
 
-  SortDedupe(&pending_subjects_);
-  subject_bloom.Build(pending_subjects_.size());
-  for (uint32_t idx : pending_subjects_) {
+  std::vector<uint32_t> subjects(cols.subject_idx.begin(), cols.subject_idx.end());
+  SortDedupe(&subjects);
+  subject_bloom.Build(subjects.size());
+  for (uint32_t idx : subjects) {
     subject_bloom.Add(idx);
   }
-  pending_subjects_ = {};
 
-  SortDedupe(&pending_objects_);
-  object_bloom.Build(pending_objects_.size());
-  for (uint64_t key : pending_objects_) {
+  std::vector<uint64_t> objects(cols.size());
+  for (size_t i = 0; i < objects.size(); ++i) {
+    objects[i] = PackObjectKey(cols.object_type[i], cols.object_idx[i]);
+  }
+  SortDedupe(&objects);
+  object_bloom.Build(objects.size());
+  for (uint64_t key : objects) {
     object_bloom.Add(key);
   }
-  pending_objects_ = {};
 }
 
 CandidateSummary CandidateSummary::For(const std::unordered_set<uint32_t>& set) {

@@ -68,15 +68,13 @@ struct ZoneMap {
   BlockedBloom subject_bloom;
   BlockedBloom object_bloom;
 
+  // The zone map of no rows: every range empty (min > max), no op or type.
   ZoneMap() {
     std::fill(std::begin(min), std::end(min), INT64_MAX);
     std::fill(std::begin(max), std::end(max), INT64_MIN);
   }
-
-  void Observe(const Event& e);
-  // Sorts/dedupes the agent set and builds the entity blooms; call once after
-  // the last Observe.
-  void Seal();
+  // The zone map of every row of `cols`, built one column at a time.
+  explicit ZoneMap(const EventColumns& cols);
 
   bool ContainsAgent(AgentId a) const {
     return std::binary_search(agents.begin(), agents.end(), a);
@@ -111,11 +109,6 @@ struct ZoneMap {
 
   int64_t MinOf(EventColumnId c) const { return min[static_cast<int>(c)]; }
   int64_t MaxOf(EventColumnId c) const { return max[static_cast<int>(c)]; }
-
- private:
-  // Distinct-key staging for the Seal()-time bloom build; cleared by Seal.
-  std::vector<uint32_t> pending_subjects_;
-  std::vector<uint64_t> pending_objects_;
 };
 
 // One vectorizable comparison: column <op> value (or value set for IN).

@@ -228,37 +228,6 @@ TEST(IntCodecTest, TypedColumnDecodeMatchesTheReference) {
   }
 }
 
-TEST(StringCodecTest, DictionaryRoundTrips) {
-  std::vector<std::vector<std::string>> cases = {
-      {},
-      {""},
-      {"", "", ""},
-      {"/bin/bash"},
-      {"/bin/bash", "/bin/bash", "/usr/sbin/sshd", "/bin/bash"},
-      {std::string(10000, 'x'), "short", std::string(10000, 'x')},
-      {std::string("nul\0embedded", 12), "plain", std::string("nul\0embedded", 12)},
-  };
-  Rng rng(99);
-  std::vector<std::string> random;
-  for (int i = 0; i < 5000; ++i) {
-    random.push_back("/proc/exe" + std::to_string(rng.Below(40)));
-  }
-  cases.push_back(std::move(random));
-  for (const auto& v : cases) {
-    EncodedStrings e = EncodeStrings(v);
-    std::vector<std::string> out;
-    DecodeStrings(e, &out);
-    EXPECT_EQ(out, v) << "n=" << v.size();
-  }
-  // 5000 rows over 40 distinct strings: the dictionary pays for itself.
-  const auto& repetitive = cases.back();
-  size_t raw = 0;
-  for (const auto& s : repetitive) {
-    raw += s.size() + sizeof(std::string);
-  }
-  EXPECT_LT(EncodeStrings(repetitive).EncodedBytes(), raw / 3);
-}
-
 TEST(ArchiveEncodingTest, RealisticEventColumnsCompressPast3x) {
   // The shape the archive tier exists for: sorted ms timestamps, sequential
   // ids, a handful of agents/ops, agent-affine entity indexes.

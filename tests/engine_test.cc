@@ -10,6 +10,7 @@
 #include "src/core/projector.h"
 #include "src/core/tuple_set.h"
 #include "src/storage/database.h"
+#include "tests/event_table.h"
 
 namespace aiql {
 namespace {
@@ -296,12 +297,9 @@ TEST(TupleJoinerTest, JoinsThatEmitNothingStopOnCancellation) {
   }
   std::vector<Event> small(1);
   small[0].start_time = t0;
-  auto matches = [](size_t pattern, const std::vector<Event>& events) {
-    std::vector<EventView> views;
-    for (const Event& e : events) {
-      views.emplace_back(&e);
-    }
-    return TupleSet::FromMatches(pattern, std::move(views));
+  const EventColumns big_table = EventTable(big);
+  auto matches = [](size_t pattern, const EventColumns& table) {
+    return TupleSet::FromMatches(pattern, ViewsOf(table));
   };
   auto same_amount = [] {
     Relationship r;
@@ -334,8 +332,9 @@ TEST(TupleJoinerTest, JoinsThatEmitNothingStopOnCancellation) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     small[0].amount = c.small_amount;
-    const TupleSet left = c.big_left ? matches(0, big) : matches(0, small);
-    const TupleSet right = c.big_left ? matches(1, small) : matches(1, big);
+    const EventColumns small_table = EventTable(small);
+    const TupleSet left = c.big_left ? matches(0, big_table) : matches(0, small_table);
+    const TupleSet right = c.big_left ? matches(1, small_table) : matches(1, big_table);
     std::atomic<bool> cancel{false};
     const ScanContext ctx{.cancel = &cancel};
     {
@@ -367,15 +366,12 @@ TEST(TupleSetTest, FlatRowsJoinLeftThenRight) {
     events[i].start_time = t0 + static_cast<TimestampMs>(i) * 1000;
     events[i].amount = static_cast<int64_t>(i % 2);
   }
-  std::vector<EventView> views;
-  for (const Event& e : events) {
-    views.emplace_back(&e);
-  }
+  const EventColumns table = EventTable(events);
+  std::vector<EventView> views = ViewsOf(table);
   const EventView* fetched = views.data();
   const TupleSet left = TupleSet::FromMatches(0, std::move(views));
   EXPECT_EQ(left.Row(0).data(), fetched);
-  const TupleSet right =
-      TupleSet::FromMatches(1, {EventView(&events[1]), EventView(&events[2])});
+  const TupleSet right = TupleSet::FromMatches(1, {EventView(&table, 1), EventView(&table, 2)});
   auto ids = [](const TupleSet& set) {
     std::vector<std::vector<int64_t>> out;
     for (size_t r = 0; r < set.num_rows(); ++r) {

@@ -23,6 +23,7 @@
 #include "src/mpp/mpp_cluster.h"
 #include "src/storage/schema.h"
 #include "src/workload/workload.h"
+#include "tests/event_table.h"
 #include "tests/reference_scan.h"
 
 namespace aiql {
@@ -207,8 +208,9 @@ TEST_P(SpellingEquivalenceTest, EverySpellingReturnsTheCanonicalRowsOnEveryEngin
     }
   });
   ASSERT_TRUE(sample.has_value());
+  const EventColumns sample_table = EventTable({*sample});
   const Value value =
-      attr.owner == AttrOwner::kEvent     ? attr.event(EventView(&*sample), catalog)
+      attr.owner == AttrOwner::kEvent     ? attr.event(EventView(&sample_table, 0), catalog)
       : attr.owner == AttrOwner::kProcess ? attr.entity(catalog, sample->subject_idx)
                                           : attr.entity(catalog, sample->object_idx);
 

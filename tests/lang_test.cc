@@ -244,6 +244,15 @@ TEST(ParserErrorTest, OutOfRangeNumbers) {
             "line 1, col 32: history offset out of range, found '99999999999999999999'");
   EXPECT_EQ(ParseQuery("window = 99999999999999999999 d proc p read ip i return p").error(),
             "line 1, col 31: duration out of range, found 'd'");
+  // A temporal range reports ParseDuration's own error, as `window =` does.
+  EXPECT_EQ(ParseQuery("proc p read ip i as e1 proc p write file f as e2 "
+                       "with e1 before[1-99999999999999999999 d] e2 return p")
+                .error(),
+            "line 1, col 88: duration out of range, found 'd'");
+  EXPECT_EQ(ParseQuery("proc p read ip i as e1 proc p write file f as e2 "
+                       "with e1 before[1-2 fortnights] e2 return p")
+                .error(),
+            "line 1, col 69: unrecognized time unit: 'fortnights', found 'fortnights'");
 
   auto r = ParseQuery("proc p read ip i as e[amount = 99999999999999999999] return p");
   ASSERT_TRUE(r.ok()) << r.error();

@@ -13,6 +13,7 @@
 #include "src/core/projector.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
+#include "tests/event_table.h"
 #include "tests/reference_projection.h"
 
 namespace aiql {
@@ -343,11 +344,8 @@ TEST(ProjectionCollisionTest, MatchesReference) {
     e.start_time = t0 + static_cast<TimestampMs>(i);
     e.amount = rng.Below(2) == 0 ? 0 : rng.Range(1, 3);
   }
-  std::vector<EventView> views;
-  for (const Event& e : events) {
-    views.emplace_back(&e);
-  }
-  const TupleSet tuples = TupleSet::FromMatches(0, views);
+  const EventColumns table = EventTable(events);
+  const TupleSet tuples = TupleSet::FromMatches(0, ViewsOf(table));
 
   const std::string big = "1" + std::string(308, '0');
   const std::string inf = big + " * 10";

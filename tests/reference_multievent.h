@@ -19,17 +19,17 @@
 
 namespace aiql {
 
-// One side of an attribute relationship for the raw event `e`: the subject
+// One side of an attribute relationship for the event `e`: the subject
 // process's, the object entity's or the event's own attribute.
-inline Value ReferenceEndpoint(const EntityCatalog& catalog, const Event& e, RefSide side,
+inline Value ReferenceEndpoint(const EntityCatalog& catalog, EventView e, RefSide side,
                                const AttrDef* attr) {
   switch (side) {
     case RefSide::kSubject:
-      return ReadAttr(attr, catalog, EntityType::kProcess, e.subject_idx);
+      return ReadAttr(attr, catalog, EntityType::kProcess, e.subject_idx());
     case RefSide::kObject:
-      return ReadAttr(attr, catalog, e.object_type, e.object_idx);
+      return ReadAttr(attr, catalog, e.object_type(), e.object_idx());
     case RefSide::kEvent:
-      return ReadAttr(attr, EventView(&e), catalog);
+      return ReadAttr(attr, e, catalog);
     case RefSide::kAlias:
       break;
   }
@@ -37,7 +37,7 @@ inline Value ReferenceEndpoint(const EntityCatalog& catalog, const Event& e, Ref
 }
 
 inline bool ReferenceAttrHolds(const EntityCatalog& catalog, const AttrRelation& rel,
-                               const Event& le, const Event& re) {
+                               EventView le, EventView re) {
   const Value l = ReferenceEndpoint(catalog, le, rel.left_side, rel.left_attr);
   const Value r = ReferenceEndpoint(catalog, re, rel.right_side, rel.right_attr);
   switch (rel.op) {
@@ -61,8 +61,8 @@ inline bool ReferenceAttrHolds(const EntityCatalog& catalog, const AttrRelation&
 // "left <order>[lo-hi] right": before = left starts strictly earlier, after =
 // strictly later, within = either way; the gap between the two start times
 // must lie in [lo, hi] where given.
-inline bool ReferenceTempHolds(const TempRelation& rel, const Event& le, const Event& re) {
-  int64_t gap = re.start_time - le.start_time;  // how much later the right event starts
+inline bool ReferenceTempHolds(const TempRelation& rel, EventView le, EventView re) {
+  int64_t gap = re.start_time() - le.start_time();  // how much later the right event starts
   if (rel.order == ast::TempOrder::kAfter) {
     gap = -gap;
   }
@@ -80,25 +80,26 @@ inline std::vector<std::vector<int64_t>> ReferenceMultievent(const Database& db,
                                                              const QueryContext& ctx) {
   const EntityCatalog& catalog = db.catalog();
   const size_t n = ctx.patterns.size();
-  std::vector<std::vector<Event>> matches(n);
+  // Each pattern's matches as one table; chosen[i] is a row of tables[i].
+  std::vector<EventColumns> tables(n);
   for (size_t i = 0; i < n; ++i) {
-    matches[i] = ReferenceScan(db, ctx.patterns[i].query);
+    tables[i] = EventTable(ReferenceScan(db, ctx.patterns[i].query));
   }
-  std::vector<const Event*> chosen(n, nullptr);
+  std::vector<EventView> chosen(n);
   // True when every relationship whose later endpoint is pattern `i` holds
   // for the events chosen for patterns 0..i.
   auto consistent = [&](size_t i) {
     for (const AttrRelation& rel : ctx.attr_rels) {
       if (std::max(rel.left_pattern, rel.right_pattern) == i &&
-          !ReferenceAttrHolds(catalog, rel, *chosen[rel.left_pattern],
-                              *chosen[rel.right_pattern])) {
+          !ReferenceAttrHolds(catalog, rel, chosen[rel.left_pattern],
+                              chosen[rel.right_pattern])) {
         return false;
       }
     }
     for (const TempRelation& rel : ctx.temp_rels) {
       if (rel.left_pattern != rel.right_pattern &&
           std::max(rel.left_pattern, rel.right_pattern) == i &&
-          !ReferenceTempHolds(rel, *chosen[rel.left_pattern], *chosen[rel.right_pattern])) {
+          !ReferenceTempHolds(rel, chosen[rel.left_pattern], chosen[rel.right_pattern])) {
         return false;
       }
     }
@@ -108,13 +109,13 @@ inline std::vector<std::vector<int64_t>> ReferenceMultievent(const Database& db,
   std::function<void(size_t)> extend = [&](size_t i) {
     if (i == n) {
       std::vector<int64_t>& ids = out.emplace_back();
-      for (const Event* e : chosen) {
-        ids.push_back(e->id);
+      for (const EventView& e : chosen) {
+        ids.push_back(e.id());
       }
       return;
     }
-    for (const Event& e : matches[i]) {
-      chosen[i] = &e;
+    for (const EventView& e : ViewsOf(tables[i])) {
+      chosen[i] = e;
       if (consistent(i)) {
         extend(i + 1);
       }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/storage/database.h"
+#include "tests/event_table.h"
 
 namespace aiql {
 
@@ -54,8 +55,12 @@ inline std::vector<Event> ReferenceScan(const Database& db, const DataQuery& q) 
   if (q.object_candidates.has_value()) {
     objects.emplace(q.object_candidates->begin(), q.object_candidates->end());
   }
+  std::vector<Event> all;
+  db.ForEachEvent([&](const Event& e) { all.push_back(e); });
+  const EventColumns table = EventTable(all);
   std::vector<Event> out;
-  db.ForEachEvent([&](const Event& e) {
+  for (uint32_t row = 0; row < all.size(); ++row) {
+    const Event& e = all[row];
     if ((OpBit(e.op) & q.op_mask) == 0 || e.object_type != q.object_type ||
         !range.Contains(e.start_time) || !ReferenceAdmits(q.agent_ids, e.agent_id) ||
         (subjects.has_value() && subjects->count(e.subject_idx) == 0) ||
@@ -69,12 +74,12 @@ inline std::vector<Event> ReferenceScan(const Database& db, const DataQuery& q) 
           if (attr == nullptr) {
             return std::nullopt;
           }
-          return attr->event(EventView(&e), catalog);
+          return attr->event(EventView(&table, row), catalog);
         })) {
-      return;
+      continue;
     }
     out.push_back(e);
-  });
+  }
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
     return std::tie(a.start_time, a.id) < std::tie(b.start_time, b.id);
   });

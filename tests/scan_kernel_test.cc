@@ -18,6 +18,7 @@
 #include "src/storage/scan_kernels.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/event_table.h"
 #include "tests/reference_scan.h"
 
 namespace aiql {
@@ -207,7 +208,6 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
   for (int trial = 0; trial < 30; ++trial) {
     // 1-5 runs of sorted events with overlapping time ranges.
     std::vector<Event> storage;
-    storage.reserve(200);
     std::vector<size_t> run_starts;
     std::vector<std::vector<TimestampMs>> runs(1 + rng.Below(5));
     int64_t id = 1;
@@ -227,10 +227,8 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
         storage.push_back(e);
       }
     }
-    std::vector<EventView> views;
-    for (const Event& e : storage) {
-      views.push_back(EventView(&e));
-    }
+    const EventColumns table = EventTable(storage);
+    std::vector<EventView> views = ViewsOf(table);
     std::vector<EventView> expected = views;
     std::sort(expected.begin(), expected.end(), EventViewTimeIdLess);
     MergeSortedRuns(&views, &run_starts);
@@ -239,13 +237,13 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
 }
 
 TEST(ZoneMapTest, ContainsAnyAgentBothDirections) {
-  ZoneMap z;
-  Event e;
-  for (AgentId a : {5u, 9u, 1000u}) {
-    e.agent_id = a;
-    z.Observe(e);
-  }
-  z.Seal();
+  std::vector<Event> rows(4);
+  rows[0].agent_id = 1000;
+  rows[1].agent_id = 5;
+  rows[2].agent_id = 9;
+  rows[3].agent_id = 5;
+  const ZoneMap z(EventTable(rows));
+  EXPECT_EQ(z.agents, (std::vector<AgentId>{5, 9, 1000}));
   // Small candidate sets (binary-search direction).
   EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{1000}));
   EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{5, 6}));
@@ -259,6 +257,63 @@ TEST(ZoneMapTest, ContainsAnyAgentBothDirections) {
   EXPECT_FALSE(z.ContainsAnyAgent(big));
   big.insert(9);
   EXPECT_TRUE(z.ContainsAnyAgent(big));
+}
+
+TEST(ZoneMapTest, ColumnBuildEqualsPerRowFold) {
+  Rng rng(2718);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Event> rows(1 + rng.Below(3000));
+    for (Event& e : rows) {
+      e.id = rng.Range(-1000, 1000000);
+      e.seq = rng.Range(0, 5000);
+      e.agent_id = static_cast<AgentId>(rng.Below(40));
+      e.op = static_cast<Operation>(rng.Below(kNumOperations));
+      e.object_type = static_cast<EntityType>(rng.Below(3));
+      e.subject_idx = static_cast<uint32_t>(rng.Below(1 + rng.Below(100000)));
+      e.object_idx = static_cast<uint32_t>(rng.Below(5000));
+      e.start_time = rng.Range(0, int64_t{1} << 40);
+      e.end_time = e.start_time + rng.Range(0, 1000);
+      e.amount = rng.Range(-(int64_t{1} << 50), int64_t{1} << 50);
+      e.failure_code = static_cast<int32_t>(rng.Range(-5, 5));
+    }
+    const ZoneMap z(EventTable(rows));
+
+    // The per-row fold: every column widened to int64, as the scan compares.
+    int64_t min[kNumEventColumns], max[kNumEventColumns];
+    std::fill(std::begin(min), std::end(min), INT64_MAX);
+    std::fill(std::begin(max), std::end(max), INT64_MIN);
+    OpMask ops = 0;
+    uint8_t types = 0;
+    std::vector<AgentId> agents;
+    for (const Event& e : rows) {
+      const int64_t fields[kNumEventColumns] = {
+          e.id,          e.seq,          e.agent_id,  static_cast<int64_t>(e.op),
+          static_cast<int64_t>(e.object_type), e.subject_idx, e.object_idx, e.start_time,
+          e.end_time,    e.amount,       e.failure_code};
+      for (int c = 0; c < kNumEventColumns; ++c) {
+        min[c] = std::min(min[c], fields[c]);
+        max[c] = std::max(max[c], fields[c]);
+      }
+      ops |= OpBit(e.op);
+      types |= static_cast<uint8_t>(1u << static_cast<int>(e.object_type));
+      agents.push_back(e.agent_id);
+    }
+    std::sort(agents.begin(), agents.end());
+    agents.erase(std::unique(agents.begin(), agents.end()), agents.end());
+
+    for (int c = 0; c < kNumEventColumns; ++c) {
+      EXPECT_EQ(z.min[c], min[c]) << "column " << c << " trial " << trial;
+      EXPECT_EQ(z.max[c], max[c]) << "column " << c << " trial " << trial;
+    }
+    EXPECT_EQ(z.op_mask, ops) << "trial " << trial;
+    EXPECT_EQ(z.object_type_mask, types) << "trial " << trial;
+    EXPECT_EQ(z.agents, agents) << "trial " << trial;
+    for (const Event& e : rows) {
+      EXPECT_TRUE(z.subject_bloom.MayContain(e.subject_idx)) << "trial " << trial;
+      EXPECT_TRUE(z.object_bloom.MayContain(PackObjectKey(e.object_type, e.object_idx)))
+          << "trial " << trial;
+    }
+  }
 }
 
 // --- equivalence properties -------------------------------------------------

@@ -2,7 +2,13 @@
 // indexes, data-query execution, pushdown candidates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/storage/database.h"
+#include "src/util/rng.h"
+#include "tests/reference_scan.h"
 
 namespace aiql {
 namespace {
@@ -255,9 +261,9 @@ TEST_F(StorageTest, OptypePredicateCompilesToOpMask) {
   EXPECT_EQ(none.partitions_scanned, 0u);
 }
 
-TEST_F(StorageTest, ColumnarIngestAfterFinalizeRehydrates) {
-  // Appending to a finalized columnar database must rebuild the row buffer,
-  // and re-finalization must restore query results over the full data.
+TEST_F(StorageTest, ColumnarIngestAfterFinalize) {
+  // Appending to a finalized columnar database appends to its columns, and
+  // re-finalization must restore query results over the full data.
   db_.RecordEvent(1, bash_, Operation::kDelete, EntityType::kFile, log_, t0_ + 5 * kMinuteMs);
   db_.Finalize();
   DataQuery q;
@@ -299,6 +305,106 @@ TEST_F(StorageTest, AppendRawPreservesIds) {
   db_.ForEachEvent([&](const Event& e) { original_ids.insert(e.id); });
   copy.ForEachEvent([&](const Event& e) { copied_ids.insert(e.id); });
   EXPECT_EQ(original_ids, copied_ids);
+}
+
+TEST(StorageOrderTest, OutOfOrderAppendRawScansInTimeIdOrder) {
+  // Replayed events arrive out of time order, with runs of equal start times
+  // whose ids descend, over two days and two agent groups; a second batch
+  // lands in already-finalized partitions. Every scan returns
+  // (start_time, id) order, and each partition stores its rows in it.
+  Database db{DatabaseOptions{.agent_group_size = 2}};
+  const uint32_t proc = db.catalog().InternProcess(1, 1, "/bin/replay");
+  const uint32_t file = db.catalog().InternFile(1, "/replay/f");
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  Rng rng(61);
+  int64_t next_id = 1000;
+  std::vector<std::pair<TimestampMs, int64_t>> expected;
+  auto ingest = [&](int events) {
+    for (int i = 0; i < events; ++i) {
+      Event e;
+      e.id = next_id--;  // descending ids: every tie must be reordered
+      e.agent_id = static_cast<AgentId>(rng.Below(4));
+      e.op = Operation::kRead;
+      e.object_type = EntityType::kFile;
+      e.subject_idx = proc;
+      e.object_idx = file;
+      e.start_time = t0 + static_cast<TimestampMs>(rng.Below(2)) * kDayMs +
+                     static_cast<TimestampMs>(rng.Below(8)) * 1000;
+      e.end_time = e.start_time;
+      db.AppendRaw(e);
+      expected.emplace_back(e.start_time, e.id);
+    }
+    db.Finalize();
+    std::sort(expected.begin(), expected.end());
+  };
+  auto scanned = [&](const DataQuery& q) {
+    std::vector<std::pair<TimestampMs, int64_t>> out;
+    for (const EventView& v : db.ExecuteQuery(q)) {
+      out.emplace_back(v.start_time(), v.id());
+    }
+    return out;
+  };
+  DataQuery q;
+  q.object_type = EntityType::kFile;
+  for (int batch : {200, 50}) {
+    ingest(batch);
+    SCOPED_TRACE(testing::Message() << db.num_events() << " events");
+    EXPECT_EQ(scanned(q), expected);
+    EXPECT_EQ(db.num_partitions(), 4u);
+    // Storage order: (start_time, id) ascending within each partition.
+    std::vector<std::pair<TimestampMs, int64_t>> stored;
+    db.ForEachEvent([&](const Event& e) { stored.emplace_back(e.start_time, e.id); });
+    size_t breaks = 0;
+    for (size_t i = 1; i < stored.size(); ++i) {
+      breaks += stored[i] < stored[i - 1] ? 1 : 0;
+    }
+    EXPECT_LE(breaks, db.num_partitions() - 1) << "a partition is out of order";
+    for (AgentId a = 0; a < 4; ++a) {
+      DataQuery one = q;
+      one.agent_ids = std::vector<AgentId>{a};
+      std::vector<std::pair<TimestampMs, int64_t>> want;
+      for (const Event& e : ReferenceScan(db, one)) {
+        want.emplace_back(e.start_time, e.id);
+      }
+      EXPECT_EQ(scanned(one), want) << "agent " << a;
+    }
+  }
+}
+
+TEST(StorageOrderTest, RefinalizeLeavesUntouchedArchivedPartitionsAlone) {
+  // Two archived partitions (two days of one agent group); ingest into one
+  // and re-finalize. The ingest decodes that partition back, the re-finalize
+  // archives it again, the other stays encoded throughout, and every scan
+  // matches the reference on each day.
+  Database db{DatabaseOptions{.archive_after_days = 0}};
+  const uint32_t proc = db.catalog().InternProcess(1, 1, "/bin/cold");
+  const uint32_t file = db.catalog().InternFile(1, "/cold/f");
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  for (int i = 0; i < 300; ++i) {
+    db.RecordEvent(1, proc, static_cast<Operation>(i % kNumOperations), EntityType::kFile,
+                   file, t0 + (i % 2) * kDayMs + (299 - i) * 1000, i);
+  }
+  db.Finalize();
+  ASSERT_EQ(db.num_partitions(), 2u);
+  ASSERT_EQ(db.num_archived_partitions(), 2u);
+
+  db.RecordEvent(1, proc, Operation::kWrite, EntityType::kFile, file, t0 + 500, 7);
+  db.RecordEvent(1, proc, Operation::kRead, EntityType::kFile, file, t0 + 1, 8);
+  EXPECT_EQ(db.num_archived_partitions(), 1u) << "ingest decodes the partition it lands in";
+  db.Finalize();
+  EXPECT_EQ(db.num_archived_partitions(), 2u);
+  EXPECT_EQ(db.Footprint().hot_column_bytes, 0u);
+
+  for (TimestampMs day : {t0, t0 + kDayMs}) {
+    DataQuery q;
+    q.object_type = EntityType::kFile;
+    q.time = TimeRange{day, day + kDayMs};
+    const std::vector<Event> want = ReferenceScan(db, q);
+    EXPECT_EQ(want.size(), day == t0 ? 152u : 150u);
+    ColumnPins pins;
+    const ScanContext ctx{.pins = &pins};
+    EXPECT_EQ(RowsOf(db.ExecuteQuery(q, nullptr, &ctx)), RowsOf(want)) << "day " << day;
+  }
 }
 
 // --- predicate expression tests ---
