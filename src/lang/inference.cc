@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "src/lang/params.h"
 #include "src/lang/parser.h"
@@ -90,6 +91,47 @@ std::optional<std::vector<AgentId>> IntersectAgents(
   return out;
 }
 
+// Adds the column of every event attribute `e` reads to `mask`.
+void AddReadColumns(const Expr& e, EventColumnMask* mask) {
+  e.Any([&](const Expr& node) {
+    if (node.resolved.has_value() && node.resolved->side == RefSide::kEvent &&
+        node.resolved->attr->column.has_value()) {
+      *mask |= ColumnBit(*node.resolved->attr->column);
+    }
+    return false;
+  });
+}
+
+// The event columns the engine reads from the views a query context's data
+// queries return: kEmitBaseColumns plus the column of every event attribute
+// that a return item, group-by key, having clause, sort key or attribute
+// relationship references. Event attributes without a column (subject_id,
+// object_id) read the entity references, which the base set holds.
+EventColumnMask EmittedColumns(const QueryContext& ctx) {
+  EventColumnMask mask = kEmitBaseColumns;
+  for (const OutputItem& item : ctx.items) {
+    AddReadColumns(item.expr, &mask);
+  }
+  for (const OutputItem& item : ctx.group_by) {
+    AddReadColumns(item.expr, &mask);
+  }
+  if (ctx.having.has_value()) {
+    AddReadColumns(*ctx.having, &mask);
+  }
+  for (const SortColumn& sort : ctx.sort_by) {
+    AddReadColumns(sort.expr, &mask);
+  }
+  for (const AttrRelation& rel : ctx.attr_rels) {
+    for (auto [side, attr] : {std::pair{rel.left_side, rel.left_attr},
+                              std::pair{rel.right_side, rel.right_attr}}) {
+      if (side == RefSide::kEvent && attr->column.has_value()) {
+        mask |= ColumnBit(*attr->column);
+      }
+    }
+  }
+  return mask;
+}
+
 class Resolver {
  public:
   Result<QueryContext> Resolve(const ast::Query& q) {
@@ -134,6 +176,10 @@ class Resolver {
     s = ResolveReturnAndFilters(*mq);
     if (!s.ok()) {
       return Result<QueryContext>(s);
+    }
+    const EventColumnMask columns = EmittedColumns(ctx_);
+    for (PatternContext& pc : ctx_.patterns) {
+      pc.query.columns = columns;
     }
     if (ctx_.kind == ast::QueryKind::kAnomaly) {
       if (ctx_.patterns.size() != 1) {

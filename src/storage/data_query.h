@@ -19,11 +19,21 @@
 #include <vector>
 
 #include "src/storage/event.h"
+#include "src/storage/event_view.h"
 #include "src/storage/predicate.h"
 #include "src/util/result.h"
 #include "src/util/time_utils.h"
 
 namespace aiql {
+
+// The columns the engine reads from every emitted EventView whatever the
+// query says: MergeSortedRuns orders by (start_time, id), and joins,
+// pushdown, projection and anomaly windows read the entity references and
+// start_time.
+inline constexpr EventColumnMask kEmitBaseColumns =
+    ColumnBit(EventColumnId::kId) | ColumnBit(EventColumnId::kStartTime) |
+    ColumnBit(EventColumnId::kSubjectIdx) | ColumnBit(EventColumnId::kObjectIdx) |
+    ColumnBit(EventColumnId::kObjectType);
 
 struct DataQuery {
   // --- static constraints (from the event pattern) ---
@@ -39,6 +49,15 @@ struct DataQuery {
   std::optional<std::vector<uint32_t>> subject_candidates;  // catalog indices
   std::optional<std::vector<uint32_t>> object_candidates;
   std::optional<TimeRange> pushed_time;
+
+  // --- emission ---
+  // The event columns a consumer may read through the EventViews this query
+  // returns. An archived partition decodes only these (plus the columns its
+  // filters need) before it emits a row; reading any other column of an
+  // emitted view is a bug. Inference narrows it to kEmitBaseColumns plus the
+  // event attributes the query context references; a hand-built query keeps
+  // every column.
+  EventColumnMask columns = kAllEventColumns;
 
   // Number of static constraints; the pruning score of the pattern.
   size_t CountConstraints() const {
@@ -84,10 +103,11 @@ struct ScanStats {
   uint64_t bitmap_probes = 0;
   // Archive tier (see partition.h). Unlike the counters above these depend on
   // decode-cache residency, not just the query: a partition whose decoded
-  // columns are still cached from an earlier scan costs nothing and counts
-  // nothing, so repeated scans report smaller values than a cold scan.
-  uint64_t partitions_decoded = 0;  // archived partitions decoded (cache misses)
-  uint64_t archived_bytes = 0;      // encoded bytes read by those decodes
+  // columns are still alive from an earlier scan (cached or pinned) costs
+  // nothing and counts nothing, so repeated scans report smaller values than
+  // a cold scan.
+  uint64_t partitions_decoded = 0;  // archived partitions with no live decode entry
+  uint64_t archived_bytes = 0;      // encoded bytes of the columns decoded
   uint64_t decoded_bytes = 0;       // column bytes materialized by those decodes
 
   ScanStats& operator+=(const ScanStats& o) {

@@ -118,13 +118,29 @@ std::shared_ptr<DecodedPartition> DecodeCache::Acquire(const Partition* p, ScanS
   if (std::shared_ptr<DecodedPartition> hit = cache_.Find(key)) {
     return hit;
   }
-  auto fresh = std::make_shared<DecodedPartition>(p->archived_columns());
-  std::shared_ptr<DecodedPartition> canonical = cache_.Insert(key, fresh);
-  // Count the decode only on the thread whose entry won the publish race.
-  if (canonical == fresh && stats != nullptr) {
-    ++stats->partitions_decoded;
+  std::shared_ptr<DecodedPartition> entry;
+  {
+    // Serializes revive-or-create, so racing threads share one entry.
+    std::lock_guard<std::mutex> lock(live_mu_);
+    LiveEntry& live = live_[p];
+    if (live.generation == key.second) {
+      entry = live.entry.lock();
+    }
+    if (entry == nullptr) {
+      entry = std::make_shared<DecodedPartition>(p->archived_columns());
+      live = LiveEntry{key.second, entry};
+      if (stats != nullptr) {
+        ++stats->partitions_decoded;
+      }
+    }
   }
-  return canonical;
+  return cache_.Insert(key, std::move(entry));
+}
+
+void DecodeCache::Clear() {
+  std::lock_guard<std::mutex> lock(live_mu_);
+  live_.clear();
+  cache_.Clear();
 }
 
 void Partition::Append(const Event& e) {
@@ -518,10 +534,9 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
 
   sel->resize(n);
   // Archived partitions decoded only the filter columns so far; surviving
-  // rows become EventViews whose consumers may read any attribute, so widen
-  // to the full column set before emitting.
+  // rows become EventViews, so add the columns their consumers read.
   if (dec != nullptr && n > 0) {
-    cols = dec->EnsureAll(stats);
+    cols = dec->Ensure(q.columns, stats);
   }
   EmitSel(cols, *sel, out, stats);
 }
@@ -537,9 +552,9 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
   // Archive tier: every pruning opportunity above (zone times, and the plan's
   // CanMatch before that) ran without touching an encoded byte. A partition
   // that reaches this point decodes — only the columns the filters need now;
-  // the rest on first emitted row. The decode-cache entry is pinned for the
-  // duration of this call, and registered with the caller's ColumnPins so the
-  // emitted EventViews outlive cache eviction.
+  // the query's emission columns on first emitted row. The decode-cache
+  // entry is pinned for the duration of this call, and registered with the
+  // caller's ColumnPins so the emitted EventViews outlive cache eviction.
   const EventColumns* cols = &cols_;
   std::shared_ptr<DecodedPartition> decoded;
   DecodedPartition* dec = nullptr;
@@ -570,7 +585,7 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
   if (!from_postings && !NeedsFiltering(args)) {
     stats->events_scanned += hi - lo;
     if (dec != nullptr) {
-      cols = dec->EnsureAll(stats);
+      cols = dec->Ensure(q.columns, stats);
     }
     EmitRange(cols, lo, hi, out, stats);
     return;

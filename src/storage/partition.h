@@ -41,7 +41,8 @@ namespace aiql {
 // partitions without touching a single encoded byte, and the vectorized scan
 // kernels run over decoded columns exactly as over hot ones. Only a partition
 // that survives pruning decodes — per column, on demand, through the
-// database's LRU-bounded DecodeCache.
+// database's DecodeCache — and only the columns its filters and its query's
+// consumers (DataQuery::columns) read.
 
 // The delta/FOR re-encoding of one partition's EventColumns (codec choice is
 // adaptive per column; see encoding.h).
@@ -73,9 +74,9 @@ class DecodedPartition {
   explicit DecodedPartition(const ArchivedColumns* src) : src_(src) {}
 
   // Decodes every column in `mask` not yet decoded; returns the columns.
-  // Byte counters accrue into `stats` for newly decoded columns only.
+  // Byte counters accrue into `stats` for newly decoded columns only. The
+  // other columns of the result stay empty until some caller ensures them.
   const EventColumns* Ensure(EventColumnMask mask, ScanStats* stats);
-  const EventColumns* EnsureAll(ScanStats* stats) { return Ensure(kAllEventColumns, stats); }
 
  private:
   const ArchivedColumns* src_;
@@ -84,23 +85,29 @@ class DecodedPartition {
   EventColumns cols_;
 };
 
-// LRU cache of decoded archived partitions, owned by the Database (one per
-// database; internally synchronized, so const query paths share it). Capacity
-// is counted in partitions. Eviction drops the cache's reference only —
-// entries are shared_ptr, so in-flight scans and ColumnPins keep theirs
-// alive; EventViews into an evicted, unpinned entry are the caller's bug
-// (the engine pins via the execution session).
+// Decoded archived partitions, owned by the Database (one per database;
+// internally synchronized, so const query paths share it). Between Clear()
+// calls at most one decode entry per partition is alive: besides the LRU,
+// which decides what stays alive between requests (capacity counted in
+// partitions), the cache remembers every entry it created by weak reference.
+// Eviction drops the LRU's reference only — entries are shared_ptr, so
+// in-flight scans and ColumnPins keep theirs alive, and a scan that needs an
+// evicted entry still held that way gets it back instead of decoding the
+// partition a second time. EventViews into an evicted, unpinned entry are the
+// caller's bug (the engine pins via the execution session).
 class DecodeCache {
  public:
   explicit DecodeCache(size_t capacity) : cache_(capacity) {}
 
-  // Returns the decode entry for `p` (which must be archived), creating it on
-  // a miss (counted into stats->partitions_decoded) and evicting the least
-  // recently used entries beyond capacity.
+  // Returns the decode entry for `p` (which must be archived): the LRU's, else
+  // a live evicted one put back into the LRU, else a fresh one (counted into
+  // stats->partitions_decoded). Evicts least recently used entries beyond
+  // capacity.
   std::shared_ptr<DecodedPartition> Acquire(const Partition* p, ScanStats* stats);
 
-  // Drops every entry (bench/test hook: makes the next scan cold).
-  void Clear() { cache_.Clear(); }
+  // Drops every entry and forgets the live ones (bench/test hook: makes the
+  // next scan of every partition decode).
+  void Clear();
 
   size_t capacity() const { return cache_.capacity(); }
   size_t size() const { return cache_.size(); }
@@ -116,6 +123,16 @@ class DecodeCache {
     }
   };
   LruCache<Key, std::shared_ptr<DecodedPartition>, KeyHash> cache_;
+
+  // Every entry this cache created, by partition: at most one per partition
+  // (a newer archive generation replaces the older one), so it grows to the
+  // number of archived partitions scanned, not with the number of scans.
+  struct LiveEntry {
+    uint64_t generation = 0;
+    std::weak_ptr<DecodedPartition> entry;
+  };
+  std::mutex live_mu_;
+  std::unordered_map<const Partition*, LiveEntry> live_;
 };
 
 // Plan-time per-partition entity filters: pushed-down candidate sets
@@ -270,8 +287,8 @@ class Partition {
 
   // Columns the filter stages of `args` will touch (always includes
   // start_time for the slice; everything when a residual predicate needs
-  // arbitrary attribute access). Emission widens to kAllEventColumns — the
-  // engine reads any attribute of a returned view.
+  // arbitrary attribute access). Emission adds args.query->columns, the
+  // columns the engine reads from a returned view.
   EventColumnMask ScanColumnMask(const PartitionScanArgs& args) const;
 
   // Per-stage activity predicates, shared by NeedsFiltering and VectorScan
@@ -291,8 +308,9 @@ class Partition {
   bool NeedsFiltering(const PartitionScanArgs& args) const;
 
   // Columnar scan: narrows `sel` one kernel at a time over `cols`, then emits
-  // views. `dec` is non-null for archived partitions: surviving rows widen
-  // the decode to every column before emission.
+  // views. `dec` is non-null for archived partitions: when rows survive, the
+  // decode widens to the query's emission columns (DataQuery::columns) before
+  // they are emitted.
   void VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& args,
                   const EventColumns* cols, DecodedPartition* dec, std::vector<EventView>* out,
                   ScanStats* stats) const;

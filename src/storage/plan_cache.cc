@@ -101,6 +101,8 @@ std::string DataQueryFingerprint(const DataQuery& q) {
   out.push_back('/');
   out.append(std::to_string(static_cast<int>(q.object_type)));
   out.push_back('/');
+  out.append(std::to_string(q.columns));
+  out.push_back('/');
   if (q.agent_ids.has_value()) {
     for (AgentId a : *q.agent_ids) {
       out.append(std::to_string(a));

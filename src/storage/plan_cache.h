@@ -77,8 +77,10 @@ class ScanPlanCache {
 };
 
 // Canonical serialization of every constraint on `q` — static pattern
-// constraints plus pushed-down candidates and time bounds. Queries with equal
-// fingerprints produce identical ScanPlans over the same finalized database.
+// constraints plus pushed-down candidates and time bounds — and of its
+// emission columns (a cached plan scans with its own copy of the query).
+// Queries with equal fingerprints produce identical ScanPlans over the same
+// finalized database.
 // Returns an empty string when the query is not worth caching (pushed-down
 // candidate sets or IN lists beyond kMaxFingerprintValues, whose keys would
 // cost more to build than replanning).

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/storage/partition.h"
 #include "src/storage/plan_cache.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "tests/reference_codec.h"
 
 namespace aiql {
@@ -260,7 +262,7 @@ TEST(ArchiveEncodingTest, RealisticEventColumnsCompressPast3x) {
 
   // Exact per-column round trip through the partition-level encoder.
   DecodedPartition dec(&a);
-  const EventColumns* d = dec.EnsureAll(nullptr);
+  const EventColumns* d = dec.Ensure(kAllEventColumns, nullptr);
   EXPECT_EQ(d->id, cols.id);
   EXPECT_EQ(d->seq, cols.seq);
   EXPECT_EQ(d->agent_id, cols.agent_id);
@@ -294,7 +296,7 @@ TEST(DecodedPartitionTest, PerColumnDecodeAccountsBytesOnce) {
   // Re-ensuring the same columns decodes nothing new.
   dec.Ensure(ColumnBit(EventColumnId::kStartTime), &stats);
   EXPECT_EQ(stats.decoded_bytes, partial);
-  dec.EnsureAll(&stats);
+  dec.Ensure(kAllEventColumns, &stats);
   EXPECT_EQ(d->id.size(), 1000u);
   EXPECT_GT(stats.decoded_bytes, partial);
 }
@@ -357,6 +359,162 @@ TEST(DecodeCacheTest, ResidentPartitionIsNotRedecoded) {
   ScanStats third;
   db.ExecuteQuery(q, &third);
   EXPECT_EQ(third.partitions_decoded, 1u);
+}
+
+// Two archived partitions (days 0 and 1) of 50 events each, scanned through
+// a one-partition decode cache.
+class DecodeCacheRevivalTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    uint32_t p = db_.catalog().InternProcess(1, 1, "/bin/a");
+    uint32_t f = db_.catalog().InternFile(1, "/f");
+    for (int day = 0; day < 2; ++day) {
+      for (int i = 0; i < 50; ++i) {
+        db_.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f,
+                        kBase + day * kDayMs + i);
+      }
+    }
+    db_.Finalize();
+    ASSERT_EQ(db_.num_archived_partitions(), 2u);
+  }
+
+  // Scans day `day` (pinning into `pins` when given).
+  std::vector<EventView> ScanDay(int day, ScanStats* stats, ColumnPins* pins = nullptr) const {
+    DataQuery q;
+    q.object_type = EntityType::kFile;
+    q.time = TimeRange{kBase + day * kDayMs, kBase + (day + 1) * kDayMs};
+    ScanContext ctx;
+    ctx.pins = pins;
+    return db_.ExecuteQuery(q, stats, &ctx);
+  }
+
+  const TimestampMs kBase = MakeTimestamp(2017, 1, 1);
+  Database db_{DatabaseOptions{.agent_group_size = 1, .archive_after_days = 0,
+                               .decode_cache_partitions = 1}};
+};
+
+TEST_F(DecodeCacheRevivalTest, PinnedEvictedEntryIsRevivedNotDecoded) {
+  ColumnPins pins;
+  ScanStats first;
+  const std::vector<EventView> pinned = ScanDay(0, &first, &pins);
+  ASSERT_EQ(pinned.size(), 50u);
+  EXPECT_EQ(first.partitions_decoded, 1u);
+  ScanStats other;
+  ScanDay(1, &other);  // evicts day 0 from the one-entry LRU
+  EXPECT_EQ(other.partitions_decoded, 1u);
+
+  ScanStats again;
+  const std::vector<EventView> revived = ScanDay(0, &again);
+  EXPECT_EQ(again.partitions_decoded, 0u);
+  EXPECT_EQ(again.decoded_bytes, 0u);
+  ASSERT_EQ(revived.size(), pinned.size());
+  // Same (columns, row) handles: both scans read one EventColumns.
+  for (size_t i = 0; i < revived.size(); ++i) {
+    EXPECT_EQ(revived[i], pinned[i]) << i;
+  }
+}
+
+TEST_F(DecodeCacheRevivalTest, ReleasedEvictedEntryDecodesAgain) {
+  ColumnPins pins;
+  ScanStats stats;
+  ScanDay(0, &stats, &pins);
+  pins.Clear();
+  ScanDay(1, &stats);  // evicts day 0, which nothing holds any more
+  ScanStats again;
+  ScanDay(0, &again);
+  EXPECT_EQ(again.partitions_decoded, 1u);
+  EXPECT_GT(again.decoded_bytes, 0u);
+}
+
+// One archived partition of `n` events, re-archivable under a new generation.
+std::unique_ptr<Partition> ArchivedPartition(int n, uint64_t generation) {
+  auto p = std::make_unique<Partition>(PartitionKey{});
+  Event e;
+  e.object_type = EntityType::kFile;
+  for (int i = 0; i < n; ++i) {
+    e.id = i;
+    e.start_time = 1000 + i;
+    p->Append(e);
+  }
+  p->Finalize(/*build_indexes=*/true);
+  p->Archive(generation);
+  return p;
+}
+
+TEST(DecodeCacheTest, EntryOfAnEarlierArchiveGenerationIsNeverRevived) {
+  std::unique_ptr<Partition> p = ArchivedPartition(100, /*generation=*/1);
+  std::unique_ptr<Partition> other = ArchivedPartition(10, /*generation=*/1);
+  DecodeCache cache(1);
+  ScanStats stats;
+  std::shared_ptr<DecodedPartition> old_entry = cache.Acquire(p.get(), &stats);
+  old_entry->Ensure(kAllEventColumns, &stats);
+  EXPECT_EQ(stats.partitions_decoded, 1u);
+
+  // Re-archive with one more event under a new generation, while the old
+  // entry is still held and evicted from the LRU.
+  Event e;
+  e.id = 100;
+  e.start_time = 1100;
+  p->Append(e);
+  p->Finalize(/*build_indexes=*/true);
+  p->Archive(/*generation=*/2);
+  cache.Acquire(other.get(), &stats);
+  ScanStats again;
+  std::shared_ptr<DecodedPartition> fresh = cache.Acquire(p.get(), &again);
+  EXPECT_NE(fresh, old_entry);
+  EXPECT_EQ(again.partitions_decoded, 1u);
+  EXPECT_EQ(fresh->Ensure(ColumnBit(EventColumnId::kStartTime), &again)->size(), 101u);
+}
+
+TEST(DecodeCacheTest, ConcurrentAcquiresOfAPinnedEvictedPartitionDecodeAtMostOnce) {
+  std::unique_ptr<Partition> pinned_part = ArchivedPartition(2000, 1);
+  std::unique_ptr<Partition> cold_part = ArchivedPartition(2000, 1);
+  std::unique_ptr<Partition> other = ArchivedPartition(10, 1);
+  DecodeCache cache(1);
+  ScanStats setup;
+  std::shared_ptr<DecodedPartition> pin = cache.Acquire(pinned_part.get(), &setup);
+  pin->Ensure(ColumnBit(EventColumnId::kStartTime), &setup);
+  cache.Acquire(other.get(), &setup);  // evicts the pinned entry
+
+  ThreadPool pool(3);
+  constexpr size_t kAcquires = 64;
+  for (const Partition* part : {pinned_part.get(), cold_part.get()}) {
+    std::vector<ScanStats> stats(kAcquires);
+    std::vector<std::shared_ptr<DecodedPartition>> got(kAcquires);
+    pool.ParallelFor(kAcquires, [&](size_t i) {
+      got[i] = cache.Acquire(part, &stats[i]);
+      // Racing lazy decodes of different column sets on the shared entry.
+      const EventColumnMask mask = i % 2 == 0 ? kEmitBaseColumns : kAllEventColumns;
+      const EventColumns* cols = got[i]->Ensure(mask, &stats[i]);
+      EXPECT_EQ(cols->id.size(), 2000u);
+      EXPECT_EQ(cols->id[1999], 1999);
+    });
+    ScanStats total;
+    for (size_t i = 0; i < kAcquires; ++i) {
+      total += stats[i];
+      EXPECT_EQ(got[i], got[0]) << i;
+    }
+    if (part == pinned_part.get()) {
+      EXPECT_EQ(got[0], pin);
+      EXPECT_EQ(total.partitions_decoded, 0u);
+    } else {
+      EXPECT_EQ(total.partitions_decoded, 1u);
+    }
+    // Each column decoded once, by whichever thread got there first.
+    EXPECT_EQ(total.decoded_bytes + (part == pinned_part.get() ? 2000 * sizeof(TimestampMs) : 0),
+              2000 * (5 * sizeof(int64_t) + 4 * sizeof(uint32_t) + 2));
+  }
+}
+
+TEST(ScanPlanCacheTest, FingerprintCoversEmissionColumns) {
+  DataQuery a;
+  a.object_type = EntityType::kFile;
+  DataQuery b = a;
+  b.columns = kEmitBaseColumns;
+  EXPECT_NE(DataQueryFingerprint(a), DataQueryFingerprint(b));
+  DataQuery c = b;
+  c.columns |= ColumnBit(EventColumnId::kAmount);
+  EXPECT_NE(DataQueryFingerprint(b), DataQueryFingerprint(c));
 }
 
 TEST(ScanPlanCacheTest, LruCapAndEvictionCount) {

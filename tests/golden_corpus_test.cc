@@ -12,6 +12,13 @@
 // answer) regenerates the file and shows the diff in review:
 //
 //   AIQL_UPDATE_GOLDEN=1 ./build/golden_corpus_test
+//
+// A second run builds the same data with every partition archived and a
+// one-partition decode cache, scans on two threads, and drops the decode
+// cache before each query, so every query decodes exactly the columns its
+// own data queries ask for (DataQuery::columns). It must reproduce the same
+// file: a column the engine reads but the mask leaves out shows here (and
+// aborts under _GLIBCXX_ASSERTIONS, which bounds-checks the empty column).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -44,12 +51,19 @@ uint64_t RowsDigest(ResultTable table) {
   return h;
 }
 
+// How CorpusLines stores and scans the corpus data.
+struct CorpusRun {
+  DatabaseOptions db;
+  size_t parallelism = 1;
+  bool cold_decode = false;  // drop the decode cache before each query
+};
+
 // The golden lines ("id events_scanned join_work final_tuples rows digest"),
 // in corpus order.
-std::vector<std::string> CorpusLines() {
+std::vector<std::string> CorpusLines(const CorpusRun& run) {
   ScenarioConfig config;  // 8 hosts over 3 days
   config.trace.events_per_host_per_day = 3000;
-  Database db;
+  Database db(run.db);
   Workload workload(config, &db);
   workload.Build();
   db.Finalize();
@@ -60,9 +74,12 @@ std::vector<std::string> CorpusLines() {
   }
   queries.push_back(workload.CaseStudyAnomalyQuery());
 
-  const AiqlEngine engine(&db, EngineOptions{.parallelism = 1});
+  const AiqlEngine engine(&db, EngineOptions{.parallelism = run.parallelism});
   std::vector<std::string> lines;
   for (const QuerySpec& q : queries) {
+    if (run.cold_decode) {
+      db.decode_cache().Clear();
+    }
     Result<ResultTable> r = engine.Execute(q.text);
     if (!r.ok()) {
       ADD_FAILURE() << q.id << ": " << r.error();
@@ -82,7 +99,7 @@ std::vector<std::string> CorpusLines() {
 }
 
 TEST(GoldenCorpusTest, CountersAndAnswersMatchGoldenFile) {
-  const std::vector<std::string> got = CorpusLines();
+  const std::vector<std::string> got = CorpusLines(CorpusRun{});
   ASSERT_EQ(got.size(), 46u);  // 26 case-study + 19 behavior + 1 anomaly
 
   const std::optional<std::string> diff = golden::CompareOrUpdate(
@@ -97,6 +114,18 @@ TEST(GoldenCorpusTest, CountersAndAnswersMatchGoldenFile) {
   EXPECT_TRUE(diff->empty()) << "corpus counters or answers changed "
                              << "(id events_scanned join_work final_tuples rows digest):\n"
                              << *diff;
+}
+
+TEST(GoldenCorpusTest, ColdArchivedRunMatchesGoldenFile) {
+  const std::vector<std::string> got = CorpusLines(CorpusRun{
+      .db = DatabaseOptions{.archive_after_days = 0, .decode_cache_partitions = 1},
+      .parallelism = 2,
+      .cold_decode = true});
+  ASSERT_EQ(got.size(), 46u);
+  const std::string diff = golden::Compare(kGoldenPath, got);
+  EXPECT_TRUE(diff.empty()) << "the cold archived run differs from the golden file "
+                            << "(id events_scanned join_work final_tuples rows digest):\n"
+                            << diff;
 }
 
 }  // namespace

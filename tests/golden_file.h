@@ -19,26 +19,9 @@ namespace aiql::golden {
 // Compares `got` with the non-comment lines of the golden file at `path`.
 // Returns one "golden:/now:" pair per differing line, each followed by
 // `note(i)` when given (e.g. the input the line was rendered from); "" when
-// they match. Under AIQL_UPDATE_GOLDEN=1 it rewrites the file instead — the
-// `header` lines as '#' comments, then `got` — and returns nullopt, so the
-// caller can skip. A missing or unwritable file is reported as a difference.
-inline std::optional<std::string> CompareOrUpdate(
-    const std::string& path, const std::vector<std::string>& header,
-    const std::vector<std::string>& got,
-    const std::function<std::string(size_t)>& note = nullptr) {
-  if (std::getenv("AIQL_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    for (const std::string& line : header) {
-      out << "# " << line << "\n";
-    }
-    for (const std::string& line : got) {
-      out << line << "\n";
-    }
-    if (!out.good()) {
-      return "cannot write " + path + "\n";
-    }
-    return std::nullopt;
-  }
+// they match. A missing file is reported as a difference.
+inline std::string Compare(const std::string& path, const std::vector<std::string>& got,
+                           const std::function<std::string(size_t)>& note = nullptr) {
   std::ifstream in(path);
   if (!in.good()) {
     return "missing " + path + "\n";
@@ -61,6 +44,30 @@ inline std::optional<std::string> CompareOrUpdate(
     }
   }
   return diff;
+}
+
+// Compare, except that under AIQL_UPDATE_GOLDEN=1 it rewrites the file
+// instead — the `header` lines as '#' comments, then `got` — and returns
+// nullopt, so the caller can skip. An unwritable file is reported as a
+// difference.
+inline std::optional<std::string> CompareOrUpdate(
+    const std::string& path, const std::vector<std::string>& header,
+    const std::vector<std::string>& got,
+    const std::function<std::string(size_t)>& note = nullptr) {
+  if (std::getenv("AIQL_UPDATE_GOLDEN") == nullptr) {
+    return Compare(path, got, note);
+  }
+  std::ofstream out(path);
+  for (const std::string& line : header) {
+    out << "# " << line << "\n";
+  }
+  for (const std::string& line : got) {
+    out << line << "\n";
+  }
+  if (!out.good()) {
+    return "cannot write " + path + "\n";
+  }
+  return std::nullopt;
 }
 
 }  // namespace aiql::golden

@@ -437,6 +437,63 @@ TEST(InferenceTest, PruningScoreCountsConstraints) {
   EXPECT_EQ(ctx.value().patterns[1].PruningScore(), 3u);
 }
 
+// Every pattern's data query carries the same emission mask: the base set
+// plus the column of each event attribute the query reads.
+EventColumnMask EmittedColumns(const char* text) {
+  auto ctx = CompileQuery(text);
+  EXPECT_TRUE(ctx.ok()) << ctx.error();
+  if (!ctx.ok()) {
+    return 0;
+  }
+  const EventColumnMask mask = ctx.value().patterns[0].query.columns;
+  for (const PatternContext& pc : ctx.value().patterns) {
+    EXPECT_EQ(pc.query.columns, mask) << text;
+  }
+  return mask;
+}
+
+TEST(InferenceTest, EmissionColumnsAreTheBaseSetPlusWhatTheQueryReads) {
+  constexpr EventColumnMask kAmount = ColumnBit(EventColumnId::kAmount);
+  EXPECT_EQ(EmittedColumns(R"(proc p1 read file f1 return distinct p1, f1)"), kEmitBaseColumns);
+  // Event filters are the scan's business, not emission's.
+  EXPECT_EQ(EmittedColumns(R"(proc p1 read file f1 as evt[amount > 5] return p1)"),
+            kEmitBaseColumns);
+  // subject_id / object_id read the entity references of the base set.
+  EXPECT_EQ(EmittedColumns(R"(proc p1 read file f1 as evt return evt.subject_id)"),
+            kEmitBaseColumns);
+  // amount in a return item, a relationship, an anomaly aggregate.
+  EXPECT_EQ(EmittedColumns(R"(proc p1 read file f1 as evt2 return p1, evt2.amount)"),
+            kEmitBaseColumns | kAmount);
+  EXPECT_EQ(EmittedColumns(R"(
+      proc p1 write file f1 as evt1
+      proc p2 read file f1 as evt2
+      with evt1.amount = evt2.amount
+      return p1, p2)"),
+            kEmitBaseColumns | kAmount);
+  EXPECT_EQ(EmittedColumns(R"(
+      (at "01/01/2017")
+      window = 1 min
+      step = 10 sec
+      proc p read ip i1 as evt2
+      return p, sum(evt2.amount) as total
+      group by p)"),
+            kEmitBaseColumns | kAmount);
+  EXPECT_EQ(EmittedColumns(R"(proc p1 read || write file f1 as evt return p1, evt.optype)"),
+            kEmitBaseColumns | ColumnBit(EventColumnId::kOp));
+  EXPECT_EQ(EmittedColumns(R"(
+      proc p1 read file f1 as evt
+      return p1, count(evt.id) as n
+      group by p1
+      having n > 1
+      sort by n)"),
+            kEmitBaseColumns);
+  EXPECT_EQ(EmittedColumns(R"(
+      proc p1 read file f1 as evt
+      return p1, evt.end_time
+      sort by evt.end_time)"),
+            kEmitBaseColumns | ColumnBit(EventColumnId::kEndTime));
+}
+
 // --- dependency rewriting ---
 
 TEST(DependencyRewriteTest, ForwardChain) {

@@ -409,6 +409,43 @@ TEST(StorageOrderTest, RefinalizeLeavesUntouchedArchivedPartitionsAlone) {
 
 // --- predicate expression tests ---
 
+// An archived partition emits only the query's columns: a narrow mask
+// decodes exactly those columns' bytes, and a later query that also reads
+// amount decodes amount alone.
+TEST(EmissionColumnsTest, NarrowMaskDecodesOnlyTheQuerysColumns) {
+  Database db{DatabaseOptions{.scheme = PartitionScheme::kNone, .archive_after_days = 0}};
+  uint32_t p = db.catalog().InternProcess(1, 1, "/bin/a");
+  uint32_t f = db.catalog().InternFile(1, "/f");
+  constexpr size_t kRows = 300;
+  for (size_t i = 0; i < kRows; ++i) {
+    db.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f,
+                   MakeTimestamp(2017, 1, 1) + static_cast<int64_t>(i), /*amount=*/i);
+  }
+  db.Finalize();
+  ASSERT_EQ(db.num_archived_partitions(), 1u);
+
+  DataQuery q;
+  q.object_type = EntityType::kFile;
+  q.columns = kEmitBaseColumns;
+  ScanStats narrow;
+  std::vector<EventView> base = db.ExecuteQuery(q, &narrow);
+  ASSERT_EQ(base.size(), kRows);
+  EXPECT_EQ(narrow.partitions_decoded, 1u);
+  // id + start_time + subject_idx + object_idx + object_type.
+  EXPECT_EQ(narrow.decoded_bytes,
+            kRows * (sizeof(int64_t) + sizeof(TimestampMs) + 2 * sizeof(uint32_t) +
+                     sizeof(EntityType)));
+  EXPECT_EQ(base[7].start_time(), MakeTimestamp(2017, 1, 1) + 7);
+
+  q.columns |= ColumnBit(EventColumnId::kAmount);
+  ScanStats wider;
+  std::vector<EventView> with_amount = db.ExecuteQuery(q, &wider);
+  EXPECT_EQ(wider.partitions_decoded, 0u);
+  EXPECT_EQ(wider.decoded_bytes, kRows * sizeof(int64_t));
+  ASSERT_EQ(with_amount.size(), kRows);
+  EXPECT_EQ(with_amount[7].amount(), 7);
+}
+
 TEST(PredicateTest, CmpOps) {
   AttrPredicate p;
   p.attr = "x";
