@@ -3,8 +3,8 @@
 //   - pruning-score relationship ordering on/off,
 //   - time/space storage partitioning on/off,
 //   - secondary indexes on/off,
-//   - parallel data-query execution: auto-sized morsel-driven partition
-//     scans vs a single worker vs the legacy coarse day-split fan-out,
+//   - parallel data-query execution: auto-sized pooled partition scans vs a
+//     single worker vs the legacy coarse day-split fan-out,
 //   - the compressed archive partition tier on/off
 //     (AIQL_ARCHIVE_AFTER_DAYS knob; see below).
 // Measured over the 26 case-study queries (total investigation time), plus a
@@ -36,20 +36,15 @@ double TotalMs(AiqlEngine& engine, const std::vector<QuerySpec>& queries) {
 
 int main() {
   double scale = ScaleFromEnv();
-  // AIQL_MORSEL_ROWS overrides the parallel-scan work-unit size everywhere
-  // (0 = whole-partition work units, the pre-morsel scheduler).
-  DatabaseOptions tuned;
-  tuned.morsel_rows = MorselRowsFromEnv(tuned.morsel_rows);
   std::printf("=== Ablation: AIQL optimizations (26 case-study queries) ===\n");
-  World world = BuildWorld(scale, /*with_baseline=*/false, tuned);
+  World world = BuildWorld(scale, /*with_baseline=*/false);
   std::vector<QuerySpec> queries = world.workload->CaseStudyQueries();
-  std::printf("events: %zu  morsel_rows: %u\n\n", world.optimized->num_events(),
-              tuned.morsel_rows);
+  std::printf("events: %zu\n\n", world.optimized->num_events());
 
   // Alternative storage configurations over the identical event stream. Every
-  // config inherits `tuned` (the AIQL_MORSEL_ROWS override) and ablates one
-  // knob, so the rows differ in exactly one dimension.
-  DatabaseOptions no_part_opts = tuned;
+  // config starts from the default options and ablates one knob, so the rows
+  // differ in exactly one dimension.
+  DatabaseOptions no_part_opts;
   no_part_opts.scheme = PartitionScheme::kNone;
   Database no_partitions{no_part_opts};
   {
@@ -57,7 +52,7 @@ int main() {
     w.Build();
     no_partitions.Finalize();
   }
-  DatabaseOptions no_index_opts = tuned;
+  DatabaseOptions no_index_opts;
   no_index_opts.build_indexes = false;
   Database no_indexes{no_index_opts};
   {
@@ -65,18 +60,10 @@ int main() {
     w.Build();
     no_indexes.Finalize();
   }
-  DatabaseOptions whole_opts = tuned;
-  whole_opts.morsel_rows = 0;
-  Database whole_partition_morsels{whole_opts};
-  {
-    Workload w(world.config, &whole_partition_morsels);
-    w.Build();
-    whole_partition_morsels.Finalize();
-  }
   // Archive tier: partitions older than AIQL_ARCHIVE_AFTER_DAYS (default 1:
   // only the newest day stays hot) hold delta/FOR-encoded columns and decode
   // on demand through the LRU decode cache.
-  DatabaseOptions archive_opts = tuned;
+  DatabaseOptions archive_opts;
   archive_opts.archive_after_days = ArchiveAfterDaysFromEnv(1);
   Database archive_tier{archive_opts};
   {
@@ -108,8 +95,6 @@ int main() {
        {.pushdown = false, .ordering = false, .time_budget_ms = budget}},
       {"no storage partitioning", &no_partitions, {.time_budget_ms = budget}},
       {"no secondary indexes", &no_indexes, {.time_budget_ms = budget}},
-      {"whole-partition work units (no row morsels)", &whole_partition_morsels,
-       {.time_budget_ms = budget}},
       {"archive tier (cold partitions delta/FOR-encoded)", &archive_tier,
        {.time_budget_ms = budget}},
   };
@@ -132,7 +117,7 @@ int main() {
   // database, against the identical hot database. "cold" drops the decode
   // cache before every rep, so every partition pays its on-demand decode;
   // "warm" re-scans with the cache resident.
-  DatabaseOptions all_archived_opts = tuned;
+  DatabaseOptions all_archived_opts;
   all_archived_opts.archive_after_days = 0;
   all_archived_opts.decode_cache_partitions = 1 << 20;  // warm reps keep all
   Database all_archived{all_archived_opts};

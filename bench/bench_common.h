@@ -47,23 +47,6 @@ inline ScenarioConfig DefaultScenario(double scale) {
   return config;
 }
 
-// Parallel-scan work-unit override: AIQL_MORSEL_ROWS rows per morsel
-// (0 = whole-partition work units). Absent or malformed -> the
-// DatabaseOptions default; 0 is meaningful, so garbage must not parse as 0.
-inline uint32_t MorselRowsFromEnv(uint32_t fallback) {
-  const char* s = std::getenv("AIQL_MORSEL_ROWS");
-  if (s == nullptr || *s == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0 || v > UINT32_MAX) {
-    std::fprintf(stderr, "ignoring malformed AIQL_MORSEL_ROWS=%s\n", s);
-    return fallback;
-  }
-  return static_cast<uint32_t>(v);
-}
-
 // Archive-tier knob: AIQL_ARCHIVE_AFTER_DAYS sets
 // DatabaseOptions::archive_after_days for the archive ablation rows
 // (0 = archive every partition, < 0 disables). Absent or malformed -> the

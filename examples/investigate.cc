@@ -57,7 +57,8 @@ void PrintUsage(const char* prog) {
       "\n"
       "The engine auto-sizes its scan parallelism to the machine's hardware\n"
       "concurrency; multi-core machines fan the partition scans out over a\n"
-      "morsel work queue (see ARCHITECTURE.md, \"Parallel query execution\").\n",
+      "work queue of one entry per surviving partition (see ARCHITECTURE.md,\n"
+      "\"Parallel query execution\").\n",
       prog, prog);
 }
 

@@ -80,30 +80,30 @@ size_t MppCluster::num_events() const {
 
 std::vector<EventView> MppCluster::ExecuteQuery(const DataQuery& query, ScanStats* stats,
                                                 const ScanContext* ctx) const {
-  return ExecuteQueryParallel(query, stats, pool_.get(), ctx);
+  return ExecuteQueryCached(query, stats, nullptr, nullptr, nullptr, ctx);
 }
 
-std::vector<EventView> MppCluster::ExecuteQueryParallel(const DataQuery& query, ScanStats* stats,
-                                                        ThreadPool* pool,
-                                                        const ScanContext* ctx) const {
+std::vector<EventView> MppCluster::ExecuteQueryCached(const DataQuery& query, ScanStats* stats,
+                                                      ThreadPool* pool, ScanPlanCache* /*cache*/,
+                                                      uint64_t* /*cache_hits*/,
+                                                      const ScanContext* ctx) const {
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
   // Plan every segment serially (cheap: zone-map arithmetic; the shared
   // catalog makes entity resolution identical per segment), then queue every
-  // surviving (segment, partition) morsel into the one scan loop.
+  // surviving (segment, partition) pair into the one scan loop.
   std::vector<std::optional<ScanPlan>> plans(segments_.size());
-  std::vector<PlannedMorsel> morsels;
+  std::vector<ScanMorsel> morsels;
   for (size_t s = 0; s < segments_.size(); ++s) {
     plans[s] = segments_[s]->PlanQuery(query, st);
     if (!plans[s].has_value()) {
       continue;
     }
-    const uint32_t morsel_rows = pool != nullptr ? segments_[s]->options().morsel_rows : 0;
-    for (const ScanMorsel& m : BuildScanMorsels(*plans[s], morsel_rows)) {
-      morsels.push_back(PlannedMorsel{segments_[s].get(), &*plans[s], m});
+    for (size_t i = 0; i < plans[s]->survivors.size(); ++i) {
+      morsels.push_back(ScanMorsel{segments_[s].get(), &*plans[s], static_cast<uint32_t>(i)});
     }
   }
-  return ScanMorsels(morsels, pool, st, ctx);
+  return ScanMorsels(morsels, pool != nullptr ? pool : pool_.get(), st, ctx);
 }
 
 }  // namespace aiql

@@ -9,7 +9,7 @@
 //     AIQL data model's placement ("allows Greenplum to evenly distribute
 //     events in a host").
 // Data queries plan on every segment and scan all surviving (segment,
-// partition) morsels in parallel through the storage layer's one scan loop
+// partition) pairs in parallel through the storage layer's one scan loop
 // (ScanMorsels), gathering merged, order-preserving results; the query engine
 // runs unchanged on top.
 #ifndef AIQL_SRC_MPP_MPP_CLUSTER_H_
@@ -47,27 +47,21 @@ class MppCluster : public EventStore {
   size_t num_events() const;
 
   // EventStore interface. The optional ScanContext threads cancellation /
-  // deadline into the morsel loop and pins decoded archive columns (each
+  // deadline into the scan loop and pins decoded archive columns (each
   // segment owns its own decode cache; the archive policy is part of
-  // segment_options). ExecuteQuery scans on the cluster's own pool — one
-  // thread per segment, like Greenplum's segment servers; the plan cache is
-  // ignored (segments plan per query).
+  // segment_options). Every segment plans locally, then all surviving
+  // (segment, partition) pairs pool into one work queue, so a query whose
+  // matches concentrate in one segment still parallelizes. The scan runs on
+  // `pool`, or on the cluster's own pool when that is null — one thread per
+  // segment, like Greenplum's segment servers; ExecuteQuery always uses the
+  // cluster's pool. The plan cache is ignored (segments plan per query).
   const EntityCatalog& catalog() const override { return *catalog_; }
   std::vector<EventView> ExecuteQuery(const DataQuery& query, ScanStats* stats,
                                       const ScanContext* ctx = nullptr) const override;
   std::vector<EventView> ExecuteQueryCached(const DataQuery& query, ScanStats* stats,
                                             ThreadPool* pool, ScanPlanCache* /*cache*/,
                                             uint64_t* /*cache_hits*/,
-                                            const ScanContext* ctx = nullptr) const override {
-    return ExecuteQueryParallel(query, stats, pool != nullptr ? pool : pool_.get(), ctx);
-  }
-  // Partition-level fan-out on `pool` (null = the calling thread): every
-  // segment plans locally, then all surviving (segment, partition) morsels
-  // pool into one work queue, so a query whose matches concentrate in one
-  // segment still parallelizes.
-  std::vector<EventView> ExecuteQueryParallel(const DataQuery& query, ScanStats* stats,
-                                              ThreadPool* pool,
-                                              const ScanContext* ctx = nullptr) const;
+                                            const ScanContext* ctx = nullptr) const override;
   bool SupportsParallelScan() const override { return true; }
   // Prepared-query plan caches honor the segment options' capacity knob.
   size_t PlanCacheCapacity() const override {

@@ -4,9 +4,9 @@
 // A data query carries the pattern's static constraints (operation set, time
 // range, agent constraint, subject/object/event predicates) plus optional
 // *pushed-down* constraints supplied by the relationship-based scheduler
-// (Algorithm 1): candidate entity index sets and a narrowed time range
-// derived from already-executed patterns. Pushdown is what "execute q_j under
-// S_i" means in the paper.
+// (Algorithm 1), derived from already-executed patterns: `IN` predicates
+// conjoined onto the subject/object/event predicates, and a narrowed time
+// range. Pushdown is what "execute q_j under S_i" means in the paper.
 #ifndef AIQL_SRC_STORAGE_DATA_QUERY_H_
 #define AIQL_SRC_STORAGE_DATA_QUERY_H_
 
@@ -45,9 +45,8 @@ struct DataQuery {
   PredExpr object_pred;                           // over object attributes
   PredExpr event_pred;                            // over event attributes
 
-  // --- pushed-down constraints (from Algorithm 1 scheduling) ---
-  std::optional<std::vector<uint32_t>> subject_candidates;  // catalog indices
-  std::optional<std::vector<uint32_t>> object_candidates;
+  // --- pushed-down constraint (from Algorithm 1 scheduling; pushed-down
+  // candidates arrive as `IN` predicates in the fields above) ---
   std::optional<TimeRange> pushed_time;
 
   // --- emission ---
@@ -82,7 +81,7 @@ struct DataQuery {
 
 // Execution statistics, surfaced for tests, ablations, and EXPERIMENTS.md.
 // Every field except parallel_morsels is invariant under the execution
-// strategy: serial, morsel-parallel, and day-split scans of the same query
+// strategy: serial, pooled, and day-split scans of the same query
 // aggregate to identical counts (asserted by tests/parallel_scan_test.cc).
 // ARCHITECTURE.md ("ScanStats reference") documents each field in detail.
 struct ScanStats {
@@ -92,10 +91,9 @@ struct ScanStats {
   uint64_t partitions_scanned = 0;
   uint64_t events_skipped = 0;     // events inside pruned partitions, never touched
   uint64_t index_lookups = 0;
-  uint64_t parallel_morsels = 0;   // work-queue entries of a parallel scan
-                                   // (whole partitions or row-range chunks)
-  // Of partitions_pruned: skipped because a pushed-down subject/object
-  // candidate set cannot intersect the partition's entity zone summary
+  uint64_t parallel_morsels = 0;   // partitions a pooled scan queued
+  // Of partitions_pruned: skipped because a subject/object candidate set
+  // cannot intersect the partition's entity zone summary
   // (index range or bloom filter).
   uint64_t partitions_pruned_entity = 0;
   // Rows whose entity membership probe was a dense-bitmap bit test instead of
@@ -138,7 +136,7 @@ inline constexpr size_t kDefaultPlanCacheCapacity = 64;
 // cache's reference, so any entry registered here stays valid until Clear().
 // The engine parks one ColumnPins per ExecutionSession and clears it after
 // projection — the whole multievent execution consumes views safely even when
-// its working set exceeds the decode-cache capacity. Thread-safe: morsel
+// its working set exceeds the decode-cache capacity. Thread-safe: scan
 // workers register pins concurrently.
 class ColumnPins {
  public:
@@ -162,7 +160,7 @@ class ColumnPins {
 
 // Per-run context threaded from the execution session into the storage scan
 // loops, the join budget, and the graph matcher: the cooperative cancellation
-// flag and run deadline (checked between morsels, never per row) and the
+// flag and run deadline (checked between partitions, never per row) and the
 // decoded-column pin sink. It is the run's one stop check: every layer asks
 // StopStatus() (or ShouldStop()) of the same context. All members are
 // optional; a null/defaulted context scans to completion and leaves decoded

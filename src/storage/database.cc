@@ -231,27 +231,14 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     return std::nullopt;
   }
 
-  // Resolve candidate entity sets from predicates and pushdown.
+  // Resolve candidate entity sets from the subject/object predicates
+  // (pushdown narrows them with `IN` predicates).
   std::optional<std::unordered_set<uint32_t>>& subject_set = plan.subject_set;
   if (!q.subject_pred.is_true()) {
     std::vector<uint32_t> found =
         FindEntities(EntityType::kProcess, q.subject_pred, q.agent_ids, st);
     subject_set.emplace(found.begin(), found.end());
   }
-  if (q.subject_candidates.has_value()) {
-    if (!subject_set.has_value()) {
-      subject_set.emplace(q.subject_candidates->begin(), q.subject_candidates->end());
-    } else {
-      std::unordered_set<uint32_t> merged;
-      for (uint32_t idx : *q.subject_candidates) {
-        if (subject_set->count(idx) > 0) {
-          merged.insert(idx);
-        }
-      }
-      subject_set = std::move(merged);
-    }
-  }
-
   std::optional<std::unordered_set<uint32_t>>& object_set = plan.object_set;
   if (!q.object_pred.is_true()) {
     // Files and network connections are recorded as entities of the host the
@@ -263,19 +250,6 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
                                     : q.agent_ids;
     std::vector<uint32_t> found = FindEntities(q.object_type, q.object_pred, object_agents, st);
     object_set.emplace(found.begin(), found.end());
-  }
-  if (q.object_candidates.has_value()) {
-    if (!object_set.has_value()) {
-      object_set.emplace(q.object_candidates->begin(), q.object_candidates->end());
-    } else {
-      std::unordered_set<uint32_t> merged;
-      for (uint32_t idx : *q.object_candidates) {
-        if (object_set->count(idx) > 0) {
-          merged.insert(idx);
-        }
-      }
-      object_set = std::move(merged);
-    }
   }
 
   // Short-circuit: a constrained side with no candidates matches nothing.
@@ -347,46 +321,13 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
   return plan;
 }
 
-void Database::ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m,
-                                 std::vector<EventView>* out, ScanStats* stats,
-                                 const ScanContext* ctx) const {
-  if (m.first) {
-    ++stats->partitions_scanned;
-  }
-  PartitionScanArgs args = plan.ArgsFor(m.survivor, *catalog_, m.begin_row, m.end_row);
+void Database::ScanSurvivor(const ScanPlan& plan, size_t i, std::vector<EventView>* out,
+                            ScanStats* stats, const ScanContext* ctx) const {
+  ++stats->partitions_scanned;
+  PartitionScanArgs args = plan.ArgsFor(i, *catalog_);
   args.decode_cache = decode_cache_.get();
   args.pins = ctx != nullptr ? ctx->pins : nullptr;
-  plan.survivors[m.survivor]->Execute(args, out, stats);
-}
-
-std::vector<ScanMorsel> BuildScanMorsels(const ScanPlan& plan, uint32_t morsel_rows) {
-  std::vector<ScanMorsel> morsels;
-  morsels.reserve(plan.survivors.size());
-  const auto* subj = plan.subject_set.has_value() ? &*plan.subject_set : nullptr;
-  const auto* obj = plan.object_set.has_value() ? &*plan.object_set : nullptr;
-  const TimeRange range = plan.query->EffectiveTime();
-  for (size_t i = 0; i < plan.survivors.size(); ++i) {
-    const Partition* p = plan.survivors[i];
-    auto whole = ScanMorsel{static_cast<uint32_t>(i), 0, UINT32_MAX, /*first=*/true};
-    // Archived partitions stay whole: splitting needs SliceRows' binary
-    // search over start_time, which would force a decode at morsel-build
-    // time — before pruning has proven anyone will scan the partition.
-    if (morsel_rows == 0 || p->archived() || p->PrefersPostingScan(subj, obj)) {
-      morsels.push_back(whole);
-      continue;
-    }
-    auto [lo, hi] = p->SliceRows(range);
-    if (hi - lo <= morsel_rows) {
-      morsels.push_back(whole);  // empty slices included: they still account
-                                 // partitions_scanned, matching the serial path
-      continue;
-    }
-    for (uint32_t begin = lo; begin < hi; begin += morsel_rows) {
-      morsels.push_back(ScanMorsel{static_cast<uint32_t>(i), begin,
-                                   std::min(begin + morsel_rows, hi), begin == lo});
-    }
-  }
-  return morsels;
+  plan.survivors[i]->Execute(args, out, stats);
 }
 
 void MergeSortedRuns(std::vector<EventView>* events, std::vector<size_t>* run_starts) {
@@ -426,24 +367,24 @@ void MergeSortedRuns(std::vector<EventView>* events, std::vector<size_t>* run_st
   }
 }
 
-std::vector<EventView> ScanMorsels(const std::vector<PlannedMorsel>& morsels, ThreadPool* pool,
+std::vector<EventView> ScanMorsels(const std::vector<ScanMorsel>& morsels, ThreadPool* pool,
                                    ScanStats* stats, const ScanContext* ctx) {
   ScanPinScope pin_scope(ctx);
   ctx = pin_scope.ctx();
   // Cooperative stop (cancellation / run deadline): checked between morsels,
   // never per row. A stopped scan returns whatever it has — the executor
   // turns the session state into the user-visible error.
-  auto scan = [&](const PlannedMorsel& m, std::vector<EventView>* out, ScanStats* st) {
+  auto scan = [&](const ScanMorsel& m, std::vector<EventView>* out, ScanStats* st) {
     if (ctx->ShouldStop()) {
       return;  // claimed but skipped: the queue drains without scanning
     }
-    m.db->ScanPlannedMorsel(*m.plan, m.morsel, out, st, ctx);
+    m.db->ScanSurvivor(*m.plan, m.survivor, out, st, ctx);
   };
   std::vector<EventView> out;
   std::vector<size_t> run_starts;
   run_starts.reserve(morsels.size());
   if (pool == nullptr || morsels.size() < 2) {
-    for (const PlannedMorsel& m : morsels) {
+    for (const ScanMorsel& m : morsels) {
       run_starts.push_back(out.size());
       scan(m, &out, stats);
     }
@@ -477,51 +418,37 @@ std::vector<EventView> ScanMorsels(const std::vector<PlannedMorsel>& morsels, Th
 
 std::vector<EventView> Database::ExecuteQuery(const DataQuery& q, ScanStats* stats,
                                               const ScanContext* ctx) const {
-  return ExecuteQueryParallel(q, stats, nullptr, ctx);
+  return ExecuteQueryCached(q, stats, nullptr, nullptr, nullptr, ctx);
 }
 
 std::vector<EventView> Database::ScanWithPlan(const ScanPlan& plan, ScanStats* stats,
                                               ThreadPool* pool, const ScanContext* ctx) const {
   ScanStats local;
-  // Large partitions split into morsel_rows chunks only when a pool can
-  // spread them, so one skewed partition cannot serialize the scan.
-  std::vector<ScanMorsel> built =
-      BuildScanMorsels(plan, pool != nullptr ? options_.morsel_rows : 0);
-  std::vector<PlannedMorsel> morsels;
-  morsels.reserve(built.size());
-  for (const ScanMorsel& m : built) {
-    morsels.push_back(PlannedMorsel{this, &plan, m});
+  std::vector<ScanMorsel> morsels;
+  morsels.reserve(plan.survivors.size());
+  for (size_t i = 0; i < plan.survivors.size(); ++i) {
+    morsels.push_back(ScanMorsel{this, &plan, static_cast<uint32_t>(i)});
   }
   return ScanMorsels(morsels, pool, stats != nullptr ? stats : &local, ctx);
-}
-
-std::vector<EventView> Database::ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,
-                                                      ThreadPool* pool,
-                                                      const ScanContext* ctx) const {
-  ScanStats local;
-  ScanStats* st = stats != nullptr ? stats : &local;
-  std::optional<ScanPlan> plan = PlanQuery(q, st);
-  if (!plan.has_value()) {
-    return {};
-  }
-  return ScanWithPlan(*plan, st, pool, ctx);
 }
 
 std::vector<EventView> Database::ExecuteQueryCached(const DataQuery& q, ScanStats* stats,
                                                     ThreadPool* pool, ScanPlanCache* cache,
                                                     uint64_t* cache_hits,
                                                     const ScanContext* ctx) const {
-  if (cache == nullptr) {
-    return ExecuteQueryParallel(q, stats, pool, ctx);
-  }
-  std::string key = DataQueryFingerprint(q);
+  ScanStats local;
+  ScanStats* st = stats != nullptr ? stats : &local;
+  // An empty key is uncacheable: no cache, or a query too large to key.
+  std::string key = cache != nullptr ? DataQueryFingerprint(q) : std::string();
   if (key.empty()) {
-    return ExecuteQueryParallel(q, stats, pool, ctx);  // too large to cache
+    std::optional<ScanPlan> plan = PlanQuery(q, st);
+    if (!plan.has_value()) {
+      return {};
+    }
+    return ScanWithPlan(*plan, st, pool, ctx);
   }
   key.push_back('#');
   key.append(std::to_string(generation_));
-  ScanStats local;
-  ScanStats* st = stats != nullptr ? stats : &local;
 
   std::shared_ptr<const ScanPlanCache::Entry> entry = cache->Find(key);
   if (entry == nullptr) {

@@ -15,8 +15,9 @@
 // a serial planning phase (predicate compilation, candidate-entity
 // resolution, partition pruning via scheme keys and zone maps) and a scan
 // phase over the surviving partitions. Every scan phase — serial or pooled,
-// one database or every MPP segment — runs through ScanMorsels, with
-// identical results and aggregate ScanStats.
+// one database or every MPP segment — runs through ScanMorsels, one work-
+// queue entry per surviving partition, with identical results and aggregate
+// ScanStats.
 #ifndef AIQL_SRC_STORAGE_DATABASE_H_
 #define AIQL_SRC_STORAGE_DATABASE_H_
 
@@ -45,14 +46,15 @@ enum class PartitionScheme : uint8_t {
 
 // Phase 1 of a data-query execution: everything that is computed once per
 // query and then shared read-only by every partition scan. Produced by
-// Database::PlanQuery, consumed by Database::ScanPlannedMorsel — either
-// serially or from multiple morsel workers at once. Holds a pointer to the
-// caller's DataQuery; the plan must not outlive it.
+// Database::PlanQuery, consumed by Database::ScanSurvivor — either serially
+// or from multiple scan workers at once. Holds a pointer to the caller's
+// DataQuery; the plan must not outlive it.
 struct ScanPlan {
   const DataQuery* query = nullptr;
   CompiledEventPred compiled;
-  // Candidate entity sets resolved from predicates and pushdown; disengaged
-  // means "unconstrained side", empty would have short-circuited planning.
+  // Candidate entity sets resolved from the subject/object predicates
+  // (pushdown narrows them with `IN` predicates); disengaged means
+  // "unconstrained side", empty would have short-circuited planning.
   std::optional<std::unordered_set<uint32_t>> subject_set;
   std::optional<std::unordered_set<uint32_t>> object_set;
   std::optional<std::unordered_set<AgentId>> agent_set;
@@ -61,13 +63,12 @@ struct ScanPlan {
   // the parallel scan.
   std::vector<const Partition*> survivors;
   // Per-survivor dense-bitmap translations of the candidate sets (parallel
-  // to `survivors`; null = no affordable bitmap). Built once at plan time and
-  // shared read-only by every morsel that scans the partition.
+  // to `survivors`; null = no affordable bitmap). Built once at plan time,
+  // read-only during the scan.
   std::vector<std::unique_ptr<EntityBitmaps>> bitmaps;
 
-  // The scan arguments for survivor `i`, clamped to [begin_row, end_row).
-  PartitionScanArgs ArgsFor(size_t i, const EntityCatalog& catalog, uint32_t begin_row = 0,
-                            uint32_t end_row = UINT32_MAX) const {
+  // The scan arguments for survivor `i`.
+  PartitionScanArgs ArgsFor(size_t i, const EntityCatalog& catalog) const {
     PartitionScanArgs a;
     a.query = query;
     a.pred = &compiled;
@@ -76,47 +77,27 @@ struct ScanPlan {
     a.object_set = object_set.has_value() ? &*object_set : nullptr;
     a.agent_set = agent_set.has_value() ? &*agent_set : nullptr;
     a.bitmaps = i < bitmaps.size() ? bitmaps[i].get() : nullptr;
-    a.begin_row = begin_row;
-    a.end_row = end_row;
     return a;
   }
 };
 
-// One entry of a parallel scan's work queue: a row range of one surviving
-// partition. Large partitions decompose into several fixed-size morsels so
-// skewed (day, agent-group) distributions load-balance; small ones stay
-// whole.
-struct ScanMorsel {
-  uint32_t survivor = 0;   // index into ScanPlan::survivors
-  uint32_t begin_row = 0;  // row clamp within the partition
-  uint32_t end_row = UINT32_MAX;
-  bool first = false;  // first morsel of its partition: owns partitions_scanned
-};
-
-// Decomposes a plan's survivors into row-range morsels of at most
-// `morsel_rows` rows each (0 = one whole-partition morsel per survivor).
-// Partitions whose scan would take the posting-list access path are never
-// split. Morsels are ordered by (survivor, begin_row), so scanning slots in
-// list order and concatenating preserves each partition's time order.
-std::vector<ScanMorsel> BuildScanMorsels(const ScanPlan& plan, uint32_t morsel_rows);
-
 // Restores the global (start_time, id) order of `events`, whose slices
 // starting at `run_starts[i]` (ascending, first element 0; last run ends at
-// events->size()) are each already sorted — the shape every partition or
-// morsel scan emits. Adjacent runs already in order coalesce with a single
-// boundary comparison, so non-overlapping partitions (a purely time-ordered
-// scan) cost one pass; overlapping runs pay O(n log k) ladder merges instead
-// of the O(n log n) full sort. Consumes `run_starts`.
+// events->size()) are each already sorted — the shape every partition scan
+// emits. Adjacent runs already in order coalesce with a single boundary
+// comparison, so non-overlapping partitions (a purely time-ordered scan)
+// cost one pass; overlapping runs pay O(n log k) ladder merges instead of the
+// O(n log n) full sort. Consumes `run_starts`.
 void MergeSortedRuns(std::vector<EventView>* events, std::vector<size_t>* run_starts);
 
 class Database;
 
-// One entry of a scan's work queue: a morsel of one plan of one database
-// (MppCluster queues the morsels of every segment together).
-struct PlannedMorsel {
+// One entry of a scan's work queue: one surviving partition of one plan of
+// one database (MppCluster queues the survivors of every segment together).
+struct ScanMorsel {
   const Database* db = nullptr;
   const ScanPlan* plan = nullptr;
-  ScanMorsel morsel;
+  uint32_t survivor = 0;  // index into plan->survivors
 };
 
 // The one scan loop of both stores. Scans `morsels`, accumulating into
@@ -129,17 +110,13 @@ struct PlannedMorsel {
 // depend on the pool. `ctx`'s stop state is checked once per morsel; decoded
 // archive columns stay pinned through the merge (into ctx's sink, or a
 // call-local one).
-std::vector<EventView> ScanMorsels(const std::vector<PlannedMorsel>& morsels, ThreadPool* pool,
+std::vector<EventView> ScanMorsels(const std::vector<ScanMorsel>& morsels, ThreadPool* pool,
                                    ScanStats* stats, const ScanContext* ctx);
 
 struct DatabaseOptions {
   PartitionScheme scheme = PartitionScheme::kTimeSpace;
   uint32_t agent_group_size = 4;  // agents per spatial partition group
   bool build_indexes = true;      // entity hash indexes + posting lists
-  // Parallel-scan work unit: partitions whose time slice exceeds this many
-  // rows split into fixed-size row-range morsels (0 = whole partitions, the
-  // pre-morsel behavior kept for ablations).
-  uint32_t morsel_rows = 16384;
   // Archive tier (see partition.h). At Finalize, partitions whose day is at
   // least archive_after_days older than the newest ingested day re-encode
   // their columns and decode on demand at scan time; 0 archives
@@ -218,31 +195,24 @@ class Database : public EventStore {
                                      const std::optional<std::vector<AgentId>>& agents,
                                      ScanStats* stats = nullptr) const;
 
-  // Executes a data query on the calling thread. Results are sorted by
-  // (start_time, id) so that all engines and schedulers produce
-  // deterministic, comparable output. Partitions are skipped via scheme keys
-  // and zone maps before any scan. `ctx` (optional) carries the run's
-  // cancellation flag / deadline — checked between partition scans, so a
-  // cancelled session stops after the current morsel instead of finishing
-  // the plan — and the pin sink that keeps decoded archive columns alive for
-  // the caller (see ScanContext).
+  // Executes a data query on the calling thread: PlanQuery, then
+  // ScanWithPlan without a pool. Results are sorted by (start_time, id) so
+  // that all engines and schedulers produce deterministic, comparable
+  // output. Partitions are skipped via scheme keys and zone maps before any
+  // scan. `ctx` (optional) carries the run's cancellation flag / deadline —
+  // checked between partition scans, so a cancelled session stops after the
+  // current partition instead of finishing the plan — and the pin sink that
+  // keeps decoded archive columns alive for the caller (see ScanContext).
   std::vector<EventView> ExecuteQuery(const DataQuery& q, ScanStats* stats = nullptr,
                                       const ScanContext* ctx = nullptr) const override;
-
-  // Morsel-driven parallel execution: plans once, then scans the surviving
-  // partitions on `pool`'s workers (calling thread included) through
-  // ScanMorsels. Results are identical to ExecuteQuery — same events, same
-  // (start_time, id) order, same aggregate stats (plus parallel_morsels).
-  // A null `pool` is ExecuteQuery.
-  std::vector<EventView> ExecuteQueryParallel(const DataQuery& q, ScanStats* stats,
-                                              ThreadPool* pool,
-                                              const ScanContext* ctx = nullptr) const;
   bool SupportsParallelScan() const override { return true; }
 
-  // Plan-cached execution: looks `q` up in `cache` by constraint fingerprint
-  // and skips PlanQuery on a hit (incrementing *cache_hits); a miss plans,
-  // publishes the compiled plan, then scans. Results and aggregate ScanStats
-  // are identical to ExecuteQueryParallel — the planning-phase counters are
+  // The pooled fetch: plans (or, with a `cache`, looks `q` up by constraint
+  // fingerprint and skips PlanQuery on a hit, incrementing *cache_hits; a
+  // miss plans and publishes the compiled plan), then scans the surviving
+  // partitions on `pool`'s workers (calling thread included; null = the
+  // calling thread alone). Results and aggregate ScanStats are identical to
+  // ExecuteQuery, parallel_morsels aside — the planning-phase counters are
   // recorded in the cache entry and replayed on hits. Cached plans pin
   // partitions of the current finalization: the key carries generation(), so
   // after a re-finalize the lookup misses and the query is replanned.
@@ -257,23 +227,20 @@ class Database : public EventStore {
     return options_.plan_cache_capacity == 0 ? 1 : options_.plan_cache_capacity;
   }
 
-  // The scan phase of an already-computed plan: BuildScanMorsels (whole
-  // partitions when `pool` is null) + ScanMorsels. Shared by
-  // ExecuteQueryParallel and the plan-cache hit path.
-  std::vector<EventView> ScanWithPlan(const ScanPlan& plan, ScanStats* stats, ThreadPool* pool,
-                                      const ScanContext* ctx = nullptr) const;
-
-  // The two scan phases, exposed so MppCluster can pool morsels from every
-  // segment into one work queue. PlanQuery returns nullopt when the query
+  // The two phases of every fetch. PlanQuery returns nullopt when the query
   // provably matches nothing before any partition is considered (op-mask
   // contradiction, empty candidate entity set) — in that case no pruning
   // counters move. Partitions pruned during planning do count into `stats`.
-  // ScanPlannedMorsel scans one row-range morsel (see BuildScanMorsels),
-  // appending matches in time order to `out` (not globally sorted — callers
-  // merge), and accounts partitions_scanned on the morsel marked `first`.
+  // ScanWithPlan queues one morsel per surviving partition into ScanMorsels.
   std::optional<ScanPlan> PlanQuery(const DataQuery& q, ScanStats* stats) const;
-  void ScanPlannedMorsel(const ScanPlan& plan, const ScanMorsel& m, std::vector<EventView>* out,
-                         ScanStats* stats, const ScanContext* ctx = nullptr) const;
+  std::vector<EventView> ScanWithPlan(const ScanPlan& plan, ScanStats* stats, ThreadPool* pool,
+                                      const ScanContext* ctx = nullptr) const;
+
+  // Scans survivor `i` of `plan` (one ScanMorsels work-queue entry),
+  // appending its matches in time order to `out` (not globally sorted —
+  // callers merge), and counts it in partitions_scanned.
+  void ScanSurvivor(const ScanPlan& plan, size_t i, std::vector<EventView>* out,
+                    ScanStats* stats, const ScanContext* ctx) const;
 
   // The distinct day indices covered by ingested data (for time-window
   // partitioned parallel execution).

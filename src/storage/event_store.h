@@ -5,12 +5,13 @@
 // paper's Fig 6 (single node) and Fig 7 (parallel databases) configurations
 // differ only in which EventStore backs the engine.
 //
-// Scan contract: both entry points return the same matches in the same
-// (start_time, id) order and aggregate the same ScanStats (modulo the
-// parallel_morsels counter). ExecuteQuery is the plain fetch;
-// ExecuteQueryCached is the engine's fetch, handing the store the engine's
-// pool and plan cache. Database and MppCluster implement both on the one scan
-// loop, ScanMorsels (database.h).
+// Scan contract: the two entry points are the only ways to scan a store.
+// Both return the same matches in the same (start_time, id) order and
+// aggregate the same ScanStats (modulo the parallel_morsels counter).
+// ExecuteQuery is the plain fetch; ExecuteQueryCached is the pooled fetch,
+// handing the store a pool and, optionally, a plan cache. Database and
+// MppCluster implement both on the one scan loop, ScanMorsels (database.h),
+// whose unit of work is one surviving partition.
 #ifndef AIQL_SRC_STORAGE_EVENT_STORE_H_
 #define AIQL_SRC_STORAGE_EVENT_STORE_H_
 

@@ -8,6 +8,16 @@ namespace {
 // Threshold under which posting-list access beats a range scan.
 constexpr size_t kPostingCandidateLimit = 4096;
 
+// Makes room for `n` more views. `out` may already hold earlier partitions'
+// matches (a serial scan emits every partition into one vector), so growth is
+// geometric: an exact reserve per partition would recopy everything before
+// it, quadratic in the partition count.
+void ReserveMore(std::vector<EventView>* out, size_t n) {
+  if (out->capacity() - out->size() < n) {
+    out->reserve(std::max(out->size() + n, 2 * out->capacity()));
+  }
+}
+
 // Applies one compiled column filter with the kernel matching its operator:
 // branch-free compare loops for the ordered ops, the flat small-set probe or
 // the hash fallback for IN / NOT IN.
@@ -408,7 +418,7 @@ bool Partition::NeedsFiltering(const PartitionScanArgs& args) const {
 void Partition::EmitRange(const EventColumns* cols, size_t lo, size_t hi,
                           std::vector<EventView>* out, ScanStats* stats) const {
   stats->events_matched += hi - lo;
-  out->reserve(out->size() + (hi - lo));
+  ReserveMore(out, hi - lo);
   for (size_t i = lo; i < hi; ++i) {
     out->push_back(EventView(cols, static_cast<uint32_t>(i)));
   }
@@ -417,7 +427,7 @@ void Partition::EmitRange(const EventColumns* cols, size_t lo, size_t hi,
 void Partition::EmitSel(const EventColumns* cols, const std::vector<uint32_t>& sel,
                         std::vector<EventView>* out, ScanStats* stats) const {
   stats->events_matched += sel.size();
-  out->reserve(out->size() + sel.size());
+  ReserveMore(out, sel.size());
   for (uint32_t r : sel) {
     out->push_back(EventView(cols, r));
   }
@@ -567,9 +577,7 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
     cols = dec->Ensure(ScanColumnMask(args), stats);
   }
 
-  auto [slice_lo, slice_hi] = TimeSlice(cols, range);
-  size_t lo = std::max<size_t>(slice_lo, args.begin_row);
-  size_t hi = std::min<size_t>(slice_hi, args.end_row);
+  auto [lo, hi] = TimeSlice(cols, range);
   if (lo >= hi) {
     return;
   }

@@ -67,7 +67,7 @@ class Partition;
 // first use, into an EventColumns whose vectors are written exactly once and
 // never reallocate — EventViews emitted from a scan point into them, so their
 // addresses must be stable for as long as the entry is alive (cache-resident
-// or pinned; see ColumnPins). Thread-safe: concurrent morsel workers race to
+// or pinned; see ColumnPins). Thread-safe: concurrent scan workers race to
 // Ensure the same columns and the mutex serializes the decodes.
 class DecodedPartition {
  public:
@@ -138,8 +138,7 @@ class DecodeCache {
 // Plan-time per-partition entity filters: pushed-down candidate sets
 // translated into dense bitmaps over this partition's zone index ranges, so
 // the scan's membership probe is a bit test instead of a hash lookup. Built
-// once per (plan, partition) and shared read-only by every morsel that scans
-// the partition. Any member may be absent (set too small — the flat probe
+// once per (plan, partition) and read-only during the scan. Any member may be absent (set too small — the flat probe
 // wins — or index range too wide for an affordable bitmap).
 struct EntityBitmaps {
   std::optional<DenseBitmap> subject;
@@ -148,9 +147,8 @@ struct EntityBitmaps {
 };
 
 // One partition-scan invocation: the query, its compiled predicate, the
-// resolved candidate sets, optional plan-built bitmaps, and a row clamp for
-// sub-partition morsels. All pointers are borrowed; `query`, `pred`, and
-// `catalog` must be non-null.
+// resolved candidate sets, and optional plan-built bitmaps. All pointers are
+// borrowed; `query`, `pred`, and `catalog` must be non-null.
 struct PartitionScanArgs {
   const DataQuery* query = nullptr;
   const CompiledEventPred* pred = nullptr;
@@ -162,14 +160,10 @@ struct PartitionScanArgs {
   // Archive tier: the database's decode cache (required to scan an archived
   // partition) and the optional pin sink that keeps decoded columns — and
   // therefore the emitted EventViews — alive past cache eviction. Filled by
-  // Database::ScanPlanned*, never cached inside a ScanPlan (pins are
+  // Database::ScanSurvivor, never cached inside a ScanPlan (pins are
   // per-run).
   DecodeCache* decode_cache = nullptr;
   ColumnPins* pins = nullptr;
-  // Row clamp within the partition; the scan intersects it with the query's
-  // time slice. The default covers the whole partition.
-  uint32_t begin_row = 0;
-  uint32_t end_row = UINT32_MAX;
 };
 
 struct PartitionKey {
@@ -211,7 +205,7 @@ class Partition {
   // column; see encoding.h) and releases them. Requires a finalized, hot
   // partition; no-op otherwise, so an archived partition keeps its encoding
   // and generation until it receives an event. Zone map and posting lists
-  // stay resident, so pruning and morsel planning never decode. Ingesting
+  // stay resident, so pruning and planning never decode. Ingesting
   // into an archived partition decodes it back (Append). `generation` is the
   // archiving database's finalization stamp (Database::generation), part of
   // the partition's decode-cache key.
@@ -236,29 +230,14 @@ class Partition {
                 const std::unordered_set<AgentId>* agent_set, const CandidateSummary* subjects,
                 const CandidateSummary* objects, ScanStats* stats) const;
 
-  // Appends events matching `args` (clamped to args.begin_row/end_row) to
-  // `out`, in time order. args.pred must be the compilation of
-  // args.query->event_pred.
+  // Appends events matching `args` to `out`, in time order. args.pred must
+  // be the compilation of args.query->event_pred.
   void Execute(const PartitionScanArgs& args, std::vector<EventView>* out,
                ScanStats* stats) const;
 
-  // Offsets of this partition's rows inside the query time range (the rows
-  // Execute would consider before filtering). Used by the morsel planner to
-  // split large partitions into row ranges. Archived partitions answer
-  // conservatively ({0, size()}) rather than decode start_time at plan time —
-  // the morsel planner keeps them whole anyway (see BuildScanMorsels).
-  std::pair<uint32_t, uint32_t> SliceRows(const TimeRange& range) const {
-    if (archived_ != nullptr) {
-      return {0, static_cast<uint32_t>(size())};
-    }
-    auto [lo, hi] = TimeSlice(&cols_, range);
-    return {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
-  }
-
   // True when Execute would take the posting-list access path for these
-  // candidate sets. Such partitions are never split into row morsels: the
-  // posting union would be repeated (and its stats double-counted) per
-  // morsel.
+  // candidate sets. PlanQuery builds no bitmaps for such partitions: the scan
+  // unions tiny offset lists instead of probing rows.
   bool PrefersPostingScan(const std::unordered_set<uint32_t>* subject_set,
                           const std::unordered_set<uint32_t>* object_set) const;
 

@@ -1,6 +1,7 @@
 #include "src/storage/plan_cache.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include "src/storage/database.h"
 
@@ -11,11 +12,19 @@ ScanPlanCache::Entry::~Entry() = default;
 
 namespace {
 
+// Appends `s` behind its length, so no bytes inside it (file names come from
+// monitored hosts) can pass for a separator and make two keys collide.
+void AppendString(std::string_view s, std::string* out) {
+  out->append(std::to_string(s.size()));
+  out->push_back(':');
+  out->append(s);
+}
+
 // Serializes a value with a type tag so "1" and 1 cannot collide.
 void AppendValue(const Value& v, std::string* out) {
   if (v.is_string()) {
-    out->append("s:");
-    out->append(v.as_string());
+    out->push_back('s');
+    AppendString(v.as_string(), out);
   } else if (v.is_int()) {
     out->append("i:");
     out->append(std::to_string(v.as_int()));
@@ -43,7 +52,7 @@ bool AppendPred(const PredExpr& p, std::string* out, size_t* budget) {
       }
       *budget -= leaf.values.size();
       out->push_back('L');
-      out->append(leaf.attr);
+      AppendString(leaf.attr, out);
       out->push_back('\x1e');
       out->append(std::to_string(static_cast<int>(leaf.op)));
       out->push_back('\x1e');
@@ -70,24 +79,6 @@ bool AppendPred(const PredExpr& p, std::string* out, size_t* budget) {
     }
   }
   return false;
-}
-
-bool AppendCandidates(const std::optional<std::vector<uint32_t>>& c, std::string* out,
-                      size_t* budget) {
-  if (!c.has_value()) {
-    out->append("-;");
-    return true;
-  }
-  if (c->size() > *budget) {
-    return false;
-  }
-  *budget -= c->size();
-  for (uint32_t idx : *c) {
-    out->append(std::to_string(idx));
-    out->push_back(',');
-  }
-  out->push_back(';');
-  return true;
 }
 
 }  // namespace
@@ -125,9 +116,7 @@ std::string DataQueryFingerprint(const DataQuery& q) {
   }
   out.push_back('/');
   if (!AppendPred(q.subject_pred, &out, &budget) || !AppendPred(q.object_pred, &out, &budget) ||
-      !AppendPred(q.event_pred, &out, &budget) ||
-      !AppendCandidates(q.subject_candidates, &out, &budget) ||
-      !AppendCandidates(q.object_candidates, &out, &budget)) {
+      !AppendPred(q.event_pred, &out, &budget)) {
     return std::string();  // too large to be worth caching
   }
   return out;

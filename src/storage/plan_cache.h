@@ -77,13 +77,15 @@ class ScanPlanCache {
 };
 
 // Canonical serialization of every constraint on `q` — static pattern
-// constraints plus pushed-down candidates and time bounds — and of its
+// constraints plus pushed-down IN predicates and time bounds — and of its
 // emission columns (a cached plan scans with its own copy of the query).
 // Queries with equal fingerprints produce identical ScanPlans over the same
 // finalized database.
-// Returns an empty string when the query is not worth caching (pushed-down
-// candidate sets or IN lists beyond kMaxFingerprintValues, whose keys would
-// cost more to build than replanning).
+// Variable-length fields (string values, attribute names) are length-
+// prefixed, so distinct queries never share a key. Returns an empty string
+// when the query is not worth caching (IN lists beyond
+// kMaxFingerprintValues, whose keys would cost more to build than
+// replanning).
 std::string DataQueryFingerprint(const DataQuery& q);
 
 inline constexpr size_t kMaxFingerprintValues = 4096;

@@ -517,6 +517,17 @@ TEST(ScanPlanCacheTest, FingerprintCoversEmissionColumns) {
   EXPECT_NE(DataQueryFingerprint(b), DataQueryFingerprint(c));
 }
 
+TEST(ScanPlanCacheTest, FingerprintLengthPrefixesStrings) {
+  // A string may hold the key's separator bytes: before string values were
+  // length-prefixed, IN{"a<US>s:b"} and IN{"a", "b"} shared one key.
+  DataQuery one;
+  one.object_type = EntityType::kFile;
+  DataQuery two = one;
+  one.object_pred = PredExpr::Leaf(AttrPredicate::In("name", {Value("a\x1fs:b")}));
+  two.object_pred = PredExpr::Leaf(AttrPredicate::In("name", {Value("a"), Value("b")}));
+  EXPECT_NE(DataQueryFingerprint(one), DataQueryFingerprint(two));
+}
+
 TEST(ScanPlanCacheTest, LruCapAndEvictionCount) {
   ScanPlanCache cache(4);
   auto entry = [] { return std::make_shared<const ScanPlanCache::Entry>(); };

@@ -211,20 +211,17 @@ std::vector<std::vector<int64_t>> IdTuples(const TupleSet& set, size_t num_patte
 }
 
 TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
-  // Small morsels and a two-partition decode cache so the 8-way scans split
-  // partitions and the archived tier evicts and re-decodes mid-run.
-  Database hot{DatabaseOptions{.morsel_rows = 16}};
-  Database archived{
-      DatabaseOptions{.morsel_rows = 16, .archive_after_days = 0, .decode_cache_partitions = 2}};
+  // A two-partition decode cache so the archived tier evicts and re-decodes
+  // mid-run.
+  Database hot;
+  Database archived{DatabaseOptions{.archive_after_days = 0, .decode_cache_partitions = 2}};
   BuildTrace(&hot);
   BuildTrace(&archived);
   ASSERT_GT(archived.Footprint().archived_partitions, 1u);
   // The same events sharded over three segments by each distribution policy;
   // a cluster scans on its own pool, so it runs at parallelism 1 only.
-  MppCluster round_robin(3, DistributionPolicy::kArrivalRoundRobin,
-                         DatabaseOptions{.morsel_rows = 16});
-  MppCluster semantics(3, DistributionPolicy::kSemanticsAware,
-                       DatabaseOptions{.morsel_rows = 16});
+  MppCluster round_robin(3, DistributionPolicy::kArrivalRoundRobin);
+  MppCluster semantics(3, DistributionPolicy::kSemanticsAware);
   round_robin.BuildFrom(hot);
   semantics.BuildFrom(hot);
   ThreadPool pool(7);
@@ -233,6 +230,7 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
   const Shape shapes[] = {Shape::kPair, Shape::kLonePair, Shape::kChain, Shape::kCycle,
                           Shape::kLoneThird};
   size_t nonempty = 0, queries = 0;
+  uint64_t pooled_partitions = 0;
   for (int round = 0; round < 8; ++round) {
     for (Shape shape : shapes) {
       const std::string text = RandomQuery(&rng, shape);
@@ -281,6 +279,7 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
                 ASSERT_TRUE(got.ok()) << got.error();
                 EXPECT_EQ(got.value().patterns().size(), n);
                 EXPECT_EQ(IdTuples(got.value(), n), *target.want);
+                pooled_partitions += session.stats.scan.parallel_morsels;
               }
             }
           }
@@ -290,6 +289,8 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
   }
   // The generator must not degenerate into queries that match nothing.
   EXPECT_GE(nonempty * 2, queries);
+  // Pooled scans ran: some fetch queued two or more partitions on a pool.
+  EXPECT_GT(pooled_partitions, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Parallel-scan equivalence: the morsel-driven parallel partition scan
-// (Database::ExecuteQueryParallel, MppCluster's entry points) must be
-// indistinguishable from the serial path — byte-identical result sequences
+// Parallel-scan equivalence: the pooled partition scan (ExecuteQueryCached
+// with a pool, on Database and MppCluster) must be indistinguishable from the
+// serial path — byte-identical result sequences
 // and identical aggregate ScanStats — at every parallelism level and through
 // the engine's day-split fallback — and the serial path must match the
 // brute-force reference scan. These tests are the ones the ThreadSanitizer CI
@@ -141,7 +141,7 @@ TEST(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
   ASSERT_GT(db.num_partitions(), 2u);
 
   // parallelism = 1 is the no-pool fallback; 2 and 8 exercise under- and
-  // over-subscribed morsel queues (8 workers over a handful of partitions).
+  // over-subscribed work queues (8 workers over a handful of partitions).
   ThreadPool pool2(1), pool8(7);
   std::vector<ThreadPool*> pools = {nullptr, &pool2, &pool8};
 
@@ -154,26 +154,32 @@ TEST(ParallelScanPropertyTest, ParallelismDoesNotChangeResultsOrStats) {
     std::vector<int64_t> serial_ids = IdsOf(serial);
     for (ThreadPool* pool : pools) {
       ScanStats par_stats;
-      std::vector<int64_t> par_ids = IdsOf(db.ExecuteQueryParallel(q, &par_stats, pool));
+      std::vector<int64_t> par_ids =
+          IdsOf(db.ExecuteQueryCached(q, &par_stats, pool, nullptr, nullptr));
       size_t parallelism = pool == nullptr ? 1 : pool->max_participants();
       EXPECT_EQ(par_ids, serial_ids) << "trial " << trial << " parallelism " << parallelism;
       EXPECT_EQ(InvariantStats(par_stats), InvariantStats(serial_stats))
           << "trial " << trial << " parallelism " << parallelism;
-      // Every scanned partition contributes at least one work-queue entry;
-      // large ones may split into several row-range morsels.
+      // A surviving partition is the one unit of work: a pooled scan of two
+      // or more queues exactly one entry per partition; a single survivor
+      // (or no pool) scans inline and queues nothing.
       if (pool != nullptr && par_stats.partitions_scanned >= 2) {
-        EXPECT_GE(par_stats.parallel_morsels, par_stats.partitions_scanned) << "trial " << trial;
+        EXPECT_EQ(par_stats.parallel_morsels, par_stats.partitions_scanned)
+            << "trial " << trial << " parallelism " << parallelism;
+      } else {
+        EXPECT_EQ(par_stats.parallel_morsels, 0u)
+            << "trial " << trial << " parallelism " << parallelism;
       }
     }
   }
 }
 
 TEST(MppParallelScanTest, EveryEntryPointMatchesReference) {
-  // ExecuteQuery (the cluster's own pool) and ExecuteQueryParallel (the
-  // calling thread alone, 2 and 8 participants) must return the reference
-  // scan's rows with the same strategy-invariant stats — for both
-  // distribution policies, over hot segments split into row morsels and over
-  // archived segments whose one-partition decode cache evicts mid-scan.
+  // ExecuteQuery and ExecuteQueryCached (a null pool — the cluster's own —
+  // and 2 and 8 participants) must return the reference scan's rows with the
+  // same strategy-invariant stats — for both distribution policies, over hot
+  // segments and over archived segments whose one-partition decode cache
+  // evicts mid-scan.
   Database source;
   FillDatabase(&source);
   struct Storage {
@@ -181,7 +187,7 @@ TEST(MppParallelScanTest, EveryEntryPointMatchesReference) {
     DatabaseOptions options;
   };
   const Storage storages[] = {
-      {"hot", DatabaseOptions{.agent_group_size = 2, .morsel_rows = 64}},
+      {"hot", DatabaseOptions{.agent_group_size = 2}},
       {"archived", DatabaseOptions{.agent_group_size = 2, .archive_after_days = 0,
                                    .decode_cache_partitions = 1}},
   };
@@ -212,7 +218,8 @@ TEST(MppParallelScanTest, EveryEntryPointMatchesReference) {
           ScanContext ctx;
           ctx.pins = &pins;
           ScanStats stats;
-          EXPECT_EQ(RowsOf(cluster.ExecuteQueryParallel(q, &stats, pool, &ctx)), expected)
+          EXPECT_EQ(RowsOf(cluster.ExecuteQueryCached(q, &stats, pool, nullptr, nullptr, &ctx)),
+                    expected)
               << where << " participants " << participants;
           EXPECT_EQ(InvariantStats(stats), InvariantStats(private_stats))
               << where << " participants " << participants;
@@ -258,11 +265,11 @@ return distinct p1, f2)";
   const ExecStats& serial_stats = rs.value().exec_stats();
   const ExecStats& morsel_stats = rm.value().exec_stats();
   const ExecStats& day_split_stats = rd.value().exec_stats();
-  // The morsel engine went through the storage fan-out; day-split did not.
+  // The pooled engine went through the storage fan-out; day-split did not.
   EXPECT_GT(morsel_stats.scan.parallel_morsels, 0u);
   EXPECT_EQ(day_split_stats.scan.parallel_morsels, 0u);
   EXPECT_GT(day_split_stats.parallel_slices, 0u);
-  // The morsel scan aggregates the exact serial stats. Day-split re-plans
+  // The pooled scan aggregates the exact serial stats. Day-split re-plans
   // per day (pruning the other days' partitions in every sub-query, re-
   // resolving entities), so only the touched/matched totals are invariant.
   EXPECT_EQ(InvariantStats(morsel_stats.scan), InvariantStats(serial_stats.scan));
@@ -270,17 +277,17 @@ return distinct p1, f2)";
   EXPECT_EQ(day_split_stats.scan.events_matched, serial_stats.scan.events_matched);
 }
 
-// --- cooperative cancellation in the storage morsel loop ---------------------
+// --- cooperative cancellation in the storage scan loop -----------------------
 
 TEST(ScanCancellationTest, CancelledContextStopsTheMorselLoop) {
-  // The PR-5 bugfix: before it, a cancelled session still finished every
-  // planned morsel. The flag is checked between morsels, so a scan entered
+  // Before the stop check existed, a cancelled session still finished every
+  // planned partition. The flag is checked between partitions, so a scan entered
   // with the flag already set must touch no partition at all — the prompt-
   // return guarantee, independent of scan size.
-  Database db{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 64}};
+  Database db{DatabaseOptions{.agent_group_size = 2}};
   FillDatabase(&db);
   DataQuery q;
-  q.object_type = EntityType::kFile;  // full unfiltered scan: many morsels
+  q.object_type = EntityType::kFile;  // full unfiltered scan: many partitions
 
   ScanStats full_stats;
   size_t full = db.ExecuteQuery(q, &full_stats).size();
@@ -292,7 +299,7 @@ TEST(ScanCancellationTest, CancelledContextStopsTheMorselLoop) {
   ThreadPool pool(3);
   for (bool parallel : {false, true}) {
     ScanStats stats;
-    auto events = parallel ? db.ExecuteQueryParallel(q, &stats, &pool, &ctx)
+    auto events = parallel ? db.ExecuteQueryCached(q, &stats, &pool, nullptr, nullptr, &ctx)
                            : db.ExecuteQuery(q, &stats, &ctx);
     EXPECT_TRUE(events.empty()) << (parallel ? "parallel" : "serial");
     EXPECT_EQ(stats.partitions_scanned, 0u) << (parallel ? "parallel" : "serial");
@@ -302,11 +309,11 @@ TEST(ScanCancellationTest, CancelledContextStopsTheMorselLoop) {
   // Un-cancelled, the same context scans everything.
   cancelled.store(false);
   ScanStats ok_stats;
-  EXPECT_EQ(db.ExecuteQueryParallel(q, &ok_stats, &pool, &ctx).size(), full);
+  EXPECT_EQ(db.ExecuteQueryCached(q, &ok_stats, &pool, nullptr, nullptr, &ctx).size(), full);
 }
 
 TEST(ScanCancellationTest, ExpiredDeadlineStopsTheMorselLoop) {
-  Database db{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 64}};
+  Database db{DatabaseOptions{.agent_group_size = 2}};
   FillDatabase(&db);
   DataQuery q;
   q.object_type = EntityType::kFile;
@@ -317,7 +324,7 @@ TEST(ScanCancellationTest, ExpiredDeadlineStopsTheMorselLoop) {
   ASSERT_TRUE(ctx.DeadlineExpired());
   ThreadPool pool(3);
   ScanStats stats;
-  EXPECT_TRUE(db.ExecuteQueryParallel(q, &stats, &pool, &ctx).empty());
+  EXPECT_TRUE(db.ExecuteQueryCached(q, &stats, &pool, nullptr, nullptr, &ctx).empty());
   EXPECT_EQ(stats.partitions_scanned, 0u);
 }
 
@@ -333,7 +340,7 @@ TEST(ScanCancellationTest, MppMorselLoopHonorsCancellation) {
   ctx.cancel = &cancelled;
   ThreadPool pool(3);
   ScanStats stats;
-  EXPECT_TRUE(cluster.ExecuteQueryParallel(q, &stats, &pool, &ctx).empty());
+  EXPECT_TRUE(cluster.ExecuteQueryCached(q, &stats, &pool, nullptr, nullptr, &ctx).empty());
   EXPECT_EQ(stats.partitions_scanned, 0u);
 }
 
@@ -342,7 +349,7 @@ TEST(ScanCancellationTest, MidRunCancelSurfacesAsSessionError) {
   // with the cancellation diagnostic and a partial-result-free error; a
   // session cancelled from another thread mid-run either finishes or aborts
   // with the same diagnostic — never anything else.
-  Database db{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 64}};
+  Database db{DatabaseOptions{.agent_group_size = 2}};
   FillDatabase(&db);
   const AiqlEngine engine(&db, EngineOptions{.parallelism = 4});
   const std::string query = R"((from "2017-01-01 00:00" to "2017-01-04 00:00")

@@ -352,6 +352,49 @@ TEST_F(PreparedQueryTest, PlanCacheStaysBoundedUnderDistinctWindowRebinds) {
 
 // --- randomized property: Prepare-once/Bind-many == fresh Execute ----------
 
+// String parameters may contain the plan-cache key's own separator bytes.
+// The two bindings below differ, but serialized alike while string values
+// carried no length; the second run must get its own plan and return what a
+// fresh Prepare + Bind returns (C), not the first binding's cached answer (A).
+TEST(PreparedPlanCacheKeyTest, SeparatorBytesInStringsDoNotShareAPlan) {
+  Database db;
+  uint32_t reader = db.catalog().InternProcess(1, 10, "/bin/reader");
+  uint32_t a = db.catalog().InternFile(1, "A");
+  uint32_t c = db.catalog().InternFile(1, "C");
+  TimestampMs t0 = MakeTimestamp(2017, 1, 1, 12, 0, 0);
+  db.RecordEvent(1, reader, Operation::kRead, EntityType::kFile, a, t0);
+  db.RecordEvent(1, reader, Operation::kRead, EntityType::kFile, c, t0 + kMinuteMs);
+  db.Finalize();
+
+  constexpr const char* kQuery = "proc p read file f[name = $a || name = $b] return f";
+  // A value separator, then the next leaf's header: `;Lname<RS>0<RS>s:`.
+  const std::string forged = std::string("\x1f;Lname\x1e") + "0\x1es:";
+  const ParamSet first = ParamSet().Set("a", "A").Set("b", "B" + forged + "C");
+  const ParamSet second = ParamSet().Set("a", "A" + forged + "B").Set("b", "C");
+
+  const AiqlEngine engine(&db, EngineOptions{.parallelism = 1});
+  auto prepared = engine.Prepare(kQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.error();
+  auto bound_first = prepared.value().Bind(first);
+  ASSERT_TRUE(bound_first.ok()) << bound_first.error();
+  ASSERT_TRUE(bound_first.value().Run().ok());
+  auto bound_second = prepared.value().Bind(second);
+  ASSERT_TRUE(bound_second.ok()) << bound_second.error();
+  auto got = bound_second.value().Run();
+  ASSERT_TRUE(got.ok()) << got.error();
+
+  auto fresh = engine.Prepare(kQuery);
+  ASSERT_TRUE(fresh.ok()) << fresh.error();
+  auto fresh_bound = fresh.value().Bind(second);
+  ASSERT_TRUE(fresh_bound.ok()) << fresh_bound.error();
+  auto want = fresh_bound.value().Run();
+  ASSERT_TRUE(want.ok()) << want.error();
+  ASSERT_EQ(want.value().num_rows(), 1u);
+  EXPECT_NE(want.value().ToString().find('C'), std::string::npos);
+  EXPECT_TRUE(got.value().SameRowsAs(want.value()));
+  EXPECT_EQ(got.value().ToString(), want.value().ToString());
+}
+
 class PreparedPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PreparedPropertyTest, BindManyMatchesLiteralExecute) {

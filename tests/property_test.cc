@@ -416,11 +416,17 @@ TEST(ReferenceScanPropertyTest, RandomQueriesMatchReference) {
       q.object_pred = leaf(DefaultAttr(q.object_type).name.data(), CmpOp::kLike,
                            Value(rng.Chance(0.5) ? "%1%" : "%8%"));
     }
+    // Pushed-down candidate sets, conjoined as pushdown does.
     if (rng.Chance(0.3)) {
-      q.subject_candidates = candidates(&rng, catalog.CountOf(EntityType::kProcess));
+      q.subject_pred =
+          PredExpr::And(std::move(q.subject_pred),
+                        IdIn(catalog, EntityType::kProcess,
+                             candidates(&rng, catalog.CountOf(EntityType::kProcess))));
     }
     if (rng.Chance(0.3)) {
-      q.object_candidates = candidates(&rng, catalog.CountOf(q.object_type));
+      q.object_pred = PredExpr::And(
+          std::move(q.object_pred),
+          IdIn(catalog, q.object_type, candidates(&rng, catalog.CountOf(q.object_type))));
     }
     PredExpr pred;
     switch (rng.Below(6)) {

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <optional>
 #include <tuple>
-#include <unordered_set>
 #include <vector>
 
 #include "src/storage/database.h"
@@ -44,17 +43,23 @@ inline bool ReferenceEntityMatches(const EntityCatalog& catalog, EntityType t, u
           }));
 }
 
+// `id IN (...)` over the catalog ids of the type-`t` entities `idxs`: the
+// predicate pushdown conjoins onto a pattern's subject or object to narrow
+// it to candidate entities. Queries under test build candidate sets with it.
+inline PredExpr IdIn(const EntityCatalog& catalog, EntityType t,
+                     const std::vector<uint32_t>& idxs) {
+  std::vector<Value> ids;
+  ids.reserve(idxs.size());
+  for (uint32_t idx : idxs) {
+    ids.push_back(Value(catalog.IdOf(t, idx)));
+  }
+  return PredExpr::Leaf(AttrPredicate::In("id", std::move(ids)));
+}
+
 // Every event of `db` satisfying `q`, sorted by (start_time, id).
 inline std::vector<Event> ReferenceScan(const Database& db, const DataQuery& q) {
   const EntityCatalog& catalog = db.catalog();
   const TimeRange range = q.EffectiveTime();
-  std::optional<std::unordered_set<uint32_t>> subjects, objects;
-  if (q.subject_candidates.has_value()) {
-    subjects.emplace(q.subject_candidates->begin(), q.subject_candidates->end());
-  }
-  if (q.object_candidates.has_value()) {
-    objects.emplace(q.object_candidates->begin(), q.object_candidates->end());
-  }
   std::vector<Event> all;
   db.ForEachEvent([&](const Event& e) { all.push_back(e); });
   const EventColumns table = EventTable(all);
@@ -63,8 +68,6 @@ inline std::vector<Event> ReferenceScan(const Database& db, const DataQuery& q) 
     const Event& e = all[row];
     if ((OpBit(e.op) & q.op_mask) == 0 || e.object_type != q.object_type ||
         !range.Contains(e.start_time) || !ReferenceAdmits(q.agent_ids, e.agent_id) ||
-        (subjects.has_value() && subjects->count(e.subject_idx) == 0) ||
-        (objects.has_value() && objects->count(e.object_idx) == 0) ||
         !ReferenceEntityMatches(catalog, EntityType::kProcess, e.subject_idx, q.subject_pred,
                                 true, q.agent_ids) ||
         !ReferenceEntityMatches(catalog, e.object_type, e.object_idx, q.object_pred,

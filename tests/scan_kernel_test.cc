@@ -1,13 +1,11 @@
 // The entity-aware scan path must be invisible in results: dense-bitmap
-// membership kernels, zone-map entity (range + bloom) partition pruning, and
-// sub-partition row morsels are pure performance features. These tests prove
-//   - bitmap-probe, hash-set and posting-list scans with bloom/range pruning
-//     ≡ the brute-force reference scan (pruning observable via
-//     partitions_pruned_entity, bitmaps via bitmap_probes),
-//   - morsel-split parallel scans ≡ whole-partition and serial scans,
-// at parallelism 1/8, plus unit coverage for the blocked bloom
-// (false-positive-only), the dense bitmap translation, and the sorted-run
-// merge.
+// membership kernels and zone-map entity (range + bloom) partition pruning
+// are pure performance features. These tests prove that bitmap-probe,
+// hash-set and posting-list scans with bloom/range pruning ≡ the brute-force
+// reference scan (pruning observable via partitions_pruned_entity, bitmaps
+// via bitmap_probes) at parallelism 1/8, plus unit coverage for the blocked
+// bloom (false-positive-only), the dense bitmap translation, and the
+// sorted-run merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,10 +51,11 @@ void FillDatabase(Database* db, int events = 6000) {
   db->Finalize();
 }
 
-// Random data query exercising the membership paths: pushed-down candidate
-// sets of varying sizes (flat small-set probe, bitmap, hash fallback), agent
-// sets, op masks, time ranges, and vectorizable event predicates.
-DataQuery RandomQuery(Rng* rng) {
+// Random data query exercising the membership paths: candidate sets of
+// varying sizes, pushed down as `id IN` predicates (flat small-set probe,
+// bitmap, hash fallback), agent sets, op masks, time ranges, and vectorizable
+// event predicates.
+DataQuery RandomQuery(Rng* rng, const EntityCatalog& catalog) {
   TimestampMs base = MakeTimestamp(2017, 1, 1);
   DataQuery q;
   q.object_type = EntityType::kFile;
@@ -84,7 +83,7 @@ DataQuery RandomQuery(Rng* rng) {
     for (size_t i = 0; i < n; ++i) {
       cand.push_back(static_cast<uint32_t>(rng->Below(12)));
     }
-    q.subject_candidates = cand;
+    q.subject_pred = IdIn(catalog, EntityType::kProcess, cand);
   }
   if (rng->Chance(0.7)) {
     size_t n = rng->Chance(0.5) ? 1 + rng->Below(6) : 10 + rng->Below(40);
@@ -92,7 +91,7 @@ DataQuery RandomQuery(Rng* rng) {
     for (size_t i = 0; i < n; ++i) {
       cand.push_back(static_cast<uint32_t>(rng->Below(120)));
     }
-    q.object_candidates = cand;
+    q.object_pred = IdIn(catalog, EntityType::kFile, cand);
   }
   if (rng->Chance(0.4)) {
     AttrPredicate pred;
@@ -339,14 +338,15 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchReference) {
   Rng rng(404);
   uint64_t bitmap_probes = 0, pruned_entity = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    DataQuery q = RandomQuery(&rng);
+    DataQuery q = RandomQuery(&rng, variants[0].db.catalog());
     std::vector<ReferenceRow> expected = RowsOf(ReferenceScan(variants[0].db, q));
     for (NamedDb& v : variants) {
       ScanStats serial_stats;
       EXPECT_EQ(RowsOf(v.db.ExecuteQuery(q, &serial_stats)), expected)
           << v.name << " trial " << trial;
       ScanStats par_stats;
-      EXPECT_EQ(RowsOf(v.db.ExecuteQueryParallel(q, &par_stats, &pool8)), expected)
+      EXPECT_EQ(RowsOf(v.db.ExecuteQueryCached(q, &par_stats, &pool8, nullptr, nullptr)),
+                expected)
           << v.name << " trial " << trial;
       EXPECT_EQ(par_stats.events_scanned, serial_stats.events_scanned)
           << v.name << " trial " << trial;
@@ -376,57 +376,26 @@ TEST(ScanEquivalenceTest, HashSetFallbackMatchesReference) {
   Rng rng(707);
   int hash_probed = 0;
   for (int trial = 0; trial < 200; ++trial) {
-    DataQuery q = RandomQuery(&rng);
+    DataQuery q = RandomQuery(&rng, db.catalog());
     std::vector<ReferenceRow> expected = RowsOf(ReferenceScan(db, q));
     ScanStats serial_stats, par_stats;
     EXPECT_EQ(RowsOf(db.ExecuteQuery(q, &serial_stats)), expected) << "trial " << trial;
-    EXPECT_EQ(RowsOf(db.ExecuteQueryParallel(q, &par_stats, &pool8)), expected)
+    EXPECT_EQ(RowsOf(db.ExecuteQueryCached(q, &par_stats, &pool8, nullptr, nullptr)), expected)
         << "trial " << trial;
-    std::unordered_set<uint32_t> objects;
-    if (q.object_candidates.has_value()) {
-      objects.insert(q.object_candidates->begin(), q.object_candidates->end());
-    }
+    // The object candidate set the plan resolves (the file objects are host-
+    // local, so the agent constraint narrows it).
+    const size_t objects =
+        q.object_pred.is_true()
+            ? 0
+            : db.FindEntities(EntityType::kFile, q.object_pred, q.agent_ids).size();
     // Rows passed a large object set with no bitmap probe: the hash kernel
     // decided them.
-    if (objects.size() > kSmallSetProbe && serial_stats.bitmap_probes == 0 &&
+    if (objects > kSmallSetProbe && serial_stats.bitmap_probes == 0 &&
         serial_stats.events_matched > 0) {
       ++hash_probed;
     }
   }
   EXPECT_GT(hash_probed, 0);
-}
-
-TEST(MorselEquivalenceTest, TinyMorselsMatchWholePartitions) {
-  // morsel_rows = 7 splits every partition into dozens of chunks, so matches
-  // straddle morsel edges constantly; results and strategy-invariant stats
-  // must equal the whole-partition (morsel_rows = 0) and serial scans.
-  Database split{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 7}};
-  Database whole{DatabaseOptions{.agent_group_size = 2, .morsel_rows = 0}};
-  FillDatabase(&split);
-  FillDatabase(&whole);
-  ThreadPool pool8(7);
-  Rng rng(505);
-  uint64_t split_morsels = 0, whole_morsels = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    DataQuery q = RandomQuery(&rng);
-    ScanStats serial_stats, split_stats, whole_stats;
-    std::vector<int64_t> serial_ids = IdsOf(split.ExecuteQuery(q, &serial_stats));
-    EXPECT_EQ(IdsOf(split.ExecuteQueryParallel(q, &split_stats, &pool8)), serial_ids)
-        << "trial " << trial;
-    EXPECT_EQ(IdsOf(whole.ExecuteQueryParallel(q, &whole_stats, &pool8)), serial_ids)
-        << "trial " << trial;
-    for (const ScanStats* s : {&split_stats, &whole_stats}) {
-      EXPECT_EQ(s->events_scanned, serial_stats.events_scanned) << "trial " << trial;
-      EXPECT_EQ(s->events_matched, serial_stats.events_matched) << "trial " << trial;
-      EXPECT_EQ(s->partitions_scanned, serial_stats.partitions_scanned) << "trial " << trial;
-      EXPECT_EQ(s->partitions_pruned, serial_stats.partitions_pruned) << "trial " << trial;
-      EXPECT_EQ(s->index_lookups, serial_stats.index_lookups) << "trial " << trial;
-    }
-    split_morsels += split_stats.parallel_morsels;
-    whole_morsels += whole_stats.parallel_morsels;
-  }
-  // Splitting produced strictly more work-queue entries over the sweep.
-  EXPECT_GT(split_morsels, whole_morsels);
 }
 
 // --- archive tier ------------------------------------------------------------
@@ -464,7 +433,7 @@ TEST(ArchiveEquivalenceTest, ArchivedPartitionsMatchHotAcrossParallelism) {
   Rng rng(606);
   uint64_t decoded = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    DataQuery q = RandomQuery(&rng);
+    DataQuery q = RandomQuery(&rng, reference.db.catalog());
     ScanStats ref_stats;
     std::vector<int64_t> ref_ids = IdsOf(reference.db.ExecuteQuery(q, &ref_stats));
     for (NamedDb& v : variants) {
@@ -477,7 +446,8 @@ TEST(ArchiveEquivalenceTest, ArchivedPartitionsMatchHotAcrossParallelism) {
       EXPECT_EQ(IdsOf(v.db.ExecuteQuery(q, &serial_stats, &ctx)), ref_ids)
           << v.name << " trial " << trial;
       ScanStats par_stats;
-      EXPECT_EQ(IdsOf(v.db.ExecuteQueryParallel(q, &par_stats, &pool8, &ctx)), ref_ids)
+      EXPECT_EQ(IdsOf(v.db.ExecuteQueryCached(q, &par_stats, &pool8, nullptr, nullptr, &ctx)),
+                ref_ids)
           << v.name << " trial " << trial;
       // The scan work over decoded columns is identical to the hot scan.
       EXPECT_EQ(serial_stats.events_matched, ref_stats.events_matched)
@@ -497,6 +467,12 @@ TEST(ArchiveEquivalenceTest, ArchivedPartitionsMatchHotAcrossParallelism) {
 
 TEST(ArchiveEquivalenceTest, PrunedArchivedPartitionsAreNeverDecoded) {
   Database db{DatabaseOptions{.agent_group_size = 2, .archive_after_days = 0}};
+  // Processes of a host that records no event: real entities whose catalog
+  // indices lie below every partition's subject zone range.
+  std::vector<uint32_t> idle;
+  for (int i = 0; i < 10; ++i) {
+    idle.push_back(db.catalog().InternProcess(9, 900 + i, "/bin/idle" + std::to_string(i)));
+  }
   FillDatabase(&db);
   ASSERT_GT(db.num_archived_partitions(), 0u);
   db.decode_cache().Clear();
@@ -517,10 +493,10 @@ TEST(ArchiveEquivalenceTest, PrunedArchivedPartitionsAreNeverDecoded) {
   // foreign host range prunes via the zone summaries.
   DataQuery q2;
   q2.object_type = EntityType::kFile;
-  q2.subject_candidates = std::vector<uint32_t>{4000, 4001, 4002, 4003, 4004,
-                                                4005, 4006, 4007, 4008, 4009};
+  q2.subject_pred = IdIn(db.catalog(), EntityType::kProcess, idle);
   ScanStats stats2;
   EXPECT_TRUE(db.ExecuteQuery(q2, &stats2).empty());
+  EXPECT_GT(stats2.partitions_pruned_entity, 0u);
   EXPECT_EQ(stats2.partitions_decoded, 0u);
   EXPECT_EQ(db.decode_cache().size(), 0u);
 }
@@ -544,38 +520,6 @@ TEST(ArchiveEquivalenceTest, ReFinalizeAfterIngestRearchives) {
   q.object_type = EntityType::kFile;
   ScanStats stats;
   EXPECT_EQ(db.ExecuteQuery(q, &stats).size(), 101u);
-}
-
-TEST(MorselEquivalenceTest, MatchStraddlingMorselEdgeDeterministic) {
-  // One monolithic partition, morsel_rows = 8: every 8th row starts a new
-  // morsel, and the matching band [20, 44) straddles three edges. The
-  // parallel result must be the serial result, byte for byte.
-  Database db{DatabaseOptions{.scheme = PartitionScheme::kNone, .morsel_rows = 8}};
-  uint32_t p = db.catalog().InternProcess(1, 1, "/bin/edge");
-  uint32_t f = db.catalog().InternFile(1, "/edge/file");
-  for (int i = 0; i < 100; ++i) {
-    db.RecordEvent(1, p, Operation::kRead, EntityType::kFile, f, 1000 + i,
-                   /*amount=*/(i >= 20 && i < 44) ? 9000 : 10);
-  }
-  db.Finalize();
-  DataQuery q;
-  q.object_type = EntityType::kFile;
-  AttrPredicate pred;
-  pred.attr = "amount";
-  pred.op = CmpOp::kGt;
-  pred.values = {Value(int64_t{1000})};
-  q.event_pred = PredExpr::Leaf(pred);
-  ThreadPool pool(3);
-  ScanStats serial_stats, par_stats;
-  std::vector<int64_t> serial_ids = IdsOf(db.ExecuteQuery(q, &serial_stats));
-  std::vector<int64_t> par_ids = IdsOf(db.ExecuteQueryParallel(q, &par_stats, &pool));
-  EXPECT_EQ(serial_ids.size(), 24u);
-  EXPECT_EQ(par_ids, serial_ids);
-  EXPECT_EQ(par_stats.events_scanned, serial_stats.events_scanned);
-  EXPECT_EQ(par_stats.events_matched, serial_stats.events_matched);
-  EXPECT_EQ(par_stats.partitions_scanned, serial_stats.partitions_scanned);
-  // 100 rows / 8-row morsels = 13 work-queue entries for one partition.
-  EXPECT_EQ(par_stats.parallel_morsels, 13u);
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ TEST_F(StorageTest, LikePredicateFallsBackToScan) {
 TEST_F(StorageTest, PushdownCandidatesNarrow) {
   DataQuery q;
   q.object_type = EntityType::kFile;
-  q.subject_candidates = std::vector<uint32_t>{vim_};
+  q.subject_pred = IdIn(db_.catalog(), EntityType::kProcess, {vim_});
   auto events = db_.ExecuteQuery(q);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].subject_idx(), vim_);
@@ -153,7 +153,7 @@ TEST_F(StorageTest, PushdownCandidatesNarrow) {
   pred.attr = "exe_name";
   pred.op = CmpOp::kEq;
   pred.values = {Value("/usr/bin/bash")};
-  q.subject_pred = PredExpr::Leaf(pred);
+  q.subject_pred = PredExpr::And(std::move(q.subject_pred), PredExpr::Leaf(pred));
   EXPECT_TRUE(db_.ExecuteQuery(q).empty());
 }
 
