@@ -189,8 +189,10 @@ int main() {
   std::printf("full scan (best of 5): hot %.1f ms  archived-cold %.1f ms (%.2fx)  "
               "archived-warm %.1f ms\n",
               hot_ms, cold_ms, cold_ms / std::max(hot_ms, 0.01), warm_ms);
-  std::printf("resident column bytes: hot %zu  archived %zu  (%.1fx smaller)\n",
-              hot_fp.hot_column_bytes, arc_fp.archived_bytes, ratio);
+  std::printf("resident column bytes: hot %zu  archived %zu  (%.1fx smaller); "
+              "posting-list bytes beside them: hot %zu  archived %zu\n",
+              hot_fp.hot_column_bytes, arc_fp.archived_bytes, ratio, hot_fp.posting_bytes,
+              arc_fp.posting_bytes);
   std::printf("(targets: archived-cold within 2x of hot, reported only; >= 3x smaller resident "
               "bytes, enforced)\n");
 
@@ -208,11 +210,12 @@ int main() {
                    "  \"cold_vs_hot\": %.3f,\n"
                    "  \"hot_column_bytes\": %zu,\n"
                    "  \"archived_bytes\": %zu,\n"
-                   "  \"resident_ratio\": %.3f\n"
+                   "  \"resident_ratio\": %.3f,\n"
+                   "  \"posting_bytes\": %zu\n"
                    "}\n",
                    all_archived.num_events(), all_archived.num_archived_partitions(), cold_rows,
                    hot_ms, cold_ms, warm_ms, cold_ms / std::max(hot_ms, 0.01),
-                   hot_fp.hot_column_bytes, arc_fp.archived_bytes, ratio);
+                   hot_fp.hot_column_bytes, arc_fp.archived_bytes, ratio, arc_fp.posting_bytes);
       std::fclose(f);
       std::printf("wrote %s\n", json_path);
     }

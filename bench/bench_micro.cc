@@ -5,6 +5,7 @@
 // These quantify the primitive costs behind the macro benches.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <unordered_map>
 
 #include "src/core/anomaly.h"
@@ -66,6 +67,57 @@ void BM_IngestEventsUnordered(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_IngestEventsUnordered)->Arg(10000)->Arg(100000);
+
+// Database::Finalize alone over 21 days x 3 agent groups (63 partitions,
+// ingested in time order): arg 0 keeps every partition hot (all built on the
+// calling thread), arg 1 archives all but the newest day's three (those are
+// finalized and encoded on the transient pool). Wall time: the pool's
+// workers do most of the archiving run's work.
+void BM_FinalizeDatabase(benchmark::State& state) {
+  constexpr int64_t kDays = 21;
+  constexpr AgentId kAgents = 12;  // 3 groups of the default 4
+  constexpr int64_t kEvents = 126000;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  DatabaseOptions options;
+  options.archive_after_days = state.range(0) != 0 ? 1 : -1;
+  size_t archived = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto db = std::make_unique<Database>(options);
+    std::vector<uint32_t> procs, files;
+    for (AgentId a = 0; a < kAgents; ++a) {
+      for (int i = 0; i < 16; ++i) {
+        procs.push_back(db->catalog().InternProcess(a, 100 + i, "/bin/p" + std::to_string(i)));
+      }
+      for (int i = 0; i < 64; ++i) {
+        files.push_back(db->catalog().InternFile(a, "/data/f" + std::to_string(i)));
+      }
+    }
+    Rng rng(13);
+    for (int64_t i = 0; i < kEvents; ++i) {
+      const AgentId a = static_cast<AgentId>(rng.Below(kAgents));
+      db->RecordEvent(a, procs[a * 16 + rng.Below(16)],
+                      static_cast<Operation>(rng.Below(kNumOperations)), EntityType::kFile,
+                      files[a * 64 + rng.Below(64)], t0 + i * (kDays * kDayMs / kEvents),
+                      static_cast<int64_t>(rng.Below(1 << 16)));
+    }
+    state.ResumeTiming();
+    db->Finalize();
+    state.PauseTiming();
+    archived = db->num_archived_partitions();
+    benchmark::DoNotOptimize(archived);
+    db.reset();
+    state.ResumeTiming();
+  }
+  state.counters["archived_partitions"] = static_cast<double>(archived);
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_FinalizeDatabase)
+    ->ArgName("archive")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_LikeMatch(benchmark::State& state) {
   std::string text = "C:\\Program Files\\Common Files\\System\\wab32res.dll";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <thread>
 
 #include "src/storage/plan_cache.h"
 #include "src/util/string_utils.h"
@@ -69,20 +70,10 @@ void Database::Finalize() {
   if (finalized_) {
     return;
   }
+  // Fixed before any partition is built: the partitions archived below all
+  // carry this stamp, whatever order they finish in.
   static std::atomic<uint64_t> last_generation{0};
   generation_ = last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (auto& [key, p] : partitions_) {
-    p->Finalize(options_.build_indexes);
-  }
-  BuildEntityIndexes();
-  ApplyArchivePolicy();
-  finalized_ = true;
-}
-
-void Database::ApplyArchivePolicy() {
-  if (options_.archive_after_days < 0 || partitions_.empty()) {
-    return;
-  }
   // A decode-cache entry may be reused only for the same encoded bytes; its
   // key is (partition, archive generation). A partition this Finalize leaves
   // alone keeps its encoding and generation, so its entry would still be
@@ -91,12 +82,46 @@ void Database::ApplyArchivePolicy() {
   // finalization starts with a cold cache and unreachable entries do not
   // hold capacity until evicted.
   decode_cache_->Clear();
-  const int64_t newest_day = partitions_.rbegin()->first.first;
-  for (auto it = partitions_.rbegin(); it != partitions_.rend(); ++it) {
-    if (newest_day - it->first.first >= options_.archive_after_days) {
-      it->second->Archive(generation_);
+
+  // The partitions to build are those that received events since their
+  // last Finalize (Partition::Finalize leaves the others alone) and hot ones
+  // the archive policy now reaches (the newest day moved on). Partitions
+  // that stay hot are built right here on the calling thread: their gathered
+  // columns stay resident, and a pool worker would allocate them in its own
+  // malloc arena while the ingest buffers they replace are freed into the
+  // main arena, which then keeps that memory instead of reusing it
+  // (ARCHITECTURE.md, "Finalize").
+  std::vector<Partition*> archiving;
+  const int64_t newest_day = partitions_.empty() ? 0 : partitions_.rbegin()->first.first;
+  for (auto& [key, p] : partitions_) {
+    if (options_.archive_after_days >= 0 &&
+        newest_day - key.first >= options_.archive_after_days) {
+      if (!p->archived()) {
+        archiving.push_back(p.get());
+      }
+    } else {
+      p->Finalize(options_.build_indexes);
     }
   }
+  // Archiving partitions are independent work items (finalize, then encode
+  // and release the columns); a transient pool builds them, the calling
+  // thread included.
+  auto build = [&](size_t i) {
+    archiving[i]->Finalize(options_.build_indexes);
+    archiving[i]->Archive(generation_);
+  };
+  const size_t threads =
+      std::min<size_t>(std::max(1u, std::thread::hardware_concurrency()), archiving.size());
+  if (threads > 1) {
+    ThreadPool pool(threads - 1);
+    pool.ParallelFor(archiving.size(), build);
+  } else {
+    for (size_t i = 0; i < archiving.size(); ++i) {
+      build(i);
+    }
+  }
+  BuildEntityIndexes();
+  finalized_ = true;
 }
 
 size_t Database::num_archived_partitions() const {
@@ -107,6 +132,15 @@ size_t Database::num_archived_partitions() const {
   return n;
 }
 
+std::vector<const Partition*> Database::partitions() const {
+  std::vector<const Partition*> out;
+  out.reserve(partitions_.size());
+  for (const auto& [key, p] : partitions_) {
+    out.push_back(p.get());
+  }
+  return out;
+}
+
 StorageFootprint Database::Footprint() const {
   StorageFootprint f;
   f.partitions = partitions_.size();
@@ -114,6 +148,7 @@ StorageFootprint Database::Footprint() const {
     f.archived_partitions += p->archived() ? 1 : 0;
     f.hot_column_bytes += p->ColumnBytes();
     f.archived_bytes += p->ArchivedBytes();
+    f.posting_bytes += p->PostingBytes();
   }
   return f;
 }

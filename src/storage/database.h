@@ -137,6 +137,7 @@ struct StorageFootprint {
   size_t archived_partitions = 0;
   size_t hot_column_bytes = 0;  // decoded column bytes resident
   size_t archived_bytes = 0;    // encoded bytes held by archived partitions
+  size_t posting_bytes = 0;     // posting-index arrays, hot and archived partitions
 };
 
 class Database : public EventStore {
@@ -163,8 +164,15 @@ class Database : public EventStore {
 
   // Sorts partitions, builds all indexes, and applies the archive policy
   // (archive_after_days). Idempotent. A re-finalize after more ingest
-  // rebuilds only the partitions that received events; the others keep
-  // their order, indexes and (if archived) their encoding.
+  // rebuilds only the partitions that received events (and archives hot
+  // ones the policy now reaches); the others keep their order, indexes and
+  // (if archived) their encoding. Partitions that will be archived are
+  // independent work items — Partition::Finalize, then Archive — run on a
+  // transient pool of min(hardware_concurrency(), their count) threads, the
+  // calling thread included; partitions that stay hot are built on the
+  // calling thread, so their resident columns come from its malloc arena.
+  // The generation is fixed and the decode cache cleared before any
+  // partition is built, so the result does not depend on scheduling.
   void Finalize();
   bool finalized() const { return finalized_; }
   // Stamp of the last Finalize that changed the database, unique across the
@@ -176,6 +184,8 @@ class Database : public EventStore {
   size_t num_events() const { return num_events_; }
   size_t num_partitions() const { return partitions_.size(); }
   size_t num_archived_partitions() const;
+  // The partitions, in (day, agent-group) order.
+  std::vector<const Partition*> partitions() const;
   StorageFootprint Footprint() const;
 
   // The archived-partition decode cache (internally synchronized; Clear()
@@ -252,9 +262,6 @@ class Database : public EventStore {
 
   // Builds the per-(type, default-attribute) exact hash indexes.
   void BuildEntityIndexes();
-
-  // Applies archive_after_days after all partitions are finalized.
-  void ApplyArchivePolicy();
 
   DatabaseOptions options_;
   std::shared_ptr<EntityCatalog> catalog_;

@@ -213,15 +213,9 @@ void Partition::Finalize(bool build_indexes) {
     col = std::move(sorted);
   });
 
-  zone_ = ZoneMap(cols_);
-  subject_postings_.clear();
-  object_postings_.clear();
-  if (build_indexes) {
-    for (uint32_t i = 0; i < n; ++i) {
-      subject_postings_[cols_.subject_idx[i]].push_back(i);
-      object_postings_[PackObjectKey(cols_.object_type[i], cols_.object_idx[i])].push_back(i);
-    }
-  }
+  subject_postings_ = PostingIndex::Subjects(cols_, build_indexes);
+  object_postings_ = PostingIndex::Objects(cols_, build_indexes);
+  zone_ = ZoneMap(cols_, subject_postings_, object_postings_);
   has_indexes_ = build_indexes;
   finalized_ = true;
 }
@@ -356,18 +350,15 @@ bool Partition::PostingCandidates(const DataQuery& q,
   if (use_subject) {
     for (uint32_t idx : *subject_set) {
       ++stats->index_lookups;
-      auto it = subject_postings_.find(idx);
-      if (it != subject_postings_.end()) {
-        raw.insert(raw.end(), it->second.begin(), it->second.end());
-      }
+      const std::span<const uint32_t> rows = subject_postings_.Find(idx);
+      raw.insert(raw.end(), rows.begin(), rows.end());
     }
   } else {
     for (uint32_t idx : *object_set) {
       ++stats->index_lookups;
-      auto it = object_postings_.find(PackObjectKey(q.object_type, idx));
-      if (it != object_postings_.end()) {
-        raw.insert(raw.end(), it->second.begin(), it->second.end());
-      }
+      const std::span<const uint32_t> rows =
+          object_postings_.Find(PackObjectKey(q.object_type, idx));
+      raw.insert(raw.end(), rows.begin(), rows.end());
     }
   }
   std::sort(raw.begin(), raw.end());

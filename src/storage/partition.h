@@ -4,11 +4,12 @@
 // Events are appended straight into a structure-of-arrays layout
 // (EventColumns). Finalize() sorts a (start_time, id, row) key array, gathers
 // every column into that order (time-range scans are then binary searches),
-// and builds per-entity posting lists, the analogue of the paper's
-// per-attribute B-tree indexes, and a zone map (min/max per column, op mask,
-// agent set, entity blooms) from the columns, so Database::ExecuteQuery can
-// skip whole partitions before touching any column. Queries run a vectorized scan that evaluates one
-// column at a time over a shrinking selection vector and emits EventViews
+// and builds per-entity posting lists (CSR; see posting_index.h), the
+// analogue of the paper's per-attribute B-tree indexes, and a zone map
+// (min/max per column, op mask, agent set, entity blooms over the posting
+// keys) from the columns, so Database::ExecuteQuery can skip whole partitions
+// before touching any column. Queries run a vectorized scan that evaluates
+// one column at a time over a shrinking selection vector and emits EventViews
 // without materializing Event copies.
 #ifndef AIQL_SRC_STORAGE_PARTITION_H_
 #define AIQL_SRC_STORAGE_PARTITION_H_
@@ -26,6 +27,7 @@
 #include "src/storage/encoding.h"
 #include "src/storage/event.h"
 #include "src/storage/event_view.h"
+#include "src/storage/posting_index.h"
 #include "src/storage/scan_kernels.h"
 #include "src/storage/zone_map.h"
 #include "src/util/lru_cache.h"
@@ -197,7 +199,10 @@ class Partition {
   // Sorts the rows by (start_time, id) and builds the zone map and posting
   // lists from the columns. Must be called before Execute. A partition that
   // received no event since its last Finalize is left as it is (archived
-  // ones stay encoded).
+  // ones stay encoded). Without `build_indexes` the posting indexes keep
+  // their keys (for the blooms) but no rows. Finalize and Archive touch only
+  // this partition, so different partitions may run them concurrently
+  // (Database::Finalize does).
   void Finalize(bool build_indexes);
   bool finalized() const { return finalized_; }
 
@@ -218,6 +223,8 @@ class Partition {
   // bytes (zero when hot), for the storage footprint report.
   size_t ColumnBytes() const;
   size_t ArchivedBytes() const { return archived_ != nullptr ? archived_->EncodedBytes() : 0; }
+  // Resident bytes of both posting indexes (hot or archived alike).
+  size_t PostingBytes() const { return subject_postings_.Bytes() + object_postings_.Bytes(); }
 
   // Zone-map candidate check: could ANY event in this partition satisfy the
   // query? `range` is the query's effective time range, `pred` the compiled
@@ -255,6 +262,8 @@ class Partition {
   void ForEachEvent(const std::function<void(const Event&)>& fn) const;
 
   const ZoneMap& zone_map() const { return zone_; }
+  const PostingIndex& subject_postings() const { return subject_postings_; }
+  const PostingIndex& object_postings() const { return object_postings_; }
   TimestampMs min_time() const { return zone_.MinOf(EventColumnId::kStartTime); }
   TimestampMs max_time() const { return zone_.MaxOf(EventColumnId::kStartTime); }
 
@@ -316,10 +325,10 @@ class Partition {
   bool finalized_ = false;
   bool has_indexes_ = false;
 
-  // Posting lists: catalog index -> sorted event offsets.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> subject_postings_;
-  // Object postings keyed by (type, idx) packed into a u64.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> object_postings_;
+  // Posting lists (rows kept only with indexes): subject catalog index ->
+  // rows, and PackObjectKey(type, idx) -> rows.
+  PostingIndex subject_postings_;
+  PostingIndex object_postings_;
 };
 
 }  // namespace aiql

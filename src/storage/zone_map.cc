@@ -2,17 +2,9 @@
 
 namespace aiql {
 
-namespace {
-
-template <typename T>
-void SortDedupe(std::vector<T>* v) {
-  std::sort(v->begin(), v->end());
-  v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
-}  // namespace
-
-ZoneMap::ZoneMap(const EventColumns& cols) : ZoneMap() {
+ZoneMap::ZoneMap(const EventColumns& cols, const PostingIndex& subjects,
+                 const PostingIndex& objects)
+    : ZoneMap() {
   if (cols.empty()) {
     return;
   }
@@ -28,24 +20,29 @@ ZoneMap::ZoneMap(const EventColumns& cols) : ZoneMap() {
   for (EntityType t : cols.object_type) {
     object_type_mask |= static_cast<uint8_t>(1u << static_cast<int>(t));
   }
-  agents.assign(cols.agent_id.begin(), cols.agent_id.end());
-  SortDedupe(&agents);
+  // A linear dedupe, not a sort of the column: a partition holds one agent
+  // group, so a row costs a compare with the previous row's agent and, when
+  // the agent changes, a binary search of the few agents found so far.
+  AgentId last = cols.agent_id[0];
+  agents.push_back(last);
+  for (AgentId a : cols.agent_id) {
+    if (a == last) {
+      continue;
+    }
+    last = a;
+    const auto it = std::lower_bound(agents.begin(), agents.end(), a);
+    if (it == agents.end() || *it != a) {
+      agents.insert(it, a);
+    }
+  }
   agents.shrink_to_fit();
 
-  std::vector<uint32_t> subjects(cols.subject_idx.begin(), cols.subject_idx.end());
-  SortDedupe(&subjects);
-  subject_bloom.Build(subjects.size());
-  for (uint32_t idx : subjects) {
-    subject_bloom.Add(idx);
+  subject_bloom.Build(subjects.keys.size());
+  for (uint64_t key : subjects.keys) {
+    subject_bloom.Add(key);
   }
-
-  std::vector<uint64_t> objects(cols.size());
-  for (size_t i = 0; i < objects.size(); ++i) {
-    objects[i] = PackObjectKey(cols.object_type[i], cols.object_idx[i]);
-  }
-  SortDedupe(&objects);
-  object_bloom.Build(objects.size());
-  for (uint64_t key : objects) {
+  object_bloom.Build(objects.keys.size());
+  for (uint64_t key : objects.keys) {
     object_bloom.Add(key);
   }
 }

@@ -25,15 +25,10 @@
 
 #include "src/storage/bloom.h"
 #include "src/storage/event_view.h"
+#include "src/storage/posting_index.h"
 #include "src/storage/schema.h"
 
 namespace aiql {
-
-// Object entity references are type-scoped: postings, blooms, and probes key
-// on the (type, index) pair packed into one word.
-inline uint64_t PackObjectKey(EntityType t, uint32_t idx) {
-  return (static_cast<uint64_t>(t) << 32) | idx;
-}
 
 // Above this many candidates, probing a partition's entity bloom filter
 // candidate-by-candidate at plan time costs more than it can save.
@@ -74,7 +69,9 @@ struct ZoneMap {
     std::fill(std::begin(max), std::end(max), INT64_MIN);
   }
   // The zone map of every row of `cols`, built one column at a time.
-  explicit ZoneMap(const EventColumns& cols);
+  // `subjects` and `objects` are the posting indexes of the same rows: their
+  // distinct keys size and fill the entity blooms.
+  ZoneMap(const EventColumns& cols, const PostingIndex& subjects, const PostingIndex& objects);
 
   bool ContainsAgent(AgentId a) const {
     return std::binary_search(agents.begin(), agents.end(), a);

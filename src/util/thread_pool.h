@@ -1,6 +1,15 @@
 // Fixed-size worker pool used for parallel query execution: morsel-driven
 // partition scans in the storage layer (Database/MppCluster) and the
-// executor's day-split fallback (paper §5.2 "Time Window Partition").
+// executor's day-split fallback (paper §5.2 "Time Window Partition"). On the
+// build side, Database::Finalize runs a transient pool for the duration of
+// one call to finalize and archive partitions.
+//
+// glibc gives each allocating thread its own malloc arena. Work that
+// replaces large long-lived buffers (a hot partition's gather, which frees
+// the ingest columns and allocates their sorted copies) therefore stays on
+// the calling thread: on a worker the copies land in the worker's arena
+// while the freed memory idles in the main one, which raised resident
+// memory without making Finalize faster (ARCHITECTURE.md, "Finalize").
 #ifndef AIQL_SRC_UTIL_THREAD_POOL_H_
 #define AIQL_SRC_UTIL_THREAD_POOL_H_
 

@@ -235,13 +235,20 @@ TEST(MergeSortedRunsTest, MergesOverlappingRuns) {
   }
 }
 
+// The zone map Partition::Finalize builds over `cols`: its blooms take the
+// posting indexes' distinct keys.
+ZoneMap ZoneMapOf(const EventColumns& cols) {
+  return ZoneMap(cols, PostingIndex::Subjects(cols, /*with_rows=*/false),
+                 PostingIndex::Objects(cols, /*with_rows=*/false));
+}
+
 TEST(ZoneMapTest, ContainsAnyAgentBothDirections) {
   std::vector<Event> rows(4);
   rows[0].agent_id = 1000;
   rows[1].agent_id = 5;
   rows[2].agent_id = 9;
   rows[3].agent_id = 5;
-  const ZoneMap z(EventTable(rows));
+  const ZoneMap z = ZoneMapOf(EventTable(rows));
   EXPECT_EQ(z.agents, (std::vector<AgentId>{5, 9, 1000}));
   // Small candidate sets (binary-search direction).
   EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{1000}));
@@ -275,7 +282,7 @@ TEST(ZoneMapTest, ColumnBuildEqualsPerRowFold) {
       e.amount = rng.Range(-(int64_t{1} << 50), int64_t{1} << 50);
       e.failure_code = static_cast<int32_t>(rng.Range(-5, 5));
     }
-    const ZoneMap z(EventTable(rows));
+    const ZoneMap z = ZoneMapOf(EventTable(rows));
 
     // The per-row fold: every column widened to int64, as the scan compares.
     int64_t min[kNumEventColumns], max[kNumEventColumns];

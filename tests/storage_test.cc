@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <span>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -404,6 +409,299 @@ TEST(StorageOrderTest, RefinalizeLeavesUntouchedArchivedPartitionsAlone) {
     ColumnPins pins;
     const ScanContext ctx{.pins = &pins};
     EXPECT_EQ(RowsOf(db.ExecuteQuery(q, nullptr, &ctx)), RowsOf(want)) << "day " << day;
+  }
+}
+
+// --- finalize: the parallel build and the CSR posting lists ----------------
+
+// `count` events over `days` days and agents 0..5, each naming one of five
+// processes of its agent as subject and a file or a process of that agent as
+// object, ingested in random (not time) order.
+std::vector<Event> RandomEvents(EntityCatalog& catalog, int days, int count, uint64_t seed) {
+  constexpr int kPerAgent = 5;
+  std::vector<uint32_t> procs;
+  std::vector<uint32_t> files;
+  for (AgentId a = 0; a < 6; ++a) {
+    for (int i = 0; i < kPerAgent; ++i) {
+      procs.push_back(catalog.InternProcess(a, 100 + i, "/bin/p" + std::to_string(i)));
+      files.push_back(catalog.InternFile(a, "/data/f" + std::to_string(i)));
+    }
+  }
+  Rng rng(seed);
+  const TimestampMs t0 = MakeTimestamp(2017, 3, 1);
+  std::vector<Event> events(static_cast<size_t>(count));
+  int64_t id = 1;
+  for (Event& e : events) {
+    e.id = id++;
+    e.seq = e.id;
+    e.agent_id = static_cast<AgentId>(rng.Below(6));
+    e.op = static_cast<Operation>(rng.Below(kNumOperations));
+    e.subject_idx = procs[e.agent_id * kPerAgent + rng.Below(kPerAgent)];
+    e.object_type = rng.Below(3) == 0 ? EntityType::kProcess : EntityType::kFile;
+    e.object_idx = (e.object_type == EntityType::kProcess
+                        ? procs
+                        : files)[e.agent_id * kPerAgent + rng.Below(kPerAgent)];
+    e.start_time = t0 + static_cast<TimestampMs>(rng.Below(static_cast<uint64_t>(days))) * kDayMs +
+                   static_cast<TimestampMs>(rng.Below(kDayMs));
+    e.end_time = e.start_time + static_cast<TimestampMs>(rng.Below(1000));
+    e.amount = rng.Range(0, 1 << 20);
+  }
+  return events;
+}
+
+void ExpectSamePostings(const PostingIndex& got, const PostingIndex& want) {
+  EXPECT_EQ(got.keys, want.keys);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.rows, want.rows);
+}
+
+void ExpectSameZoneMap(const ZoneMap& got, const ZoneMap& want) {
+  for (int c = 0; c < kNumEventColumns; ++c) {
+    EXPECT_EQ(got.min[c], want.min[c]) << "column " << c;
+    EXPECT_EQ(got.max[c], want.max[c]) << "column " << c;
+  }
+  EXPECT_EQ(got.op_mask, want.op_mask);
+  EXPECT_EQ(got.object_type_mask, want.object_type_mask);
+  EXPECT_EQ(got.agents, want.agents);
+  EXPECT_EQ(got.subject_bloom.num_blocks(), want.subject_bloom.num_blocks());
+  EXPECT_EQ(got.object_bloom.num_blocks(), want.object_bloom.num_blocks());
+  for (uint32_t idx = 0; idx < 512; ++idx) {
+    EXPECT_EQ(got.subject_bloom.MayContain(idx), want.subject_bloom.MayContain(idx)) << idx;
+    for (EntityType t : {EntityType::kFile, EntityType::kProcess}) {
+      EXPECT_EQ(got.object_bloom.MayContain(PackObjectKey(t, idx)),
+                want.object_bloom.MayContain(PackObjectKey(t, idx)))
+          << idx;
+    }
+  }
+}
+
+void ExpectSameEncoding(const ArchivedColumns& got, const ArchivedColumns& want) {
+  ASSERT_EQ(got.count, want.count);
+  EXPECT_EQ(got.EncodedBytes(), want.EncodedBytes());
+  for (int c = 0; c < kNumEventColumns; ++c) {
+    const EncodedInts& g = got.cols[c];
+    const EncodedInts& w = want.cols[c];
+    EXPECT_EQ(g.codec, w.codec) << "column " << c;
+    EXPECT_EQ(g.words, w.words) << "column " << c;
+    ASSERT_EQ(g.blocks.size(), w.blocks.size()) << "column " << c;
+    for (size_t b = 0; b < g.blocks.size(); ++b) {
+      EXPECT_EQ(std::tie(g.blocks[b].base, g.blocks[b].first, g.blocks[b].word_offset,
+                         g.blocks[b].width),
+                std::tie(w.blocks[b].base, w.blocks[b].first, w.blocks[b].word_offset,
+                         w.blocks[b].width))
+          << "column " << c << " block " << b;
+    }
+  }
+}
+
+TEST(ParallelFinalizeTest, DatabaseFinalizeEqualsPartitionByPartitionBuild) {
+  // Six days x three agent groups, the five older days archived: the
+  // database builds its partitions on a pool, the reference builds the same
+  // events one partition at a time through Partition::Finalize + Archive.
+  constexpr int kDays = 6;
+  Database db{DatabaseOptions{.agent_group_size = 2, .archive_after_days = 1}};
+  const std::vector<Event> events = RandomEvents(db.catalog(), kDays, 12000, 8);
+  std::map<std::pair<int64_t, uint32_t>, std::unique_ptr<Partition>> solo;
+  for (const Event& e : events) {
+    db.AppendRaw(e);
+    const PartitionKey key{DayIndex(e.start_time), e.agent_id / 2};
+    std::unique_ptr<Partition>& p = solo[{key.day_index, key.agent_group}];
+    if (p == nullptr) {
+      p = std::make_unique<Partition>(key);
+    }
+    p->Append(e);
+  }
+  db.Finalize();
+  const int64_t newest_day = solo.rbegin()->first.first;
+  for (auto& [key, p] : solo) {
+    p->Finalize(/*build_indexes=*/true);
+    if (newest_day - key.first >= 1) {
+      p->Archive(db.generation());
+    }
+  }
+
+  const std::vector<const Partition*> built = db.partitions();
+  ASSERT_EQ(built.size(), solo.size());
+  ASSERT_EQ(built.size(), 3u * kDays);
+  EXPECT_EQ(db.num_archived_partitions(), 3u * (kDays - 1));
+  size_t i = 0;
+  for (const auto& [key, want] : solo) {
+    const Partition& got = *built[i++];
+    SCOPED_TRACE(testing::Message() << "day " << key.first << " group " << key.second);
+    EXPECT_EQ(got.key(), want->key());
+    ASSERT_EQ(got.archived(), want->archived());
+    EXPECT_EQ(got.archive_generation(), want->archive_generation());
+    ExpectSameZoneMap(got.zone_map(), want->zone_map());
+    ExpectSamePostings(got.subject_postings(), want->subject_postings());
+    ExpectSamePostings(got.object_postings(), want->object_postings());
+    if (got.archived()) {
+      ExpectSameEncoding(*got.archived_columns(), *want->archived_columns());
+    } else {
+      std::vector<Event> got_rows;
+      std::vector<Event> want_rows;
+      got.ForEachEvent([&](const Event& e) { got_rows.push_back(e); });
+      want->ForEachEvent([&](const Event& e) { want_rows.push_back(e); });
+      EXPECT_EQ(RowsOf(got_rows), RowsOf(want_rows));
+    }
+  }
+
+  // Scans through the posting lists (candidate sets of one to three
+  // entities), each day on its own (five archived, one hot) and all at once.
+  const EntityCatalog& catalog = db.catalog();
+  const TimestampMs t0 = MakeTimestamp(2017, 3, 1);
+  Rng rng(81);
+  uint64_t index_lookups = 0;
+  for (int day = 0; day <= kDays; ++day) {
+    for (int trial = 0; trial < 6; ++trial) {
+      DataQuery q;
+      q.object_type = trial % 2 == 0 ? EntityType::kFile : EntityType::kProcess;
+      if (day < kDays) {
+        q.time = TimeRange{t0 + day * kDayMs, t0 + (day + 1) * kDayMs};
+      }
+      std::vector<uint32_t> idxs;
+      for (size_t k = 0; k <= rng.Below(3); ++k) {
+        idxs.push_back(events[rng.Below(events.size())].subject_idx);
+      }
+      (trial % 3 == 0 ? q.object_pred : q.subject_pred) = IdIn(catalog, EntityType::kProcess, idxs);
+      ScanStats stats;
+      ColumnPins pins;
+      const ScanContext ctx{.pins = &pins};
+      EXPECT_EQ(RowsOf(db.ExecuteQuery(q, &stats, &ctx)), RowsOf(ReferenceScan(db, q)))
+          << "day " << day << " trial " << trial;
+      index_lookups += stats.index_lookups;
+    }
+  }
+  EXPECT_GT(index_lookups, 0u) << "no scan took the posting-list path";
+}
+
+TEST(PostingIndexTest, EachKeysRowsAreExactlyTheRowsHoldingIt) {
+  // Random tables with narrow, medium and full-width key ranges (one to
+  // three radix passes): the keys are the distinct keys ascending, each
+  // key's rows are exactly the rows holding it in ascending order, absent
+  // keys find nothing, and every key hits its bloom.
+  Rng rng(3141);
+  for (int trial = 0; trial < 30; ++trial) {
+    const uint64_t span = trial % 3 == 0 ? 8 : trial % 3 == 1 ? 5000 : uint64_t{1} << 32;
+    std::vector<Event> rows(rng.Below(2500));
+    for (Event& e : rows) {
+      e.subject_idx = static_cast<uint32_t>(rng.Below(span));
+      e.object_type = static_cast<EntityType>(rng.Below(3));
+      e.object_idx = static_cast<uint32_t>(rng.Below(span));
+    }
+    const EventColumns cols = EventTable(rows);
+    const PostingIndex subjects = PostingIndex::Subjects(cols, /*with_rows=*/true);
+    const PostingIndex objects = PostingIndex::Objects(cols, /*with_rows=*/true);
+    std::map<uint64_t, std::vector<uint32_t>> want_subjects;
+    std::map<uint64_t, std::vector<uint32_t>> want_objects;
+    for (uint32_t r = 0; r < rows.size(); ++r) {
+      want_subjects[rows[r].subject_idx].push_back(r);
+      want_objects[PackObjectKey(rows[r].object_type, rows[r].object_idx)].push_back(r);
+    }
+    const ZoneMap zone(cols, subjects, objects);
+    auto check = [&](const PostingIndex& index,
+                     const std::map<uint64_t, std::vector<uint32_t>>& want,
+                     const BlockedBloom& bloom) {
+      std::vector<uint64_t> want_keys;
+      for (const auto& [key, key_rows] : want) {
+        want_keys.push_back(key);
+        const std::span<const uint32_t> got = index.Find(key);
+        EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), key_rows) << "key " << key;
+        EXPECT_TRUE(bloom.MayContain(key)) << "key " << key;
+      }
+      EXPECT_EQ(index.keys, want_keys);
+      EXPECT_EQ(index.rows.size(), rows.size());
+      EXPECT_EQ(index.offsets.size(), rows.empty() ? 0u : want_keys.size() + 1);
+      for (int probe = 0; probe < 20; ++probe) {
+        const uint64_t key = rng.Below(span);
+        if (want.count(key) == 0) {
+          EXPECT_TRUE(index.Find(key).empty()) << "absent key " << key;
+        }
+      }
+    };
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " span " << span);
+    check(subjects, want_subjects, zone.subject_bloom);
+    check(objects, want_objects, zone.object_bloom);
+    // Without rows (a store built without secondary indexes) the keys stay.
+    const PostingIndex keys_only = PostingIndex::Objects(cols, /*with_rows=*/false);
+    EXPECT_EQ(keys_only.keys, objects.keys);
+    EXPECT_TRUE(keys_only.rows.empty());
+    EXPECT_TRUE(keys_only.offsets.empty());
+    if (!rows.empty()) {
+      EXPECT_TRUE(keys_only.Find(objects.keys[0]).empty());
+    }
+  }
+}
+
+TEST(StorageOrderTest, RefinalizeRebuildsOnlyTheTouchedPartitions) {
+  // Three days x two agent groups, the two older days archived. One event
+  // lands in a hot partition and one in an archived one, on days that
+  // already hold data, and the database is finalized again: exactly those
+  // two are rebuilt (fresh posting arrays; the archived one re-encoded under
+  // the new generation). The other four keep the very arrays and encoding
+  // they had, and every scan still matches the reference.
+  Database db{DatabaseOptions{.agent_group_size = 3, .archive_after_days = 1}};
+  const std::vector<Event> events = RandomEvents(db.catalog(), 3, 3000, 5);
+  for (const Event& e : events) {
+    db.AppendRaw(e);
+  }
+  db.Finalize();
+  ASSERT_EQ(db.num_partitions(), 6u);
+  ASSERT_EQ(db.num_archived_partitions(), 4u);
+  const uint64_t first_generation = db.generation();
+  struct Snapshot {
+    const uint32_t* posting_rows;
+    const ArchivedColumns* encoded;
+    uint64_t generation;
+    size_t size;
+  };
+  auto snapshot = [&] {
+    std::vector<Snapshot> out;
+    for (const Partition* p : db.partitions()) {
+      out.push_back(Snapshot{p->subject_postings().rows.data(), p->archived_columns(),
+                             p->archive_generation(), p->size()});
+    }
+    return out;
+  };
+  const std::vector<Snapshot> before = snapshot();
+
+  // Partitions are (day, group) ordered: 1 is (day 0, group 1), archived;
+  // 4 is (day 2, group 0), hot.
+  Event archived_event = events[0];
+  archived_event.id = 100000;
+  archived_event.agent_id = 4;
+  archived_event.start_time = MakeTimestamp(2017, 3, 1) + 5;
+  Event hot_event = archived_event;
+  hot_event.id = 100001;
+  hot_event.agent_id = 1;
+  hot_event.start_time = MakeTimestamp(2017, 3, 3) + 5;
+  db.AppendRaw(archived_event);
+  db.AppendRaw(hot_event);
+  db.Finalize();
+  ASSERT_EQ(db.num_archived_partitions(), 4u);
+
+  const std::vector<Snapshot> after = snapshot();
+  for (size_t i = 0; i < after.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "partition " << i);
+    if (i == 1 || i == 4) {
+      EXPECT_EQ(after[i].size, before[i].size + 1);
+      EXPECT_NE(after[i].posting_rows, before[i].posting_rows) << "not rebuilt";
+      EXPECT_EQ(after[i].generation, i == 1 ? db.generation() : 0u);
+    } else {
+      EXPECT_EQ(after[i].size, before[i].size);
+      EXPECT_EQ(after[i].posting_rows, before[i].posting_rows) << "rebuilt";
+      EXPECT_EQ(after[i].encoded, before[i].encoded) << "re-encoded";
+      EXPECT_EQ(after[i].generation, before[i].generation);
+    }
+  }
+  EXPECT_EQ(after[0].generation, first_generation);
+
+  for (EntityType type : {EntityType::kFile, EntityType::kProcess}) {
+    DataQuery q;
+    q.object_type = type;
+    q.subject_pred = IdIn(db.catalog(), EntityType::kProcess, {archived_event.subject_idx});
+    ColumnPins pins;
+    const ScanContext ctx{.pins = &pins};
+    EXPECT_EQ(RowsOf(db.ExecuteQuery(q, nullptr, &ctx)), RowsOf(ReferenceScan(db, q)));
   }
 }
 
