@@ -449,16 +449,21 @@ void BM_PreparedVsOneShot(benchmark::State& state) {
 BENCHMARK(BM_PreparedVsOneShot)->Arg(0)->Arg(1);
 
 // Sliding-window anomaly execution over (windows, groups): `groups`
-// processes each write once per 10 s step, and a 1-minute window slides by
+// processes each write once per 10 s step (arg 3 = 1) or once per 32 steps
+// (arg 3 = 32, staggered across groups), and a 1-minute window slides by
 // 10 s. Arg 2 picks the having clause: 0 = s5-style history states
-// (amt[1], amt[2]), 1 = s6-style EWMA. The per_window_group counter is the
-// time per (window x group); it stays flat as the window count grows when
-// the per-group state is incremental (re-folding each group's history series
-// per window would grow it linearly for EWMA).
+// (amt[1], amt[2]), 1 = s6-style EWMA; both end in a conjunct that fails
+// without rows, so the windows run sparse and the 1-in-32 rows skip most
+// (window, group) pairs. The per_window_group counter is the time per
+// (window x group); it stays flat as the window count grows when the
+// per-group state is incremental (re-folding each group's history series
+// per window would grow it linearly for EWMA), and falls with the density
+// when windows and groups without rows are skipped.
 void BM_SlidingWindowAnomaly(benchmark::State& state) {
   const int64_t windows = state.range(0);
   const int64_t groups = state.range(1);
   const bool ewma = state.range(2) == 1;
+  const int64_t every = state.range(3);
   const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
   const DurationMs step = 10 * kSecondMs;
   Database db;
@@ -469,9 +474,12 @@ void BM_SlidingWindowAnomaly(benchmark::State& state) {
   }
   Rng rng(5);
   for (int64_t w = 0; w < windows; ++w) {
-    for (uint32_t p : procs) {
-      db.RecordEvent(1, p, Operation::kWrite, EntityType::kNetwork, dst,
-                     t0 + w * step + static_cast<TimestampMs>(rng.Below(step)),
+    for (int64_t g = 0; g < groups; ++g) {
+      if ((w + g) % every != 0) {
+        continue;
+      }
+      db.RecordEvent(1, procs[static_cast<size_t>(g)], Operation::kWrite, EntityType::kNetwork,
+                     dst, t0 + w * step + static_cast<TimestampMs>(rng.Below(step)),
                      rng.Range(1000, 100000));
     }
   }
@@ -501,14 +509,16 @@ void BM_SlidingWindowAnomaly(benchmark::State& state) {
   state.counters["per_window_group"] = benchmark::Counter(
       static_cast<double>(windows * groups),
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
-  state.SetLabel(ewma ? "ewma" : "history");
+  state.SetLabel(std::string(ewma ? "ewma" : "history") + (every > 1 ? " 1/32" : ""));
   benchmark::DoNotOptimize(rows);
 }
 BENCHMARK(BM_SlidingWindowAnomaly)
-    ->Args({600, 16, 0})
-    ->Args({6000, 16, 0})
-    ->Args({600, 16, 1})
-    ->Args({6000, 16, 1})
+    ->Args({600, 16, 0, 1})
+    ->Args({6000, 16, 0, 1})
+    ->Args({600, 16, 1, 1})
+    ->Args({6000, 16, 1, 1})
+    ->Args({6000, 16, 0, 32})
+    ->Args({6000, 16, 1, 32})
     ->Unit(benchmark::kMillisecond);
 
 // Multievent projection (ProjectResults alone) over an a1-shaped tuple set:

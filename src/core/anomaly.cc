@@ -136,12 +136,29 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   CompiledProjector projector(ctx, db.catalog(), rows, CompiledProjector::Mode::kWindows,
                               num_windows);
 
-  size_t first = 0, last = 0;
-  uint32_t w = 0;
-  for (TimestampMs ws = range.begin; ws < range.end; ws += step, ++w) {
+  // Window w covers [begin + w * step, min(begin + w * step + window, end)).
+  // Sparse: a window without events changes no output, so the loop jumps to
+  // the first window after the last one run whose end passes the next event.
+  // That window holds the event unless it falls between windows (step >
+  // window); then the jump passes the event, and the loop jumps again.
+  const auto u_window = static_cast<uint64_t>(window);
+  const auto u_step = static_cast<uint64_t>(step);
+  size_t first = 0, last = 0;  // the events of window w
+  for (uint64_t w = 0; w < num_windows; ++w) {
     if (Status s = stop.StopStatus(); !s.ok()) {
       return Result<ResultTable>(s);
     }
+    if (projector.sparse()) {
+      if (first == times.size()) {
+        break;
+      }
+      const auto t = static_cast<uint64_t>(times[first] - range.begin);
+      w = std::max(w, t < u_window ? 0 : (t - u_window) / u_step + 1);
+      if (w >= num_windows) {
+        break;
+      }
+    }
+    const TimestampMs ws = range.begin + static_cast<TimestampMs>(w * u_step);
     const TimestampMs we = std::min<TimestampMs>(ws + window, range.end);
     while (first < times.size() && times[first] < ws) {
       ++first;
@@ -150,8 +167,10 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
     while (last < times.size() && times[last] < we) {
       ++last;
     }
-    projector.RunWindow(w, ws, first, last, /*stop=*/nullptr, &table);  // checked above
+    projector.RunWindow(static_cast<uint32_t>(w), ws, first, last, /*stop=*/nullptr,
+                        &table);  // checked above
   }
+  session->stats.window_group_evals = projector.window_group_evals();
   return FinishResults(ctx, std::move(table));
 }
 

@@ -16,9 +16,21 @@
 // fold per group instead of re-folding the whole series per window. The
 // folds below perform the same floating-point operations in the same order
 // as the full-series functions, so the results are bit-identical.
+//
+// When the having clause cannot pass for a group without events in the
+// window (a top-level `&&` conjunct that reads only aggregates, constants and
+// such items is false or null on the zero state; no having at all also
+// qualifies), and no item of such a group reads history, the windows run
+// sparse: only windows holding an event are visited, and in them only the
+// groups with events. A group that returns after k windows without events is
+// caught up first: its absent items are evaluated once, and their values are
+// appended k times (SeriesRing::AppendRepeated, and k fold steps each, so
+// every double matches the dense loop's). Any other query visits every known
+// group in every window.
 #ifndef AIQL_SRC_CORE_ANOMALY_H_
 #define AIQL_SRC_CORE_ANOMALY_H_
 
+#include <algorithm>
 #include <bit>
 #include <vector>
 
@@ -89,6 +101,14 @@ class SeriesRing {
     }
     ++size_;
   }
+  // The same as `k` calls to Append(x): only the last min(k, ring size)
+  // appends are written, and the size advances by `k`.
+  void AppendRepeated(double x, size_t k) {
+    for (size_t i = k - std::min(k, ring_.size()); i < k; ++i) {
+      ring_[(size_ + i) & mask_] = x;
+    }
+    size_ += k;
+  }
   // Number of values appended so far (not capped by the capacity).
   size_t size() const { return size_; }
   // The value `back` appends ago (1 = most recent); `back` <= capacity.
@@ -111,7 +131,10 @@ class SeriesRing {
 // windows stay chronological and rows inside a window sort by value.
 // `session` carries the execution's stats, plan cache, and cancellation
 // flag; cancellation and the time budget (`options.time_budget_ms`) are
-// checked during the fetch and once per window.
+// checked during the fetch and once per visited window (sparse: once per
+// visited window or jump over windows without events).
+// `ExecStats::window_group_evals` counts the (window, group) evaluations of
+// the items and having clause.
 Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx,
                                    const ExecOptions& options, ThreadPool* pool,
                                    ExecutionSession* session);

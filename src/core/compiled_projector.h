@@ -14,6 +14,12 @@
 // and no moving averages; a multievent query without aggregates runs the
 // item and having programs once per row.
 //
+// Sliding windows run sparse when the compiled query shows that a group
+// without rows in a window can neither emit nor append a value that depends
+// on its history (see sparse()): a window then visits only the groups with
+// rows, and a group returning after a gap first catches up on the windows it
+// missed. Otherwise every known group is evaluated in every window.
+//
 // Values are rendered once, not once per row: an entity reference reads each
 // distinct entity's attribute once, every string lives in one per-projector
 // value table (one id and one stable address per distinct string), and
@@ -159,9 +165,22 @@ class CompiledProjector {
   // kGroups / kWindows: runs window `w` over rows [first, last) and appends
   // its rows in group-key order. A window start, when given, leads each row
   // as a formatted timestamp. `stop` (optional) is checked before the first
-  // group and every BudgetGuard::kStopCheckRows groups.
+  // group and every BudgetGuard::kStopCheckRows groups. Windows run in
+  // increasing order; when sparse(), a window without rows may be skipped.
   Status RunWindow(uint32_t w, std::optional<TimestampMs> window_start, size_t first,
                    size_t last, const ScanContext* stop, ResultTable* table);
+
+  // kWindows: true when a group without rows in a window cannot emit and
+  // appends the same values in every such window. Decided at compile time:
+  // no item read by such a group reads history, and either there is no
+  // having clause or a top-level `&&` conjunct of it reads only aggregates,
+  // constants and items that read only those, and is false or null on the
+  // zero accumulators. RunWindow then evaluates only the groups with rows,
+  // each caught up first on the windows it had none in (CatchUp).
+  bool sparse() const { return sparse_; }
+
+  // (window, group) evaluations of the items and having clause so far.
+  size_t window_group_evals() const { return window_group_evals_; }
 
  private:
   // Where a program runs, which decides what an alias name resolves to.
@@ -218,6 +237,8 @@ class CompiledProjector {
   };
 
   void CompilePrograms(const std::vector<const Expr*>& agg_calls, size_t num_windows);
+  // The sparse() rule, run once the item and having programs are compiled.
+  bool AbsentGroupsCannotEmit();
   void IndexRows();
   // The value-table form of a value (strings interned; numbers as they are).
   Scalar Intern(const Value& v);
@@ -242,7 +263,21 @@ class CompiledProjector {
   inline Scalar RowValue(uint32_t col, size_t row);
   inline Scalar History(const Op& op, const GroupState& state) const;
   inline Scalar MovingAverage(const Op& op, const GroupState& state) const;
+  // Loads the aggregate slots from a group's accumulators and row count;
+  // null `accs` loads the zero state of a group without rows.
+  inline void LoadAggregates(const Acc* accs, int64_t rows);
+  inline void EvalItems(bool absent, const GroupState* state, size_t row);
   inline bool EvalRow(bool absent, const GroupState* state, size_t row);
+  // Evaluates group `g` in the current window and appends its item values.
+  inline void EvalGroup(uint32_t g, bool present, std::optional<TimestampMs> window_start,
+                        ResultTable* table);
+  // Appends the numeric item values to the group's series and folds, `k`
+  // times each.
+  inline void AppendItems(GroupState* state, size_t k);
+  // Sparse kWindows: advances group `g` through `k` windows without rows, as
+  // the dense loop would: the absent items once, their values appended `k`
+  // times.
+  void CatchUp(uint32_t g, size_t k);
   void EmitRow(std::vector<Value> out_row, ResultTable* table) const;
   // ProjectRows' loop; with `dedupe`, stops at the first row with a NaN item
   // and sets *nan.
@@ -276,6 +311,8 @@ class CompiledProjector {
   // [0] = group has rows in the window, [1] = it does not.
   std::vector<Program> items_[2];
   Program having_[2];
+  bool sparse_ = false;
+  size_t window_group_evals_ = 0;
   std::vector<Program> keys_;  // group-by components
   std::vector<Scalar> stack_;
 
@@ -287,6 +324,10 @@ class CompiledProjector {
   std::vector<size_t> rep_;             // first row of the group in the window
   std::vector<int64_t> rows_in_;        // rows of the group in the window
   std::vector<Acc> accs_;               // group * aggs + agg
+  // Sparse kWindows: the groups with rows in the current window, and per
+  // group the first window its state has not advanced through.
+  std::vector<uint32_t> present_;
+  std::vector<uint32_t> next_window_;
 };
 
 // The result tail both query kinds share: `distinct` (before the count, so

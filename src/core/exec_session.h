@@ -25,6 +25,10 @@ struct ExecStats {
   std::vector<size_t> pattern_matches;  // rows fetched per pattern
   size_t join_work = 0;                 // budget charge total
   size_t final_tuples = 0;
+  // Sliding-window (anomaly) evaluations of the items and having clause, one
+  // per (window, group) visited; a sparse run's catch-up of a returning group
+  // is not one.
+  size_t window_group_evals = 0;
   size_t pushdown_applications = 0;
   size_t parallel_slices = 0;
   // Data-query fetches that reused a compiled ScanPlan instead of replanning

@@ -43,6 +43,16 @@ std::vector<const Expr*> CollectAggregateCalls(const QueryContext& ctx) {
   return out;
 }
 
+// The top-level `&&` conjuncts of `e` (e itself when it is no conjunction).
+void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out) {
+  if (e.kind == Expr::Kind::kBinary && e.bop == BinOp::kAnd) {
+    CollectConjuncts(e.children[0], out);
+    CollectConjuncts(e.children[1], out);
+    return;
+  }
+  out->push_back(&e);
+}
+
 // --- Scalar operations (Value semantics, int/double/string typing) ---------
 
 // Numbers are true when non-zero, strings when non-empty.
@@ -454,6 +464,68 @@ void CompiledProjector::CompilePrograms(const std::vector<const Expr*>& agg_call
   for (size_t s = 0; s < ring_capacity_.size(); ++s) {
     ring_capacity_[s] = std::min(ring_capacity_[s], num_windows * appends_per_window[s]);
   }
+  sparse_ = mode_ == Mode::kWindows && AbsentGroupsCannotEmit();
+}
+
+// A group without rows in a window reads the zero accumulators, constants and
+// its stored key, plus history and moving averages. Without history reads in
+// its items, it appends the same values in every such window, so a run of
+// them can be replayed in one step. A having conjunct that reads none of the
+// per-group inputs has one value in every such window; if that value fails,
+// so does the whole having clause (`&&` of a false or null operand is false
+// or null), and the group cannot emit.
+bool CompiledProjector::AbsentGroupsCannotEmit() {
+  for (const Program& item : items_[1]) {
+    for (const Op& op : item) {
+      if (op.code == Op::Code::kHist) {
+        return false;
+      }
+    }
+  }
+  if (!ctx_.having.has_value()) {
+    return true;  // a group without rows emits only through having
+  }
+  // `fixed[i]`: item i reads only aggregates, constants and fixed items. Those
+  // are evaluated on the zero state, as RunWindow does for an absent group.
+  const size_t num_items = ctx_.items.size();
+  std::vector<uint8_t> fixed(num_items, 0);
+  // Absent-scope programs read no row.
+  auto reads_fixed = [&](const Program& prog) {
+    for (const Op& op : prog) {
+      if (op.code == Op::Code::kHist || op.code == Op::Code::kMovingAvg) {
+        return false;
+      }
+      if (op.code == Op::Code::kLoad) {
+        const bool key = op.a >= key_base_ && op.a < key_base_ + ctx_.group_by.size();
+        const bool item = op.a >= item_base_ && op.a < key_base_;
+        if (key || (item && !fixed[op.a - item_base_])) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  LoadAggregates(nullptr, 0);
+  for (size_t i = 0; i < num_items; ++i) {
+    if (reads_fixed(items_[1][i])) {
+      fixed[i] = 1;
+      const Scalar v = Run(items_[1][i], nullptr, 0);
+      slots_[item_base_ + i] = v.null() ? Scalar::Int(0) : v;
+    }
+  }
+  std::vector<const Expr*> conjuncts;
+  CollectConjuncts(*ctx_.having, &conjuncts);
+  for (const Expr* conjunct : conjuncts) {
+    const Program prog = CompileRoot(*conjunct, Scope{false, num_items, true});
+    if (!reads_fixed(prog)) {
+      continue;
+    }
+    const Scalar ok = Run(prog, nullptr, 0);
+    if (ok.null() || !Truthy(ok)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // The pre-pass: every row's group id and aggregate inputs, once. Rows are
@@ -576,6 +648,9 @@ void CompiledProjector::IndexRows() {
   rep_.assign(num_groups, 0);
   rows_in_.assign(num_groups, 0);
   accs_.assign(num_groups * aggs_.size(), Acc());
+  if (sparse_) {
+    next_window_.assign(num_groups, 0);
+  }
 }
 
 // --- evaluation --------------------------------------------------------------
@@ -705,14 +780,47 @@ inline Scalar CompiledProjector::Run(const Program& prog, const GroupState* stat
   return sp[-1];
 }
 
-// Evaluates the item programs into their slots (null returns Value()), then
-// the having clause; true when the row passes.
-inline bool CompiledProjector::EvalRow(bool absent, const GroupState* state, size_t row) {
+inline void CompiledProjector::LoadAggregates(const Acc* accs, int64_t rows) {
+  static const Acc kZero;
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    const Acc& acc = accs != nullptr ? accs[a] : kZero;
+    Scalar& v = slots_[agg_base_ + a];
+    switch (aggs_[a].kind) {
+      case AggKind::kRows:
+        v = Scalar::Int(rows);
+        break;
+      case AggKind::kNonNull:
+      case AggKind::kDistinct:
+        v = Scalar::Int(acc.n);
+        break;
+      case AggKind::kSum:
+        v = Scalar::Double(acc.sum);
+        break;
+      case AggKind::kAvg:
+        v = Scalar::Double(acc.n == 0 ? 0.0 : acc.sum / static_cast<double>(acc.n));
+        break;
+      case AggKind::kMin:
+        v = Scalar::Double(acc.mn);
+        break;
+      case AggKind::kMax:
+        v = Scalar::Double(acc.mx);
+        break;
+    }
+  }
+}
+
+// Evaluates the item programs into their slots (null returns Value()).
+inline void CompiledProjector::EvalItems(bool absent, const GroupState* state, size_t row) {
   const std::vector<Program>& items = items_[absent];
   for (size_t i = 0; i < items.size(); ++i) {
     Scalar v = Run(items[i], state, row);
     slots_[item_base_ + i] = v.null() ? Scalar::Int(0) : v;
   }
+}
+
+// Evaluates the items, then the having clause; true when the row passes.
+inline bool CompiledProjector::EvalRow(bool absent, const GroupState* state, size_t row) {
+  EvalItems(absent, state, row);
   if (!ctx_.having.has_value()) {
     return true;
   }
@@ -787,11 +895,70 @@ Status CompiledProjector::EmitRows(const ScanContext& stop, bool dedupe, ResultT
   return Status::Ok();
 }
 
+inline void CompiledProjector::EvalGroup(uint32_t g, bool present,
+                                         std::optional<TimestampMs> window_start,
+                                         ResultTable* table) {
+  GroupState& state = groups_[g];
+  if (present) {
+    LoadAggregates(accs_.data() + g * aggs_.size(), rows_in_[g]);
+  } else {
+    LoadAggregates(nullptr, 0);
+    std::copy(state.key.begin(), state.key.end(), slots_.begin() + key_base_);
+  }
+  ++window_group_evals_;
+
+  // Without a having clause a group without rows emits only as the global
+  // aggregate row (kGroups).
+  const bool pass = EvalRow(!present, &state, rep_[g]);
+  if (pass && (present || mode_ == Mode::kGroups || ctx_.having.has_value())) {
+    std::vector<Value> out_row;
+    out_row.reserve(ctx_.items.size() + 1);
+    if (window_start.has_value()) {
+      out_row.emplace_back(FormatTimestamp(*window_start));
+    }
+    EmitRow(std::move(out_row), table);
+  }
+  AppendItems(&state, 1);
+}
+
+inline void CompiledProjector::AppendItems(GroupState* state, size_t k) {
+  for (const auto& [series, slot] : appends_) {
+    const Scalar& v = slots_[slot];
+    if (v.is_string()) {
+      continue;
+    }
+    const double x = v.AsDouble();
+    state->series[series].AppendRepeated(x, k);
+    for (uint32_t id : folds_of_series_[series]) {
+      const MaSpec& ma = mas_[id];
+      // One fold step per window keeps the running sums bit-identical.
+      for (size_t i = 0; i < k; ++i) {
+        if (ma.kind == MaKind::kEwma) {
+          state->ewma[ma.fold].Append(x);
+        } else {
+          state->cma[ma.fold].Append(x);
+        }
+      }
+    }
+  }
+}
+
+// The absent items read no history (sparse()), so every window without rows
+// appends the same values: evaluating them once stands for all `k`.
+void CompiledProjector::CatchUp(uint32_t g, size_t k) {
+  GroupState& state = groups_[g];
+  LoadAggregates(nullptr, 0);
+  std::copy(state.key.begin(), state.key.end(), slots_.begin() + key_base_);
+  EvalItems(/*absent=*/true, &state, 0);
+  AppendItems(&state, k);
+}
+
 Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> window_start,
                                     size_t first, size_t last, const ScanContext* stop,
                                     ResultTable* table) {
   const uint32_t stamp = w + 1;
   const size_t num_aggs = aggs_.size();
+  present_.clear();
 
   // Fold the window's rows into their groups' accumulators, in row order.
   for (size_t r = first; r < last; ++r) {
@@ -804,6 +971,12 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
       std::fill(accs, accs + num_aggs, Acc());
       if (!known_[g]) {
         ActivateGroup(g, r);
+        if (sparse_) {
+          next_window_[g] = w;
+        }
+      }
+      if (sparse_) {
+        present_.push_back(g);
       }
     }
     ++rows_in_[g];
@@ -837,80 +1010,34 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
     }
   }
 
-  // Every known group is evaluated: under sliding windows a group without
-  // events in this window still records its (zero) state so history offsets
-  // stay aligned.
-  static const Acc kZero;
-  for (uint32_t g = 0; g < groups_.size(); ++g) {
-    if (stop != nullptr && g % BudgetGuard::kStopCheckRows == 0) {
+  // Dense: every known group is evaluated; under sliding windows a group
+  // without events in this window still records its (zero) state so history
+  // offsets stay aligned. Sparse: only the groups with rows, in key order,
+  // each first replaying the windows it had no rows in since its state last
+  // advanced.
+  if (sparse_) {
+    std::sort(present_.begin(), present_.end());
+  }
+  const size_t num_visits = sparse_ ? present_.size() : groups_.size();
+  for (size_t i = 0; i < num_visits; ++i) {
+    if (stop != nullptr && i % BudgetGuard::kStopCheckRows == 0) {
       if (Status s = stop->StopStatus(); !s.ok()) {
         return s;
       }
     }
-    if (!known_[g]) {
+    if (!sparse_) {
+      const auto g = static_cast<uint32_t>(i);
+      if (known_[g]) {
+        EvalGroup(g, window_stamp_[g] == stamp, window_start, table);
+      }
       continue;
     }
-    GroupState& state = groups_[g];
-    const bool present = window_stamp_[g] == stamp;
-    const Acc* accs = present ? accs_.data() + g * num_aggs : nullptr;
-    for (size_t a = 0; a < num_aggs; ++a) {
-      const Acc& acc = present ? accs[a] : kZero;
-      Scalar& v = slots_[agg_base_ + a];
-      switch (aggs_[a].kind) {
-        case AggKind::kRows:
-          v = Scalar::Int(present ? rows_in_[g] : 0);
-          break;
-        case AggKind::kNonNull:
-        case AggKind::kDistinct:
-          v = Scalar::Int(acc.n);
-          break;
-        case AggKind::kSum:
-          v = Scalar::Double(acc.sum);
-          break;
-        case AggKind::kAvg:
-          v = Scalar::Double(acc.n == 0 ? 0.0 : acc.sum / static_cast<double>(acc.n));
-          break;
-        case AggKind::kMin:
-          v = Scalar::Double(acc.mn);
-          break;
-        case AggKind::kMax:
-          v = Scalar::Double(acc.mx);
-          break;
-      }
+    const uint32_t g = present_[i];
+    if (next_window_[g] < w) {
+      CatchUp(g, w - next_window_[g]);
     }
-    if (!present) {
-      std::copy(state.key.begin(), state.key.end(), slots_.begin() + key_base_);
-    }
-
-    // Without a having clause a group without rows emits only as the global
-    // aggregate row (kGroups).
-    const bool pass = EvalRow(!present, &state, rep_[g]);
-    if (pass && (present || mode_ == Mode::kGroups || ctx_.having.has_value())) {
-      std::vector<Value> out_row;
-      out_row.reserve(ctx_.items.size() + 1);
-      if (window_start.has_value()) {
-        out_row.emplace_back(FormatTimestamp(*window_start));
-      }
-      EmitRow(std::move(out_row), table);
-    }
-
-    // Append the numeric item values to the state series.
-    for (const auto& [series, slot] : appends_) {
-      const Scalar& v = slots_[slot];
-      if (v.is_string()) {
-        continue;
-      }
-      const double x = v.AsDouble();
-      state.series[series].Append(x);
-      for (uint32_t id : folds_of_series_[series]) {
-        const MaSpec& ma = mas_[id];
-        if (ma.kind == MaKind::kEwma) {
-          state.ewma[ma.fold].Append(x);
-        } else {
-          state.cma[ma.fold].Append(x);
-        }
-      }
-    }
+    EvalGroup(g, /*present=*/true, window_start, table);
+    next_window_[g] = w + 1;
   }
   return Status::Ok();
 }

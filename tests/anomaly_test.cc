@@ -7,11 +7,14 @@
 // name-keyed alias maps, re-folds each group's whole history series for every
 // moving-average call, and finishes with the reference result tail
 // (distinct, return count, sort by, top). ExecuteAnomaly runs the same
-// semantics on the compiled projector with dense per-group state; the
+// semantics on the compiled projector with dense per-group state, visiting
+// only the windows and groups with events when the query allows it; the
 // differential tests require the two to agree row for row, with doubles
-// bit-equal.
+// bit-equal, and check which of the two loops ran (the executor's
+// window_group_evals against the reference's counts).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <unordered_map>
 
@@ -47,7 +50,15 @@ std::string RefKeyString(const std::vector<Value>& key) {
   return out;
 }
 
-Result<ResultTable> ReferenceAnomaly(const EventStore& db, const QueryContext& ctx) {
+// Per run: (window, group) pairs with events, and (window, known group)
+// pairs, the evaluations of the sparse and the dense loop.
+struct RefWindowCounts {
+  size_t present = 0;
+  size_t known = 0;
+};
+
+Result<ResultTable> ReferenceAnomaly(const EventStore& db, const QueryContext& ctx,
+                                     RefWindowCounts* counts = nullptr) {
   const DurationMs window = *ctx.window;
   const DurationMs step = ctx.step.value_or(window);
   ExecutionSession session;
@@ -98,6 +109,10 @@ Result<ResultTable> ReferenceAnomaly(const EventStore& db, const QueryContext& c
         state.key = key;
       }
       window_rows[ks].push_back(std::move(row));
+    }
+    if (counts != nullptr) {
+      counts->present += window_rows.size();
+      counts->known += groups.size();
     }
 
     for (auto& [ks, state] : groups) {
@@ -220,14 +235,22 @@ Result<ResultTable> ReferenceAnomaly(const EventStore& db, const QueryContext& c
 
 // --- comparison ---------------------------------------------------------------
 
+// Which window loop a query must take.
+enum class Loop { kEither, kSparse, kDense };
+
 // Runs both evaluators on `text`; returns false if the query does not compile.
-bool ExpectSameAnswer(const EventStore& db, const std::string& text, size_t* rows = nullptr) {
+// The executor's window_group_evals must be one of the reference's counts:
+// the sparse loop evaluates the (window, group) pairs with events, the dense
+// loop every known group in every window.
+bool ExpectSameAnswer(const EventStore& db, const std::string& text, size_t* rows = nullptr,
+                      Loop loop = Loop::kEither) {
   Result<QueryContext> ctx = CompileQuery(text);
   if (!ctx.ok()) {
     ADD_FAILURE() << ctx.error() << "\n" << text;
     return false;
   }
-  Result<ResultTable> want = ReferenceAnomaly(db, ctx.value());
+  RefWindowCounts counts;
+  Result<ResultTable> want = ReferenceAnomaly(db, ctx.value(), &counts);
   ExecutionSession session;
   Result<ResultTable> got = ExecuteAnomaly(db, ctx.value(), ExecOptions{}, nullptr, &session);
   EXPECT_EQ(want.ok(), got.ok()) << text;
@@ -235,6 +258,14 @@ bool ExpectSameAnswer(const EventStore& db, const std::string& text, size_t* row
     return true;
   }
   EXPECT_EQ(reference::TableDiff(want.value(), got.value()), "") << text;
+  const size_t evals = session.stats.window_group_evals;
+  if (loop == Loop::kSparse) {
+    EXPECT_EQ(evals, counts.present) << text;
+  } else if (loop == Loop::kDense) {
+    EXPECT_EQ(evals, counts.known) << text;
+  } else {
+    EXPECT_TRUE(evals == counts.present || evals == counts.known) << evals << "\n" << text;
+  }
   if (rows != nullptr) {
     *rows = got.value().num_rows();
   }
@@ -485,6 +516,166 @@ TEST_P(RandomAnomalyTest, EdgeCasesMatchReference) {
   }
 }
 
+// --- groups absent across gaps -------------------------------------------------
+
+// Bursty data over two hours: each process writes in a few short bursts with
+// silences between them far longer than any ring here (the deepest lookback
+// is 6 windows), whole stretches hold no event at all, and one process first
+// appears late. A group returning after a gap must be caught up on every
+// window it missed: its history, SMA/WMA rings and EWMA/CMA folds, and the
+// values its items take without rows (not always 0), must match the dense
+// evaluation bit for bit.
+class GapAnomalyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(21);
+    const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+    const uint32_t dst = db_.catalog().InternNetwork(1, "10.0.0.1", "9.9.9.9", 1, 443);
+    // Per process: the [from, to) minutes it writes in.
+    const std::vector<std::vector<std::pair<int, int>>> bursts{
+        {{0, 3}, {40, 42}, {100, 103}},
+        {{5, 7}, {37, 38}, {80, 81}, {119, 120}},
+        {{0, 30}, {60, 70}},
+        {{50, 52}, {110, 111}},
+    };
+    for (size_t p = 0; p < bursts.size(); ++p) {
+      const uint32_t proc = db_.catalog().InternProcess(1, 100 + static_cast<int>(p),
+                                                        "/bin/p" + std::to_string(p));
+      for (auto [from, to] : bursts[p]) {
+        for (int m = from; m < to; ++m) {
+          for (uint64_t i = 0, n = 1 + rng.Below(3); i < n; ++i) {
+            const TimestampMs t =
+                t0 + m * kMinuteMs + static_cast<TimestampMs>(rng.Below(kMinuteMs));
+            const int64_t amount =
+                rng.Below(4) == 0 ? rng.Range(20000, 90000) : rng.Range(1, 3000);
+            db_.RecordEvent(1, proc, Operation::kWrite, EntityType::kNetwork, dst, t, amount);
+          }
+        }
+      }
+    }
+    db_.Finalize();
+  }
+
+  // Runs every body under every window shape; returns how many answers had
+  // rows.
+  size_t ExpectSameAnswers(const std::vector<std::string>& bodies, Loop loop) {
+    // (window, step): step < window, step == window, step not dividing the
+    // window, step > window.
+    const std::vector<std::string> windows{
+        "window = 1 min, step = 20 sec", "window = 30 sec, step = 30 sec",
+        "window = 2 min, step = 45 sec", "window = 20 sec, step = 50 sec"};
+    size_t nonempty = 0;
+    for (const std::string& w : windows) {
+      for (const std::string& body : bodies) {
+        const std::string text =
+            "(from \"2017-01-01 00:00\" to \"2017-01-01 02:00\")\nagentid = 1\n" + w +
+            "\nproc p write ip i as evt\n" + body;
+        size_t rows = 0;
+        EXPECT_TRUE(ExpectSameAnswer(db_, text, &rows, loop)) << text;
+        nonempty += rows > 0 ? 1 : 0;
+      }
+    }
+    return nonempty;
+  }
+
+  Database db_;
+};
+
+// A having conjunct that is false on the zero state: the sparse loop.
+TEST_F(GapAnomalyTest, SparseLoopCatchesUpAcrossGaps) {
+  const std::vector<std::string> bodies{
+      // History states.
+      "return p, sum(evt.amount) as amt group by p "
+      "having amt > 2 * (amt + amt[1] + amt[2]) / 3 && amt > 1000",
+      "return p, sum(evt.amount) as amt, count() as n group by p "
+      "having amt >= amt[1] && (n > 1 && amt > 500)",
+      // Moving averages.
+      "return p, sum(evt.amount) as amt group by p having amt > SMA(amt, 5) && amt > 0",
+      "return p, sum(evt.amount) as amt group by p having WMA(amt, 6) < amt && amt > 10",
+      "return p, sum(evt.amount) as amt group by p "
+      "having (amt - EWMA(amt, 0.7)) / (EWMA(amt, 0.7) + 1) > 0.5 && amt > 100",
+      "return p, count() as n group by p having n > CMA(n) && n >= 1",
+      // Items whose value without rows is not 0.
+      "return p, count() + 1 as n, sum(evt.amount) as amt group by p "
+      "having amt > 100 && n > CMA(n)",
+      "return p, count() + 1 as n, max(evt.amount) as m group by p "
+      "having m > 0 && n >= SMA(n, 4) && n != n[3]",
+      "return p, count() - 1 as n group by p having n >= 0 && n > EWMA(n)",
+      // One global group; no having at all.
+      "return count() as n having n > 1 && n > n[1]",
+      "return p, avg(evt.amount) as a group by p",
+  };
+  EXPECT_GT(ExpectSameAnswers(bodies, Loop::kSparse), bodies.size() * 2);
+}
+
+// No conjunct rules out an emission without rows, or an item without rows
+// reads history: the dense loop.
+TEST_F(GapAnomalyTest, DenseLoopWhenTheQueryAllowsNoSkip) {
+  const std::vector<std::string> bodies{
+      // The conjunct passes on the zero state; groups without rows emit.
+      "return p, count() as n group by p having n = 0",
+      "return p, sum(evt.amount) as amt group by p having amt < 1 || amt > 50000",
+      "return p, sum(evt.amount) as amt group by p having amt >= 0 && amt <= amt[1]",
+      "return p, 0 - count() as n group by p having n <= 0 && n < SMA(n, 3)",
+      // An item reads history, so its value without rows changes from window
+      // to window.
+      "return p, sum(evt.amount) as amt, amt[1] as prev group by p having amt > 1000",
+      "return p, sum(evt.amount) as amt, amt[1] + 1 as prev group by p "
+      "having amt > 1000 && prev < SMA(prev, 3)",
+      // The only conjuncts read history, a moving average or the key.
+      "return p, sum(evt.amount) as amt group by p having amt > 1000 || amt < amt[1]",
+      "return p, count() as n group by p having p != \"/bin/p1\" && n > CMA(n)",
+  };
+  EXPECT_GT(ExpectSameAnswers(bodies, Loop::kDense), bodies.size());
+}
+
+// 30 days at window = 5 sec, step = 1 sec is 2.6M windows. With a few dozen
+// events the sparse loop evaluates each group in at most the 5 windows around
+// each of its events. The same query with a having clause that passes on the
+// zero state runs the dense loop over every window, which must still stop at
+// the time budget.
+TEST(AnomalyDeadlineTest, SparseSkipsEmptyWindowsAndDenseStopsAtTheBudget) {
+  Database db;
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1);
+  const uint32_t dst = db.catalog().InternNetwork(1, "10.0.0.1", "9.9.9.9", 1, 443);
+  std::vector<uint32_t> procs;
+  for (int p = 0; p < 3; ++p) {
+    procs.push_back(db.catalog().InternProcess(1, 100 + p, "/bin/p" + std::to_string(p)));
+  }
+  Rng rng(8);
+  constexpr size_t kEvents = 40;
+  for (size_t i = 0; i < kEvents; ++i) {
+    db.RecordEvent(1, procs[rng.Below(procs.size())], Operation::kWrite, EntityType::kNetwork,
+                   dst, t0 + static_cast<TimestampMs>(rng.Below(30 * kDayMs)),
+                   rng.Range(200, 5000));
+  }
+  db.Finalize();
+  const std::string head =
+      "(from \"2017-01-01 00:00\" to \"2017-01-31 00:00\")\nagentid = 1\n"
+      "window = 5 sec, step = 1 sec\nproc p write ip i as evt\n"
+      "return p, sum(evt.amount) as amt group by p\nhaving ";
+
+  Result<QueryContext> sparse = CompileQuery(head + "amt > 100 && amt > 2 * amt[1]");
+  ASSERT_TRUE(sparse.ok()) << sparse.error();
+  ExecutionSession session;
+  const auto start = std::chrono::steady_clock::now();
+  Result<ResultTable> r = ExecuteAnomaly(db, sparse.value(), ExecOptions{}, nullptr, &session);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_GT(r.value().num_rows(), 0u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  EXPECT_GT(session.stats.window_group_evals, 0u);
+  EXPECT_LE(session.stats.window_group_evals, 5 * kEvents);
+
+  Result<QueryContext> dense = CompileQuery(head + "amt >= 0 && amt > 2 * amt[1]");
+  ASSERT_TRUE(dense.ok()) << dense.error();
+  ExecutionSession dense_session;
+  Result<ResultTable> d = ExecuteAnomaly(db, dense.value(), ExecOptions{.time_budget_ms = 20},
+                                         nullptr, &dense_session);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.error(), "execution budget exceeded: time limit reached");
+}
+
 // --- the result tail ------------------------------------------------------------
 
 // Anomaly results finish with the same tail as multievent results: `sort by`
@@ -647,6 +838,36 @@ TEST(MovingAverageFoldTest, RingSmaWmaEqualFullSeries) {
   EXPECT_EQ(ring.Back(1), 8.0);
   EXPECT_EQ(ring.Back(3), 2.0);
   EXPECT_EQ(ring.size(), 4u);
+}
+
+// A sparse window run appends a returning group's values for the windows it
+// missed in one call.
+TEST(MovingAverageFoldTest, AppendRepeatedEqualsRepeatedAppend) {
+  Rng rng(14);
+  for (size_t capacity : {size_t{0}, size_t{3}, size_t{4}}) {
+    // Below, equal to and above the capacity (3 rounds up to a ring of 4).
+    for (size_t k : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5}, size_t{9}}) {
+      SeriesRing repeated(capacity), appended(capacity);
+      for (double x : RandomSeries(rng, 6)) {
+        repeated.Append(x);
+        appended.Append(x);
+      }
+      repeated.AppendRepeated(2.5, k);
+      for (size_t i = 0; i < k; ++i) {
+        appended.Append(2.5);
+      }
+      // One more value lands at the same position in both.
+      repeated.Append(-1.0);
+      appended.Append(-1.0);
+      ASSERT_EQ(repeated.size(), appended.size()) << capacity << " " << k;
+      for (size_t back = 1; back <= std::bit_ceil(capacity) && capacity > 0; ++back) {
+        EXPECT_EQ(repeated.Back(back), appended.Back(back)) << capacity << " " << k;
+      }
+      const double cur = 7.0;
+      EXPECT_EQ(repeated.Sma(capacity + 1, &cur), appended.Sma(capacity + 1, &cur));
+      EXPECT_EQ(repeated.Wma(capacity, nullptr), appended.Wma(capacity, nullptr));
+    }
+  }
 }
 
 }  // namespace

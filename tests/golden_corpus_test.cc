@@ -4,8 +4,9 @@
 // At a small fixed scale, every corpus query — the 26 case-study queries, the
 // 19 behavior queries and the anomaly query (paper Query 5) — runs on the
 // relationship scheduler with one scan thread. Each line of the golden file
-// holds the query id, events_scanned, join_work, final_tuples, the row count
-// and an FNV-1a digest of the rendered rows in lexicographic order. Any
+// holds the query id, events_scanned, join_work, final_tuples, the row count,
+// an FNV-1a digest of the rendered rows in lexicographic order, and
+// window_group_evals (the anomaly windows' (window, group) evaluations). Any
 // difference fails the test and prints one line per changed query.
 //
 // A change that is meant to move these numbers (a new plan order, a new
@@ -32,6 +33,8 @@ namespace aiql {
 namespace {
 
 const char* const kGoldenPath = AIQL_SOURCE_DIR "/tests/golden/corpus.txt";
+const char* const kColumns =
+    "id events_scanned join_work final_tuples rows digest window_group_evals";
 
 // FNV-1a over the rendered rows, lexicographic row order, with field and row
 // separators.
@@ -58,8 +61,7 @@ struct CorpusRun {
   bool cold_decode = false;  // drop the decode cache before each query
 };
 
-// The golden lines ("id events_scanned join_work final_tuples rows digest"),
-// in corpus order.
+// The golden lines (kColumns), in corpus order.
 std::vector<std::string> CorpusLines(const CorpusRun& run) {
   ScenarioConfig config;  // 8 hosts over 3 days
   config.trace.events_per_host_per_day = 3000;
@@ -92,7 +94,7 @@ std::vector<std::string> CorpusLines(const CorpusRun& run) {
                   static_cast<unsigned long long>(RowsDigest(r.value())));
     std::ostringstream line;
     line << q.id << ' ' << s.scan.events_scanned << ' ' << s.join_work << ' ' << s.final_tuples
-         << ' ' << r.value().num_rows() << ' ' << digest;
+         << ' ' << r.value().num_rows() << ' ' << digest << ' ' << s.window_group_evals;
     lines.push_back(line.str());
   }
   return lines;
@@ -104,15 +106,14 @@ TEST(GoldenCorpusTest, CountersAndAnswersMatchGoldenFile) {
 
   const std::optional<std::string> diff = golden::CompareOrUpdate(
       kGoldenPath,
-      {"id events_scanned join_work final_tuples rows digest",
+      {kColumns,
        "Written by tests/golden_corpus_test.cc; regenerate with",
        "  AIQL_UPDATE_GOLDEN=1 ./build/golden_corpus_test"},
       got);
   if (!diff.has_value()) {
     GTEST_SKIP() << "rewrote " << kGoldenPath;
   }
-  EXPECT_TRUE(diff->empty()) << "corpus counters or answers changed "
-                             << "(id events_scanned join_work final_tuples rows digest):\n"
+  EXPECT_TRUE(diff->empty()) << "corpus counters or answers changed (" << kColumns << "):\n"
                              << *diff;
 }
 
@@ -123,8 +124,8 @@ TEST(GoldenCorpusTest, ColdArchivedRunMatchesGoldenFile) {
       .cold_decode = true});
   ASSERT_EQ(got.size(), 46u);
   const std::string diff = golden::Compare(kGoldenPath, got);
-  EXPECT_TRUE(diff.empty()) << "the cold archived run differs from the golden file "
-                            << "(id events_scanned join_work final_tuples rows digest):\n"
+  EXPECT_TRUE(diff.empty()) << "the cold archived run differs from the golden file ("
+                            << kColumns << "):\n"
                             << diff;
 }
 
