@@ -19,10 +19,9 @@
 //
 // When the having clause cannot pass for a group without events in the
 // window (a top-level `&&` conjunct that reads only aggregates, constants and
-// such items is false or null on the zero state; no having at all also
-// qualifies), and no item of such a group reads history, the windows run
-// sparse: only windows holding an event are visited, and in them only the
-// groups with events. A group that returns after k windows without events is
+// such items is false or null on the zero state), and no item of such a
+// group reads history, the windows run sparse: only windows holding an event
+// are visited, and in them only the groups with events. A group that returns after k windows without events is
 // caught up first: its absent items are evaluated once, and their values are
 // appended k times (SeriesRing::AppendRepeated, and k fold steps each, so
 // every double matches the dense loop's). Any other query visits every known

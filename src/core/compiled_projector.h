@@ -30,6 +30,7 @@
 #ifndef AIQL_SRC_CORE_COMPILED_PROJECTOR_H_
 #define AIQL_SRC_CORE_COMPILED_PROJECTOR_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -172,12 +173,22 @@ class CompiledProjector {
 
   // kWindows: true when a group without rows in a window cannot emit and
   // appends the same values in every such window. Decided at compile time:
-  // no item read by such a group reads history, and either there is no
-  // having clause or a top-level `&&` conjunct of it reads only aggregates,
-  // constants and items that read only those, and is false or null on the
-  // zero accumulators. RunWindow then evaluates only the groups with rows,
-  // each caught up first on the windows it had none in (CatchUp).
+  // no item read by such a group reads history, and a top-level `&&`
+  // conjunct of the having clause reads only aggregates, constants and items
+  // that read only those, and is false or null on the zero accumulators.
+  // RunWindow then evaluates only the groups with rows, each caught up first
+  // on the windows it had none in (CatchUp).
   bool sparse() const { return sparse_; }
+
+  // The deepest history ring a group keeps, in values: the largest history
+  // offset or SMA/WMA lookback the query reads, bounded by the window count.
+  size_t max_ring_capacity() const {
+    size_t deepest = 0;
+    for (size_t capacity : ring_capacity_) {
+      deepest = std::max(deepest, capacity);
+    }
+    return deepest;
+  }
 
   // (window, group) evaluations of the items and having clause so far.
   size_t window_group_evals() const { return window_group_evals_; }
@@ -324,9 +335,8 @@ class CompiledProjector {
   std::vector<size_t> rep_;             // first row of the group in the window
   std::vector<int64_t> rows_in_;        // rows of the group in the window
   std::vector<Acc> accs_;               // group * aggs + agg
-  // Sparse kWindows: the groups with rows in the current window, and per
-  // group the first window its state has not advanced through.
-  std::vector<uint32_t> present_;
+  // Sparse kWindows, per group: the first window its state has not advanced
+  // through.
   std::vector<uint32_t> next_window_;
 };
 

@@ -456,6 +456,7 @@ void CompiledProjector::CompilePrograms(const std::vector<const Expr*>& agg_call
     }
   }
 
+  sparse_ = mode_ == Mode::kWindows && AbsentGroupsCannotEmit();
   // A series never holds more than one value per window per item of its name.
   std::vector<size_t> appends_per_window(ring_capacity_.size(), 0);
   for (const auto& [series, slot] : appends_) {
@@ -464,7 +465,6 @@ void CompiledProjector::CompilePrograms(const std::vector<const Expr*>& agg_call
   for (size_t s = 0; s < ring_capacity_.size(); ++s) {
     ring_capacity_[s] = std::min(ring_capacity_[s], num_windows * appends_per_window[s]);
   }
-  sparse_ = mode_ == Mode::kWindows && AbsentGroupsCannotEmit();
 }
 
 // A group without rows in a window reads the zero accumulators, constants and
@@ -473,7 +473,8 @@ void CompiledProjector::CompilePrograms(const std::vector<const Expr*>& agg_call
 // them can be replayed in one step. A having conjunct that reads none of the
 // per-group inputs has one value in every such window; if that value fails,
 // so does the whole having clause (`&&` of a false or null operand is false
-// or null), and the group cannot emit.
+// or null), and the group cannot emit. A query without a having clause keeps
+// the dense loop.
 bool CompiledProjector::AbsentGroupsCannotEmit() {
   for (const Program& item : items_[1]) {
     for (const Op& op : item) {
@@ -483,7 +484,7 @@ bool CompiledProjector::AbsentGroupsCannotEmit() {
     }
   }
   if (!ctx_.having.has_value()) {
-    return true;  // a group without rows emits only through having
+    return false;
   }
   // `fixed[i]`: item i reads only aggregates, constants and fixed items. Those
   // are evaluated on the zero state, as RunWindow does for an absent group.
@@ -513,19 +514,31 @@ bool CompiledProjector::AbsentGroupsCannotEmit() {
       slots_[item_base_ + i] = v.null() ? Scalar::Int(0) : v;
     }
   }
+  // A conjunct over history or a moving average is ruled out before it is
+  // compiled: compiling a history reference would deepen its series' ring.
+  // The constants the conjunct programs add are dropped again.
+  const size_t num_slots = slots_.size();
+  bool cannot_emit = false;
   std::vector<const Expr*> conjuncts;
   CollectConjuncts(*ctx_.having, &conjuncts);
   for (const Expr* conjunct : conjuncts) {
+    if (conjunct->Any([](const Expr& e) {
+          return e.kind == Expr::Kind::kHistRef || e.IsMovingAverageCall();
+        })) {
+      continue;
+    }
     const Program prog = CompileRoot(*conjunct, Scope{false, num_items, true});
     if (!reads_fixed(prog)) {
       continue;
     }
     const Scalar ok = Run(prog, nullptr, 0);
     if (ok.null() || !Truthy(ok)) {
-      return true;
+      cannot_emit = true;
+      break;
     }
   }
-  return false;
+  slots_.resize(num_slots);
+  return cannot_emit;
 }
 
 // The pre-pass: every row's group id and aggregate inputs, once. Rows are
@@ -958,7 +971,6 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
                                     ResultTable* table) {
   const uint32_t stamp = w + 1;
   const size_t num_aggs = aggs_.size();
-  present_.clear();
 
   // Fold the window's rows into their groups' accumulators, in row order.
   for (size_t r = first; r < last; ++r) {
@@ -974,9 +986,6 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
         if (sparse_) {
           next_window_[g] = w;
         }
-      }
-      if (sparse_) {
-        present_.push_back(g);
       }
     }
     ++rows_in_[g];
@@ -1010,29 +1019,27 @@ Status CompiledProjector::RunWindow(uint32_t w, std::optional<TimestampMs> windo
     }
   }
 
-  // Dense: every known group is evaluated; under sliding windows a group
-  // without events in this window still records its (zero) state so history
-  // offsets stay aligned. Sparse: only the groups with rows, in key order,
+  // Groups in key order. Dense: every known group is evaluated; under sliding
+  // windows a group without events in this window still records its (zero)
+  // state so history offsets stay aligned. Sparse: only the groups with rows,
   // each first replaying the windows it had no rows in since its state last
   // advanced.
-  if (sparse_) {
-    std::sort(present_.begin(), present_.end());
-  }
-  const size_t num_visits = sparse_ ? present_.size() : groups_.size();
-  for (size_t i = 0; i < num_visits; ++i) {
-    if (stop != nullptr && i % BudgetGuard::kStopCheckRows == 0) {
+  for (uint32_t g = 0; g < groups_.size(); ++g) {
+    if (stop != nullptr && g % BudgetGuard::kStopCheckRows == 0) {
       if (Status s = stop->StopStatus(); !s.ok()) {
         return s;
       }
     }
+    const bool present = window_stamp_[g] == stamp;
     if (!sparse_) {
-      const auto g = static_cast<uint32_t>(i);
       if (known_[g]) {
-        EvalGroup(g, window_stamp_[g] == stamp, window_start, table);
+        EvalGroup(g, present, window_start, table);
       }
       continue;
     }
-    const uint32_t g = present_[i];
+    if (!present) {
+      continue;
+    }
     if (next_window_[g] < w) {
       CatchUp(g, w - next_window_[g]);
     }

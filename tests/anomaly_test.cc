@@ -19,6 +19,7 @@
 #include <unordered_map>
 
 #include "src/core/anomaly.h"
+#include "src/core/compiled_projector.h"
 #include "src/core/exec_session.h"
 #include "src/storage/database.h"
 #include "src/util/rng.h"
@@ -601,9 +602,8 @@ TEST_F(GapAnomalyTest, SparseLoopCatchesUpAcrossGaps) {
       "return p, count() + 1 as n, max(evt.amount) as m group by p "
       "having m > 0 && n >= SMA(n, 4) && n != n[3]",
       "return p, count() - 1 as n group by p having n >= 0 && n > EWMA(n)",
-      // One global group; no having at all.
+      // One global group.
       "return count() as n having n > 1 && n > n[1]",
-      "return p, avg(evt.amount) as a group by p",
   };
   EXPECT_GT(ExpectSameAnswers(bodies, Loop::kSparse), bodies.size() * 2);
 }
@@ -625,8 +625,29 @@ TEST_F(GapAnomalyTest, DenseLoopWhenTheQueryAllowsNoSkip) {
       // The only conjuncts read history, a moving average or the key.
       "return p, sum(evt.amount) as amt group by p having amt > 1000 || amt < amt[1]",
       "return p, count() as n group by p having p != \"/bin/p1\" && n > CMA(n)",
+      // No having clause.
+      "return p, avg(evt.amount) as a group by p",
   };
   EXPECT_GT(ExpectSameAnswers(bodies, Loop::kDense), bodies.size());
+}
+
+// A history offset far past the window count, in a conjunct that the sparse
+// rule skips: the rings stay bounded by the window count and the answer
+// matches.
+TEST_F(GapAnomalyTest, HistoryOffsetPastTheLastWindowKeepsRingsBounded) {
+  const std::string text =
+      "(from \"2017-01-01 00:00\" to \"2017-01-01 00:03\")\nagentid = 1\n"
+      "window = 1 min, step = 30 sec\nproc p write ip i as evt\n"
+      "return p, sum(evt.amount) as amt group by p having amt > amt[1000000] && amt > 0";
+  EXPECT_TRUE(ExpectSameAnswer(db_, text, nullptr, Loop::kSparse));
+  Result<QueryContext> ctx = CompileQuery(text);
+  ASSERT_TRUE(ctx.ok()) << ctx.error();
+  constexpr size_t kWindows = 6;  // 3 minutes in 30-second steps
+  const TupleSet rows;
+  CompiledProjector projector(ctx.value(), db_.catalog(), rows,
+                              CompiledProjector::Mode::kWindows, kWindows);
+  EXPECT_TRUE(projector.sparse());
+  EXPECT_LE(projector.max_ring_capacity(), kWindows);
 }
 
 // 30 days at window = 5 sec, step = 1 sec is 2.6M windows. With a few dozen
