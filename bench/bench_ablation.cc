@@ -1,6 +1,7 @@
 // Ablation bench for the design choices DESIGN.md calls out (paper §5.2, §7):
 //   - constrained execution (pushdown) on/off,
-//   - pruning-score relationship ordering on/off,
+//   - relationship ordering: cost-based (full), the paper's pruning score,
+//     and none (written order),
 //   - time/space storage partitioning on/off,
 //   - secondary indexes on/off,
 //   - parallel data-query execution: auto-sized pooled partition scans vs a
@@ -11,9 +12,11 @@
 // focused cold-scan section: full-table scan latency and resident column
 // bytes, hot vs archived (decode cache dropped before every cold rep).
 // AIQL_BENCH_JSON=path writes the archive metrics as JSON (BENCH_pr5.json).
-// Exits 1 when the hot and archived scans disagree on rows (count or a digest
-// of every attribute) or the archive is less than 3x smaller than the hot
-// columns; timings never fail the run.
+// Exits 1 when the cost ordering's summed events_scanned or join_work exceed
+// those of the better of the paper and no-ordering rows (the one with the
+// smaller sum of both), when the hot and archived scans disagree on rows
+// (count or a digest of every attribute), or when the archive is less than
+// 3x smaller than the hot columns; timings never fail the run.
 #include "bench/bench_common.h"
 
 #include <cinttypes>
@@ -23,11 +26,20 @@ using namespace aiql::bench;
 
 namespace {
 
-double TotalMs(AiqlEngine& engine, const std::vector<QuerySpec>& queries) {
-  double total = 0;
+// One configuration's run over the queries: total time and summed counters.
+struct Totals {
+  double ms = 0;
+  uint64_t events_scanned = 0;
+  uint64_t join_work = 0;
+};
+
+Totals RunAll(AiqlEngine& engine, const std::vector<QuerySpec>& queries) {
+  Totals total;
   for (const QuerySpec& spec : queries) {
     Timing t = RunQuery(engine, spec.text);
-    total += t.ms;
+    total.ms += t.ms;
+    total.events_scanned += t.events_scanned;
+    total.join_work += t.join_work;
   }
   return total;
 }
@@ -76,6 +88,7 @@ int main() {
     const char* name;
     const Database* db;
     EngineOptions options;
+    Totals totals;
   };
   // Parallelism is left at its default (0 = auto-sized from
   // hardware_concurrency) everywhere except the explicit worker-count rows,
@@ -89,28 +102,58 @@ int main() {
        {.storage_parallel = false, .time_budget_ms = budget}},
       {"no pushdown", world.optimized.get(),
        {.pushdown = false, .time_budget_ms = budget}},
+      {"paper relationship ordering (pruning score)", world.optimized.get(),
+       {.ordering = RelationshipOrdering::kPaper, .time_budget_ms = budget}},
       {"no relationship ordering", world.optimized.get(),
-       {.ordering = false, .time_budget_ms = budget}},
+       {.ordering = RelationshipOrdering::kNone, .time_budget_ms = budget}},
       {"no pushdown + no ordering", world.optimized.get(),
-       {.pushdown = false, .ordering = false, .time_budget_ms = budget}},
+       {.pushdown = false, .ordering = RelationshipOrdering::kNone, .time_budget_ms = budget}},
       {"no storage partitioning", &no_partitions, {.time_budget_ms = budget}},
       {"no secondary indexes", &no_indexes, {.time_budget_ms = budget}},
       {"archive tier (cold partitions delta/FOR-encoded)", &archive_tier,
        {.time_budget_ms = budget}},
   };
 
-  std::printf("%-55s %12s %9s\n", "configuration", "total (ms)", "vs full");
+  std::printf("%-55s %12s %9s %14s %12s\n", "configuration", "total (ms)", "vs full",
+              "events_scanned", "join_work");
   double full_ms = 0;
-  for (const Config& config : configs) {
+  for (Config& config : configs) {
     AiqlEngine engine(config.db, config.options);
-    double ms = TotalMs(engine, queries);
+    config.totals = RunAll(engine, queries);
+    const Totals& t = config.totals;
     if (full_ms == 0) {
-      full_ms = ms;
+      full_ms = t.ms;
     }
-    std::printf("%-55s %12.1f %8.2fx\n", config.name, ms, ms / std::max(full_ms, 0.01));
+    std::printf("%-55s %12.1f %8.2fx %14" PRIu64 " %12" PRIu64 "\n", config.name, t.ms,
+                t.ms / std::max(full_ms, 0.01), t.events_scanned, t.join_work);
   }
   std::printf("\n(shape target: every ablated configuration is slower than full;\n"
               " pushdown and partitioning carry the largest shares)\n");
+
+  // Ordering gate, on the deterministic counters: the cost ordering (the
+  // full row) must do no more work than the better of the paper's ordering
+  // and written order.
+  auto row = [&](RelationshipOrdering ordering) -> const Totals& {
+    for (const Config& c : configs) {
+      if (c.db == world.optimized.get() && c.options.ordering == ordering && c.options.pushdown) {
+        return c.totals;
+      }
+    }
+    std::abort();
+  };
+  const Totals& cost = configs[0].totals;
+  const Totals& paper = row(RelationshipOrdering::kPaper);
+  const Totals& none = row(RelationshipOrdering::kNone);
+  const Totals& better = paper.events_scanned + paper.join_work <=
+                                 none.events_scanned + none.join_work
+                             ? paper
+                             : none;
+  const bool ordering_ok =
+      cost.events_scanned <= better.events_scanned && cost.join_work <= better.join_work;
+  std::printf("ordering gate: cost %" PRIu64 " scanned / %" PRIu64 " join_work vs the better of "
+              "paper and none (%s): %" PRIu64 " / %" PRIu64 " (%s)\n",
+              cost.events_scanned, cost.join_work, &better == &paper ? "paper" : "none",
+              better.events_scanned, better.join_work, ordering_ok ? "ok" : "EXCEEDED");
 
   // --- archive tier: cold-scan latency + resident column bytes --------------
   // A full-table scan (no pruning survivors skipped) of an all-archived
@@ -220,9 +263,16 @@ int main() {
       std::printf("wrote %s\n", json_path);
     }
   }
-  // The deterministic checks fail the run (and CI's smoke run): a row count
-  // or digest mismatch means an archive decode bug; a ratio below 3x means the codecs
-  // regressed. The timing target stays informational.
+  // The deterministic checks fail the run (and CI's smoke run): more work
+  // under the cost ordering than under an old one means its estimate
+  // mis-ordered a query; a row count or digest mismatch means an archive
+  // decode bug; a ratio below 3x means the codecs regressed. The timing
+  // targets stay informational.
+  if (!ordering_ok) {
+    std::fprintf(stderr, "bench_ablation: cost ordering does more work than the %s ordering\n",
+                 &better == &paper ? "paper" : "written");
+    return 1;
+  }
   if (!rows_agree) {
     std::fprintf(stderr, "bench_ablation: archived rows (count or digest) disagree with hot rows\n");
     return 1;

@@ -106,6 +106,9 @@ struct Timing {
   bool over_budget = false;
   bool ok = true;
   std::string error;
+  // Work counters of a successful run.
+  uint64_t events_scanned = 0;
+  uint64_t join_work = 0;
 };
 
 // Runs a query on an engine, reporting budget blowouts like the paper's
@@ -114,7 +117,10 @@ inline Timing RunQuery(AiqlEngine& engine, const std::string& text) {
   Timing t;
   t.ms = TimeMs([&] {
     auto r = engine.Execute(text);
-    if (!r.ok()) {
+    if (r.ok()) {
+      t.events_scanned = r.value().exec_stats().scan.events_scanned;
+      t.join_work = r.value().exec_stats().join_work;
+    } else {
       if (r.error().find("budget") != std::string::npos) {
         t.over_budget = true;
       } else {

@@ -102,8 +102,11 @@ Result<ResultTable> ExecuteAnomaly(const EventStore& db, const QueryContext& ctx
   session->stats.pattern_matches.assign(1, 0);
   session->scan.ArmDeadline(options.time_budget_ms);
   const ScanContext& stop = session->scan;
-  std::vector<EventView> events =
-      FetchPattern(db, ctx, 0, ctx.patterns[0].query, options, pool, session);
+  DataQuery query = ctx.patterns[0].query;
+  if (Status s = ResolveCandidates(db, &query, session); !s.ok()) {
+    return Result<ResultTable>(s);
+  }
+  std::vector<EventView> events = FetchPattern(db, ctx, 0, query, options, pool, session);
   if (Status s = stop.StopStatus(); !s.ok()) {
     return Result<ResultTable>(s);
   }

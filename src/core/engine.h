@@ -52,7 +52,7 @@ struct EngineOptions {
   size_t parallelism = 0;
   // Ablation knobs (relationship scheduler only).
   bool pushdown = true;
-  bool ordering = true;
+  RelationshipOrdering ordering = RelationshipOrdering::kCost;
   // Ablation knob: force the legacy day-split fan-out instead of the
   // storage-level morsel scan.
   bool storage_parallel = true;

@@ -3,9 +3,10 @@
 // Three scheduling strategies are implemented over the same storage and join
 // machinery, matching the paper's evaluation configurations:
 //
-//   kRelationship  — Algorithm 1: pruning-score prioritization, sorted
-//                    relationships, constrained ("pushed down") execution of
-//                    dependent data queries, tuple-set map M. (AIQL)
+//   kRelationship  — Algorithm 1: prioritized relationships (see
+//                    RelationshipOrdering), constrained ("pushed down")
+//                    execution of dependent data queries, tuple-set map M.
+//                    (AIQL)
 //   kFetchFilter   — execute every data query independently up front, then
 //                    filter by relationships. (AIQL FF baseline, §5.2)
 //   kBigJoin       — the "PostgreSQL scheduling" model: one monolithic join
@@ -34,12 +35,30 @@ enum class SchedulerKind : uint8_t {
 
 const char* SchedulerKindName(SchedulerKind k);
 
+// The order in which the relationship scheduler connects relationships, and
+// which endpoint of a relationship it fetches first.
+enum class RelationshipOrdering : uint8_t {
+  // Greedy by estimated rows (the per-entity event counts of each pattern's
+  // resolved candidates; see ARCHITECTURE.md): the lead is the pattern with
+  // the smallest estimate; each next relationship is the one whose pending
+  // endpoint has the smallest estimate, re-estimated under the entity-id
+  // pushdown the executed side would apply.
+  kCost = 0,
+  // The paper's heuristic (§5.2): process/network relationships before file
+  // ones, then by pruning score (the number of constraints).
+  kPaper = 1,
+  // Written order.
+  kNone = 2,
+};
+
+const char* RelationshipOrderingName(RelationshipOrdering o);
+
 struct ExecOptions {
   SchedulerKind scheduler = SchedulerKind::kRelationship;
 
   // Ablation knobs for the relationship scheduler.
   bool pushdown = true;  // constrained execution of dependent data queries
-  bool ordering = true;  // pruning-score relationship ordering
+  RelationshipOrdering ordering = RelationshipOrdering::kCost;
 
   // Parallel data-query fetch. Stores that scan in parallel internally
   // (Database, MppCluster) receive the pool directly and fan out per
@@ -65,6 +84,16 @@ struct ExecOptions {
 Result<TupleSet> ExecuteMultievent(const EventStore& db, const QueryContext& ctx,
                                    const ExecOptions& options, ThreadPool* pool,
                                    ExecutionSession* session);
+
+// Resolves the subject and object predicates of `*query` into candidate
+// entities (DataQuery::subject_candidates / object_candidates) through the
+// store's catalog, so that planning skips entity resolution. The resolution
+// is memoized in the session's plan cache, keyed by the query's
+// EntityResolutionFingerprint and the catalog's generation; its index
+// counters are added to session->stats.scan on hits and misses alike. Fails
+// with the run's stop error (session->scan) when the run is cancelled or out
+// of time, checked before resolving and every kResolveStopStride entities.
+Status ResolveCandidates(const EventStore& db, DataQuery* query, ExecutionSession* session);
 
 // Fetches the events matching one data query through the store's
 // ExecuteQueryCached. With a pool and parallelism > 1, stores that scan in

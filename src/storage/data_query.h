@@ -2,11 +2,13 @@
 // event pattern (paper §5.1, Fig 3).
 //
 // A data query carries the pattern's static constraints (operation set, time
-// range, agent constraint, subject/object/event predicates) plus optional
-// *pushed-down* constraints supplied by the relationship-based scheduler
-// (Algorithm 1), derived from already-executed patterns: `IN` predicates
-// conjoined onto the subject/object/event predicates, and a narrowed time
-// range. Pushdown is what "execute q_j under S_i" means in the paper.
+// range, agent constraint, subject/object/event predicates), the candidate
+// entities the executor resolved from its subject/object predicates, plus
+// optional *pushed-down* constraints supplied by the relationship-based
+// scheduler (Algorithm 1), derived from already-executed patterns: candidate
+// sets narrowed to the entities the known side binds, `IN` predicates
+// conjoined onto the event predicate, and a narrowed time range. Pushdown is
+// what "execute q_j under S_i" means in the paper.
 #ifndef AIQL_SRC_STORAGE_DATA_QUERY_H_
 #define AIQL_SRC_STORAGE_DATA_QUERY_H_
 
@@ -35,6 +37,22 @@ inline constexpr EventColumnMask kEmitBaseColumns =
     ColumnBit(EventColumnId::kSubjectIdx) | ColumnBit(EventColumnId::kObjectIdx) |
     ColumnBit(EventColumnId::kObjectType);
 
+// The two entity sides of an event pattern.
+enum class EntitySide : uint8_t { kSubject, kObject };
+
+// The candidate entities of one side of a data query: the catalog indices
+// its predicate selects, possibly intersected by pushdown.
+struct EntityCandidates {
+  std::vector<uint32_t> ids;  // catalog indices, ascending
+  // Events that reference the candidates on this side (the executor's row
+  // estimate; see EntityCatalog::SubjectEvents / ObjectEvents).
+  uint64_t events = 0;
+  // True when pushdown narrowed the set. Un-narrowed candidates are a
+  // function of the predicate and the catalog's generation, which the plan
+  // cache key already carries; narrowed ones are keyed by their ids.
+  bool narrowed = false;
+};
+
 struct DataQuery {
   // --- static constraints (from the event pattern) ---
   OpMask op_mask = kAllOps;
@@ -45,8 +63,16 @@ struct DataQuery {
   PredExpr object_pred;                           // over object attributes
   PredExpr event_pred;                            // over event attributes
 
+  // --- resolved candidates (from the executor) ---
+  // Null: PlanQuery resolves the side's predicate itself (an unconstrained
+  // side stays unconstrained). Set: the side matches these entities only,
+  // and its predicate is not evaluated again.
+  std::shared_ptr<const EntityCandidates> subject_candidates;
+  std::shared_ptr<const EntityCandidates> object_candidates;
+
   // --- pushed-down constraint (from Algorithm 1 scheduling; pushed-down
-  // candidates arrive as `IN` predicates in the fields above) ---
+  // entities narrow the candidates above, pushed-down event attribute values
+  // arrive as an `IN` predicate in event_pred) ---
   std::optional<TimeRange> pushed_time;
 
   // --- emission ---
@@ -57,6 +83,14 @@ struct DataQuery {
   // event attributes the query context references; a hand-built query keeps
   // every column.
   EventColumnMask columns = kAllEventColumns;
+
+  // The candidates of `side`.
+  const std::shared_ptr<const EntityCandidates>& candidates(EntitySide side) const {
+    return side == EntitySide::kSubject ? subject_candidates : object_candidates;
+  }
+  std::shared_ptr<const EntityCandidates>& candidates(EntitySide side) {
+    return side == EntitySide::kSubject ? subject_candidates : object_candidates;
+  }
 
   // Number of static constraints; the pruning score of the pattern.
   size_t CountConstraints() const {

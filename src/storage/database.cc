@@ -5,6 +5,7 @@
 #include <cassert>
 #include <thread>
 
+#include "src/storage/entity_search.h"
 #include "src/storage/plan_cache.h"
 #include "src/util/string_utils.h"
 #include "src/util/thread_pool.h"
@@ -13,7 +14,8 @@ namespace aiql {
 
 Database::Database(DatabaseOptions options, std::shared_ptr<EntityCatalog> catalog)
     : options_(options),
-      catalog_(catalog != nullptr ? std::move(catalog) : std::make_shared<EntityCatalog>()),
+      owns_catalog_(catalog == nullptr),
+      catalog_(owns_catalog_ ? std::make_shared<EntityCatalog>() : std::move(catalog)),
       decode_cache_(std::make_unique<DecodeCache>(options.decode_cache_partitions)) {
   if (options_.agent_group_size == 0) {
     options_.agent_group_size = 1;
@@ -120,7 +122,15 @@ void Database::Finalize() {
       build(i);
     }
   }
-  BuildEntityIndexes();
+  if (owns_catalog_) {
+    // The catalog's event counts come from the posting offsets just built;
+    // a segment sharing another database's catalog keeps that store's.
+    EntityEventCounts counts = catalog_->ZeroEventCounts();
+    for (const auto& [key, p] : partitions_) {
+      p->AddEventCounts(&counts);
+    }
+    catalog_->Publish(std::move(counts), options_.build_indexes, generation_);
+  }
   finalized_ = true;
 }
 
@@ -153,101 +163,10 @@ StorageFootprint Database::Footprint() const {
   return f;
 }
 
-void Database::BuildEntityIndexes() {
-  file_name_index_.clear();
-  proc_exe_index_.clear();
-  net_dstip_index_.clear();
-  if (!options_.build_indexes) {
-    return;
-  }
-  const auto& files = catalog_->files();
-  for (uint32_t i = 0; i < files.size(); ++i) {
-    file_name_index_[ToLower(files[i].name)].push_back(i);
-  }
-  const auto& procs = catalog_->processes();
-  for (uint32_t i = 0; i < procs.size(); ++i) {
-    proc_exe_index_[ToLower(procs[i].exe_name)].push_back(i);
-  }
-  const auto& nets = catalog_->networks();
-  for (uint32_t i = 0; i < nets.size(); ++i) {
-    net_dstip_index_[ToLower(nets[i].dst_ip)].push_back(i);
-  }
-}
-
 std::vector<uint32_t> Database::FindEntities(EntityType t, const PredExpr& pred,
                                              const std::optional<std::vector<AgentId>>& agents,
                                              ScanStats* stats) const {
-  ScanStats local;
-  ScanStats* st = stats != nullptr ? stats : &local;
-  std::unordered_set<AgentId> agent_set;
-  if (agents.has_value()) {
-    agent_set.insert(agents->begin(), agents->end());
-  }
-  auto agent_ok = [&](AgentId a) { return !agents.has_value() || agent_set.count(a) > 0; };
-  const ResolvedPred resolved(pred, OwnerOf(t));
-  auto matches = [&](uint32_t idx) {
-    return resolved.Eval([&](const AttrDef& attr) { return attr.entity(*catalog_, idx); });
-  };
-
-  std::vector<uint32_t> out;
-
-  // Index fast path: exact values on the default attribute.
-  if (options_.build_indexes) {
-    std::vector<Value> values = pred.EqualityValuesFor(DefaultAttr(t).name);
-    if (!values.empty()) {
-      const std::unordered_map<std::string, std::vector<uint32_t>>* index = nullptr;
-      switch (t) {
-        case EntityType::kFile:
-          index = &file_name_index_;
-          break;
-        case EntityType::kProcess:
-          index = &proc_exe_index_;
-          break;
-        case EntityType::kNetwork:
-          index = &net_dstip_index_;
-          break;
-      }
-      // Index keys are interned lowercase at Finalize(); fold each candidate
-      // value into a reused scratch buffer instead of allocating two strings
-      // per value (pushdown IN lists reach 10^5 candidates per query).
-      std::string key_scratch;
-      for (const Value& v : values) {
-        ++st->index_lookups;
-        if (v.is_string()) {
-          ToLowerInto(v.as_string(), &key_scratch);
-        } else {
-          ToLowerInto(v.ToString(), &key_scratch);
-        }
-        auto it = index->find(key_scratch);
-        if (it == index->end()) {
-          continue;
-        }
-        for (uint32_t idx : it->second) {
-          if (!agent_ok(catalog_->AgentOf(t, idx))) {
-            continue;
-          }
-          if (matches(idx)) {
-            out.push_back(idx);
-          }
-        }
-      }
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-      return out;
-    }
-  }
-
-  // Catalog scan: entities are few relative to events.
-  size_t n = catalog_->CountOf(t);
-  for (uint32_t idx = 0; idx < n; ++idx) {
-    if (!agent_ok(catalog_->AgentOf(t, idx))) {
-      continue;
-    }
-    if (matches(idx)) {
-      out.push_back(idx);
-    }
-  }
-  return out;
+  return ResolveEntities(*catalog_, t, pred, agents, stats);
 }
 
 std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats) const {
@@ -266,26 +185,24 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     return std::nullopt;
   }
 
-  // Resolve candidate entity sets from the subject/object predicates
-  // (pushdown narrows them with `IN` predicates).
+  // Candidate entity sets: the query's resolved candidates, or a resolution
+  // of the side's predicate when it arrives without them.
+  auto candidates = [&](EntitySide side, EntityType type, const PredExpr& pred,
+                        const std::optional<std::vector<AgentId>>& agents,
+                        std::optional<std::unordered_set<uint32_t>>* set) {
+    if (const auto& given = q.candidates(side); given != nullptr) {
+      set->emplace(given->ids.begin(), given->ids.end());
+    } else if (!pred.is_true()) {
+      std::vector<uint32_t> found = ResolveEntities(*catalog_, type, pred, agents, st);
+      set->emplace(found.begin(), found.end());
+    }
+  };
   std::optional<std::unordered_set<uint32_t>>& subject_set = plan.subject_set;
-  if (!q.subject_pred.is_true()) {
-    std::vector<uint32_t> found =
-        FindEntities(EntityType::kProcess, q.subject_pred, q.agent_ids, st);
-    subject_set.emplace(found.begin(), found.end());
-  }
   std::optional<std::unordered_set<uint32_t>>& object_set = plan.object_set;
-  if (!q.object_pred.is_true()) {
-    // Files and network connections are recorded as entities of the host the
-    // event occurred on, so the event's agent constraint narrows the
-    // candidate set; process objects may live on a remote host (cross-host
-    // connect events), so their candidates must not be agent-filtered.
-    const auto& object_agents = q.object_type == EntityType::kProcess
-                                    ? std::optional<std::vector<AgentId>>{}
-                                    : q.agent_ids;
-    std::vector<uint32_t> found = FindEntities(q.object_type, q.object_pred, object_agents, st);
-    object_set.emplace(found.begin(), found.end());
-  }
+  candidates(EntitySide::kSubject, EntityType::kProcess, q.subject_pred, q.agent_ids,
+             &subject_set);
+  candidates(EntitySide::kObject, q.object_type, q.object_pred, ObjectSideAgents(q),
+             &object_set);
 
   // Short-circuit: a constrained side with no candidates matches nothing.
   if ((subject_set.has_value() && subject_set->empty()) ||

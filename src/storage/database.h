@@ -52,9 +52,9 @@ enum class PartitionScheme : uint8_t {
 struct ScanPlan {
   const DataQuery* query = nullptr;
   CompiledEventPred compiled;
-  // Candidate entity sets resolved from the subject/object predicates
-  // (pushdown narrows them with `IN` predicates); disengaged means
-  // "unconstrained side", empty would have short-circuited planning.
+  // Candidate entity sets: the query's resolved candidates, or resolved
+  // from its subject/object predicates; disengaged means "unconstrained
+  // side", empty would have short-circuited planning.
   std::optional<std::unordered_set<uint32_t>> subject_set;
   std::optional<std::unordered_set<uint32_t>> object_set;
   std::optional<std::unordered_set<AgentId>> agent_set;
@@ -143,7 +143,8 @@ struct StorageFootprint {
 class Database : public EventStore {
  public:
   // A catalog may be shared across databases (MPP segments replicate the
-  // entity tables while sharding the event table).
+  // entity tables while sharding the event table); only the database that
+  // created it publishes its event counts and indexes at Finalize.
   explicit Database(DatabaseOptions options = {},
                     std::shared_ptr<EntityCatalog> catalog = nullptr);
 
@@ -198,9 +199,10 @@ class Database : public EventStore {
   // and MPP substrates from the same data.
   void ForEachEvent(const std::function<void(const Event&)>& fn) const;
 
-  // Entity search: evaluates `pred` over all entities of type `t` (optionally
-  // restricted to `agents`), using the exact-value hash index on the default
-  // attribute when the predicate allows it. Returns dense catalog indices.
+  // Entity search over this database's catalog (ResolveEntities,
+  // entity_search.h): the catalog indices of type `t` satisfying `pred`,
+  // optionally restricted to `agents`, through the exact-value index on the
+  // default attribute when the predicate allows it.
   std::vector<uint32_t> FindEntities(EntityType t, const PredExpr& pred,
                                      const std::optional<std::vector<AgentId>>& agents,
                                      ScanStats* stats = nullptr) const;
@@ -237,10 +239,12 @@ class Database : public EventStore {
     return options_.plan_cache_capacity == 0 ? 1 : options_.plan_cache_capacity;
   }
 
-  // The two phases of every fetch. PlanQuery returns nullopt when the query
-  // provably matches nothing before any partition is considered (op-mask
-  // contradiction, empty candidate entity set) — in that case no pruning
-  // counters move. Partitions pruned during planning do count into `stats`.
+  // The two phases of every fetch. PlanQuery takes each side's candidate
+  // entities from the query when it carries them and resolves the side's
+  // predicate otherwise. It returns nullopt when the query provably matches
+  // nothing before any partition is considered (op-mask contradiction, empty
+  // candidate entity set) — in that case no pruning counters move.
+  // Partitions pruned during planning do count into `stats`.
   // ScanWithPlan queues one morsel per surviving partition into ScanMorsels.
   std::optional<ScanPlan> PlanQuery(const DataQuery& q, ScanStats* stats) const;
   std::vector<EventView> ScanWithPlan(const ScanPlan& plan, ScanStats* stats, ThreadPool* pool,
@@ -260,10 +264,10 @@ class Database : public EventStore {
   Partition& PartitionFor(AgentId agent, TimestampMs t);
   PartitionKey KeyFor(AgentId agent, TimestampMs t) const;
 
-  // Builds the per-(type, default-attribute) exact hash indexes.
-  void BuildEntityIndexes();
-
   DatabaseOptions options_;
+  // True when this database created its catalog: its Finalize then publishes
+  // the catalog's event counts and indexes (EntityCatalog::Publish).
+  bool owns_catalog_ = true;
   std::shared_ptr<EntityCatalog> catalog_;
   // Decoded archived partitions, LRU-bounded; mutable because decoding is a
   // caching detail of const query execution (internally synchronized).
@@ -279,11 +283,6 @@ class Database : public EventStore {
   TimeRange data_range_{INT64_MAX, INT64_MIN};
   bool finalized_ = false;
   uint64_t generation_ = 0;
-
-  // Exact-value entity indexes: lowercase(default attr value) -> indices.
-  std::unordered_map<std::string, std::vector<uint32_t>> file_name_index_;
-  std::unordered_map<std::string, std::vector<uint32_t>> proc_exe_index_;
-  std::unordered_map<std::string, std::vector<uint32_t>> net_dstip_index_;
 };
 
 }  // namespace aiql

@@ -1,5 +1,7 @@
 #include "src/storage/entity.h"
 
+#include "src/util/string_utils.h"
+
 namespace aiql {
 namespace {
 
@@ -118,6 +120,65 @@ AgentId EntityCatalog::AgentOf(EntityType t, uint32_t idx) const {
       return networks_[idx].agent_id;
   }
   return 0;
+}
+
+EntityEventCounts EntityCatalog::ZeroEventCounts() const {
+  EntityEventCounts c;
+  c.subject.assign(processes_.size(), 0);
+  for (EntityType t : {EntityType::kFile, EntityType::kProcess, EntityType::kNetwork}) {
+    c.object[static_cast<size_t>(t)].assign(CountOf(t), 0);
+  }
+  return c;
+}
+
+void EntityCatalog::Publish(EntityEventCounts counts, bool build_indexes, uint64_t generation) {
+  counts_ = std::move(counts);
+  agent_events_.clear();
+  total_events_ = 0;
+  for (uint32_t i = 0; i < counts_.subject.size(); ++i) {
+    agent_events_[processes_[i].agent_id] += counts_.subject[i];
+    total_events_ += counts_.subject[i];
+  }
+  generation_ = generation;
+
+  indexed_ = build_indexes;
+  for (auto& index : default_index_) {
+    index.clear();
+  }
+  if (!build_indexes) {
+    return;
+  }
+  auto& files = default_index_[static_cast<size_t>(EntityType::kFile)];
+  for (uint32_t i = 0; i < files_.size(); ++i) {
+    files[ToLower(files_[i].name)].push_back(i);
+  }
+  auto& procs = default_index_[static_cast<size_t>(EntityType::kProcess)];
+  for (uint32_t i = 0; i < processes_.size(); ++i) {
+    procs[ToLower(processes_[i].exe_name)].push_back(i);
+  }
+  auto& nets = default_index_[static_cast<size_t>(EntityType::kNetwork)];
+  for (uint32_t i = 0; i < networks_.size(); ++i) {
+    nets[ToLower(networks_[i].dst_ip)].push_back(i);
+  }
+}
+
+uint64_t EntityCatalog::AgentEvents(const std::optional<std::vector<AgentId>>& agents) const {
+  if (!agents.has_value()) {
+    return total_events_;
+  }
+  uint64_t n = 0;
+  for (AgentId a : *agents) {
+    auto it = agent_events_.find(a);
+    n += it != agent_events_.end() ? it->second : 0;
+  }
+  return n;
+}
+
+const std::vector<uint32_t>* EntityCatalog::IndexLookup(EntityType t,
+                                                        const std::string& lower) const {
+  const auto& index = default_index_[static_cast<size_t>(t)];
+  auto it = index.find(lower);
+  return it != index.end() ? &it->second : nullptr;
 }
 
 }  // namespace aiql

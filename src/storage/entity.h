@@ -8,7 +8,9 @@
 #ifndef AIQL_SRC_STORAGE_ENTITY_H_
 #define AIQL_SRC_STORAGE_ENTITY_H_
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,8 +67,22 @@ struct NetworkEntity {
   std::string protocol;  // "tcp" / "udp"
 };
 
+// How many stored events reference each entity: as the subject (processes
+// only) and as the object, per object type. Indexed by catalog index.
+struct EntityEventCounts {
+  std::vector<uint32_t> subject;
+  std::array<std::vector<uint32_t>, 3> object;  // by EntityType
+};
+
 // Interning catalog. Indices returned by the Intern* calls are dense per-type
 // and stable for the lifetime of the catalog.
+//
+// Besides the entities, the catalog holds what entity resolution and the
+// executor's cost estimate read: per-entity event counts and exact-value
+// indexes on each type's default attribute. The Database that owns the
+// catalog writes them at Finalize (Publish); a database sharing another's
+// catalog (an MPP segment) leaves them alone, so they always describe the
+// whole store. Both are read-only while queries run.
 class EntityCatalog {
  public:
   // Interns by identity key (agent + name/pid/5-tuple); returns the dense
@@ -89,7 +105,39 @@ class EntityCatalog {
 
   size_t total_entities() const { return files_.size() + processes_.size() + networks_.size(); }
 
+  // Zeroed counts sized to the current entities, for Publish.
+  EntityEventCounts ZeroEventCounts() const;
+  // Replaces the finalization state: the event counts, the exact-value
+  // indexes (rebuilt, or dropped without `build_indexes`), and the stamp of
+  // the Finalize that wrote them (Database::generation).
+  void Publish(EntityEventCounts counts, bool build_indexes, uint64_t generation);
+  // The last Publish's stamp; 0 before any. Entity resolution memos key on
+  // it, so a resolution made before a re-finalize is never reused.
+  uint64_t generation() const { return generation_; }
+
+  // Events with process `idx` as subject, and with entity (t, idx) as object;
+  // 0 for an entity interned after the last Publish.
+  uint64_t SubjectEvents(uint32_t idx) const { return CountAt(counts_.subject, idx); }
+  uint64_t ObjectEvents(EntityType t, uint32_t idx) const {
+    return CountAt(counts_.object[static_cast<size_t>(t)], idx);
+  }
+  // Events recorded by `agents` (every event when disengaged), counted by
+  // their subject process's host.
+  uint64_t AgentEvents(const std::optional<std::vector<AgentId>>& agents) const;
+
+  // True when the exact-value indexes are built.
+  bool indexed() const { return indexed_; }
+  // The entities of type `t` whose default attribute (file name, process
+  // exe_name, network dst_ip) lowercases to `lower`, ascending; null when
+  // none does or the indexes are not built.
+  const std::vector<uint32_t>* IndexLookup(EntityType t, const std::string& lower) const;
+
  private:
+  static uint64_t CountAt(const std::vector<uint32_t>& counts, uint32_t idx) {
+    return idx < counts.size() ? counts[idx] : 0;
+  }
+
+
   int64_t next_id_ = 1;
   std::vector<FileEntity> files_;
   std::vector<ProcessEntity> processes_;
@@ -97,6 +145,14 @@ class EntityCatalog {
   std::unordered_map<std::string, uint32_t> file_key_;
   std::unordered_map<std::string, uint32_t> proc_key_;
   std::unordered_map<std::string, uint32_t> net_key_;
+
+  // Finalization state (Publish).
+  uint64_t generation_ = 0;
+  EntityEventCounts counts_;
+  std::unordered_map<AgentId, uint64_t> agent_events_;
+  uint64_t total_events_ = 0;
+  bool indexed_ = false;
+  std::array<std::unordered_map<std::string, std::vector<uint32_t>>, 3> default_index_;
 };
 
 }  // namespace aiql

@@ -171,6 +171,43 @@ void Partition::Archive(uint64_t generation) {
   cols_ = EventColumns();  // release the decoded buffers, not just clear them
 }
 
+void Partition::AddEventCounts(EntityEventCounts* counts) const {
+  auto bump = [](std::vector<uint32_t>* c, uint32_t idx, uint32_t n) {
+    if (idx < c->size()) {
+      (*c)[idx] += n;
+    }
+  };
+  if (has_indexes_) {
+    // Each key's rows are one CSR range: its count is an offset difference.
+    const PostingIndex& subj = subject_postings_;
+    for (size_t k = 0; k < subj.keys.size(); ++k) {
+      bump(&counts->subject, static_cast<uint32_t>(subj.keys[k]),
+           subj.offsets[k + 1] - subj.offsets[k]);
+    }
+    const PostingIndex& obj = object_postings_;
+    for (size_t k = 0; k < obj.keys.size(); ++k) {
+      bump(&counts->object[obj.keys[k] >> 32], static_cast<uint32_t>(obj.keys[k]),
+           obj.offsets[k + 1] - obj.offsets[k]);
+    }
+    return;
+  }
+  // Built without posting rows: count the entity columns (an archived
+  // partition decodes them transiently).
+  EventColumns decoded;
+  const EventColumns* cols = &cols_;
+  if (archived_ != nullptr) {
+    for (EventColumnId id :
+         {EventColumnId::kSubjectIdx, EventColumnId::kObjectIdx, EventColumnId::kObjectType}) {
+      DecodeOneColumn(*archived_, id, &decoded);
+    }
+    cols = &decoded;
+  }
+  for (size_t r = 0; r < cols->subject_idx.size(); ++r) {
+    bump(&counts->subject, cols->subject_idx[r], 1);
+    bump(&counts->object[static_cast<size_t>(cols->object_type[r])], cols->object_idx[r], 1);
+  }
+}
+
 size_t Partition::ColumnBytes() const {
   size_t total = 0;
   for (int i = 0; i < kNumEventColumns; ++i) {

@@ -25,6 +25,7 @@
 
 #include "src/storage/data_query.h"
 #include "src/storage/encoding.h"
+#include "src/storage/entity.h"
 #include "src/storage/event.h"
 #include "src/storage/event_view.h"
 #include "src/storage/posting_index.h"
@@ -218,6 +219,12 @@ class Partition {
   bool archived() const { return archived_ != nullptr; }
   const ArchivedColumns* archived_columns() const { return archived_.get(); }
   uint64_t archive_generation() const { return archive_generation_; }
+
+  // Adds how many of this partition's events reference each entity, as the
+  // subject and as the object, to `counts` (entities beyond its sizes are
+  // skipped). Reads the posting offsets when the rows are indexed and counts
+  // the entity columns otherwise.
+  void AddEventCounts(EntityEventCounts* counts) const;
 
   // Resident decoded column bytes (zero when archived) and encoded archive
   // bytes (zero when hot), for the storage footprint report.

@@ -81,7 +81,55 @@ bool AppendPred(const PredExpr& p, std::string* out, size_t* budget) {
   return false;
 }
 
+// Serializes the candidates of one side when pushdown narrowed them (the
+// predicate, already in the key, determines the rest); returns false when
+// the ids exceed the fingerprint budget.
+bool AppendCandidates(const std::shared_ptr<const EntityCandidates>& c, std::string* out,
+                      size_t* budget) {
+  if (c == nullptr || !c->narrowed) {
+    out->push_back('-');
+    return true;
+  }
+  if (c->ids.size() > *budget) {
+    return false;
+  }
+  *budget -= c->ids.size();
+  out->push_back('N');
+  out->append(std::to_string(c->ids.size()));
+  out->push_back(':');
+  for (uint32_t id : c->ids) {
+    out->append(std::to_string(id));
+    out->push_back(',');
+  }
+  return true;
+}
+
+void AppendAgents(const std::optional<std::vector<AgentId>>& agents, std::string* out) {
+  if (agents.has_value()) {
+    for (AgentId a : *agents) {
+      out->append(std::to_string(a));
+      out->push_back(',');
+    }
+  } else {
+    out->push_back('-');
+  }
+  out->push_back('/');
+}
+
 }  // namespace
+
+std::string EntityResolutionFingerprint(const DataQuery& q) {
+  std::string out;
+  out.reserve(96);
+  size_t budget = kMaxFingerprintValues;
+  out.append(std::to_string(static_cast<int>(q.object_type)));
+  out.push_back('/');
+  AppendAgents(q.agent_ids, &out);
+  if (!AppendPred(q.subject_pred, &out, &budget) || !AppendPred(q.object_pred, &out, &budget)) {
+    return std::string();
+  }
+  return out;
+}
 
 std::string DataQueryFingerprint(const DataQuery& q) {
   std::string out;
@@ -94,15 +142,7 @@ std::string DataQueryFingerprint(const DataQuery& q) {
   out.push_back('/');
   out.append(std::to_string(q.columns));
   out.push_back('/');
-  if (q.agent_ids.has_value()) {
-    for (AgentId a : *q.agent_ids) {
-      out.append(std::to_string(a));
-      out.push_back(',');
-    }
-  } else {
-    out.push_back('-');
-  }
-  out.push_back('/');
+  AppendAgents(q.agent_ids, &out);
   out.append(std::to_string(q.time.begin));
   out.push_back(':');
   out.append(std::to_string(q.time.end));
@@ -116,7 +156,9 @@ std::string DataQueryFingerprint(const DataQuery& q) {
   }
   out.push_back('/');
   if (!AppendPred(q.subject_pred, &out, &budget) || !AppendPred(q.object_pred, &out, &budget) ||
-      !AppendPred(q.event_pred, &out, &budget)) {
+      !AppendPred(q.event_pred, &out, &budget) ||
+      !AppendCandidates(q.subject_candidates, &out, &budget) ||
+      !AppendCandidates(q.object_candidates, &out, &budget)) {
     return std::string();  // too large to be worth caching
   }
   return out;

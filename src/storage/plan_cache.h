@@ -40,7 +40,8 @@ struct ScanPlan;  // database.h
 
 class ScanPlanCache {
  public:
-  explicit ScanPlanCache(size_t capacity = kDefaultPlanCacheCapacity) : cache_(capacity) {}
+  explicit ScanPlanCache(size_t capacity = kDefaultPlanCacheCapacity)
+      : cache_(capacity), resolutions_(capacity) {}
 
   // A cached plan. `plan` is null when planning proved the query matches
   // nothing (caching the short-circuit is what makes repeated no-match
@@ -67,6 +68,24 @@ class ScanPlanCache {
     return cache_.Insert(key, std::move(entry));
   }
 
+  // The executor's memo of one data query's entity resolution: the
+  // candidates of its constrained sides (null for an unconstrained side) and
+  // the index counters resolving them accrued, replayed on every hit. Keyed
+  // by EntityResolutionFingerprint plus the catalog's generation, in an LRU
+  // of its own with the plan cache's capacity.
+  struct Resolution {
+    std::shared_ptr<const EntityCandidates> subject;
+    std::shared_ptr<const EntityCandidates> object;
+    ScanStats stats;
+  };
+  std::shared_ptr<const Resolution> FindResolution(const std::string& key) const {
+    return resolutions_.Find(key);
+  }
+  std::shared_ptr<const Resolution> InsertResolution(std::string key,
+                                                     std::shared_ptr<const Resolution> r) {
+    return resolutions_.Insert(key, std::move(r));
+  }
+
   size_t size() const { return cache_.size(); }
   size_t capacity() const { return cache_.capacity(); }
   // Total entries evicted over this cache's lifetime.
@@ -74,11 +93,15 @@ class ScanPlanCache {
 
  private:
   LruCache<std::string, std::shared_ptr<const Entry>> cache_;
+  LruCache<std::string, std::shared_ptr<const Resolution>> resolutions_;
 };
 
 // Canonical serialization of every constraint on `q` — static pattern
-// constraints plus pushed-down IN predicates and time bounds — and of its
-// emission columns (a cached plan scans with its own copy of the query).
+// constraints plus pushed-down IN predicates, candidate sets narrowed by
+// pushdown, and time bounds — and of its emission columns (a cached plan
+// scans with its own copy of the query). Un-narrowed candidates are left
+// out: the predicates they were resolved from are in the key, and callers
+// append the store's generation.
 // Queries with equal fingerprints produce identical ScanPlans over the same
 // finalized database.
 // Variable-length fields (string values, attribute names) are length-
@@ -89,6 +112,11 @@ class ScanPlanCache {
 std::string DataQueryFingerprint(const DataQuery& q);
 
 inline constexpr size_t kMaxFingerprintValues = 4096;
+
+// Canonical serialization of what entity resolution reads from `q`: the
+// object type, the agent constraint and the subject/object predicates.
+// Empty when the predicates' values exceed kMaxFingerprintValues.
+std::string EntityResolutionFingerprint(const DataQuery& q);
 
 }  // namespace aiql
 

@@ -47,6 +47,12 @@ struct AttrDef {
   Value (*event)(const EventView& e, const EntityCatalog& catalog) = nullptr;
 };
 
+// True for the `id` row of an entity type: equal ids mean the same entity
+// (ids are unique across types), so a join on it matches catalog indices.
+inline bool IsEntityId(const AttrDef* a) {
+  return a != nullptr && a->owner != AttrOwner::kEvent && a->name == "id";
+}
+
 // Every row, grouped by owner.
 std::span<const AttrDef> AttrTable();
 

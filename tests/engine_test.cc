@@ -427,7 +427,8 @@ TEST_F(EngineTest, StatsPopulated) {
 }
 
 TEST_F(EngineTest, PushdownDisabledStillCorrect) {
-  AiqlEngine engine(&db_, EngineOptions{.pushdown = false, .ordering = false});
+  AiqlEngine engine(&db_,
+                    EngineOptions{.pushdown = false, .ordering = RelationshipOrdering::kNone});
   auto r = engine.Execute(kChainQuery);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().num_rows(), 1u);

@@ -1,8 +1,9 @@
 // Multi-pattern differential test: random 2-3-pattern queries over a small
 // two-host trace must bind exactly the brute-force reference's tuples
 // (tests/reference_multievent.h) under every scheduler, relationship
-// ordering on/off, pushdown on/off, parallelism 1/8 and hot/archived storage,
-// and over both MPP distribution policies (parallelism 1).
+// ordering (cost, paper, none), pushdown on/off, parallelism 1/8 and
+// hot/archived storage, and over both MPP distribution policies
+// (parallelism 1).
 // The query shapes cover chains, relationship cycles (the connect step's
 // filter path), patterns no relationship touches (steps 4-5 cross joins) and
 // entity-ID reuse (implicit attribute relationships).
@@ -258,14 +259,16 @@ TEST(MultieventOracleTest, EveryConfigurationBindsTheReferenceTuples) {
       for (const Target& target : targets) {
         for (SchedulerKind scheduler : {SchedulerKind::kRelationship,
                                         SchedulerKind::kFetchFilter, SchedulerKind::kBigJoin}) {
-          for (bool ordering : {true, false}) {
+          for (RelationshipOrdering ordering :
+               {RelationshipOrdering::kCost, RelationshipOrdering::kPaper,
+                RelationshipOrdering::kNone}) {
             for (bool pushdown : {true, false}) {
               for (size_t parallelism : {size_t{1}, size_t{8}}) {
                 if (parallelism > target.max_parallelism) {
                   continue;
                 }
                 SCOPED_TRACE(std::string(SchedulerKindName(scheduler)) + " " + target.name +
-                             (ordering ? " ordering" : " no-ordering") +
+                             " ordering=" + RelationshipOrderingName(ordering) +
                              (pushdown ? " pushdown" : " no-pushdown") +
                              " parallelism=" + std::to_string(parallelism));
                 const ExecOptions options{.scheduler = scheduler,

@@ -170,6 +170,50 @@ TEST(PreparedRefinalizeTest, RerunAfterRefinalizeSeesNewEvents) {
   }
 }
 
+// The executor memoizes entity resolution in the prepared query's plan
+// cache. A re-finalize that ingests a newly matching entity must not be
+// answered from a resolution made before it: the memo key carries the
+// catalog's generation.
+TEST(PreparedRefinalizeTest, RebindAfterRefinalizeResolvesNewEntities) {
+  constexpr const char* kQuery = R"(
+      agentid = 1 (from "2017-01-01 00:00" to "2017-01-02 00:00")
+      proc p1["%dropper%"] write file f1 as evt1
+      proc p1 start proc p2 as evt2
+      with evt1 before evt2
+      return distinct p1, f1, p2)";
+  const TimestampMs t0 = MakeTimestamp(2017, 1, 1, 12, 0, 0);
+  for (const int archive_after_days : {-1, 0}) {
+    SCOPED_TRACE("archive " + std::to_string(archive_after_days));
+    Database db(DatabaseOptions{.archive_after_days = archive_after_days});
+    const uint32_t first = db.catalog().InternProcess(1, 10, "C:\\dropper.exe");
+    const uint32_t child = db.catalog().InternProcess(1, 11, "C:\\child.exe");
+    const uint32_t payload = db.catalog().InternFile(1, "C:\\payload.bin");
+    db.RecordEvent(1, first, Operation::kWrite, EntityType::kFile, payload, t0);
+    db.RecordEvent(1, first, Operation::kStart, EntityType::kProcess, child, t0 + kMinuteMs);
+    db.Finalize();
+    const AiqlEngine engine(&db, EngineOptions{.parallelism = 1});
+    auto prepared = engine.Prepare(kQuery);
+    ASSERT_TRUE(prepared.ok()) << prepared.error();
+    auto bound = prepared.value().Bind();
+    ASSERT_TRUE(bound.ok()) << bound.error();
+    auto before = bound.value().Run();
+    ASSERT_TRUE(before.ok()) << before.error();
+    EXPECT_EQ(before.value().num_rows(), 1u);
+
+    const uint32_t second = db.catalog().InternProcess(1, 20, "C:\\dropper2.exe");
+    db.RecordEvent(1, second, Operation::kWrite, EntityType::kFile, payload, t0 + 2 * kMinuteMs);
+    db.RecordEvent(1, second, Operation::kStart, EntityType::kProcess, child,
+                   t0 + 3 * kMinuteMs);
+    db.Finalize();
+    auto rebound = prepared.value().Bind();
+    ASSERT_TRUE(rebound.ok()) << rebound.error();
+    auto after = rebound.value().Run();
+    ASSERT_TRUE(after.ok()) << after.error();
+    EXPECT_EQ(after.value().num_rows(), 2u) << after.value().ToString();
+    EXPECT_NE(after.value().ToString().find("dropper2.exe"), std::string::npos);
+  }
+}
+
 TEST_F(PreparedQueryTest, RebindTimeWindowWithoutRepreparing) {
   const AiqlEngine engine(&db_);
   auto prepared = engine.Prepare(kChainTemplate);
@@ -287,6 +331,53 @@ TEST_F(PreparedQueryTest, SessionCancellationAborts) {
   auto r = bound.value().Run(&session);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("cancelled"), std::string::npos);
+}
+
+// Entity resolution runs in the executor before any scan and honours the
+// run's stop state: a run that is already cancelled, or whose time budget
+// runs out while it resolves, fails with the stop error having scanned
+// nothing.
+TEST(ResolutionStopTest, StoppedRunFailsBeforeAnyScan) {
+  Database db;
+  // Enough processes that a LIKE over all of them outlasts a 1 ms budget.
+  constexpr int kProcesses = 100000;
+  uint32_t last = 0;
+  for (int i = 0; i < kProcesses; ++i) {
+    last = db.catalog().InternProcess(1, i, "/opt/tool" + std::to_string(i) + "/bin/run");
+  }
+  const uint32_t file = db.catalog().InternFile(1, "/tmp/out");
+  db.RecordEvent(1, last, Operation::kWrite, EntityType::kFile, file,
+                 MakeTimestamp(2017, 1, 1, 12, 0, 0));
+  db.Finalize();
+  constexpr const char* kQuery = R"(
+      proc p1["%tool%/bin/%"] write file f1 as evt1
+      proc p2["%run"] write file f1 as evt2
+      return p1, f1)";
+  const AiqlEngine engine(&db, EngineOptions{.parallelism = 1});
+  auto prepared = engine.Prepare(kQuery);
+  ASSERT_TRUE(prepared.ok()) << prepared.error();
+  auto bound = prepared.value().Bind();
+  ASSERT_TRUE(bound.ok()) << bound.error();
+
+  ExecutionSession cancelled;
+  cancelled.RequestCancel();
+  auto r = bound.value().Run(&cancelled);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().find("cancelled"), std::string::npos) << r.error();
+  EXPECT_EQ(cancelled.stats.scan.events_scanned, 0u);
+
+  ExecutionSession expired;
+  expired.time_budget_ms = 1;
+  r = bound.value().Run(&expired);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().find("time limit"), std::string::npos) << r.error();
+  EXPECT_EQ(expired.stats.scan.events_scanned, 0u);
+
+  // Unstopped, the same run matches.
+  ExecutionSession plain;
+  r = bound.value().Run(&plain);
+  ASSERT_TRUE(r.ok()) << r.error();
+  EXPECT_EQ(r.value().num_rows(), 1u);
 }
 
 TEST_F(PreparedQueryTest, SessionTimeBudgetOverridesEngine) {

@@ -10,6 +10,7 @@
 #define AIQL_TESTS_REFERENCE_SCAN_H_
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -43,9 +44,18 @@ inline bool ReferenceEntityMatches(const EntityCatalog& catalog, EntityType t, u
           }));
 }
 
-// `id IN (...)` over the catalog ids of the type-`t` entities `idxs`: the
-// predicate pushdown conjoins onto a pattern's subject or object to narrow
-// it to candidate entities. Queries under test build candidate sets with it.
+// True when the query carries no candidates for a side or they list `idx`.
+// A side with candidates must also satisfy its predicate: candidates only
+// ever narrow what the predicate selects.
+inline bool ReferenceCandidate(const std::shared_ptr<const EntityCandidates>& candidates,
+                               uint32_t idx) {
+  return candidates == nullptr ||
+         std::find(candidates->ids.begin(), candidates->ids.end(), idx) != candidates->ids.end();
+}
+
+// `id IN (...)` over the catalog ids of the type-`t` entities `idxs`: a
+// candidate set in predicate form. Queries under test build candidate sets
+// with it.
 inline PredExpr IdIn(const EntityCatalog& catalog, EntityType t,
                      const std::vector<uint32_t>& idxs) {
   std::vector<Value> ids;
@@ -68,6 +78,8 @@ inline std::vector<Event> ReferenceScan(const Database& db, const DataQuery& q) 
     const Event& e = all[row];
     if ((OpBit(e.op) & q.op_mask) == 0 || e.object_type != q.object_type ||
         !range.Contains(e.start_time) || !ReferenceAdmits(q.agent_ids, e.agent_id) ||
+        !ReferenceCandidate(q.subject_candidates, e.subject_idx) ||
+        !ReferenceCandidate(q.object_candidates, e.object_idx) ||
         !ReferenceEntityMatches(catalog, EntityType::kProcess, e.subject_idx, q.subject_pred,
                                 true, q.agent_ids) ||
         !ReferenceEntityMatches(catalog, e.object_type, e.object_idx, q.object_pred,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <span>
@@ -11,7 +13,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/mpp/mpp_cluster.h"
 #include "src/storage/database.h"
+#include "src/storage/entity_search.h"
+#include "src/storage/plan_cache.h"
 #include "src/util/rng.h"
 #include "tests/reference_scan.h"
 
@@ -572,6 +577,146 @@ TEST(ParallelFinalizeTest, DatabaseFinalizeEqualsPartitionByPartitionBuild) {
     }
   }
   EXPECT_GT(index_lookups, 0u) << "no scan took the posting-list path";
+}
+
+// The catalog's per-entity event counts, published at Finalize, against a
+// count over every stored event: from the posting offsets (indexes built)
+// and from the entity columns (no indexes; archived ones decode), before and
+// after a re-finalize that ingests more events.
+TEST(EntityEventCountsTest, CountsMatchTheStoredEvents) {
+  const std::pair<const char*, DatabaseOptions> configs[] = {
+      {"indexed", DatabaseOptions{.agent_group_size = 2}},
+      {"indexed archived", DatabaseOptions{.agent_group_size = 2, .archive_after_days = 1}},
+      {"no indexes", DatabaseOptions{.agent_group_size = 2, .build_indexes = false}},
+      {"no indexes archived", DatabaseOptions{.agent_group_size = 2, .build_indexes = false,
+                                              .archive_after_days = 1}},
+  };
+  for (const auto& [name, options] : configs) {
+    SCOPED_TRACE(name);
+    Database db{options};
+    const std::vector<Event> events = RandomEvents(db.catalog(), 4, 6000, 11);
+    const size_t half = events.size() / 2;
+    for (const bool refinalized : {false, true}) {
+      for (size_t i = refinalized ? half : 0; i < (refinalized ? events.size() : half); ++i) {
+        db.AppendRaw(events[i]);
+      }
+      db.Finalize();
+      const EntityCatalog& catalog = db.catalog();
+      EntityEventCounts want = catalog.ZeroEventCounts();
+      std::map<AgentId, uint64_t> agent_events;
+      db.ForEachEvent([&](const Event& e) {
+        ++want.subject[e.subject_idx];
+        ++want.object[static_cast<size_t>(e.object_type)][e.object_idx];
+        ++agent_events[e.agent_id];
+      });
+      for (uint32_t i = 0; i < want.subject.size(); ++i) {
+        EXPECT_EQ(catalog.SubjectEvents(i), want.subject[i]) << "subject " << i;
+      }
+      for (EntityType t : {EntityType::kFile, EntityType::kProcess, EntityType::kNetwork}) {
+        const std::vector<uint32_t>& counts = want.object[static_cast<size_t>(t)];
+        for (uint32_t i = 0; i < counts.size(); ++i) {
+          EXPECT_EQ(catalog.ObjectEvents(t, i), counts[i]) << EntityTypeName(t) << " " << i;
+        }
+      }
+      EXPECT_EQ(catalog.AgentEvents(std::nullopt), db.num_events());
+      for (const auto& [agent, n] : agent_events) {
+        EXPECT_EQ(catalog.AgentEvents(std::vector<AgentId>{agent}), n) << "agent " << agent;
+      }
+      EXPECT_EQ(catalog.generation(), db.generation());
+    }
+  }
+}
+
+// MPP segments share their source's catalog and finalize over a shard each;
+// the catalog must keep describing the whole store.
+TEST(EntityEventCountsTest, MppSegmentsKeepTheWholeStoreCounts) {
+  Database db{DatabaseOptions{.agent_group_size = 2}};
+  for (const Event& e : RandomEvents(db.catalog(), 3, 3000, 5)) {
+    db.AppendRaw(e);
+  }
+  db.Finalize();
+  const EntityCatalog& catalog = db.catalog();
+  std::vector<uint64_t> before;
+  for (uint32_t i = 0; i < catalog.CountOf(EntityType::kProcess); ++i) {
+    before.push_back(catalog.SubjectEvents(i));
+  }
+  MppCluster cluster(3, DistributionPolicy::kArrivalRoundRobin);
+  cluster.BuildFrom(db);
+  ASSERT_EQ(&cluster.catalog(), &catalog);
+  for (uint32_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(catalog.SubjectEvents(i), before[i]) << "subject " << i;
+  }
+  EXPECT_EQ(catalog.AgentEvents(std::nullopt), db.num_events());
+  EXPECT_EQ(catalog.generation(), db.generation());
+}
+
+// The resolver checks the run's stop state every kResolveStopStride
+// entities of a catalog scan: a run already cancelled or out of time
+// resolves nothing.
+TEST(EntityResolutionTest, StoppedRunResolvesNothing) {
+  Database db;
+  for (int i = 0; i < 3000; ++i) {
+    db.catalog().InternProcess(1, i, "/bin/p" + std::to_string(i));
+  }
+  db.Finalize();
+  AttrPredicate like;
+  like.attr = "exe_name";
+  like.op = CmpOp::kLike;
+  like.values = {Value("/bin/%")};
+  const PredExpr pred = PredExpr::Leaf(like);
+  EXPECT_EQ(
+      ResolveEntities(db.catalog(), EntityType::kProcess, pred, std::nullopt, nullptr).size(),
+      3000u);
+
+  std::atomic<bool> cancelled{true};
+  ScanContext cancel{.cancel = &cancelled};
+  EXPECT_TRUE(
+      ResolveEntities(db.catalog(), EntityType::kProcess, pred, std::nullopt, nullptr, &cancel)
+          .empty());
+  ScanContext expired;
+  expired.has_deadline = true;
+  expired.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_TRUE(
+      ResolveEntities(db.catalog(), EntityType::kProcess, pred, std::nullopt, nullptr, &expired)
+          .empty());
+  EXPECT_NE(expired.StopStatus().message().find("time limit"), std::string::npos);
+}
+
+// Candidates narrowed by pushdown are part of the plan-cache key: two
+// queries with the same predicates but different pushed entities must not
+// share a plan. Un-narrowed candidates are a function of the predicates (and
+// the generation the caller appends), so they leave the key alone.
+TEST(EntityResolutionTest, NarrowedCandidatesAreKeyed) {
+  DataQuery q;
+  q.object_type = EntityType::kFile;
+  AttrPredicate like;
+  like.attr = "name";
+  like.op = CmpOp::kLike;
+  like.values = {Value("%.dll")};
+  q.object_pred = PredExpr::Leaf(like);
+  const std::string plain = DataQueryFingerprint(q);
+
+  DataQuery resolved = q;
+  resolved.object_candidates =
+      std::make_shared<const EntityCandidates>(EntityCandidates{.ids = {1, 2, 3}});
+  EXPECT_EQ(DataQueryFingerprint(resolved), plain);
+
+  DataQuery a = q;
+  DataQuery b = q;
+  a.object_candidates =
+      std::make_shared<const EntityCandidates>(EntityCandidates{.ids = {1, 2}, .narrowed = true});
+  b.object_candidates =
+      std::make_shared<const EntityCandidates>(EntityCandidates{.ids = {1, 3}, .narrowed = true});
+  EXPECT_NE(DataQueryFingerprint(a), plain);
+  EXPECT_NE(DataQueryFingerprint(a), DataQueryFingerprint(b));
+  DataQuery a_again = q;
+  a_again.object_candidates =
+      std::make_shared<const EntityCandidates>(EntityCandidates{.ids = {1, 2}, .narrowed = true});
+  EXPECT_EQ(DataQueryFingerprint(a), DataQueryFingerprint(a_again));
+  // The same ids pushed onto the other side are another query.
+  DataQuery subject = q;
+  subject.subject_candidates = a.object_candidates;
+  EXPECT_NE(DataQueryFingerprint(subject), DataQueryFingerprint(a));
 }
 
 TEST(PostingIndexTest, EachKeysRowsAreExactlyTheRowsHoldingIt) {
