@@ -300,10 +300,10 @@ class MultieventExecutor {
   // big join fetch every pattern up front. Each pattern is fetched once, so
   // pushdown narrows its query in place.
   void Fetch(size_t pattern, const Relationship* rel = nullptr,
-             const std::shared_ptr<TupleSet>& known = nullptr) {
+             const TupleSet* known = nullptr) {
     DataQuery& q = queries_[pattern];
     if (options_.pushdown && known != nullptr) {
-      InjectPushdown(&q, *rel, pattern, known);
+      InjectPushdown(&q, *rel, pattern, *known);
     }
     m_[pattern] = std::make_shared<TupleSet>(TupleSet::FromMatches(
         pattern, FetchPattern(db_, ctx_, pattern, q, options_, pool_, session_)));
@@ -339,15 +339,8 @@ class MultieventExecutor {
   // The candidates of `target`'s side of `rel` narrowed to the entities the
   // rows of `known` bind on the other end of the entity-id join `rel`:
   // the known catalog indices, intersected with the side's own candidates.
-  // Memoized per (relationship, known set), so the estimate that picked a
-  // relationship and its fetch share one computation.
   std::shared_ptr<const EntityCandidates> IdPushdown(const Relationship& rel, size_t target,
-                                                     const std::shared_ptr<TupleSet>& known) {
-    for (const IdNarrowing& n : id_narrowings_) {
-      if (n.rel == &rel && n.known.lock() == known) {
-        return n.candidates;
-      }
-    }
+                                                     const TupleSet& known) const {
     const bool target_is_left = rel.attr.left_pattern == target;
     const size_t source = target_is_left ? rel.attr.right_pattern : rel.attr.left_pattern;
     const RefSide source_side = target_is_left ? rel.attr.right_side : rel.attr.left_side;
@@ -359,10 +352,10 @@ class MultieventExecutor {
     const EntityCatalog& catalog = db_.catalog();
     std::vector<uint32_t> ids;
     if (static_cast<AttrOwner>(type) == rel.attr.left_attr->owner) {
-      const int col = known->ColumnOf(source);
+      const int col = known.ColumnOf(source);
       std::vector<bool> seen(catalog.CountOf(type));
-      for (size_t r = 0; r < known->num_rows(); ++r) {
-        const EventView& e = known->At(r, col);
+      for (size_t r = 0; r < known.num_rows(); ++r) {
+        const EventView& e = known.At(r, col);
         const bool subject = source_side == RefSide::kSubject;
         if (!subject && e.object_type() != type) {
           continue;
@@ -375,11 +368,9 @@ class MultieventExecutor {
       }
       std::sort(ids.begin(), ids.end());
     }
-    auto candidates = std::make_shared<const EntityCandidates>(
+    return std::make_shared<const EntityCandidates>(
         MakeCandidates(catalog, q, side, Intersect(std::move(ids), q.candidates(side)),
                        /*narrowed=*/true));
-    id_narrowings_.push_back(IdNarrowing{&rel, known, candidates});
-    return candidates;
   }
 
   // `ids` restricted to `own` (all of them when the side is unconstrained).
@@ -397,13 +388,13 @@ class MultieventExecutor {
   // Constrained execution: derive candidate entities / values / time bounds
   // for `target` from the known side of `rel`.
   void InjectPushdown(DataQuery* q, const Relationship& rel, size_t target,
-                      const std::shared_ptr<TupleSet>& known) {
+                      const TupleSet& known) {
     size_t source = rel.left() == target ? rel.right() : rel.left();
-    int source_col = known->ColumnOf(source);
+    int source_col = known.ColumnOf(source);
     if (source_col < 0) {
       return;
     }
-    const size_t num_known = known->num_rows();
+    const size_t num_known = known.num_rows();
     const EntityCatalog& catalog = db_.catalog();
 
     if (JoinsEntityIds(rel)) {
@@ -425,7 +416,7 @@ class MultieventExecutor {
       std::unordered_set<Value, ValueHash> distinct;
       for (size_t r = 0; r < num_known; ++r) {
         distinct.insert(
-            EndpointValue(known->At(r, source_col), source_side, source_attr, catalog));
+            EndpointValue(known.At(r, source_col), source_side, source_attr, catalog));
         if (distinct.size() > kPushdownValueLimit) {
           return;  // candidate set too large to help
         }
@@ -453,7 +444,7 @@ class MultieventExecutor {
     if (rel.kind == Relationship::Kind::kTemp) {
       TimestampMs tmin = INT64_MAX, tmax = INT64_MIN;
       for (size_t r = 0; r < num_known; ++r) {
-        TimestampMs t = known->At(r, source_col).start_time();
+        TimestampMs t = known.At(r, source_col).start_time();
         tmin = std::min(tmin, t);
         tmax = std::max(tmax, t);
       }
@@ -499,7 +490,7 @@ class MultieventExecutor {
       Fetch(lead);
     }
     if (m_[other] == nullptr) {
-      Fetch(other, &rel, m_[lead]);
+      Fetch(other, &rel, m_[lead].get());
     }
     if (m_[lead] == m_[other]) {
       m_[lead]->Filter(rel, db_.catalog());
@@ -511,7 +502,7 @@ class MultieventExecutor {
   // Estimated rows of fetching `pending` through `rel`: its own estimate, or
   // with pushdown on an entity-id join, that of its candidates narrowed to
   // the entities the executed endpoint binds.
-  uint64_t PendingEstimate(const Relationship& rel, size_t pending) {
+  uint64_t PendingEstimate(const Relationship& rel, size_t pending) const {
     const size_t source = rel.left() == pending ? rel.right() : rel.left();
     if (!options_.pushdown || !JoinsEntityIds(rel)) {
       return estimates_[pending];
@@ -519,7 +510,7 @@ class MultieventExecutor {
     const EntitySide side = *TargetSide(rel, pending);
     const EntitySide other_side =
         side == EntitySide::kSubject ? EntitySide::kObject : EntitySide::kSubject;
-    uint64_t rows = IdPushdown(rel, pending, m_[source])->events;
+    uint64_t rows = IdPushdown(rel, pending, *m_[source])->events;
     if (const auto& other = queries_[pending].candidates(other_side); other != nullptr) {
       rows = std::min(rows, other->events);
     }
@@ -531,7 +522,7 @@ class MultieventExecutor {
   // one whose pending endpoint — with neither executed, the cheaper one —
   // has the smallest estimate, preferring one that extends an executed set
   // on a tie, then list order.
-  size_t NextByCost(const std::vector<const Relationship*>& rels) {
+  size_t NextByCost(const std::vector<const Relationship*>& rels) const {
     size_t best = 0;
     uint64_t best_rows = UINT64_MAX;
     bool best_extends = false;
@@ -631,14 +622,6 @@ class MultieventExecutor {
     return Status::Ok();
   }
 
-  // A memoized IdPushdown: `candidates` were computed for `rel` from the set
-  // `known` points to, valid while M still maps to that set.
-  struct IdNarrowing {
-    const Relationship* rel;
-    std::weak_ptr<TupleSet> known;
-    std::shared_ptr<const EntityCandidates> candidates;
-  };
-
   const EventStore& db_;
   const QueryContext& ctx_;
   const ExecOptions& options_;
@@ -651,7 +634,6 @@ class MultieventExecutor {
   // estimated rows before any pushdown.
   std::vector<DataQuery> queries_;
   std::vector<uint64_t> estimates_;
-  std::vector<IdNarrowing> id_narrowings_;
   // Algorithm 1's map M: pattern -> the tuple set binding it; null until the
   // pattern is fetched, so "executed" is "has an entry".
   std::vector<std::shared_ptr<TupleSet>> m_;

@@ -30,19 +30,6 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
-namespace {
-
-// LIKE over the two values' renderings. Strings render as themselves, so
-// they match in place: entity resolution runs this once per entity.
-bool LikeValues(const Value& text, const Value& pattern) {
-  if (text.is_string() && pattern.is_string()) {
-    return LikeMatch(text.as_string(), pattern.as_string());
-  }
-  return LikeMatch(text.ToString(), pattern.ToString());
-}
-
-}  // namespace
-
 AttrPredicate AttrPredicate::In(std::string attr, std::vector<Value> values) {
   AttrPredicate p;
   p.attr = std::move(attr);
@@ -70,9 +57,9 @@ bool AttrPredicate::Eval(const Value& actual) const {
     case CmpOp::kGe:
       return !values.empty() && actual >= values[0];
     case CmpOp::kLike:
-      return !values.empty() && LikeValues(actual, values[0]);
+      return !values.empty() && LikeMatch(actual.ToString(), values[0].ToString());
     case CmpOp::kNotLike:
-      return !values.empty() && !LikeValues(actual, values[0]);
+      return !values.empty() && !LikeMatch(actual.ToString(), values[0].ToString());
     case CmpOp::kIn: {
       if (value_set != nullptr) {
         return value_set->count(actual) > 0;

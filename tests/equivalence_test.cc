@@ -361,6 +361,10 @@ class ReferenceCheckingStore : public EventStore {
  private:
   std::vector<EventView> Check(const DataQuery& q, std::vector<EventView> rows) const {
     EXPECT_EQ(RowsOf(rows), RowsOf(ReferenceScan(*db_, q))) << "fetch " << fetches_;
+    for (EntitySide side : {EntitySide::kSubject, EntitySide::kObject}) {
+      EXPECT_EQ(ReferenceCandidatesOutsidePredicate(*db_, q, side), std::vector<uint32_t>{})
+          << "fetch " << fetches_ << " side " << static_cast<int>(side);
+    }
     ++fetches_;
     return rows;
   }

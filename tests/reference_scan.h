@@ -2,10 +2,18 @@
 // oracle. It walks every stored event through Database::ForEachEvent and
 // checks each DataQuery constraint directly against the event and the
 // catalog, looking attributes up by name in the schema table. It shares no
-// code with query planning (PlanQuery, FindEntities), predicate resolution
-// and compilation (ResolvedPred, CompiledEventPred), or the scan kernels, so
-// every storage configuration, access path, and parallelism level must
-// return exactly its rows, in its order.
+// code with query planning (PlanQuery, FindEntities), entity resolution
+// (ResolveEntities), predicate compilation (ResolvedPred, CompiledEventPred),
+// or the scan kernels, so every storage configuration, access path, and
+// parallelism level must return exactly its rows, in its order.
+//
+// Candidate sets the executor resolved from a side's predicate alone
+// (EntityCandidates::narrowed false) are ignored: the reference evaluates
+// that predicate itself, so a resolution that drops or adds an entity shows
+// as a row difference. Pushdown-narrowed sets are an input the reference
+// cannot derive (they depend on rows an earlier fetch returned); it filters
+// on them as well as on the predicate, and
+// ReferenceCandidatesOutsidePredicate checks them against its own resolution.
 #ifndef AIQL_TESTS_REFERENCE_SCAN_H_
 #define AIQL_TESTS_REFERENCE_SCAN_H_
 
@@ -44,13 +52,37 @@ inline bool ReferenceEntityMatches(const EntityCatalog& catalog, EntityType t, u
           }));
 }
 
-// True when the query carries no candidates for a side or they list `idx`.
-// A side with candidates must also satisfy its predicate: candidates only
-// ever narrow what the predicate selects.
+// True when the query carries no pushdown-narrowed candidates for a side or
+// they list `idx`. Un-narrowed candidates are the code under test's
+// resolution of the side's predicate, which the reference evaluates itself.
 inline bool ReferenceCandidate(const std::shared_ptr<const EntityCandidates>& candidates,
                                uint32_t idx) {
-  return candidates == nullptr ||
+  return candidates == nullptr || !candidates->narrowed ||
          std::find(candidates->ids.begin(), candidates->ids.end(), idx) != candidates->ids.end();
+}
+
+// The entities of a pushdown-narrowed candidate set on `side` of `q` that the
+// side's predicate does not select (the reference's own resolution): empty
+// unless pushdown widened the set. Un-narrowed sides return nothing.
+inline std::vector<uint32_t> ReferenceCandidatesOutsidePredicate(const Database& db,
+                                                                 const DataQuery& q,
+                                                                 EntitySide side) {
+  const std::shared_ptr<const EntityCandidates>& candidates = q.candidates(side);
+  std::vector<uint32_t> outside;
+  if (candidates == nullptr || !candidates->narrowed) {
+    return outside;
+  }
+  const bool subject = side == EntitySide::kSubject;
+  const EntityType type = subject ? EntityType::kProcess : q.object_type;
+  for (uint32_t idx : candidates->ids) {
+    if (idx >= db.catalog().CountOf(type) ||
+        !ReferenceEntityMatches(db.catalog(), type, idx,
+                                subject ? q.subject_pred : q.object_pred,
+                                type != EntityType::kProcess || subject, q.agent_ids)) {
+      outside.push_back(idx);
+    }
+  }
+  return outside;
 }
 
 // `id IN (...)` over the catalog ids of the type-`t` entities `idxs`: a
