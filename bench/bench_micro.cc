@@ -231,8 +231,9 @@ BENCHMARK(BM_FullScan)->Arg(1)->Arg(2)->Arg(4);
 // predicates). The set is far above the posting-candidate limit, so the scan
 // takes the vectorized membership-probe path over every row in the time
 // slice. The query is planned once, outside the timed loop, so the loop times
-// the scan and not the resolution of 5000 ids against the catalog.
-Database* BuildCandidateProbeDb() {
+// the scan and not the resolution of 5000 ids against the catalog. The
+// 200,000 events spread over `days` days.
+Database* BuildCandidateProbeDb(int days) {
   auto* d = new Database();
   Rng rng(23);
   std::vector<uint32_t> procs, files;
@@ -251,14 +252,19 @@ Database* BuildCandidateProbeDb() {
       obj = files[rng.Below(files.size())];
     } while (d->catalog().AgentOf(EntityType::kFile, obj) != agent);
     d->RecordEvent(agent, subj, Operation::kRead, EntityType::kFile, obj,
-                   rng.Below(3 * kDayMs), rng.Below(10000));
+                   rng.Below(days * kDayMs), rng.Below(10000));
   }
   d->Finalize();
   return d;
 }
 
+// Arg 0: 3 days of ~33,000-row partitions; the plan translates the set into
+// one bitmap per partition. Arg 1: the same events over 300 days, ~330-row
+// partitions, where the plan refuses the bitmap (the set is over 4x a
+// partition's rows) and every row binary-searches the sorted set.
 void BM_EntityCandidateScan(benchmark::State& state) {
-  static Database* db = BuildCandidateProbeDb();
+  static Database* const dbs[2] = {BuildCandidateProbeDb(3), BuildCandidateProbeDb(300)};
+  const Database* db = dbs[state.range(0)];
   // Every 4th file is a candidate: 5000 candidates, ~25% row selectivity —
   // too many for posting-list union, so every scanned row probes the set.
   DataQuery q;
@@ -280,8 +286,9 @@ void BM_EntityCandidateScan(benchmark::State& state) {
                           static_cast<int64_t>(stats.events_scanned + stats.events_skipped));
   state.counters["matched"] = static_cast<double>(stats.events_matched);
   state.counters["bitmap_probes"] = static_cast<double>(stats.bitmap_probes);
+  state.SetLabel(state.range(0) == 0 ? "bitmap" : "sorted");
 }
-BENCHMARK(BM_EntityCandidateScan);
+BENCHMARK(BM_EntityCandidateScan)->Arg(0)->Arg(1);
 
 // Skewed partition sizes under the pooled scan: one (day, agent-group)
 // partition holds ~85% of the events. A surviving partition is the one unit

@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "src/storage/event.h"
@@ -130,8 +129,9 @@ struct ScanStats {
   // cannot intersect the partition's entity zone summary
   // (index range or bloom filter).
   uint64_t partitions_pruned_entity = 0;
-  // Rows whose entity membership probe was a dense-bitmap bit test instead of
-  // a hash-set lookup (counted once per row per bitmap stage).
+  // Rows whose entity or agent membership probe was a dense-bitmap bit test
+  // instead of a probe of the sorted set (counted once per row per bitmap
+  // stage).
   uint64_t bitmap_probes = 0;
   // Archive tier (see partition.h). Unlike the counters above these depend on
   // decode-cache residency, not just the query: a partition whose decoded

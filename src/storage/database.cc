@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <thread>
+#include <unordered_set>
 
 #include "src/storage/entity_search.h"
 #include "src/storage/plan_cache.h"
@@ -188,25 +189,22 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
   // Candidate entity sets: the query's resolved candidates, or a resolution
   // of the side's predicate when it arrives without them.
   auto candidates = [&](EntitySide side, EntityType type, const PredExpr& pred,
-                        const std::optional<std::vector<AgentId>>& agents,
-                        std::optional<std::unordered_set<uint32_t>>* set) {
-    if (const auto& given = q.candidates(side); given != nullptr) {
-      set->emplace(given->ids.begin(), given->ids.end());
-    } else if (!pred.is_true()) {
-      std::vector<uint32_t> found = ResolveEntities(*catalog_, type, pred, agents, st);
-      set->emplace(found.begin(), found.end());
+                        const std::optional<std::vector<AgentId>>& agents)
+      -> std::shared_ptr<const EntityCandidates> {
+    if (const auto& given = q.candidates(side); given != nullptr || pred.is_true()) {
+      return given;
     }
+    return std::make_shared<const EntityCandidates>(MakeCandidates(
+        *catalog_, q, side, ResolveEntities(*catalog_, type, pred, agents, st),
+        /*narrowed=*/false));
   };
-  std::optional<std::unordered_set<uint32_t>>& subject_set = plan.subject_set;
-  std::optional<std::unordered_set<uint32_t>>& object_set = plan.object_set;
-  candidates(EntitySide::kSubject, EntityType::kProcess, q.subject_pred, q.agent_ids,
-             &subject_set);
-  candidates(EntitySide::kObject, q.object_type, q.object_pred, ObjectSideAgents(q),
-             &object_set);
+  plan.subjects =
+      candidates(EntitySide::kSubject, EntityType::kProcess, q.subject_pred, q.agent_ids);
+  plan.objects = candidates(EntitySide::kObject, q.object_type, q.object_pred, ObjectSideAgents(q));
 
   // Short-circuit: a constrained side with no candidates matches nothing.
-  if ((subject_set.has_value() && subject_set->empty()) ||
-      (object_set.has_value() && object_set->empty())) {
+  if ((plan.subjects != nullptr && plan.subjects->ids.empty()) ||
+      (plan.objects != nullptr && plan.objects->ids.empty())) {
     return std::nullopt;
   }
 
@@ -215,20 +213,14 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     for (AgentId a : *q.agent_ids) {
       agent_groups.insert(a / options_.agent_group_size);
     }
-    plan.agent_set.emplace(q.agent_ids->begin(), q.agent_ids->end());
+    std::vector<AgentId>& agents = plan.agents.emplace(*q.agent_ids);
+    std::sort(agents.begin(), agents.end());
+    agents.erase(std::unique(agents.begin(), agents.end()), agents.end());
   }
 
-  // Candidate-set summaries for entity zone pruning, computed once per query
-  // (not per partition): index range plus bloom-probe eligibility.
-  std::optional<CandidateSummary> subjects;
-  std::optional<CandidateSummary> objects;
-  if (subject_set.has_value()) {
-    subjects = CandidateSummary::For(*subject_set);
-  }
-  if (object_set.has_value()) {
-    objects = CandidateSummary::For(*object_set);
-  }
-
+  // The candidate sets every partition check and scan reads; no survivor
+  // has bitmaps yet.
+  const PartitionScanArgs args = plan.ArgsFor(0, *catalog_);
   TimeRange range = q.EffectiveTime();
   for (const auto& [key, p] : partitions_) {
     if (options_.scheme == PartitionScheme::kTimeSpace) {
@@ -243,10 +235,8 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
     }
     // Zone-map pruning: skip the partition when no stored event can satisfy
     // the operation mask, object type, agent set, compiled column filters, or
-    // entity candidate summaries.
-    if (!p->CanMatch(range, q, compiled, plan.agent_set.has_value() ? &*plan.agent_set : nullptr,
-                     subjects.has_value() ? &*subjects : nullptr,
-                     objects.has_value() ? &*objects : nullptr, st)) {
+    // entity candidate sets.
+    if (!p->CanMatch(range, args, st)) {
       ++st->partitions_pruned;
       st->events_skipped += p->size();
       continue;
@@ -257,17 +247,12 @@ std::optional<ScanPlan> Database::PlanQuery(const DataQuery& q, ScanStats* stats
   // Translate candidate sets into per-partition dense bitmaps for the
   // survivors the vectorized scan will probe row-by-row (the posting-list
   // access path unions tiny offset lists instead and skips the translation).
-  if (plan.subject_set.has_value() || plan.object_set.has_value() ||
-      plan.agent_set.has_value()) {
+  if (plan.subjects != nullptr || plan.objects != nullptr || plan.agents.has_value()) {
     plan.bitmaps.resize(plan.survivors.size());
-    const auto* subj = plan.subject_set.has_value() ? &*plan.subject_set : nullptr;
-    const auto* obj = plan.object_set.has_value() ? &*plan.object_set : nullptr;
-    const auto* agents = plan.agent_set.has_value() ? &*plan.agent_set : nullptr;
     for (size_t i = 0; i < plan.survivors.size(); ++i) {
-      if (plan.survivors[i]->PrefersPostingScan(subj, obj)) {
-        continue;
+      if (!plan.survivors[i]->PostingSide(args).has_value()) {
+        plan.bitmaps[i] = plan.survivors[i]->TranslateCandidateBitmaps(args);
       }
-      plan.bitmaps[i] = plan.survivors[i]->TranslateCandidateBitmaps(subj, obj, agents);
     }
   }
   return plan;

@@ -27,7 +27,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/storage/data_query.h"
@@ -52,12 +51,15 @@ enum class PartitionScheme : uint8_t {
 struct ScanPlan {
   const DataQuery* query = nullptr;
   CompiledEventPred compiled;
-  // Candidate entity sets: the query's resolved candidates, or resolved
-  // from its subject/object predicates; disengaged means "unconstrained
-  // side", empty would have short-circuited planning.
-  std::optional<std::unordered_set<uint32_t>> subject_set;
-  std::optional<std::unordered_set<uint32_t>> object_set;
-  std::optional<std::unordered_set<AgentId>> agent_set;
+  // Candidate entities of each side: the query's own resolved candidates
+  // (shared, not copied), or resolved from its subject/object predicate;
+  // null means "unconstrained side", empty would have short-circuited
+  // planning.
+  std::shared_ptr<const EntityCandidates> subjects;
+  std::shared_ptr<const EntityCandidates> objects;
+  // The query's agents, ascending and distinct; disengaged when the query
+  // has no spatial constraint.
+  std::optional<std::vector<AgentId>> agents;
   // Partitions that survived scheme-key and zone-map pruning, in partition
   // (day, agent-group) order. This order is the deterministic merge order of
   // the parallel scan.
@@ -73,9 +75,9 @@ struct ScanPlan {
     a.query = query;
     a.pred = &compiled;
     a.catalog = &catalog;
-    a.subject_set = subject_set.has_value() ? &*subject_set : nullptr;
-    a.object_set = object_set.has_value() ? &*object_set : nullptr;
-    a.agent_set = agent_set.has_value() ? &*agent_set : nullptr;
+    a.subject_ids = subjects != nullptr ? &subjects->ids : nullptr;
+    a.object_ids = objects != nullptr ? &objects->ids : nullptr;
+    a.agent_ids = agents.has_value() ? &*agents : nullptr;
     a.bitmaps = i < bitmaps.size() ? bitmaps[i].get() : nullptr;
     return a;
   }

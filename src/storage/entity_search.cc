@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 
 #include "src/storage/schema.h"
 #include "src/util/string_utils.h"
@@ -15,11 +14,15 @@ std::vector<uint32_t> ResolveEntities(const EntityCatalog& catalog, EntityType t
                                       ScanStats* stats, const ScanContext* ctx) {
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
-  std::unordered_set<AgentId> agent_set;
+  std::vector<AgentId> sorted_agents;
   if (agents.has_value()) {
-    agent_set.insert(agents->begin(), agents->end());
+    sorted_agents = *agents;
+    std::sort(sorted_agents.begin(), sorted_agents.end());
   }
-  auto agent_ok = [&](AgentId a) { return !agents.has_value() || agent_set.count(a) > 0; };
+  auto agent_ok = [&](AgentId a) {
+    return !agents.has_value() ||
+           std::binary_search(sorted_agents.begin(), sorted_agents.end(), a);
+  };
   const ResolvedPred resolved(pred, OwnerOf(t));
   auto matches = [&](uint32_t idx) {
     return resolved.Eval([&](const AttrDef& attr) { return attr.entity(catalog, idx); });

@@ -18,49 +18,29 @@ void ReserveMore(std::vector<EventView>* out, size_t n) {
   }
 }
 
+// Membership in an ascending, distinct `set` without a plan bitmap: the flat
+// probe for small sets, a binary search otherwise. `negate` flips it into
+// NOT IN.
+template <typename T, typename V>
+size_t ApplyMembership(uint32_t* rows, size_t n, const T* col, const std::vector<V>& set,
+                       bool negate = false) {
+  if (set.size() <= kSmallSetProbe) {
+    return kernels::SelectSmallSet(rows, n, col, set.data(), set.size(), negate);
+  }
+  return kernels::SelectSorted(rows, n, col, set.data(), set.size(), negate);
+}
+
 // Applies one compiled column filter with the kernel matching its operator:
-// branch-free compare loops for the ordered ops, the flat small-set probe or
-// the hash fallback for IN / NOT IN.
+// branch-free compare loops for the ordered ops, membership for IN / NOT IN.
 template <typename T>
 size_t ApplyColumnFilter(uint32_t* rows, size_t n, const T* col, const ColumnFilter& f) {
   switch (f.op) {
     case CmpOp::kIn:
-    case CmpOp::kNotIn: {
-      const bool negate = f.op == CmpOp::kNotIn;
-      if (f.values == nullptr) {
-        // Mirrors ColumnFilter::Matches: IN with no set never matches,
-        // NOT IN with no set always does.
-        return negate ? n : 0;
-      }
-      if (f.values->size() <= kSmallSetProbe) {
-        int64_t flat[kSmallSetProbe];
-        size_t k = 0;
-        for (int64_t v : *f.values) {
-          flat[k++] = v;
-        }
-        return kernels::SelectSmallSet(rows, n, col, flat, k, negate);
-      }
-      return kernels::SelectHashSet(rows, n, col, *f.values, negate);
-    }
+    case CmpOp::kNotIn:
+      return ApplyMembership(rows, n, col, f.values, f.op == CmpOp::kNotIn);
     default:
       return kernels::SelectCompare(rows, n, col, f.op, f.value);
   }
-}
-
-// Entity membership without a plan bitmap: flat array for small sets (the
-// probe is an order-independent OR of equality tests), hash probe otherwise.
-template <typename T>
-size_t ApplyMembership(uint32_t* rows, size_t n, const T* col,
-                       const std::unordered_set<uint32_t>& set) {
-  if (set.size() <= kSmallSetProbe) {
-    uint32_t flat[kSmallSetProbe];
-    size_t k = 0;
-    for (uint32_t v : set) {
-      flat[k++] = v;
-    }
-    return kernels::SelectSmallSet(rows, n, col, flat, k, /*negate=*/false);
-  }
-  return kernels::SelectHashSet(rows, n, col, set, /*negate=*/false);
 }
 
 void DecodeOneColumn(const ArchivedColumns& a, EventColumnId id, EventColumns* out) {
@@ -283,39 +263,32 @@ std::pair<size_t, size_t> Partition::TimeSlice(const EventColumns* cols,
   return {static_cast<size_t>(lo - ts.begin()), static_cast<size_t>(hi - ts.begin())};
 }
 
-bool Partition::CanMatch(const TimeRange& range, const DataQuery& q,
-                         const CompiledEventPred& pred,
-                         const std::unordered_set<AgentId>* agent_set,
-                         const CandidateSummary* subjects, const CandidateSummary* objects,
+bool Partition::CanMatch(const TimeRange& range, const PartitionScanArgs& args,
                          ScanStats* stats) const {
+  const DataQuery& q = *args.query;
   if (size() == 0) {
     return false;
   }
   if (range.begin > max_time() || range.end <= min_time()) {
     return false;
   }
-  OpMask mask = static_cast<OpMask>(q.op_mask & pred.op_mask);
+  OpMask mask = static_cast<OpMask>(q.op_mask & args.pred->op_mask);
   if ((zone_.op_mask & mask) == 0) {
     return false;
   }
   if ((zone_.object_type_mask & (1u << static_cast<int>(q.object_type))) == 0) {
     return false;
   }
-  if (agent_set != nullptr && !zone_.ContainsAnyAgent(*agent_set)) {
+  if (args.agent_ids != nullptr && !zone_.ContainsAnyAgent(*args.agent_ids)) {
     return false;
   }
-  for (const ColumnFilter& f : pred.filters) {
+  for (const ColumnFilter& f : args.pred->filters) {
     if (!f.CanMatchRange(zone_.MinOf(f.col), zone_.MaxOf(f.col))) {
       return false;
     }
   }
-  if (subjects != nullptr && !zone_.MayContainSubject(*subjects)) {
-    if (stats != nullptr) {
-      ++stats->partitions_pruned_entity;
-    }
-    return false;
-  }
-  if (objects != nullptr && !zone_.MayContainObject(*objects, q.object_type)) {
+  if ((args.subject_ids != nullptr && !zone_.MayContainSubject(*args.subject_ids)) ||
+      (args.object_ids != nullptr && !zone_.MayContainObject(*args.object_ids, q.object_type))) {
     if (stats != nullptr) {
       ++stats->partitions_pruned_entity;
     }
@@ -324,39 +297,45 @@ bool Partition::CanMatch(const TimeRange& range, const DataQuery& q,
   return true;
 }
 
-bool Partition::PrefersPostingScan(const std::unordered_set<uint32_t>* subject_set,
-                                   const std::unordered_set<uint32_t>* object_set) const {
+std::optional<EntitySide> Partition::PostingSide(const PartitionScanArgs& args) const {
   if (!has_indexes_) {
-    return false;
+    return std::nullopt;
   }
-  return (subject_set != nullptr && subject_set->size() <= kPostingCandidateLimit) ||
-         (object_set != nullptr && object_set->size() <= kPostingCandidateLimit);
+  const bool subj_indexed =
+      args.subject_ids != nullptr && args.subject_ids->size() <= kPostingCandidateLimit;
+  const bool obj_indexed =
+      args.object_ids != nullptr && args.object_ids->size() <= kPostingCandidateLimit;
+  if (subj_indexed && (!obj_indexed || args.subject_ids->size() <= args.object_ids->size())) {
+    return EntitySide::kSubject;  // the smaller candidate set
+  }
+  if (obj_indexed) {
+    return EntitySide::kObject;
+  }
+  return std::nullopt;
 }
 
 std::unique_ptr<EntityBitmaps> Partition::TranslateCandidateBitmaps(
-    const std::unordered_set<uint32_t>* subject_set,
-    const std::unordered_set<uint32_t>* object_set,
-    const std::unordered_set<AgentId>* agent_set) const {
+    const PartitionScanArgs& args) const {
   EntityBitmaps b;
   bool any = false;
-  if (subject_set != nullptr) {
+  if (args.subject_ids != nullptr) {
     b.subject = TranslateCandidates(
-        *subject_set, static_cast<uint32_t>(zone_.MinOf(EventColumnId::kSubjectIdx)),
+        *args.subject_ids, static_cast<uint32_t>(zone_.MinOf(EventColumnId::kSubjectIdx)),
         static_cast<uint32_t>(zone_.MaxOf(EventColumnId::kSubjectIdx)), size());
     any |= b.subject.has_value();
   }
-  if (object_set != nullptr) {
+  if (args.object_ids != nullptr) {
     b.object = TranslateCandidates(
-        *object_set, static_cast<uint32_t>(zone_.MinOf(EventColumnId::kObjectIdx)),
+        *args.object_ids, static_cast<uint32_t>(zone_.MinOf(EventColumnId::kObjectIdx)),
         static_cast<uint32_t>(zone_.MaxOf(EventColumnId::kObjectIdx)), size());
     any |= b.object.has_value();
   }
   // The agent stage only runs when some zone agent is outside the candidate
   // set; a bitmap for a partition whose agents all qualify would never be
-  // probed.
-  if (agent_set != nullptr && !zone_.agents.empty() && AgentFilterActive(agent_set)) {
-    b.agent =
-        TranslateCandidates(*agent_set, zone_.agents.front(), zone_.agents.back(), size());
+  // probed. (An active stage implies a non-empty zone agent list.)
+  if (AgentFilterActive(args.agent_ids)) {
+    b.agent = TranslateCandidates(*args.agent_ids, zone_.agents.front(), zone_.agents.back(),
+                                  size());
     any |= b.agent.has_value();
   }
   if (!any) {
@@ -365,36 +344,21 @@ std::unique_ptr<EntityBitmaps> Partition::TranslateCandidateBitmaps(
   return std::make_unique<EntityBitmaps>(std::move(b));
 }
 
-bool Partition::PostingCandidates(const DataQuery& q,
-                                  const std::unordered_set<uint32_t>* subject_set,
-                                  const std::unordered_set<uint32_t>* object_set, size_t lo,
+void Partition::PostingCandidates(const PartitionScanArgs& args, EntitySide side, size_t lo,
                                   size_t hi, std::vector<uint32_t>* offsets,
                                   ScanStats* stats) const {
-  if (!has_indexes_) {
-    return false;
-  }
-  const bool subj_indexed = subject_set != nullptr && subject_set->size() <= kPostingCandidateLimit;
-  const bool obj_indexed = object_set != nullptr && object_set->size() <= kPostingCandidateLimit;
-  if (!subj_indexed && !obj_indexed) {
-    return false;
-  }
-  // Prefer the smaller candidate set.
-  bool use_subject = subj_indexed;
-  if (subj_indexed && obj_indexed) {
-    use_subject = subject_set->size() <= object_set->size();
-  }
   std::vector<uint32_t> raw;
-  if (use_subject) {
-    for (uint32_t idx : *subject_set) {
+  if (side == EntitySide::kSubject) {
+    for (uint32_t idx : *args.subject_ids) {
       ++stats->index_lookups;
       const std::span<const uint32_t> rows = subject_postings_.Find(idx);
       raw.insert(raw.end(), rows.begin(), rows.end());
     }
   } else {
-    for (uint32_t idx : *object_set) {
+    for (uint32_t idx : *args.object_ids) {
       ++stats->index_lookups;
       const std::span<const uint32_t> rows =
-          object_postings_.Find(PackObjectKey(q.object_type, idx));
+          object_postings_.Find(PackObjectKey(args.query->object_type, idx));
       raw.insert(raw.end(), rows.begin(), rows.end());
     }
   }
@@ -405,19 +369,11 @@ bool Partition::PostingCandidates(const DataQuery& q,
       offsets->push_back(off);
     }
   }
-  return true;
 }
 
-bool Partition::AgentFilterActive(const std::unordered_set<AgentId>* agent_set) const {
-  if (agent_set == nullptr) {
-    return false;
-  }
-  for (AgentId a : zone_.agents) {
-    if (agent_set->count(a) == 0) {
-      return true;
-    }
-  }
-  return false;
+bool Partition::AgentFilterActive(const std::vector<AgentId>* agent_ids) const {
+  return agent_ids != nullptr && !std::includes(agent_ids->begin(), agent_ids->end(),
+                                                zone_.agents.begin(), zone_.agents.end());
 }
 
 bool Partition::NeedsFiltering(const PartitionScanArgs& args) const {
@@ -429,7 +385,7 @@ bool Partition::NeedsFiltering(const PartitionScanArgs& args) const {
   if (TypeFilterActive(q.object_type)) {
     return true;
   }
-  if (args.subject_set != nullptr || args.object_set != nullptr) {
+  if (args.subject_ids != nullptr || args.object_ids != nullptr) {
     return true;
   }
   if (!pred.residual.is_true()) {
@@ -440,7 +396,7 @@ bool Partition::NeedsFiltering(const PartitionScanArgs& args) const {
       return true;
     }
   }
-  return AgentFilterActive(args.agent_set);
+  return AgentFilterActive(args.agent_ids);
 }
 
 void Partition::EmitRange(const EventColumns* cols, size_t lo, size_t hi,
@@ -479,21 +435,22 @@ EventColumnMask Partition::ScanColumnMask(const PartitionScanArgs& args) const {
       m |= ColumnBit(f.col);
     }
   }
-  if (AgentFilterActive(args.agent_set)) {
+  if (AgentFilterActive(args.agent_ids)) {
     m |= ColumnBit(EventColumnId::kAgentId);
   }
-  if (args.subject_set != nullptr) {
+  if (args.subject_ids != nullptr) {
     m |= ColumnBit(EventColumnId::kSubjectIdx);
   }
-  if (args.object_set != nullptr) {
+  if (args.object_ids != nullptr) {
     m |= ColumnBit(EventColumnId::kObjectIdx);
   }
   return m;
 }
 
 void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& args,
-                           const EventColumns* cols, DecodedPartition* dec,
-                           std::vector<EventView>* out, ScanStats* stats) const {
+                           std::optional<EntitySide> posting_side, const EventColumns* cols,
+                           DecodedPartition* dec, std::vector<EventView>* out,
+                           ScanStats* stats) const {
   const DataQuery& q = *args.query;
   const CompiledEventPred& pred = *args.pred;
   stats->events_scanned += sel->size();
@@ -530,34 +487,34 @@ void Partition::VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& 
   }
 
   // Membership stages, strongest probe available first: plan-built dense
-  // bitmap (bit test) > flat small-set array > hash set.
+  // bitmap (bit test) > flat small-set array > binary search.
   const EntityBitmaps* bm = args.bitmaps;
 
   // Spatial constraint — skipped when every agent in the partition qualifies.
-  if (n > 0 && AgentFilterActive(args.agent_set)) {
+  if (n > 0 && AgentFilterActive(args.agent_ids)) {
     if (bm != nullptr && bm->agent.has_value()) {
       stats->bitmap_probes += n;
       n = kernels::SelectBitmap(rows, n, cols->agent_id.data(), *bm->agent);
     } else {
-      n = ApplyMembership(rows, n, cols->agent_id.data(), *args.agent_set);
+      n = ApplyMembership(rows, n, cols->agent_id.data(), *args.agent_ids);
     }
   }
 
-  // Entity membership probes.
-  if (args.subject_set != nullptr && n > 0) {
+  // Entity membership probes, except for the posting side's rows.
+  if (args.subject_ids != nullptr && posting_side != EntitySide::kSubject && n > 0) {
     if (bm != nullptr && bm->subject.has_value()) {
       stats->bitmap_probes += n;
       n = kernels::SelectBitmap(rows, n, cols->subject_idx.data(), *bm->subject);
     } else {
-      n = ApplyMembership(rows, n, cols->subject_idx.data(), *args.subject_set);
+      n = ApplyMembership(rows, n, cols->subject_idx.data(), *args.subject_ids);
     }
   }
-  if (args.object_set != nullptr && n > 0) {
+  if (args.object_ids != nullptr && posting_side != EntitySide::kObject && n > 0) {
     if (bm != nullptr && bm->object.has_value()) {
       stats->bitmap_probes += n;
       n = kernels::SelectBitmap(rows, n, cols->object_idx.data(), *bm->object);
     } else {
-      n = ApplyMembership(rows, n, cols->object_idx.data(), *args.object_set);
+      n = ApplyMembership(rows, n, cols->object_idx.data(), *args.object_ids);
     }
   }
 
@@ -613,12 +570,14 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
   // Access path selection: when a side has a small candidate set and postings
   // exist, union the posting lists instead of scanning the time slice.
   std::vector<uint32_t> sel;
-  bool from_postings =
-      PostingCandidates(q, args.subject_set, args.object_set, lo, hi, &sel, stats);
+  const std::optional<EntitySide> posting_side = PostingSide(args);
+  if (posting_side.has_value()) {
+    PostingCandidates(args, *posting_side, lo, hi, &sel, stats);
+  }
 
   // Fast path: the zone map proves every row in the slice matches — emit the
   // whole range without materializing a selection vector.
-  if (!from_postings && !NeedsFiltering(args)) {
+  if (!posting_side.has_value() && !NeedsFiltering(args)) {
     stats->events_scanned += hi - lo;
     if (dec != nullptr) {
       cols = dec->Ensure(q.columns, stats);
@@ -626,13 +585,13 @@ void Partition::Execute(const PartitionScanArgs& args, std::vector<EventView>* o
     EmitRange(cols, lo, hi, out, stats);
     return;
   }
-  if (!from_postings) {
+  if (!posting_side.has_value()) {
     sel.resize(hi - lo);
     for (size_t i = lo; i < hi; ++i) {
       sel[i - lo] = static_cast<uint32_t>(i);
     }
   }
-  VectorScan(&sel, args, cols, dec, out, stats);
+  VectorScan(&sel, args, posting_side, cols, dec, out, stats);
 }
 
 }  // namespace aiql

@@ -140,9 +140,10 @@ class DecodeCache {
 
 // Plan-time per-partition entity filters: pushed-down candidate sets
 // translated into dense bitmaps over this partition's zone index ranges, so
-// the scan's membership probe is a bit test instead of a hash lookup. Built
-// once per (plan, partition) and read-only during the scan. Any member may be absent (set too small — the flat probe
-// wins — or index range too wide for an affordable bitmap).
+// the scan's membership probe is a bit test instead of a search of the
+// sorted set. Built once per (plan, partition) and read-only during the
+// scan. Any member may be absent (set too small — the flat probe wins — or
+// too large or too wide for an affordable bitmap).
 struct EntityBitmaps {
   std::optional<DenseBitmap> subject;
   std::optional<DenseBitmap> object;
@@ -150,15 +151,16 @@ struct EntityBitmaps {
 };
 
 // One partition-scan invocation: the query, its compiled predicate, the
-// resolved candidate sets, and optional plan-built bitmaps. All pointers are
-// borrowed; `query`, `pred`, and `catalog` must be non-null.
+// candidate sets (ascending, distinct; null = unconstrained), and optional
+// plan-built bitmaps. All pointers are borrowed; `query`, `pred`, and
+// `catalog` must be non-null.
 struct PartitionScanArgs {
   const DataQuery* query = nullptr;
   const CompiledEventPred* pred = nullptr;
   const EntityCatalog* catalog = nullptr;
-  const std::unordered_set<uint32_t>* subject_set = nullptr;
-  const std::unordered_set<uint32_t>* object_set = nullptr;
-  const std::unordered_set<AgentId>* agent_set = nullptr;
+  const std::vector<uint32_t>* subject_ids = nullptr;
+  const std::vector<uint32_t>* object_ids = nullptr;
+  const std::vector<AgentId>* agent_ids = nullptr;
   const EntityBitmaps* bitmaps = nullptr;
   // Archive tier: the database's decode cache (required to scan an archived
   // partition) and the optional pin sink that keeps decoded columns — and
@@ -234,34 +236,27 @@ class Partition {
   size_t PostingBytes() const { return subject_postings_.Bytes() + object_postings_.Bytes(); }
 
   // Zone-map candidate check: could ANY event in this partition satisfy the
-  // query? `range` is the query's effective time range, `pred` the compiled
-  // event predicate, `agent_set` the plan's resolved agent candidates, and
-  // `subjects`/`objects` optional plan-time candidate-set summaries (entity
-  // range + bloom pruning; a prune they cause bumps
-  // stats->partitions_pruned_entity). Consulted by Database::PlanQuery before
-  // any scan.
-  bool CanMatch(const TimeRange& range, const DataQuery& q, const CompiledEventPred& pred,
-                const std::unordered_set<AgentId>* agent_set, const CandidateSummary* subjects,
-                const CandidateSummary* objects, ScanStats* stats) const;
+  // query of `args`? `range` is its effective time range; the operation
+  // mask, object type, agents, compiled column filters and the subject/object
+  // ids (entity range + bloom pruning; a prune they cause bumps
+  // stats->partitions_pruned_entity) are checked against the zone map.
+  // Consulted by Database::PlanQuery before any scan.
+  bool CanMatch(const TimeRange& range, const PartitionScanArgs& args, ScanStats* stats) const;
 
   // Appends events matching `args` to `out`, in time order. args.pred must
   // be the compilation of args.query->event_pred.
   void Execute(const PartitionScanArgs& args, std::vector<EventView>* out,
                ScanStats* stats) const;
 
-  // True when Execute would take the posting-list access path for these
-  // candidate sets. PlanQuery builds no bitmaps for such partitions: the scan
-  // unions tiny offset lists instead of probing rows.
-  bool PrefersPostingScan(const std::unordered_set<uint32_t>* subject_set,
-                          const std::unordered_set<uint32_t>* object_set) const;
+  // The side whose posting lists Execute would union for these candidate
+  // sets instead of scanning the time slice; nullopt when it scans. PlanQuery
+  // builds no bitmaps for a partition with a posting side.
+  std::optional<EntitySide> PostingSide(const PartitionScanArgs& args) const;
 
-  // Translates the candidate sets into dense bitmaps over this partition's
-  // zone index ranges (see EntityBitmaps). Returns nullptr when no side is
-  // worth a bitmap.
-  std::unique_ptr<EntityBitmaps> TranslateCandidateBitmaps(
-      const std::unordered_set<uint32_t>* subject_set,
-      const std::unordered_set<uint32_t>* object_set,
-      const std::unordered_set<AgentId>* agent_set) const;
+  // Translates the candidate sets of `args` into dense bitmaps over this
+  // partition's zone index ranges (see EntityBitmaps). Returns nullptr when
+  // no side is worth a bitmap.
+  std::unique_ptr<EntityBitmaps> TranslateCandidateBitmaps(const PartitionScanArgs& args) const;
 
   // Visits every event in storage order ((start_time, id) order once
   // finalized), materializing rows on the fly; archived partitions decode
@@ -293,7 +288,7 @@ class Partition {
   bool TypeFilterActive(EntityType want) const {
     return zone_.object_type_mask != (1u << static_cast<int>(want));
   }
-  bool AgentFilterActive(const std::unordered_set<AgentId>* agent_set) const;
+  bool AgentFilterActive(const std::vector<AgentId>* agent_ids) const;
   bool ColumnFilterActive(const ColumnFilter& f) const {
     return !f.AlwaysTrueOnRange(zone_.MinOf(f.col), zone_.MaxOf(f.col));
   }
@@ -305,10 +300,11 @@ class Partition {
   // Columnar scan: narrows `sel` one kernel at a time over `cols`, then emits
   // views. `dec` is non-null for archived partitions: when rows survive, the
   // decode widens to the query's emission columns (DataQuery::columns) before
-  // they are emitted.
+  // they are emitted. Rows from the posting lists of `posting_side` are its
+  // members by construction and skip that side's membership stage.
   void VectorScan(std::vector<uint32_t>* sel, const PartitionScanArgs& args,
-                  const EventColumns* cols, DecodedPartition* dec, std::vector<EventView>* out,
-                  ScanStats* stats) const;
+                  std::optional<EntitySide> posting_side, const EventColumns* cols,
+                  DecodedPartition* dec, std::vector<EventView>* out, ScanStats* stats) const;
 
   // The two columnar emit paths (whole range / selection vector): one
   // reserve, and the single place events_matched is accounted, so the fast
@@ -318,10 +314,9 @@ class Partition {
   void EmitSel(const EventColumns* cols, const std::vector<uint32_t>& sel,
                std::vector<EventView>* out, ScanStats* stats) const;
 
-  // Unions posting lists for the chosen side into sorted offsets clipped to
-  // [lo, hi). Returns false when no side qualifies for index access.
-  bool PostingCandidates(const DataQuery& q, const std::unordered_set<uint32_t>* subject_set,
-                         const std::unordered_set<uint32_t>* object_set, size_t lo, size_t hi,
+  // Unions the posting lists of `side`'s candidates into sorted offsets
+  // clipped to [lo, hi).
+  void PostingCandidates(const PartitionScanArgs& args, EntitySide side, size_t lo, size_t hi,
                          std::vector<uint32_t>* offsets, ScanStats* stats) const;
 
   PartitionKey key_;

@@ -38,8 +38,10 @@ struct AttrPredicate {
   std::string attr;
   CmpOp op = CmpOp::kEq;
   std::vector<Value> values;  // 1 element except for kIn / kNotIn
-  // Optional hash set mirroring `values`, for large IN lists (pushed-down
-  // candidate sets from the relationship-based scheduler).
+  // Optional hash set mirroring `values`, for large IN lists (the values an
+  // attribute relationship pushes down; entity-id pushdown narrows the
+  // candidate sets instead). It stays hashed: Value's mixed-type ordering is
+  // not a strict weak order, so a list of Values has no sorted form.
   std::shared_ptr<std::unordered_set<Value, ValueHash>> value_set;
 
   // Builds an IN predicate, materializing the hash set when beneficial.

@@ -4,16 +4,15 @@
 
 namespace aiql {
 
-std::optional<DenseBitmap> TranslateCandidates(const std::unordered_set<uint32_t>& set,
+std::optional<DenseBitmap> TranslateCandidates(std::span<const uint32_t> sorted,
                                                uint32_t zone_min, uint32_t zone_max,
                                                size_t partition_rows) {
-  if (set.size() <= kSmallSetProbe || zone_min > zone_max) {
+  if (sorted.size() <= kSmallSetProbe || zone_min > zone_max) {
     return std::nullopt;
   }
-  // Building iterates the whole candidate set once per partition while the
-  // bitmap saves one hash probe per scanned row, so a set far larger than the
-  // partition can never amortize — fall back to the hash kernel.
-  if (set.size() > 4 * partition_rows) {
+  // A bitmap saves one binary search per scanned row; a set far larger than
+  // the partition is left to the sorted kernel.
+  if (sorted.size() > 4 * partition_rows) {
     return std::nullopt;
   }
   const uint64_t span = uint64_t{zone_max} - zone_min + 1;
@@ -25,10 +24,9 @@ std::optional<DenseBitmap> TranslateCandidates(const std::unordered_set<uint32_t
     return std::nullopt;
   }
   DenseBitmap bitmap(zone_min, static_cast<uint32_t>(span));
-  for (uint32_t v : set) {
-    if (bitmap.Covers(v)) {
-      bitmap.Set(v);
-    }
+  for (auto it = std::lower_bound(sorted.begin(), sorted.end(), zone_min);
+       it != sorted.end() && *it <= zone_max; ++it) {
+    bitmap.Set(*it);
   }
   return bitmap;
 }

@@ -12,12 +12,13 @@
 // auto-vectorize. This replaces the per-row lambda dispatch the scan
 // previously funneled through a generic FilterSel template.
 //
-// Membership probes come in three strengths, chosen per partition:
+// Every set a membership kernel probes is an ascending, duplicate-free array.
+// Probes come in three strengths, chosen per partition:
 //   - SelectBitmap: one bit test per row against a DenseBitmap the planner
 //     translated from the candidate set over the partition's index range;
-//   - SelectSmallSet / SelectNotSmallSet: an OR over <= kSmallSetProbe
-//     equality tests against a flat array (no hashing, no pointer chase);
-//   - SelectHashSet: the std::unordered_set fallback for large sets with no
+//   - SelectSmallSet: an OR over <= kSmallSetProbe equality tests against
+//     the array (no search, no pointer chase);
+//   - SelectSorted: a binary search of the array, for large sets with no
 //     affordable bitmap.
 #ifndef AIQL_SRC_STORAGE_SCAN_KERNELS_H_
 #define AIQL_SRC_STORAGE_SCAN_KERNELS_H_
@@ -25,14 +26,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "src/storage/predicate.h"
 
 namespace aiql {
 
-// Flat-array membership beats hashing up to this many elements.
+// Sets of up to this many values take the flat-array probe (SelectSmallSet).
 inline constexpr size_t kSmallSetProbe = 8;
 
 // Dense bitmap over the contiguous index interval [base, base+span). The
@@ -66,12 +67,13 @@ class DenseBitmap {
   std::vector<uint64_t> words_;
 };
 
-// Translates a candidate set into a dense bitmap over the zone index range
-// [zone_min, zone_max] when affordable: the set must be beyond the flat-probe
-// size (small sets take the SelectSmallSet kernel), and the range must be
-// bounded relative to the partition's row count — the bitmap is zeroed once
-// but pays off once per scanned row. Returns nullopt otherwise.
-std::optional<DenseBitmap> TranslateCandidates(const std::unordered_set<uint32_t>& set,
+// Translates an ascending candidate set into a dense bitmap over the zone
+// index range [zone_min, zone_max] when affordable: the set must be beyond
+// the flat-probe size (small sets take the SelectSmallSet kernel), and the
+// range must be bounded relative to the partition's row count — the bitmap
+// is zeroed once but pays off once per scanned row. Returns nullopt
+// otherwise.
+std::optional<DenseBitmap> TranslateCandidates(std::span<const uint32_t> sorted,
                                                uint32_t zone_min, uint32_t zone_max,
                                                size_t partition_rows);
 
@@ -167,7 +169,7 @@ inline size_t SelectBitmap(uint32_t* sel, size_t n, const T* col, const DenseBit
 }
 
 // Flat-array membership for sets of <= kSmallSetProbe values: an OR of k
-// equality tests, no hashing. `negate` flips it into NOT IN.
+// equality tests, no search. `negate` flips it into NOT IN.
 template <typename T, typename V>
 inline size_t SelectSmallSet(uint32_t* sel, size_t n, const T* col, const V* vals, size_t k,
                              bool negate) {
@@ -186,17 +188,25 @@ inline size_t SelectSmallSet(uint32_t* sel, size_t n, const T* col, const V* val
   return w;
 }
 
-// Hash-set membership fallback for large candidate sets with no affordable
-// bitmap. The probe itself branches inside the hash table; the compaction
-// still does not.
-template <typename T, typename SetT>
-inline size_t SelectHashSet(uint32_t* sel, size_t n, const T* col,
-                            const std::unordered_set<SetT>& set, bool negate) {
+// Sorted-array membership for the k ascending, distinct `vals` (k >= 1) of a
+// large set with no affordable bitmap: a binary search per row whose halving
+// step is a conditional add, not a branch. `negate` flips it into NOT IN.
+template <typename T, typename V>
+inline size_t SelectSorted(uint32_t* sel, size_t n, const T* col, const V* vals, size_t k,
+                           bool negate) {
   size_t w = 0;
   for (size_t i = 0; i < n; ++i) {
     const uint32_t r = sel[i];
+    const V v = static_cast<V>(col[r]);
+    // If v is present it stays in [base, base + len).
+    const V* base = vals;
+    for (size_t len = k; len > 1;) {
+      const size_t half = len / 2;
+      base += base[half] <= v ? half : 0;
+      len -= half;
+    }
     sel[w] = r;
-    w += static_cast<size_t>((set.count(static_cast<SetT>(col[r])) > 0) != negate);
+    w += static_cast<size_t>((*base == v) != negate);
   }
   return w;
 }

@@ -7,7 +7,7 @@
 // Every layer asks this table. The inference pass rewrites each attribute
 // name to its canonical spelling and resolves relationship endpoints and
 // return references to their rows; the storage compile steps
-// (CompileEventPred, Database::FindEntities) resolve predicate leaves into a
+// (CompileEventPred, ResolveEntities) resolve predicate leaves into a
 // ResolvedPred. Per-row and per-entity code (residual filters, entity scans,
 // joins, pushdown, projection) then reads values through a row's reader and
 // never compares attribute names.

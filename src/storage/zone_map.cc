@@ -47,50 +47,64 @@ ZoneMap::ZoneMap(const EventColumns& cols, const PostingIndex& subjects,
   }
 }
 
-CandidateSummary CandidateSummary::For(const std::unordered_set<uint32_t>& set) {
-  CandidateSummary s;
-  s.set = &set;
-  s.min_idx = UINT32_MAX;
-  s.max_idx = 0;
-  for (uint32_t idx : set) {
-    s.min_idx = std::min(s.min_idx, idx);
-    s.max_idx = std::max(s.max_idx, idx);
+bool ZoneMap::ContainsAnyAgent(std::span<const AgentId> candidates) const {
+  auto a = agents.begin();
+  auto c = candidates.begin();
+  while (a != agents.end() && c != candidates.end()) {
+    if (*a == *c) {
+      return true;
+    }
+    if (*a < *c) {
+      ++a;
+    } else {
+      ++c;
+    }
   }
-  s.bloom_probe = set.size() <= kEntityBloomProbeLimit;
-  return s;
+  return false;
 }
 
-bool ZoneMap::MayContainSubject(const CandidateSummary& s) const {
-  if (s.max_idx < MinOf(EventColumnId::kSubjectIdx) ||
-      s.min_idx > MaxOf(EventColumnId::kSubjectIdx)) {
+bool ZoneMap::MayContainSubject(std::span<const uint32_t> ids) const {
+  if (ids.empty() || ids.back() < MinOf(EventColumnId::kSubjectIdx) ||
+      ids.front() > MaxOf(EventColumnId::kSubjectIdx)) {
     return false;
   }
-  if (s.bloom_probe && !subject_bloom.empty()) {
-    for (uint32_t idx : *s.set) {
-      if (subject_bloom.MayContain(idx)) {
-        return true;
-      }
-    }
-    return false;
+  if (ids.size() <= kEntityBloomProbeLimit && !subject_bloom.empty()) {
+    return std::any_of(ids.begin(), ids.end(),
+                       [&](uint32_t idx) { return subject_bloom.MayContain(idx); });
   }
   return true;
 }
 
-bool ZoneMap::MayContainObject(const CandidateSummary& s, EntityType object_type) const {
-  if (s.max_idx < MinOf(EventColumnId::kObjectIdx) ||
-      s.min_idx > MaxOf(EventColumnId::kObjectIdx)) {
+bool ZoneMap::MayContainObject(std::span<const uint32_t> ids, EntityType object_type) const {
+  if (ids.empty() || ids.back() < MinOf(EventColumnId::kObjectIdx) ||
+      ids.front() > MaxOf(EventColumnId::kObjectIdx)) {
     return false;
   }
-  if (s.bloom_probe && !object_bloom.empty()) {
-    for (uint32_t idx : *s.set) {
-      if (object_bloom.MayContain(PackObjectKey(object_type, idx))) {
-        return true;
-      }
-    }
-    return false;
+  if (ids.size() <= kEntityBloomProbeLimit && !object_bloom.empty()) {
+    return std::any_of(ids.begin(), ids.end(), [&](uint32_t idx) {
+      return object_bloom.MayContain(PackObjectKey(object_type, idx));
+    });
   }
   return true;
 }
+
+namespace {
+
+// How many of the ascending, distinct `values` lie in [lo, hi].
+size_t CountInRange(const std::vector<int64_t>& values, int64_t lo, int64_t hi) {
+  return static_cast<size_t>(std::upper_bound(values.begin(), values.end(), hi) -
+                             std::lower_bound(values.begin(), values.end(), lo));
+}
+
+// Whether the ascending, distinct `values` include every integer of the
+// non-empty range [lo, hi]: as many of them lie inside as the range holds.
+// The range's width is taken in uint64_t, where [INT64_MIN, INT64_MAX] fits.
+bool CoversRange(const std::vector<int64_t>& values, int64_t lo, int64_t hi) {
+  const size_t inside = CountInRange(values, lo, hi);
+  return inside > 0 && inside - 1 == static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+}
+
+}  // namespace
 
 bool ColumnFilter::Matches(int64_t v) const {
   switch (op) {
@@ -107,9 +121,9 @@ bool ColumnFilter::Matches(int64_t v) const {
     case CmpOp::kGe:
       return v >= value;
     case CmpOp::kIn:
-      return values != nullptr && values->count(v) > 0;
+      return std::binary_search(values.begin(), values.end(), v);
     case CmpOp::kNotIn:
-      return values == nullptr || values->count(v) == 0;
+      return !std::binary_search(values.begin(), values.end(), v);
     default:
       return false;
   }
@@ -132,34 +146,10 @@ bool ColumnFilter::CanMatchRange(int64_t zone_min, int64_t zone_max) const {
       return zone_max > value;
     case CmpOp::kGe:
       return zone_max >= value;
-    case CmpOp::kIn: {
-      if (values == nullptr) {
-        return false;
-      }
-      for (int64_t v : *values) {
-        if (zone_min <= v && v <= zone_max) {
-          return true;
-        }
-      }
-      return false;
-    }
-    case CmpOp::kNotIn: {
-      if (values == nullptr) {
-        return true;
-      }
-      // More distinct values in the zone range than excluded values: some
-      // value in range survives. Otherwise check the (small) range directly.
-      uint64_t span = static_cast<uint64_t>(zone_max - zone_min);
-      if (span >= values->size()) {
-        return true;
-      }
-      for (int64_t v = zone_min; v <= zone_max; ++v) {
-        if (values->count(v) == 0) {
-          return true;
-        }
-      }
-      return false;
-    }
+    case CmpOp::kIn:
+      return CountInRange(values, zone_min, zone_max) > 0;
+    case CmpOp::kNotIn:
+      return !CoversRange(values, zone_min, zone_max);
     default:
       return true;  // not a vectorized op; never pruned on
   }
@@ -182,32 +172,10 @@ bool ColumnFilter::AlwaysTrueOnRange(int64_t zone_min, int64_t zone_max) const {
       return zone_min > value;
     case CmpOp::kGe:
       return zone_min >= value;
-    case CmpOp::kIn: {
-      if (values == nullptr) {
-        return false;
-      }
-      uint64_t span = static_cast<uint64_t>(zone_max - zone_min);
-      if (span >= values->size()) {
-        return false;
-      }
-      for (int64_t v = zone_min; v <= zone_max; ++v) {
-        if (values->count(v) == 0) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case CmpOp::kNotIn: {
-      if (values == nullptr) {
-        return true;
-      }
-      for (int64_t v : *values) {
-        if (zone_min <= v && v <= zone_max) {
-          return false;
-        }
-      }
-      return true;
-    }
+    case CmpOp::kIn:
+      return CoversRange(values, zone_min, zone_max);
+    case CmpOp::kNotIn:
+      return CountInRange(values, zone_min, zone_max) == 0;
     default:
       return false;
   }
@@ -295,7 +263,7 @@ bool TryCompileNumeric(const AttrPredicate& leaf, EventColumnId col,
       if (leaf.values.size() != 1 || !leaf.values[0].is_int()) {
         return false;
       }
-      filters->push_back(ColumnFilter{col, leaf.op, leaf.values[0].as_int(), nullptr});
+      filters->push_back(ColumnFilter{col, leaf.op, leaf.values[0].as_int(), {}});
       return true;
     }
     case CmpOp::kIn:
@@ -308,12 +276,14 @@ bool TryCompileNumeric(const AttrPredicate& leaf, EventColumnId col,
       if (leaf.op == CmpOp::kNotIn && leaf.values.empty()) {
         return true;  // NOT IN () is true for every row; drops out
       }
-      auto set = std::make_shared<std::unordered_set<int64_t>>();
-      set->reserve(leaf.values.size() * 2);
+      std::vector<int64_t> values;
+      values.reserve(leaf.values.size());
       for (const Value& v : leaf.values) {
-        set->insert(v.as_int());
+        values.push_back(v.as_int());
       }
-      filters->push_back(ColumnFilter{col, leaf.op, 0, std::move(set)});
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+      filters->push_back(ColumnFilter{col, leaf.op, 0, std::move(values)});
       return true;
     }
     default:

@@ -19,8 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "src/storage/bloom.h"
@@ -33,19 +32,6 @@ namespace aiql {
 // Above this many candidates, probing a partition's entity bloom filter
 // candidate-by-candidate at plan time costs more than it can save.
 inline constexpr size_t kEntityBloomProbeLimit = 256;
-
-// Plan-time summary of one pushed-down candidate entity set, computed once
-// per query and consulted by Partition::CanMatch for every partition: the
-// candidate index range (zone min/max intersection test) and whether the set
-// is small enough to probe partition blooms candidate-by-candidate.
-struct CandidateSummary {
-  const std::unordered_set<uint32_t>* set = nullptr;
-  uint32_t min_idx = 0;
-  uint32_t max_idx = 0;
-  bool bloom_probe = false;  // set->size() <= kEntityBloomProbeLimit
-
-  static CandidateSummary For(const std::unordered_set<uint32_t>& set);
-};
 
 struct ZoneMap {
   int64_t min[kNumEventColumns];  // per EventColumnId
@@ -76,44 +62,27 @@ struct ZoneMap {
   bool ContainsAgent(AgentId a) const {
     return std::binary_search(agents.begin(), agents.end(), a);
   }
-  // Any candidate present in this partition? Takes the planner's resolved
-  // agent set and iterates whichever side is smaller: a handful of candidates
-  // binary-search the sorted agent list; a huge pushed-down candidate set is
-  // instead probed once per (distinct, small) zone agent — the probe
-  // direction swaps so cost is O(min(|agents|, |candidates|) · log/1).
-  bool ContainsAnyAgent(const std::unordered_set<AgentId>& candidates) const {
-    if (candidates.size() < agents.size()) {
-      for (AgentId a : candidates) {
-        if (ContainsAgent(a)) {
-          return true;
-        }
-      }
-      return false;
-    }
-    for (AgentId a : agents) {
-      if (candidates.count(a) > 0) {
-        return true;
-      }
-    }
-    return false;
-  }
+  // Any of the ascending, distinct `candidates` present in this partition?
+  // One merge pass over both sorted lists.
+  bool ContainsAnyAgent(std::span<const AgentId> candidates) const;
 
-  // Could any candidate subject / object reference exist in this partition?
-  // Range check first, then (for small sets) the bloom; `object_type` scopes
-  // the object probe. False proves absence; true only means "possible".
-  bool MayContainSubject(const CandidateSummary& s) const;
-  bool MayContainObject(const CandidateSummary& s, EntityType object_type) const;
+  // Could any of the ascending candidate subject / object references exist
+  // in this partition? Range check first, then, for at most
+  // kEntityBloomProbeLimit candidates, the bloom; `object_type` scopes the
+  // object probe. False proves absence; true only means "possible".
+  bool MayContainSubject(std::span<const uint32_t> ids) const;
+  bool MayContainObject(std::span<const uint32_t> ids, EntityType object_type) const;
 
   int64_t MinOf(EventColumnId c) const { return min[static_cast<int>(c)]; }
   int64_t MaxOf(EventColumnId c) const { return max[static_cast<int>(c)]; }
 };
 
-// One vectorizable comparison: column <op> value (or value set for IN).
+// One vectorizable comparison: column <op> value (or value list for IN).
 struct ColumnFilter {
   EventColumnId col = EventColumnId::kId;
   CmpOp op = CmpOp::kEq;
   int64_t value = 0;
-  std::shared_ptr<std::unordered_set<int64_t>> values;  // kIn / kNotIn only
+  std::vector<int64_t> values;  // kIn / kNotIn only: ascending, distinct
 
   bool Matches(int64_t v) const;
   // Could any value in [zone_min, zone_max] satisfy this filter?

@@ -1,14 +1,17 @@
 // The entity-aware scan path must be invisible in results: dense-bitmap
 // membership kernels and zone-map entity (range + bloom) partition pruning
 // are pure performance features. These tests prove that bitmap-probe,
-// hash-set and posting-list scans with bloom/range pruning ≡ the brute-force
+// sorted-set and posting-list scans with bloom/range pruning ≡ the brute-force
 // reference scan (pruning observable via partitions_pruned_entity, bitmaps
 // via bitmap_probes) at parallelism 1/8, plus unit coverage for the blocked
-// bloom (false-positive-only), the dense bitmap translation, and the
-// sorted-run merge.
+// bloom (false-positive-only), the dense bitmap translation, zone-range
+// pruning of compiled column filters, and the sorted-run merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <iterator>
+#include <string>
 #include <unordered_set>
 
 #include "src/storage/bloom.h"
@@ -53,7 +56,7 @@ void FillDatabase(Database* db, int events = 6000) {
 
 // Random data query exercising the membership paths: candidate sets of
 // varying sizes, pushed down as `id IN` predicates (flat small-set probe,
-// bitmap, hash fallback), agent sets, op masks, time ranges, and vectorizable
+// bitmap, sorted fallback), agent sets, op masks, time ranges, and vectorizable
 // event predicates.
 DataQuery RandomQuery(Rng* rng, const EntityCatalog& catalog) {
   TimestampMs base = MakeTimestamp(2017, 1, 1);
@@ -77,7 +80,7 @@ DataQuery RandomQuery(Rng* rng, const EntityCatalog& catalog) {
   }
   if (rng->Chance(0.7)) {
     // Candidate subject processes: sometimes <= kSmallSetProbe (flat array),
-    // sometimes larger (bitmap / hash).
+    // sometimes larger (bitmap / sorted).
     size_t n = rng->Chance(0.5) ? 1 + rng->Below(4) : 6 + rng->Below(6);
     std::vector<uint32_t> cand;
     for (size_t i = 0; i < n; ++i) {
@@ -163,21 +166,38 @@ TEST(DenseBitmapTest, SetTestCovers) {
 }
 
 TEST(DenseBitmapTest, TranslateCandidatesHeuristics) {
-  std::unordered_set<uint32_t> small = {1, 2, 3};
+  const std::vector<uint32_t> small = {1, 2, 3};
   // Small sets take the flat probe, never a bitmap.
   EXPECT_FALSE(TranslateCandidates(small, 0, 1000, 1000).has_value());
 
-  std::unordered_set<uint32_t> set;
+  std::vector<uint32_t> set;
   for (uint32_t i = 0; i < 100; ++i) {
-    set.insert(i * 3);
+    set.push_back(i * 3);
   }
   auto bm = TranslateCandidates(set, 0, 400, 1000);
   ASSERT_TRUE(bm.has_value());
   for (uint32_t v = 0; v <= 400; ++v) {
-    EXPECT_EQ(bm->Test(v), set.count(v) > 0 ? 1u : 0u) << v;
+    EXPECT_EQ(bm->Test(v), v % 3 == 0 && v < 300 ? 1u : 0u) << v;
   }
   // A zone range far wider than the partition is not affordable.
   EXPECT_FALSE(TranslateCandidates(set, 0, 100 << 20, 64).has_value());
+  // A set more than 4x the partition's rows is left to the sorted kernel.
+  EXPECT_FALSE(TranslateCandidates(set, 0, 400, 24).has_value());
+  EXPECT_TRUE(TranslateCandidates(set, 0, 400, 25).has_value());
+
+  // Only the candidates inside the zone range set bits; those on either side
+  // of it are skipped.
+  auto inner = TranslateCandidates(set, 100, 200, 1000);
+  ASSERT_TRUE(inner.has_value());
+  EXPECT_EQ(inner->base(), 100u);
+  EXPECT_EQ(inner->span(), 101u);
+  for (uint32_t v = 100; v <= 200; ++v) {
+    EXPECT_EQ(inner->Test(v), v % 3 == 0 ? 1u : 0u) << v;
+  }
+  // A zone range between two candidates gets an empty bitmap.
+  auto gap = TranslateCandidates(set, 301, 302, 1000);
+  ASSERT_TRUE(gap.has_value());
+  EXPECT_EQ(gap->Test(301) | gap->Test(302), 0u);
 }
 
 TEST(MergeSortedRunsTest, TiedTimestampsComeBackInIdOrder) {
@@ -250,18 +270,17 @@ TEST(ZoneMapTest, ContainsAnyAgentBothDirections) {
   rows[3].agent_id = 5;
   const ZoneMap z = ZoneMapOf(EventTable(rows));
   EXPECT_EQ(z.agents, (std::vector<AgentId>{5, 9, 1000}));
-  // Small candidate sets (binary-search direction).
-  EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{1000}));
-  EXPECT_TRUE(z.ContainsAnyAgent(std::unordered_set<AgentId>{5, 6}));
-  EXPECT_FALSE(z.ContainsAnyAgent(std::unordered_set<AgentId>{6, 7}));
-  // Candidates much larger than the agent list (swapped direction: the zone
-  // agents probe the candidate hash set).
-  std::unordered_set<AgentId> big;
+  // Candidate lists shorter than the zone's agents.
+  EXPECT_TRUE(z.ContainsAnyAgent(std::vector<AgentId>{1000}));
+  EXPECT_TRUE(z.ContainsAnyAgent(std::vector<AgentId>{5, 6}));
+  EXPECT_FALSE(z.ContainsAnyAgent(std::vector<AgentId>{6, 7}));
+  // Candidate lists much longer than the zone's agents.
+  std::vector<AgentId> big;
   for (AgentId a = 100; a < 400; ++a) {
-    big.insert(a);
+    big.push_back(a);
   }
   EXPECT_FALSE(z.ContainsAnyAgent(big));
-  big.insert(9);
+  big.insert(big.begin(), 9);
   EXPECT_TRUE(z.ContainsAnyAgent(big));
 }
 
@@ -322,6 +341,108 @@ TEST(ZoneMapTest, ColumnBuildEqualsPerRowFold) {
   }
 }
 
+// The compiled column filter of `amount <op> values`.
+ColumnFilter AmountFilter(CmpOp op, const std::vector<int64_t>& values) {
+  AttrPredicate leaf;
+  leaf.attr = "amount";
+  leaf.op = op;
+  for (int64_t v : values) {
+    leaf.values.push_back(Value(v));
+  }
+  const CompiledEventPred compiled = CompileEventPred(PredExpr::Leaf(leaf));
+  EXPECT_EQ(compiled.filters.size(), 1u);
+  return compiled.filters.at(0);
+}
+
+// Zone-range pruning against a brute-force walk of every value in the range.
+void ExpectRangeAnswersMatchBruteForce(const ColumnFilter& f, int64_t lo, int64_t hi,
+                                       const std::string& what) {
+  bool any = false;
+  bool all = true;
+  for (int64_t v = lo; v <= hi; ++v) {
+    any |= f.Matches(v);
+    all &= f.Matches(v);
+  }
+  EXPECT_EQ(f.CanMatchRange(lo, hi), any) << what << " over [" << lo << ", " << hi << "]";
+  EXPECT_EQ(f.AlwaysTrueOnRange(lo, hi), all) << what << " over [" << lo << ", " << hi << "]";
+}
+
+TEST(ColumnFilterTest, RangeAnswersMatchBruteForce) {
+  Rng rng(31337);
+  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,  CmpOp::kLe,
+                       CmpOp::kGt, CmpOp::kGe, CmpOp::kIn, CmpOp::kNotIn};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const CmpOp op = ops[rng.Below(std::size(ops))];
+    // Lists with repeats, in any order; an ordered comparison takes one value.
+    std::vector<int64_t> values(op == CmpOp::kIn || op == CmpOp::kNotIn ? 1 + rng.Below(8) : 1);
+    for (int64_t& v : values) {
+      v = rng.Range(-6, 6);
+    }
+    const ColumnFilter f = AmountFilter(op, values);
+    for (int64_t v = -8; v <= 8; ++v) {
+      const bool listed = std::find(values.begin(), values.end(), v) != values.end();
+      if (op == CmpOp::kIn) {
+        EXPECT_EQ(f.Matches(v), listed) << "trial " << trial << " value " << v;
+      } else if (op == CmpOp::kNotIn) {
+        EXPECT_EQ(f.Matches(v), !listed) << "trial " << trial << " value " << v;
+      }
+    }
+    const int64_t lo = rng.Range(-7, 7);
+    const int64_t hi = lo + rng.Range(0, 5);
+    ExpectRangeAnswersMatchBruteForce(f, lo, hi, "trial " + std::to_string(trial));
+    // An empty range: no row can match, and every row (none) does.
+    EXPECT_FALSE(f.CanMatchRange(hi + 1, hi)) << "trial " << trial;
+    EXPECT_TRUE(f.AlwaysTrueOnRange(hi + 1, hi)) << "trial " << trial;
+  }
+}
+
+TEST(ColumnFilterTest, ListFiltersAtTheEdgesOfInt64) {
+  constexpr int64_t kMax = INT64_MAX;
+  constexpr int64_t kMin = INT64_MIN;
+  // A list covering the top of the range, then the bottom.
+  const ColumnFilter top_out = AmountFilter(CmpOp::kNotIn, {kMax - 2, kMax - 1, kMax});
+  EXPECT_FALSE(top_out.CanMatchRange(kMax - 2, kMax));
+  EXPECT_FALSE(top_out.AlwaysTrueOnRange(kMax - 2, kMax));
+  EXPECT_TRUE(top_out.CanMatchRange(kMax - 3, kMax));
+  const ColumnFilter top_in = AmountFilter(CmpOp::kIn, {kMax, kMax - 1, kMax - 2});
+  EXPECT_TRUE(top_in.AlwaysTrueOnRange(kMax - 2, kMax));
+  EXPECT_TRUE(top_in.CanMatchRange(kMax - 2, kMax));
+  EXPECT_FALSE(top_in.AlwaysTrueOnRange(kMax - 3, kMax));
+  const ColumnFilter bottom_out = AmountFilter(CmpOp::kNotIn, {kMin, kMin + 1, kMin + 2});
+  EXPECT_FALSE(bottom_out.CanMatchRange(kMin, kMin + 2));
+  EXPECT_TRUE(bottom_out.CanMatchRange(kMin, kMin + 3));
+  const ColumnFilter bottom_in = AmountFilter(CmpOp::kIn, {kMin + 2, kMin, kMin + 1});
+  EXPECT_TRUE(bottom_in.AlwaysTrueOnRange(kMin, kMin + 2));
+
+  // The whole int64 range: its width does not fit in an int64.
+  const ColumnFilter ends_in = AmountFilter(CmpOp::kIn, {kMin, kMax});
+  EXPECT_TRUE(ends_in.CanMatchRange(kMin, kMax));
+  EXPECT_FALSE(ends_in.AlwaysTrueOnRange(kMin, kMax));
+  const ColumnFilter zero_out = AmountFilter(CmpOp::kNotIn, {0});
+  EXPECT_TRUE(zero_out.CanMatchRange(kMin, kMax));
+  EXPECT_FALSE(zero_out.AlwaysTrueOnRange(kMin, kMax));
+  EXPECT_TRUE(zero_out.AlwaysTrueOnRange(1, kMax));
+
+  // Repeated list values count once.
+  const ColumnFilter dup_in = AmountFilter(CmpOp::kIn, {4, 3, 4, 3, 4});
+  EXPECT_TRUE(dup_in.AlwaysTrueOnRange(3, 4));
+  EXPECT_FALSE(dup_in.AlwaysTrueOnRange(3, 5));
+  EXPECT_FALSE(dup_in.AlwaysTrueOnRange(2, 4));
+  const ColumnFilter dup_out = AmountFilter(CmpOp::kNotIn, {3, 3, 4, 4, 4});
+  EXPECT_FALSE(dup_out.CanMatchRange(3, 4));
+  EXPECT_TRUE(dup_out.CanMatchRange(3, 5));
+
+  // An empty IN matches nothing; an empty NOT IN is true for every row and
+  // compiles to no filter at all.
+  const ColumnFilter none_in = AmountFilter(CmpOp::kIn, {});
+  EXPECT_FALSE(none_in.CanMatchRange(kMin, kMax));
+  EXPECT_FALSE(none_in.Matches(0));
+  AttrPredicate empty_not_in;
+  empty_not_in.attr = "amount";
+  empty_not_in.op = CmpOp::kNotIn;
+  EXPECT_TRUE(CompileEventPred(PredExpr::Leaf(empty_not_in)).TriviallyTrue());
+}
+
 // --- equivalence properties -------------------------------------------------
 
 struct NamedDb {
@@ -372,16 +493,16 @@ TEST(ScanEquivalenceTest, BitmapAndBloomPathsMatchReference) {
   EXPECT_GT(pruned_entity, 0u);
 }
 
-TEST(ScanEquivalenceTest, HashSetFallbackMatchesReference) {
+TEST(ScanEquivalenceTest, SortedFallbackMatchesReference) {
   // A candidate set beyond the flat probe but more than 4x a partition's rows
   // gets no bitmap (TranslateCandidates), and without indexes no posting
-  // lists, so the scan probes the hash set itself. ~5 rows per partition make
-  // that the common case.
+  // lists, so the scan binary-searches the sorted set itself. ~5 rows per
+  // partition make that the common case.
   Database db{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}};
   FillDatabase(&db, 30);
   ThreadPool pool8(7);
   Rng rng(707);
-  int hash_probed = 0;
+  int sorted_probed = 0;
   for (int trial = 0; trial < 200; ++trial) {
     DataQuery q = RandomQuery(&rng, db.catalog());
     std::vector<ReferenceRow> expected = RowsOf(ReferenceScan(db, q));
@@ -395,14 +516,110 @@ TEST(ScanEquivalenceTest, HashSetFallbackMatchesReference) {
         q.object_pred.is_true()
             ? 0
             : db.FindEntities(EntityType::kFile, q.object_pred, q.agent_ids).size();
-    // Rows passed a large object set with no bitmap probe: the hash kernel
+    // Rows passed a large object set with no bitmap probe: the sorted kernel
     // decided them.
     if (objects > kSmallSetProbe && serial_stats.bitmap_probes == 0 &&
         serial_stats.events_matched > 0) {
-      ++hash_probed;
+      ++sorted_probed;
     }
   }
-  EXPECT_GT(hash_probed, 0);
+  EXPECT_GT(sorted_probed, 0);
+}
+
+// `n` distinct values of [0, bound), in random order.
+std::vector<uint32_t> DistinctBelow(Rng* rng, uint32_t bound, size_t n) {
+  std::vector<uint32_t> all(bound);
+  for (uint32_t i = 0; i < bound; ++i) {
+    all[i] = i;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::swap(all[i], all[i + rng->Below(bound - i)]);
+  }
+  all.resize(n);
+  return all;
+}
+
+TEST(ScanEquivalenceTest, PostingSideNextToLargeOtherSideMatchesReference) {
+  // With indexes, the smaller candidate set takes the posting lists, and its
+  // rows skip that side's membership stage. The other side's set (> the flat
+  // probe; a posting partition has no bitmap) is still probed by the sorted
+  // kernel, and it rejects posting rows: a scan that skipped it would emit
+  // them.
+  Database db{DatabaseOptions{.agent_group_size = 2}};
+  FillDatabase(&db);
+  ThreadPool pool8(7);
+  Rng rng(808);
+  uint64_t rejected = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    DataQuery q;
+    q.object_type = EntityType::kFile;
+    if (trial % 2 == 0) {
+      // A few processes post; 9-40 files are probed.
+      q.subject_pred = IdIn(db.catalog(), EntityType::kProcess,
+                            DistinctBelow(&rng, 12, 1 + rng.Below(3)));
+      q.object_pred = IdIn(db.catalog(), EntityType::kFile,
+                           DistinctBelow(&rng, 120, 9 + rng.Below(32)));
+    } else {
+      // A few files post; 9-12 processes are probed.
+      q.subject_pred = IdIn(db.catalog(), EntityType::kProcess,
+                            DistinctBelow(&rng, 12, 9 + rng.Below(4)));
+      q.object_pred = IdIn(db.catalog(), EntityType::kFile,
+                           DistinctBelow(&rng, 120, 1 + rng.Below(3)));
+    }
+    std::vector<ReferenceRow> expected = RowsOf(ReferenceScan(db, q));
+    ScanStats serial_stats, par_stats;
+    EXPECT_EQ(RowsOf(db.ExecuteQuery(q, &serial_stats)), expected) << "trial " << trial;
+    EXPECT_EQ(RowsOf(db.ExecuteQueryCached(q, &par_stats, &pool8, nullptr, nullptr)), expected)
+        << "trial " << trial;
+    EXPECT_EQ(serial_stats.bitmap_probes, 0u) << "trial " << trial;
+    EXPECT_GT(serial_stats.index_lookups, 0u) << "trial " << trial;
+    // Every scanned row came from the postings; only the other side's stage
+    // can reject one.
+    rejected += serial_stats.events_scanned - serial_stats.events_matched;
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ScanEquivalenceTest, UnsortedDuplicatedAgentListsMatchReference) {
+  // The query's agents arrive in any order and may repeat; the plan sorts
+  // and dedupes them once. Lists of up to 14 values over agents 1-14 (only
+  // 1-4 record events) reach the flat probe, the bitmap, and (with ~5 rows
+  // per partition) the sorted kernel for the agent stage.
+  std::vector<NamedDb> variants;
+  variants.emplace_back(NamedDb{
+      "no-indexes", Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}}});
+  variants.emplace_back(NamedDb{"indexed", Database{DatabaseOptions{.agent_group_size = 2}}});
+  variants.emplace_back(NamedDb{
+      "tiny", Database{DatabaseOptions{.agent_group_size = 2, .build_indexes = false}}});
+  FillDatabase(&variants[0].db);
+  FillDatabase(&variants[1].db);
+  FillDatabase(&variants[2].db, 30);
+  ThreadPool pool8(7);
+  Rng rng(909);
+  uint64_t bitmap_probes = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    DataQuery q = RandomQuery(&rng, variants[0].db.catalog());
+    std::vector<AgentId> agents(1 + rng.Below(14));
+    for (AgentId& a : agents) {
+      a = static_cast<AgentId>(rng.Range(1, 14));
+    }
+    if (agents.size() > 1 && std::is_sorted(agents.begin(), agents.end())) {
+      std::reverse(agents.begin(), agents.end());
+    }
+    agents.push_back(agents.front());  // a repeat, out of order
+    q.agent_ids = agents;
+    for (NamedDb& v : variants) {
+      std::vector<ReferenceRow> expected = RowsOf(ReferenceScan(v.db, q));
+      ScanStats serial_stats, par_stats;
+      EXPECT_EQ(RowsOf(v.db.ExecuteQuery(q, &serial_stats)), expected)
+          << v.name << " trial " << trial;
+      EXPECT_EQ(RowsOf(v.db.ExecuteQueryCached(q, &par_stats, &pool8, nullptr, nullptr)),
+                expected)
+          << v.name << " trial " << trial;
+      bitmap_probes += serial_stats.bitmap_probes;
+    }
+  }
+  EXPECT_GT(bitmap_probes, 0u);
 }
 
 // --- archive tier ------------------------------------------------------------
