@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark): ingest rate (in and out of time
-// order), LIKE matching, entity index lookup, partition time-slice scans,
+// order), LIKE matching, entity index lookup, entity resolution at catalog
+// scale, partition time-slice scans,
 // full-scan throughput per scan parallelism, a cold archived-partition scan
 // per emission mask, hash vs nested-loop joins.
 // These quantify the primitive costs behind the macro benches.
@@ -16,6 +17,7 @@
 #include "src/core/tuple_set.h"
 #include "src/storage/database.h"
 #include "src/storage/encoding.h"
+#include "src/storage/entity_search.h"
 #include "src/util/rng.h"
 #include "src/util/string_utils.h"
 #include "src/util/thread_pool.h"
@@ -169,6 +171,52 @@ void BM_EntityIndexLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EntityIndexLookup);
+
+// Entity resolution at catalog scale: one LIKE over `n` files holding one
+// distinct name per 3 files (the ratio of history_hunt's catalog, 2,996
+// files under 1,076 names), spread over 16 hosts. Arg 0: files (4,098 or
+// 98,304); arg 1: the pattern's shape (0 contains, 1 suffix, 2 general:
+// three floating segments, one holding a '_').
+// `per_entity` is ns per file; a flat figure across sizes means the cost
+// grows with the catalog, not faster.
+void BM_ResolveEntities(benchmark::State& state) {
+  static std::unordered_map<int64_t, std::unique_ptr<Database>> dbs;
+  const int64_t n = state.range(0);
+  std::unique_ptr<Database>& db = dbs[n];
+  if (db == nullptr) {
+    db = std::make_unique<Database>();
+    const char* const kExt[] = {"exe", "dll", "tmp", "docx"};
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t k = i / 3;
+      db->catalog().InternFile(static_cast<AgentId>(1 + i % 16),
+                               "C:\\Users\\u" + std::to_string(k % 37) +
+                                   "\\AppData\\Local\\Temp\\doc" + std::to_string(k) + "." +
+                                   kExt[k % 4]);
+    }
+    db->Finalize();
+  }
+  const char* const kPatterns[] = {"%appdata\\local%", "%.dll", "%users%t_mp%.exe"};
+  AttrPredicate like;
+  like.attr = "name";
+  like.op = CmpOp::kLike;
+  like.values = {Value(kPatterns[state.range(1)])};
+  const PredExpr pred = PredExpr::Leaf(like);
+  ScanStats stats;
+  size_t matched = 0;
+  for (auto _ : state) {
+    stats = ScanStats();
+    matched = ResolveEntities(db->catalog(), EntityType::kFile, pred, std::nullopt, &stats).size();
+  }
+  state.counters["matched"] = static_cast<double>(matched);
+  state.counters["entity_evals"] = static_cast<double>(stats.entity_evals);
+  state.counters["per_entity"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(state.range(1) == 0 ? "contains" : state.range(1) == 1 ? "suffix" : "general");
+}
+BENCHMARK(BM_ResolveEntities)
+    ->ArgsProduct({{4098, 98304}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TimeSliceScan(benchmark::State& state) {
   Database* db = SharedDb();

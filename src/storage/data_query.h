@@ -124,6 +124,9 @@ struct ScanStats {
   uint64_t partitions_scanned = 0;
   uint64_t events_skipped = 0;     // events inside pruned partitions, never touched
   uint64_t index_lookups = 0;
+  // Entity resolution's work: the entities its predicate tree visited plus
+  // the tests of a term against a distinct string of a catalog column.
+  uint64_t entity_evals = 0;
   uint64_t parallel_morsels = 0;   // partitions a pooled scan queued
   // Of partitions_pruned: skipped because a subject/object candidate set
   // cannot intersect the partition's entity zone summary
@@ -149,6 +152,7 @@ struct ScanStats {
     partitions_scanned += o.partitions_scanned;
     events_skipped += o.events_skipped;
     index_lookups += o.index_lookups;
+    entity_evals += o.entity_evals;
     parallel_morsels += o.parallel_morsels;
     partitions_pruned_entity += o.partitions_pruned_entity;
     bitmap_probes += o.bitmap_probes;

@@ -1,5 +1,6 @@
 #include "src/storage/entity.h"
 
+#include "src/storage/schema.h"
 #include "src/util/string_utils.h"
 
 namespace aiql {
@@ -21,6 +22,8 @@ std::string NetKey(AgentId agent, const std::string& src_ip, const std::string& 
 
 }  // namespace
 
+EntityCatalog::EntityCatalog() : columns_(AttrTable().size()) {}
+
 uint32_t EntityCatalog::InternFile(AgentId agent, const std::string& name,
                                    const std::string& owner, const std::string& group) {
   std::string key = FileKey(agent, name);
@@ -39,6 +42,7 @@ uint32_t EntityCatalog::InternFile(AgentId agent, const std::string& name,
   uint32_t idx = static_cast<uint32_t>(files_.size());
   files_.push_back(std::move(e));
   file_key_.emplace(std::move(key), idx);
+  CodeStrings(EntityType::kFile, idx);
   return idx;
 }
 
@@ -61,6 +65,7 @@ uint32_t EntityCatalog::InternProcess(AgentId agent, int64_t pid, const std::str
   uint32_t idx = static_cast<uint32_t>(processes_.size());
   processes_.push_back(std::move(e));
   proc_key_.emplace(std::move(key), idx);
+  CodeStrings(EntityType::kProcess, idx);
   return idx;
 }
 
@@ -83,6 +88,7 @@ uint32_t EntityCatalog::InternNetwork(AgentId agent, const std::string& src_ip,
   uint32_t idx = static_cast<uint32_t>(networks_.size());
   networks_.push_back(std::move(e));
   net_key_.emplace(std::move(key), idx);
+  CodeStrings(EntityType::kNetwork, idx);
   return idx;
 }
 
@@ -140,26 +146,31 @@ void EntityCatalog::Publish(EntityEventCounts counts, bool build_indexes, uint64
     total_events_ += counts_.subject[i];
   }
   generation_ = generation;
-
   indexed_ = build_indexes;
-  for (auto& index : default_index_) {
-    index.clear();
+}
+
+void EntityCatalog::CodeStrings(EntityType t, uint32_t idx) {
+  const AttrDef& default_attr = DefaultAttr(t);
+  for (const AttrDef& a : AttrTable()) {
+    if (a.owner != OwnerOf(t) || a.entity_string == nullptr) {
+      continue;
+    }
+    StringColumn& col = columns_[AttrIndex(a)];
+    const std::string& value = a.entity_string(*this, idx);
+    auto [it, fresh] = col.code_of.try_emplace(value, static_cast<uint32_t>(col.values.size()));
+    if (fresh) {
+      col.values.emplace_back(value);
+      col.lower.push_back(ToLower(value));
+    }
+    col.codes.push_back(it->second);
+    if (&a == &default_attr) {
+      by_default_[static_cast<size_t>(t)][col.lower[it->second]].push_back(idx);
+    }
   }
-  if (!build_indexes) {
-    return;
-  }
-  auto& files = default_index_[static_cast<size_t>(EntityType::kFile)];
-  for (uint32_t i = 0; i < files_.size(); ++i) {
-    files[ToLower(files_[i].name)].push_back(i);
-  }
-  auto& procs = default_index_[static_cast<size_t>(EntityType::kProcess)];
-  for (uint32_t i = 0; i < processes_.size(); ++i) {
-    procs[ToLower(processes_[i].exe_name)].push_back(i);
-  }
-  auto& nets = default_index_[static_cast<size_t>(EntityType::kNetwork)];
-  for (uint32_t i = 0; i < networks_.size(); ++i) {
-    nets[ToLower(networks_[i].dst_ip)].push_back(i);
-  }
+}
+
+const StringColumn& EntityCatalog::column(const AttrDef& a) const {
+  return columns_[AttrIndex(a)];
 }
 
 uint64_t EntityCatalog::AgentEvents(const std::optional<std::vector<AgentId>>& agents) const {
@@ -176,7 +187,7 @@ uint64_t EntityCatalog::AgentEvents(const std::optional<std::vector<AgentId>>& a
 
 const std::vector<uint32_t>* EntityCatalog::IndexLookup(EntityType t,
                                                         const std::string& lower) const {
-  const auto& index = default_index_[static_cast<size_t>(t)];
+  const auto& index = by_default_[static_cast<size_t>(t)];
   auto it = index.find(lower);
   return it != index.end() ? &it->second : nullptr;
 }

@@ -4,7 +4,9 @@
 // globally unique int64 id plus type-specific security attributes. Entities
 // are interned once in an EntityCatalog and referenced from events by dense
 // per-type indices, which keeps the 10^6..10^9 event rows narrow while the
-// 10^4..10^5 entity rows carry the strings.
+// 10^4..10^5 entity rows carry the strings. The catalog also keeps every
+// string attribute dictionary-coded (StringColumn), so entity resolution
+// matches each distinct string once rather than once per entity.
 #ifndef AIQL_SRC_STORAGE_ENTITY_H_
 #define AIQL_SRC_STORAGE_ENTITY_H_
 
@@ -15,7 +17,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/util/value.h"
+
 namespace aiql {
+
+struct AttrDef;  // schema.h
 
 using AgentId = uint32_t;
 
@@ -74,17 +80,31 @@ struct EntityEventCounts {
   std::array<std::vector<uint32_t>, 3> object;  // by EntityType
 };
 
+// One string attribute of one entity type, dictionary-coded (the layout of
+// EventQL's cstable string columns): a code per entity, and each distinct
+// value once, as interned and ASCII-lowered (the form LIKE matches).
+struct StringColumn {
+  std::vector<uint32_t> codes;      // by catalog index
+  std::vector<Value> values;        // by code
+  std::vector<std::string> lower;   // by code
+  std::unordered_map<std::string, uint32_t> code_of;  // value -> code
+};
+
 // Interning catalog. Indices returned by the Intern* calls are dense per-type
 // and stable for the lifetime of the catalog.
 //
-// Besides the entities, the catalog holds what entity resolution and the
-// executor's cost estimate read: per-entity event counts and exact-value
-// indexes on each type's default attribute. The Database that owns the
-// catalog writes them at Finalize (Publish); a database sharing another's
-// catalog (an MPP segment) leaves them alone, so they always describe the
-// whole store. Both are read-only while queries run.
+// Interning also codes the entity's string attributes (one StringColumn per
+// string row of the schema, kAttrs) and files it under its default
+// attribute's lowered value for exact lookups, so every entity is in both
+// the moment it exists. What the executor's cost estimate reads, the
+// per-entity event counts, is written by the Database that owns the catalog
+// at Finalize (Publish); a database sharing another's catalog (an MPP
+// segment) leaves it alone, so it always describes the whole store.
+// Everything is read-only while queries run.
 class EntityCatalog {
  public:
+  EntityCatalog();
+
   // Interns by identity key (agent + name/pid/5-tuple); returns the dense
   // index of the (possibly pre-existing) entity.
   uint32_t InternFile(AgentId agent, const std::string& name, const std::string& owner = "root",
@@ -107,9 +127,9 @@ class EntityCatalog {
 
   // Zeroed counts sized to the current entities, for Publish.
   EntityEventCounts ZeroEventCounts() const;
-  // Replaces the finalization state: the event counts, the exact-value
-  // indexes (rebuilt, or dropped without `build_indexes`), and the stamp of
-  // the Finalize that wrote them (Database::generation).
+  // Replaces the finalization state: the event counts, whether exact lookups
+  // are served (`build_indexes`), and the stamp of the Finalize that wrote
+  // them (Database::generation).
   void Publish(EntityEventCounts counts, bool build_indexes, uint64_t generation);
   // The last Publish's stamp; 0 before any. Entity resolution memos key on
   // it, so a resolution made before a re-finalize is never reused.
@@ -125,18 +145,24 @@ class EntityCatalog {
   // their subject process's host.
   uint64_t AgentEvents(const std::optional<std::vector<AgentId>>& agents) const;
 
-  // True when the exact-value indexes are built.
+  // The dictionary-coded column of entity string attribute `a` (a schema row
+  // with an entity_string reader).
+  const StringColumn& column(const AttrDef& a) const;
+
+  // True when the last Publish asked for indexes: entity resolution may then
+  // serve exact values of a default attribute by IndexLookup.
   bool indexed() const { return indexed_; }
   // The entities of type `t` whose default attribute (file name, process
   // exe_name, network dst_ip) lowercases to `lower`, ascending; null when
-  // none does or the indexes are not built.
+  // none does.
   const std::vector<uint32_t>* IndexLookup(EntityType t, const std::string& lower) const;
 
  private:
   static uint64_t CountAt(const std::vector<uint32_t>& counts, uint32_t idx) {
     return idx < counts.size() ? counts[idx] : 0;
   }
-
+  // Codes the string attributes of the just-interned entity (t, idx).
+  void CodeStrings(EntityType t, uint32_t idx);
 
   int64_t next_id_ = 1;
   std::vector<FileEntity> files_;
@@ -145,6 +171,9 @@ class EntityCatalog {
   std::unordered_map<std::string, uint32_t> file_key_;
   std::unordered_map<std::string, uint32_t> proc_key_;
   std::unordered_map<std::string, uint32_t> net_key_;
+  std::vector<StringColumn> columns_;  // by schema row; empty for other rows
+  // By type: the default attribute's lowered values -> entities, ascending.
+  std::array<std::unordered_map<std::string, std::vector<uint32_t>>, 3> by_default_;
 
   // Finalization state (Publish).
   uint64_t generation_ = 0;
@@ -152,7 +181,6 @@ class EntityCatalog {
   std::unordered_map<AgentId, uint64_t> agent_events_;
   uint64_t total_events_ = 0;
   bool indexed_ = false;
-  std::array<std::unordered_map<std::string, std::vector<uint32_t>>, 3> default_index_;
 };
 
 }  // namespace aiql

@@ -15,16 +15,28 @@
 
 namespace aiql {
 
-// Entities a catalog scan evaluates between two stop checks.
+// Entities, or dictionary values, resolution tests between two stop checks.
 inline constexpr size_t kResolveStopStride = 1024;
 
 // The catalog indices (ascending) of the entities of type `t` that satisfy
-// `pred`, restricted to entities of `agents` when engaged. When the catalog
-// is indexed and `pred` pins the default attribute to exact values, only
-// those values' entities are tested (each probe counts in
-// stats->index_lookups); otherwise every entity of the type is. `ctx`'s stop
-// state is checked every kResolveStopStride entities: a stopped resolution
-// returns what it has found, and the caller surfaces ctx->StopStatus().
+// `pred`, restricted to entities of `agents` when engaged.
+//
+// `pred` is compiled once per call into terms over the catalog's columns. A
+// term on a string attribute is tested at most once per distinct value of
+// its dictionary-coded column: LIKE / NOT LIKE as literal segments of the
+// lowered pattern against the lowered value, every other operator through
+// AttrPredicate::Eval on the stored value. A term on an integer attribute is
+// tested per entity. A pass over the type's entities then checks the agent
+// and runs the boolean tree over the terms' answers. When the catalog is
+// indexed and `pred` pins the default attribute to exact values, the pass
+// visits only those values' entities (each lookup counts in
+// stats->index_lookups). A pass over every entity tests each string term
+// against every value of its column first; a narrowed pass (agents, lookups)
+// tests the values its entities carry as it reaches them. Entities visited
+// and term tests count in stats->entity_evals. `ctx`'s stop state is checked
+// every kResolveStopStride values of that first sweep and entities of the
+// pass: a stopped resolution returns what it has found, and the caller
+// surfaces ctx->StopStatus().
 std::vector<uint32_t> ResolveEntities(const EntityCatalog& catalog, EntityType t,
                                       const PredExpr& pred,
                                       const std::optional<std::vector<AgentId>>& agents,

@@ -2,8 +2,11 @@
 //
 // AIQL attribute constraints (<attr_cstr> in Grammar 1) compile to a tree of
 // atomic comparisons combined with &&, ||, and !. The same representation is
-// used for entity constraints (evaluated over the entity catalog to produce
-// candidate sets) and event-level constraints (evaluated per event).
+// used for entity constraints and event-level constraints. The storage
+// engine compiles each before it runs: an entity constraint into terms over
+// the catalog's dictionary-coded columns (ResolveEntities, which calls
+// AttrPredicate::Eval once per distinct value), an event constraint into
+// scan kernels plus a residual (CompileEventPred, ResolvedPred).
 #ifndef AIQL_SRC_STORAGE_PREDICATE_H_
 #define AIQL_SRC_STORAGE_PREDICATE_H_
 
@@ -53,7 +56,7 @@ struct AttrPredicate {
 
 // Source of attribute values by name during evaluation: the property-graph
 // baseline's per-edge property lookup. The storage engine resolves names once
-// per query instead (ResolvedPred in schema.h).
+// per query instead (ResolvedPred in schema.h, the terms of ResolveEntities).
 using AttrSource = std::function<std::optional<Value>(std::string_view)>;
 
 // Boolean combination tree over atomic predicates.

@@ -14,18 +14,67 @@ Value ToValue(const T& v) {
   }
 }
 
+// Each entity struct's owner and its catalog row.
+template <typename Entity>
+struct EntityTraits;
+template <>
+struct EntityTraits<FileEntity> {
+  static constexpr AttrOwner owner = AttrOwner::kFile;
+  static const FileEntity& Of(const EntityCatalog& c, uint32_t idx) { return c.files()[idx]; }
+};
+template <>
+struct EntityTraits<ProcessEntity> {
+  static constexpr AttrOwner owner = AttrOwner::kProcess;
+  static const ProcessEntity& Of(const EntityCatalog& c, uint32_t idx) {
+    return c.processes()[idx];
+  }
+};
+template <>
+struct EntityTraits<NetworkEntity> {
+  static constexpr AttrOwner owner = AttrOwner::kNetwork;
+  static const NetworkEntity& Of(const EntityCatalog& c, uint32_t idx) {
+    return c.networks()[idx];
+  }
+};
+
+// The entity struct and field type of a data member pointer.
+template <typename Member>
+struct MemberOf;
+template <typename Entity, typename Field>
+struct MemberOf<Field Entity::*> {
+  using entity = Entity;
+  using type = Field;
+};
+
 template <auto Field>
-Value FileField(const EntityCatalog& c, uint32_t idx) {
-  return ToValue(c.files()[idx].*Field);
+const auto& EntityField(const EntityCatalog& c, uint32_t idx) {
+  return EntityTraits<typename MemberOf<decltype(Field)>::entity>::Of(c, idx).*Field;
 }
 template <auto Field>
-Value ProcField(const EntityCatalog& c, uint32_t idx) {
-  return ToValue(c.processes()[idx].*Field);
+Value EntityValue(const EntityCatalog& c, uint32_t idx) {
+  return ToValue(EntityField<Field>(c, idx));
 }
 template <auto Field>
-Value NetField(const EntityCatalog& c, uint32_t idx) {
-  return ToValue(c.networks()[idx].*Field);
+const std::string& EntityString(const EntityCatalog& c, uint32_t idx) {
+  return EntityField<Field>(c, idx);
 }
+
+// The row of entity attribute `Field`; its owner follows from the struct.
+template <auto Field>
+constexpr AttrDef EntityAttr(std::string_view name,
+                             std::array<std::string_view, 2> aliases = {}) {
+  using M = MemberOf<decltype(Field)>;
+  AttrDef a;
+  a.owner = EntityTraits<typename M::entity>::owner;
+  a.name = name;
+  a.aliases = aliases;
+  a.entity = &EntityValue<Field>;
+  if constexpr (std::is_same_v<typename M::type, std::string>) {
+    a.entity_string = &EntityString<Field>;
+  }
+  return a;
+}
+
 template <auto Getter>
 Value EventField(const EventView& e, const EntityCatalog&) {
   return ToValue((e.*Getter)());
@@ -43,31 +92,31 @@ using Col = EventColumnId;
 
 // The schema. The first row of each entity owner is its default attribute.
 constexpr AttrDef kAttrs[] = {
-    // owner, canonical name, aliases, column, entity reader, event reader
-    {kFile, "name", {}, {}, &FileField<&FileEntity::name>},
-    {kFile, "id", {}, {}, &FileField<&FileEntity::id>},
-    {kFile, "agentid", {"agent_id"}, {}, &FileField<&FileEntity::agent_id>},
-    {kFile, "owner", {}, {}, &FileField<&FileEntity::owner>},
-    {kFile, "group", {}, {}, &FileField<&FileEntity::group>},
-    {kFile, "vol_id", {"volid"}, {}, &FileField<&FileEntity::vol_id>},
-    {kFile, "data_id", {"dataid"}, {}, &FileField<&FileEntity::data_id>},
+    EntityAttr<&FileEntity::name>("name"),
+    EntityAttr<&FileEntity::id>("id"),
+    EntityAttr<&FileEntity::agent_id>("agentid", {"agent_id"}),
+    EntityAttr<&FileEntity::owner>("owner"),
+    EntityAttr<&FileEntity::group>("group"),
+    EntityAttr<&FileEntity::vol_id>("vol_id", {"volid"}),
+    EntityAttr<&FileEntity::data_id>("data_id", {"dataid"}),
 
-    {kProcess, "exe_name", {"exename", "name"}, {}, &ProcField<&ProcessEntity::exe_name>},
-    {kProcess, "id", {}, {}, &ProcField<&ProcessEntity::id>},
-    {kProcess, "agentid", {"agent_id"}, {}, &ProcField<&ProcessEntity::agent_id>},
-    {kProcess, "pid", {}, {}, &ProcField<&ProcessEntity::pid>},
-    {kProcess, "user", {}, {}, &ProcField<&ProcessEntity::user>},
-    {kProcess, "cmd", {}, {}, &ProcField<&ProcessEntity::cmd>},
-    {kProcess, "signature", {"sig"}, {}, &ProcField<&ProcessEntity::signature>},
+    EntityAttr<&ProcessEntity::exe_name>("exe_name", {"exename", "name"}),
+    EntityAttr<&ProcessEntity::id>("id"),
+    EntityAttr<&ProcessEntity::agent_id>("agentid", {"agent_id"}),
+    EntityAttr<&ProcessEntity::pid>("pid"),
+    EntityAttr<&ProcessEntity::user>("user"),
+    EntityAttr<&ProcessEntity::cmd>("cmd"),
+    EntityAttr<&ProcessEntity::signature>("signature", {"sig"}),
 
-    {kNetwork, "dst_ip", {"dstip"}, {}, &NetField<&NetworkEntity::dst_ip>},
-    {kNetwork, "id", {}, {}, &NetField<&NetworkEntity::id>},
-    {kNetwork, "agentid", {"agent_id"}, {}, &NetField<&NetworkEntity::agent_id>},
-    {kNetwork, "src_ip", {"srcip"}, {}, &NetField<&NetworkEntity::src_ip>},
-    {kNetwork, "src_port", {"srcport"}, {}, &NetField<&NetworkEntity::src_port>},
-    {kNetwork, "dst_port", {"dstport"}, {}, &NetField<&NetworkEntity::dst_port>},
-    {kNetwork, "protocol", {}, {}, &NetField<&NetworkEntity::protocol>},
+    EntityAttr<&NetworkEntity::dst_ip>("dst_ip", {"dstip"}),
+    EntityAttr<&NetworkEntity::id>("id"),
+    EntityAttr<&NetworkEntity::agent_id>("agentid", {"agent_id"}),
+    EntityAttr<&NetworkEntity::src_ip>("src_ip", {"srcip"}),
+    EntityAttr<&NetworkEntity::src_port>("src_port", {"srcport"}),
+    EntityAttr<&NetworkEntity::dst_port>("dst_port", {"dstport"}),
+    EntityAttr<&NetworkEntity::protocol>("protocol"),
 
+    // owner, canonical name, aliases, column, entity reader (none), event reader
     {kEvent, "id", {}, Col::kId, nullptr, &EventField<&EventView::id>},
     {kEvent, "seq", {"sequence"}, Col::kSeq, nullptr, &EventField<&EventView::seq>},
     {kEvent, "agentid", {"agent_id"}, Col::kAgentId, nullptr, &EventField<&EventView::agent_id>},

@@ -6,11 +6,13 @@
 //
 // Every layer asks this table. The inference pass rewrites each attribute
 // name to its canonical spelling and resolves relationship endpoints and
-// return references to their rows; the storage compile steps
-// (CompileEventPred, ResolveEntities) resolve predicate leaves into a
-// ResolvedPred. Per-row and per-entity code (residual filters, entity scans,
-// joins, pushdown, projection) then reads values through a row's reader and
-// never compares attribute names.
+// return references to their rows; the storage compile steps resolve
+// predicate leaves to rows (CompileEventPred into a ResolvedPred for the
+// scan residual, ResolveEntities into terms over the catalog's columns).
+// The catalog codes each entity string row into a StringColumn as entities
+// are interned. Per-row and per-entity code (residual filters, entity scans,
+// joins, pushdown, projection) then reads values through a row's reader or
+// column and never compares attribute names.
 #ifndef AIQL_SRC_STORAGE_SCHEMA_H_
 #define AIQL_SRC_STORAGE_SCHEMA_H_
 
@@ -45,6 +47,9 @@ struct AttrDef {
   // event reader uses the catalog only to map entity indexes to ids.
   Value (*entity)(const EntityCatalog& catalog, uint32_t idx) = nullptr;
   Value (*event)(const EventView& e, const EntityCatalog& catalog) = nullptr;
+  // Entity string attributes only: the stored string, which the catalog
+  // dictionary-codes (EntityCatalog::column). Null for integer attributes.
+  const std::string& (*entity_string)(const EntityCatalog& catalog, uint32_t idx) = nullptr;
 };
 
 // True for the `id` row of an entity type: equal ids mean the same entity
@@ -55,6 +60,11 @@ inline bool IsEntityId(const AttrDef* a) {
 
 // Every row, grouped by owner.
 std::span<const AttrDef> AttrTable();
+
+// The position of row `a` in AttrTable().
+inline size_t AttrIndex(const AttrDef& a) {
+  return static_cast<size_t>(&a - AttrTable().data());
+}
 
 // The attribute of `owner` spelled `spelling` (its canonical name or an
 // alias), or nullptr when `owner` has none.
@@ -81,7 +91,10 @@ inline Value ReadAttr(const AttrDef* a, const EventView& e, const EntityCatalog&
 
 // A PredExpr resolved against one owner's schema rows: evaluation reads each
 // leaf's attribute through its row, never by name. Borrows the leaves of the
-// PredExpr it was resolved from, which must outlive it.
+// PredExpr it was resolved from, which must outlive it. The scan's residual
+// (the event predicate the kernels cannot run) is its only user; entity
+// predicates compile to terms over the catalog's columns instead
+// (entity_search.cc).
 class ResolvedPred {
  public:
   ResolvedPred() = default;  // always true

@@ -5,7 +5,12 @@
 namespace aiql {
 namespace {
 
-char FoldCase(char c) { return static_cast<char>(std::tolower(static_cast<unsigned char>(c))); }
+// ASCII case fold. Identical to std::tolower in the "C" locale, which the
+// program never leaves (nothing calls setlocale); bytes >= 0x80 (UTF-8
+// sequences) are left as they are.
+inline char FoldCase(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
 
 }  // namespace
 
@@ -14,13 +19,14 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
   size_t star_p = std::string_view::npos;  // position after last '%'
   size_t star_t = 0;                       // text position when '%' was seen
   while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '_' || FoldCase(pattern[p]) == FoldCase(text[t]))) {
-      ++t;
-      ++p;
-    } else if (p < pattern.size() && pattern[p] == '%') {
+    // '%' is a wildcard even where the text holds a '%' too.
+    if (p < pattern.size() && pattern[p] == '%') {
       star_p = ++p;
       star_t = t;
+    } else if (p < pattern.size() &&
+               (pattern[p] == '_' || FoldCase(pattern[p]) == FoldCase(text[t]))) {
+      ++t;
+      ++p;
     } else if (star_p != std::string_view::npos) {
       p = star_p;
       t = ++star_t;

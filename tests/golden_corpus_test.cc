@@ -5,9 +5,11 @@
 // 19 behavior queries and the anomaly query (paper Query 5) — runs on the
 // relationship scheduler with one scan thread. Each line of the golden file
 // holds the query id, events_scanned, join_work, final_tuples, the row count,
-// an FNV-1a digest of the rendered rows in lexicographic order, and
-// window_group_evals (the anomaly windows' (window, group) evaluations). Any
-// difference fails the test and prints one line per changed query.
+// an FNV-1a digest of the rendered rows in lexicographic order,
+// window_group_evals (the anomaly windows' (window, group) evaluations) and
+// entity_evals (entity resolution's entity visits and dictionary term
+// tests). Any difference fails the test and prints one line per changed
+// query.
 //
 // A change that is meant to move these numbers (a new plan order, a new
 // answer) regenerates the file and shows the diff in review:
@@ -44,7 +46,7 @@ namespace {
 
 const char* const kGoldenPath = AIQL_SOURCE_DIR "/tests/golden/corpus.txt";
 const char* const kColumns =
-    "id events_scanned join_work final_tuples rows digest window_group_evals";
+    "id events_scanned join_work final_tuples rows digest window_group_evals entity_evals";
 const char* const kAblationPath = AIQL_SOURCE_DIR "/tests/golden/ablation.txt";
 const char* const kAblationColumns =
     "config id events_scanned partitions_pruned partitions_pruned_entity index_lookups "
@@ -119,7 +121,8 @@ std::vector<std::string> CorpusLines(const CorpusRun& run) {
                   static_cast<unsigned long long>(RowsDigest(table)));
     std::ostringstream line;
     line << q.id << ' ' << s.scan.events_scanned << ' ' << s.join_work << ' ' << s.final_tuples
-         << ' ' << table.num_rows() << ' ' << digest << ' ' << s.window_group_evals;
+         << ' ' << table.num_rows() << ' ' << digest << ' ' << s.window_group_evals << ' '
+         << s.scan.entity_evals;
     return line.str();
   });
 }

@@ -5,11 +5,14 @@
 // parallelism 1/8.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "src/core/engine.h"
 #include "src/mpp/mpp_cluster.h"
 #include "src/storage/database.h"
+#include "src/storage/entity_search.h"
 #include "src/util/rng.h"
 
 namespace aiql {
@@ -378,6 +381,61 @@ TEST(ResolutionStopTest, StoppedRunFailsBeforeAnyScan) {
   r = bound.value().Run(&plain);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().num_rows(), 1u);
+}
+
+// Over 100k distinct process names, resolution's time goes to the sweep
+// that tests a LIKE against every distinct name before the pass over the
+// processes: a 1 ms budget runs out inside that sweep, so the stopped
+// resolution made fewer term tests than there are names and visited no
+// process, and the run fails having scanned nothing.
+TEST(ResolutionStopTest, BudgetRunsOutInsideTheDictionarySweep) {
+  Database db;
+  constexpr int kProcesses = 100000;
+  const std::string padding(48, 'x');
+  uint32_t last = 0;
+  for (int i = 0; i < kProcesses; ++i) {
+    last = db.catalog().InternProcess(1, i, "/srv/" + padding + std::to_string(i) + "/bin/job");
+  }
+  const uint32_t file = db.catalog().InternFile(1, "/tmp/out");
+  db.RecordEvent(1, last, Operation::kWrite, EntityType::kFile, file,
+                 MakeTimestamp(2017, 1, 1, 12, 0, 0));
+  db.Finalize();
+
+  // No name holds a 'z': the floating segment "x_z" is tried at every
+  // position of every name before the test fails.
+  AttrPredicate like;
+  like.attr = "exe_name";
+  like.op = CmpOp::kLike;
+  like.values = {Value("/srv/%x_z%")};
+  const PredExpr pred = PredExpr::Leaf(like);
+  ScanStats whole;
+  EXPECT_TRUE(
+      ResolveEntities(db.catalog(), EntityType::kProcess, pred, std::nullopt, &whole).empty());
+  EXPECT_EQ(whole.entity_evals, 2u * kProcesses);  // each name's test, each process's visit
+
+  ScanContext budget;
+  budget.has_deadline = true;
+  budget.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+  ScanStats stopped;
+  EXPECT_TRUE(
+      ResolveEntities(db.catalog(), EntityType::kProcess, pred, std::nullopt, &stopped, &budget)
+          .empty());
+  EXPECT_NE(budget.StopStatus().message().find("time limit"), std::string::npos);
+  EXPECT_LT(stopped.entity_evals, static_cast<uint64_t>(kProcesses));
+
+  const AiqlEngine engine(&db, EngineOptions{.parallelism = 1});
+  auto prepared = engine.Prepare(R"(
+      proc p1["/srv/%x_z%"] write file f1 as evt1
+      return p1, f1)");
+  ASSERT_TRUE(prepared.ok()) << prepared.error();
+  auto bound = prepared.value().Bind();
+  ASSERT_TRUE(bound.ok()) << bound.error();
+  ExecutionSession expired;
+  expired.time_budget_ms = 1;
+  auto r = bound.value().Run(&expired);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().find("time limit"), std::string::npos) << r.error();
+  EXPECT_EQ(expired.stats.scan.events_scanned, 0u);
 }
 
 TEST_F(PreparedQueryTest, SessionTimeBudgetOverridesEngine) {

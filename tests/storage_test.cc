@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -651,7 +655,7 @@ TEST(EntityEventCountsTest, MppSegmentsKeepTheWholeStoreCounts) {
 }
 
 // The resolver checks the run's stop state every kResolveStopStride
-// entities of a catalog scan: a run already cancelled or out of time
+// dictionary values and entities: a run already cancelled or out of time
 // resolves nothing.
 TEST(EntityResolutionTest, StoppedRunResolvesNothing) {
   Database db;
@@ -717,6 +721,320 @@ TEST(EntityResolutionTest, NarrowedCandidatesAreKeyed) {
   DataQuery subject = q;
   subject.subject_candidates = a.object_candidates;
   EXPECT_NE(DataQueryFingerprint(subject), DataQueryFingerprint(a));
+}
+
+// Strings the oracle catalog draws every string attribute from: case
+// variants of one value, strings holding LIKE's wildcard characters, strings
+// that read as numbers, the empty string and UTF-8 bytes >= 0x80.
+const char* const kOracleStrings[] = {
+    "/bin/bash",        "/BIN/Bash",
+    "/bin/BASH",        "C:\\Windows\\System32\\cmd.exe",
+    "c:\\windows\\system32\\CMD.EXE", "/usr/bin/python3",
+    "/tmp/50%_off.sh",  "/tmp/50%_OFF.sh",
+    "42",               "7",
+    "-3",               "root",
+    "Root",             "alice",
+    "",                 "caf\xc3\x89",
+    "caf\xc3\xa9",      "10.0.0.1",
+    "10.0.0.10",        "tcp",
+    "TCP",              "udp",
+    "a_b",              "a%b",
+    "ab",
+};
+
+// One attribute spelling the generator may constrain (canonical names,
+// aliases and one the type lacks) and whether its values are strings.
+struct OracleAttr {
+  const char* name;
+  bool string;
+};
+const std::vector<OracleAttr> kOracleAttrs[3] = {
+    {{"name", true},
+     {"owner", true},
+     {"group", true},
+     {"id", false},
+     {"agentid", false},
+     {"vol_id", false},
+     {"dataid", false},
+     {"nosuch", true}},
+    {{"exe_name", true},
+     {"exename", true},
+     {"name", true},
+     {"user", true},
+     {"cmd", true},
+     {"sig", true},
+     {"id", false},
+     {"agent_id", false},
+     {"pid", false}},
+    {{"dst_ip", true},
+     {"src_ip", true},
+     {"protocol", true},
+     {"id", false},
+     {"agentid", false},
+     {"src_port", false},
+     {"dstport", false}},
+};
+
+// The oracle's attribute values, read from the entity structs by name
+// without the schema.
+std::optional<Value> OracleRead(const EntityCatalog& c, EntityType t, uint32_t idx,
+                                std::string_view a) {
+  auto num = [](int64_t v) { return std::optional<Value>(Value(v)); };
+  auto str = [](const std::string& v) { return std::optional<Value>(Value(v)); };
+  switch (t) {
+    case EntityType::kFile: {
+      const FileEntity& e = c.files()[idx];
+      if (a == "name") return str(e.name);
+      if (a == "owner") return str(e.owner);
+      if (a == "group") return str(e.group);
+      if (a == "id") return num(e.id);
+      if (a == "agentid") return num(e.agent_id);
+      if (a == "vol_id") return num(e.vol_id);
+      if (a == "dataid") return num(e.data_id);
+      return std::nullopt;
+    }
+    case EntityType::kProcess: {
+      const ProcessEntity& e = c.processes()[idx];
+      if (a == "exe_name" || a == "exename" || a == "name") return str(e.exe_name);
+      if (a == "user") return str(e.user);
+      if (a == "cmd") return str(e.cmd);
+      if (a == "sig") return str(e.signature);
+      if (a == "id") return num(e.id);
+      if (a == "agent_id") return num(e.agent_id);
+      if (a == "pid") return num(e.pid);
+      return std::nullopt;
+    }
+    case EntityType::kNetwork: {
+      const NetworkEntity& e = c.networks()[idx];
+      if (a == "dst_ip") return str(e.dst_ip);
+      if (a == "src_ip") return str(e.src_ip);
+      if (a == "protocol") return str(e.protocol);
+      if (a == "id") return num(e.id);
+      if (a == "agentid") return num(e.agent_id);
+      if (a == "src_port") return num(e.src_port);
+      if (a == "dstport") return num(e.dst_port);
+      return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<uint32_t> OracleResolve(const EntityCatalog& c, EntityType t, const PredExpr& pred,
+                                    const std::optional<std::vector<AgentId>>& agents) {
+  std::vector<uint32_t> out;
+  for (uint32_t idx = 0; idx < c.CountOf(t); ++idx) {
+    if (agents.has_value() &&
+        std::find(agents->begin(), agents->end(), c.AgentOf(t, idx)) == agents->end()) {
+      continue;
+    }
+    if (pred.Eval([&](std::string_view a) { return OracleRead(c, t, idx, a); })) {
+      out.push_back(idx);
+    }
+  }
+  return out;
+}
+
+// Random predicate trees over the oracle catalog.
+class OraclePredGen {
+ public:
+  explicit OraclePredGen(uint64_t seed) : rng_(seed) {}
+
+  PredExpr Tree(EntityType t, int depth) {
+    if (depth == 0 || rng_.Chance(0.35)) {
+      return PredExpr::Leaf(Leaf(t));
+    }
+    switch (rng_.Below(3)) {
+      case 0:
+        return PredExpr::Not(Tree(t, depth - 1));
+      case 1:
+        return PredExpr::And(Tree(t, depth - 1), Tree(t, depth - 1));
+      default:
+        return PredExpr::Or(Tree(t, depth - 1), Tree(t, depth - 1));
+    }
+  }
+
+  // Exact values of the type's default attribute (the lookup path when the
+  // catalog is indexed): =, IN, or LIKE without wildcards.
+  PredExpr DefaultExact(EntityType t) {
+    const char* attr = kOracleAttrs[static_cast<size_t>(t)][0].name;
+    AttrPredicate p;
+    switch (rng_.Below(3)) {
+      case 0:
+        p.attr = attr;
+        p.values = {Value(Cased(Pick()))};
+        break;
+      case 1:
+        p.attr = attr;
+        p.op = CmpOp::kLike;
+        p.values = {Value(Cased(Pick()))};
+        break;
+      default:
+        p = AttrPredicate::In(attr, {Value(Cased(Pick())), Value(Cased(Pick()))});
+        break;
+    }
+    return PredExpr::Leaf(std::move(p));
+  }
+
+ private:
+  std::string Pick() { return kOracleStrings[rng_.Below(std::size(kOracleStrings))]; }
+
+  // `s` with each ASCII letter's case flipped at random, or unchanged.
+  std::string Cased(std::string s) {
+    if (rng_.Chance(0.5)) {
+      return s;
+    }
+    for (char& ch : s) {
+      if (std::isalpha(static_cast<unsigned char>(ch)) && rng_.Chance(0.3)) {
+        ch = static_cast<char>(std::islower(static_cast<unsigned char>(ch))
+                                   ? std::toupper(static_cast<unsigned char>(ch))
+                                   : std::tolower(static_cast<unsigned char>(ch)));
+      }
+    }
+    return s;
+  }
+
+  Value Operand(bool string) {
+    if (rng_.Chance(0.2)) {
+      string = !string;  // a string literal on an integer attribute, or the reverse
+    }
+    if (string) {
+      return Value(Cased(Pick()));
+    }
+    return rng_.Chance(0.1) ? Value(static_cast<double>(rng_.Range(-4, 60)) / 2)
+                            : Value(static_cast<int64_t>(rng_.Range(-4, 60)));
+  }
+
+  // A LIKE pattern: a piece of a catalog string or a number, in random case,
+  // some characters replaced by '_', with '%' and '_' at its ends and in it.
+  std::string Pattern() {
+    std::string base = rng_.Chance(0.85) ? Pick() : std::to_string(rng_.Range(-4, 60));
+    if (!base.empty() && rng_.Chance(0.5)) {
+      size_t b = rng_.Below(base.size());
+      size_t e = b + rng_.Below(base.size() - b + 1);
+      base = base.substr(b, e - b);
+    }
+    std::string out;
+    for (char ch : Cased(base)) {
+      if (rng_.Chance(0.08)) {
+        out += '%';
+      }
+      out += rng_.Chance(0.08) ? '_' : ch;
+    }
+    auto wild = [&] { return std::string(rng_.Chance(0.8) ? "%" : "_"); };
+    if (rng_.Chance(0.5)) {
+      out = wild() + out;
+    }
+    if (rng_.Chance(0.5)) {
+      out += wild();
+    }
+    return out;
+  }
+
+  AttrPredicate Leaf(EntityType t) {
+    const auto& attrs = kOracleAttrs[static_cast<size_t>(t)];
+    const OracleAttr& a = attrs[rng_.Below(attrs.size())];
+    AttrPredicate p;
+    p.attr = a.name;
+    const CmpOp op = static_cast<CmpOp>(rng_.Below(static_cast<uint64_t>(CmpOp::kNotIn) + 1));
+    if (op == CmpOp::kIn || op == CmpOp::kNotIn) {
+      // Both sides of the 16-value threshold above which In() hashes.
+      const int64_t n = rng_.Chance(0.5) ? rng_.Range(1, 16) : rng_.Range(17, 40);
+      std::vector<Value> values;
+      for (int64_t i = 0; i < n; ++i) {
+        values.push_back(Operand(a.string));
+      }
+      p = AttrPredicate::In(a.name, std::move(values));
+      p.op = op;
+      return p;
+    }
+    p.op = op;
+    if (op == CmpOp::kLike || op == CmpOp::kNotLike) {
+      p.values = {rng_.Chance(0.9) ? Value(Pattern()) : Operand(a.string)};
+    } else {
+      p.values = {Operand(a.string)};
+    }
+    return p;
+  }
+
+  Rng rng_;
+};
+
+// The compiled resolver against OracleResolve on random trees, with and
+// without an agent restriction, over an indexed and an unindexed copy of
+// one catalog.
+TEST(EntityResolutionTest, CompiledMatchesReference) {
+  Database indexed;
+  Database plain{DatabaseOptions{.build_indexes = false}};
+  for (Database* db : {&indexed, &plain}) {
+    Rng rng(2024);
+    auto pick = [&] { return std::string(kOracleStrings[rng.Below(std::size(kOracleStrings))]); };
+    for (int i = 0; i < 160; ++i) {
+      const AgentId agent = static_cast<AgentId>(1 + rng.Below(4));
+      db->catalog().InternFile(agent, pick(), pick(), pick());
+      db->catalog().InternProcess(agent, rng.Range(0, 60), pick(), pick(), pick(), pick());
+      db->catalog().InternNetwork(agent, pick(), pick(), static_cast<int32_t>(rng.Range(0, 60)),
+                                  static_cast<int32_t>(rng.Range(0, 60)), pick());
+    }
+    db->Finalize();
+  }
+
+  OraclePredGen gen(7);
+  ScanStats indexed_stats;
+  ScanStats plain_stats;
+  size_t selective = 0;  // cases matching some but not all entities
+  for (int trial = 0; trial < 300; ++trial) {
+    for (EntityType t : {EntityType::kFile, EntityType::kProcess, EntityType::kNetwork}) {
+      PredExpr pred = gen.Tree(t, 3);
+      if (trial % 3 == 0) {
+        pred = PredExpr::And(gen.DefaultExact(t), std::move(pred));
+      }
+      for (const std::optional<std::vector<AgentId>>& agents :
+           {std::optional<std::vector<AgentId>>(), std::optional<std::vector<AgentId>>({3, 1})}) {
+        const std::vector<uint32_t> want = OracleResolve(indexed.catalog(), t, pred, agents);
+        ASSERT_EQ(ResolveEntities(indexed.catalog(), t, pred, agents, &indexed_stats), want)
+            << EntityTypeName(t) << " indexed: " << pred.ToString();
+        ASSERT_EQ(ResolveEntities(plain.catalog(), t, pred, agents, &plain_stats), want)
+            << EntityTypeName(t) << " plain: " << pred.ToString();
+        selective += !want.empty() && want.size() < indexed.catalog().CountOf(t);
+      }
+    }
+  }
+  EXPECT_GT(selective, 300u);
+  EXPECT_GT(indexed_stats.index_lookups, 0u);
+  EXPECT_EQ(plain_stats.index_lookups, 0u);
+  EXPECT_GT(plain_stats.entity_evals, indexed_stats.entity_evals);
+}
+
+// Entities interned after a Finalize are coded as they are interned, so the
+// exact lookup and the catalog pass both find them, before the next
+// Finalize and after it.
+TEST(EntityResolutionTest, EntitiesInternedAfterFinalizeResolve) {
+  Database db;
+  const uint32_t bash = db.catalog().InternProcess(1, 1, "/bin/bash");
+  db.catalog().InternProcess(1, 2, "/usr/bin/vim");
+  db.Finalize();
+  // A new value, and an existing value (an existing code) on another host.
+  const uint32_t fresh = db.catalog().InternProcess(2, 3, "/usr/local/New/Tool");
+  const uint32_t bash2 = db.catalog().InternProcess(2, 4, "/BIN/bash");
+
+  auto resolve = [&](CmpOp op, const char* value) {
+    AttrPredicate p;
+    p.attr = "exe_name";
+    p.op = op;
+    p.values = {Value(value)};
+    ScanStats stats;
+    return ResolveEntities(db.catalog(), EntityType::kProcess, PredExpr::Leaf(p), std::nullopt,
+                           &stats);
+  };
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "before the next Finalize" : "after it");
+    EXPECT_EQ(resolve(CmpOp::kEq, "/usr/local/New/Tool"), std::vector<uint32_t>{fresh});
+    EXPECT_EQ(resolve(CmpOp::kLike, "/usr/local/new/tool"), std::vector<uint32_t>{fresh});
+    EXPECT_EQ(resolve(CmpOp::kLike, "%new%"), std::vector<uint32_t>{fresh});
+    EXPECT_EQ(resolve(CmpOp::kLike, "/bin/bash"), (std::vector<uint32_t>{bash, bash2}));
+    EXPECT_EQ(resolve(CmpOp::kEq, "/BIN/bash"), std::vector<uint32_t>{bash2});
+    db.Finalize();
+  }
 }
 
 TEST(PostingIndexTest, EachKeysRowsAreExactlyTheRowsHoldingIt) {

@@ -182,6 +182,40 @@ TEST(LikeTest, EmptyEdgeCases) {
   EXPECT_FALSE(LikeMatch("x", ""));
 }
 
+// One ASCII fold serves LikeMatch, ToLower, ToLowerInto and
+// EqualsIgnoreCase: only 'A'-'Z' fold; every other byte, including the bytes
+// of UTF-8 sequences (>= 0x80), compares exactly.
+TEST(LikeTest, FoldsAsciiOnly) {
+  EXPECT_TRUE(LikeMatch("C:\\Users\\Bob\\NTUSER.dat", "c:\\users\\bob\\ntuser.DAT"));
+  EXPECT_TRUE(LikeMatch("MiXeD_cAsE", "mixed_case"));
+  EXPECT_TRUE(EqualsIgnoreCase("ABCxyz@[`{", "abcXYZ@[`{"));
+  // '@' (0x40) and '[' (0x5b) border 'A'-'Z'; '`' and '{' border 'a'-'z'.
+  EXPECT_FALSE(EqualsIgnoreCase("@", "`"));
+  EXPECT_FALSE(EqualsIgnoreCase("[", "{"));
+  EXPECT_EQ(ToLower("@AZ[`az{"), "@az[`az{");
+
+  const std::string upper_e_acute = "\xc3\x89";  // UTF-8 "É"
+  const std::string lower_e_acute = "\xc3\xa9";  // UTF-8 "é"
+  EXPECT_FALSE(LikeMatch(upper_e_acute, lower_e_acute));
+  EXPECT_FALSE(EqualsIgnoreCase(upper_e_acute, lower_e_acute));
+  EXPECT_TRUE(LikeMatch("CAF" + upper_e_acute, "caf" + upper_e_acute));
+  EXPECT_TRUE(LikeMatch("caf" + upper_e_acute, "%" + upper_e_acute));
+  EXPECT_EQ(ToLower("CAF" + upper_e_acute), "caf" + upper_e_acute);
+  std::string folded;
+  ToLowerInto("\xff\x80Z", &folded);
+  EXPECT_EQ(folded, "\xff\x80z");
+}
+
+// A '%' in the pattern is always a wildcard, also where the text holds a
+// literal '%' it could match.
+TEST(LikeTest, PercentInTextDoesNotPinThePatternsPercent) {
+  EXPECT_TRUE(LikeMatch("%", "%_"));
+  EXPECT_TRUE(LikeMatch("50%", "%0_"));
+  EXPECT_TRUE(LikeMatch("/tmp/50%_off.sh", "%50%_off%"));
+  EXPECT_TRUE(LikeMatch("a%b", "a%"));
+  EXPECT_FALSE(LikeMatch("%", "%__"));
+}
+
 TEST(LikeTest, BacktrackingStress) {
   // Adversarial pattern that defeats naive exponential matchers.
   std::string text(200, 'a');
